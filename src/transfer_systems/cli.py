@@ -113,7 +113,7 @@ def _load_site(args) -> Site:
 
 def _load_system(args, site: Site) -> TransferSystem:
     if getattr(args, "input", None):
-        return serialize.load_system(Path(args.input).read_text(), site)
+        return serialize.read_system(args.input, site)
     if getattr(args, "edges", None) is not None:
         return generate_from_edges(site, parse_edges(site, args.edges))
     raise UsageError("provide --edges \"SRC>DST ...\" or --input FILE.json")
@@ -321,7 +321,7 @@ def _cmd_inflate(args) -> int:
     site, ctx = _quotient_from_args(args)
     interval = ctx.interval.site
     o_bar = (
-        serialize.load_system(Path(args.input).read_text(), interval)
+        serialize.read_system(args.input, interval)
         if args.input
         else generate_from_edges(interval, parse_edges(interval, args.edges or ""))
     )
@@ -413,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "cap", 0) < 0:
+        print("error: --cap must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

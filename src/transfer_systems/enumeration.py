@@ -1,9 +1,13 @@
 """Exhaustive enumeration of Tr(site), censuses, and the verification harnesses.
 
-Enumeration is a worklist BFS over single-edge additions: every transfer
-system is reachable from the trivial one because generation is monotone and
-idempotent.  Dedup happens on the canonical bit-string key.  The catalog
-order is canonical (edge count, then key bytes), so runs are reproducible
+Both enumerators run one worklist BFS over single-edge additions: every
+transfer system is reachable from the trivial one because generation is
+monotone and idempotent.  The closure R_e of each added edge e (orbit
+representatives only) is precomputed once, so a step is one composition
+closure, comp(O | R_e), which equals generate(O + e) for a transfer system
+O.  Dedup happens on the canonical bit-string key before anything is built;
+the full axiom check runs once per newly found system.  The catalog order
+is canonical (edge count, then key bytes), so runs are reproducible
 regardless of expansion order.
 """
 
@@ -13,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .compat import (
     conjecture_formula,
@@ -27,9 +29,9 @@ from .errors import CapExceededError, InternalCheckError
 from .restriction import restriction_poset
 from .sites import Site
 from .systems import (
-    BinaryRelation,
     TransferSystem,
-    generate,
+    _comp,
+    _edge_closure,
     generate_from_edges,
     is_disklike,
     is_saturated,
@@ -100,27 +102,49 @@ def enumerate_all(site: Site, cap: int = DEFAULT_ENUMERATION_CAP) -> TransferSys
     Expansion adds one orbit representative at a time: a system is
     action-closed, so adding any edge of an orbit closes to the same result.
     """
-    pairs = site.orbit_representatives(site.pairs)
-    start = trivial_ts(site)
+    systems = _bfs(
+        site,
+        trivial_ts(site),
+        site.orbit_representatives(site.pairs),
+        cap,
+        "enumeration cap {cap} exceeded (partial count {count})",
+    )
+    return TransferSystemCatalog(site, systems)
+
+
+def _bfs(
+    site: Site,
+    start: TransferSystem,
+    edges: list[tuple[int, int]],
+    cap: int,
+    message: str,
+) -> list[TransferSystem]:
+    """Systems reachable from ``start`` by adding edges, in canonical order.
+
+    ``message`` is formatted with ``cap`` and ``count`` when more than
+    ``cap`` systems turn up.
+    """
+    closures = [(e, _edge_closure(site, e)) for e in edges]
     seen: dict[bytes, TransferSystem] = {start.key: start}
-    queue = deque([start])
+    queue = deque([start.rel])
     while queue:
         current = queue.popleft()
-        for a, b in pairs:
-            if current.rel[a, b]:
+        for e, r_e in closures:
+            if current[e]:
                 continue
-            rel = current.rel.copy()
-            rel[a, b] = True
-            bigger = generate(BinaryRelation(site, rel))
-            if bigger.key not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(
-                        f"enumeration cap {cap} exceeded (partial count {len(seen)})"
-                    )
-                seen[bigger.key] = bigger
-                queue.append(bigger)
-    systems = sorted(seen.values(), key=lambda s: (s.edge_count, s.key))
-    return TransferSystemCatalog(site, systems)
+            rel = _comp(current | r_e)
+            key = rel.tobytes()
+            if key in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceededError(message.format(cap=cap, count=len(seen)))
+            seen[key] = TransferSystem(site, rel)
+            queue.append(rel)
+    return _canonical(seen.values())
+
+
+def _canonical(systems: Iterable[TransferSystem]) -> list[TransferSystem]:
+    return sorted(systems, key=lambda s: (s.edge_count, s.key))
 
 
 def census(catalog: TransferSystemCatalog) -> CensusStats:
@@ -253,8 +277,8 @@ def disklike_systems(
     top = site.top
     top_edges = [(int(h), top) for h in range(site.size) if h != top]
     universal = (site.bottom, top)
-    found: dict[bytes, TransferSystem] = {}
     if max_generators is not None:
+        found: dict[bytes, TransferSystem] = {}
         # generator sets that differ by the action generate the same system
         subset_keys: set[tuple] = set()
         for k in range(max_generators + 1):
@@ -265,35 +289,19 @@ def disklike_systems(
                 subset_keys.add(key)
                 ts = generate_from_edges(site, subset)
                 found.setdefault(ts.key, ts)
+        systems = _canonical(found.values())
     else:
-        top_reps = site.orbit_representatives(top_edges)
         seed_edges = [universal] if require_bottom_to_top else []
-        start = generate_from_edges(site, seed_edges)
-        found[start.key] = start
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for e in top_reps:
-                if current.rel[e]:
-                    continue
-                bigger = generate(
-                    BinaryRelation(site, current.rel | _edge_matrix(site, e))
-                )
-                if bigger.key not in found:
-                    if len(found) >= cap:
-                        raise CapExceededError(f"disklike enumeration cap {cap} exceeded")
-                    found[bigger.key] = bigger
-                    queue.append(bigger)
-    systems = sorted(found.values(), key=lambda s: (s.edge_count, s.key))
+        systems = _bfs(
+            site,
+            generate_from_edges(site, seed_edges),
+            site.orbit_representatives(top_edges),
+            cap,
+            "disklike enumeration cap {cap} exceeded",
+        )
     if require_bottom_to_top:
         systems = [s for s in systems if s.rel[universal]]
     return systems
-
-
-def _edge_matrix(site: Site, edge: tuple[int, int]) -> np.ndarray:
-    m = np.zeros((site.size, site.size), dtype=bool)
-    m[edge] = True
-    return m
 
 
 @dataclass

@@ -75,8 +75,7 @@ def render_dot(
 
 def _cover_pairs(leq: np.ndarray) -> list[tuple[int, int]]:
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    two = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    covers = strict & ~two
+    covers = strict & ~(strict @ strict)
     return [(int(a), int(b)) for a, b in np.argwhere(covers)]
 
 

@@ -56,8 +56,7 @@ class RestrictionPoset:
                 failed = bool(rel[r[0], k]) and not bool(rel[jj, h])
                 self.annotation[i, j] = FAILURE if failed else SUCCESS
         self.strict = self.leq & ~np.eye(m, dtype=bool)
-        two = (self.strict.astype(np.uint8) @ self.strict.astype(np.uint8)) > 0
-        self.covers = self.strict & ~two
+        self.covers = self.strict & ~(self.strict @ self.strict)
         self.leq.flags.writeable = False
         self.strict.flags.writeable = False
         self.covers.flags.writeable = False

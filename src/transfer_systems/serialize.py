@@ -8,10 +8,11 @@ write-then-read is the identity on catalog members.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Optional
 
 from .enumeration import TransferSystemCatalog
-from .errors import UsageError
+from .errors import InputFileError, UsageError
 from .sites import Site, site_from_descriptor
 from .systems import TransferSystem, generate_from_edges
 
@@ -26,17 +27,22 @@ def system_to_dict(ts: TransferSystem) -> dict:
     }
 
 
+def _is_label_pair(edge) -> bool:
+    return isinstance(edge, list) and len(edge) == 2 and all(isinstance(x, str) for x in edge)
+
+
 def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
-    if "edges" not in data:
-        raise UsageError("system JSON must have an 'edges' field")
+    if not isinstance(data, dict) or "edges" not in data:
+        raise InputFileError("system JSON must have an 'edges' field")
+    if not isinstance(data["edges"], list) or not all(map(_is_label_pair, data["edges"])):
+        raise InputFileError("system JSON 'edges' must be a list of [source, target] labels")
     if site is None:
         if "site" not in data:
-            raise UsageError("system JSON must have a 'site' field")
+            raise InputFileError("system JSON must have a 'site' field")
         site = site_from_descriptor(data["site"])
     edges = [(site.node(src), site.node(dst)) for src, dst in data["edges"]]
     ts = generate_from_edges(site, edges)
-    listed = {(site.node(src), site.node(dst)) for src, dst in data["edges"]}
-    if set(ts.edges()) != listed:
+    if set(ts.edges()) != set(edges):
         # The listed edges were not closed; being explicit beats silently
         # completing a file that claims to be a transfer system.
         raise UsageError("edge list is not a transfer system (closure adds edges)")
@@ -48,7 +54,20 @@ def dump_system(ts: TransferSystem) -> str:
 
 
 def load_system(text: str, site: Optional[Site] = None) -> TransferSystem:
-    return system_from_dict(json.loads(text), site)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"malformed system JSON: {exc}") from None
+    return system_from_dict(data, site)
+
+
+def read_system(path: str | Path, site: Optional[Site] = None) -> TransferSystem:
+    """Load a system JSON file; unreadable or malformed files raise InputFileError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read system file {path}: {exc}") from None
+    return load_system(text, site)
 
 
 def dump_catalog(catalog: TransferSystemCatalog) -> str:
@@ -56,8 +75,3 @@ def dump_catalog(catalog: TransferSystemCatalog) -> str:
     return "".join(
         json.dumps(system_to_dict(ts), sort_keys=True) + "\n" for ts in catalog.systems
     )
-
-
-def dump_relation(site: Site, edges: list[tuple[int, int]]) -> dict:
-    lab = site.labels
-    return {"site": site.descriptor, "edges": [[lab[a], lab[b]] for a, b in sorted(edges)]}

@@ -80,8 +80,7 @@ class Site:
             raise InputFileError("order is not reflexive")
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise InputFileError("cycle detected: order is not antisymmetric")
-        reach2 = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-        if np.any(reach2 & ~leq):
+        if np.any((leq @ leq) & ~leq):
             raise InputFileError("order is not transitive")
         if int(leq.all(axis=1).sum()) != 1:
             raise InputFileError("no unique bottom element")
@@ -141,9 +140,6 @@ class Site:
     def subset_orbit_key(self, edges) -> tuple:
         """Canonical key of an edge set under the simultaneous action."""
         return min(tuple(sorted((int(p[a]), int(p[b])) for a, b in edges)) for p in self.action)
-
-    def same_site(self, other: "Site") -> bool:
-        return self.key == other.key
 
 
 def _meet_table(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:

@@ -81,20 +81,29 @@ class TransferSystem:
     """An immutable transfer system on a site.
 
     Construct through :func:`validate`, :func:`generate`, or the named
-    constructors; the constructor itself re-checks all four axioms and
-    raises InternalCheckError on violation.
+    constructors; the constructor itself re-checks that the relation refines
+    the order and satisfies all four axioms, and raises InternalCheckError
+    on violation.
     """
 
     __slots__ = ("site", "rel", "key", "_cache")
 
     def __init__(self, site: Site, rel: np.ndarray):
+        rel = rel.astype(bool)
+        outside = rel & ~site.leq
+        if np.any(outside):
+            k, h = map(int, np.argwhere(outside)[0])
+            raise InternalCheckError(
+                f"relation is not a transfer system: edge {site.labels[k]} -> "
+                f"{site.labels[h]} does not refine the order"
+            )
         violation = _first_violation(site, rel)
         if violation is not None:
             raise InternalCheckError(
                 f"relation is not a transfer system: {violation.describe(site)}"
             )
         self.site = site
-        self.rel = rel.astype(bool)
+        self.rel = rel
         self.rel.flags.writeable = False
         self.key = self.rel.tobytes()
         self._cache: dict = {}
@@ -152,14 +161,14 @@ def _first_violation(site: Site, rel: np.ndarray) -> Optional[ViolationReport]:
         if np.any(bad):
             k, h = map(int, np.argwhere(bad)[0])
             return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
-    for k, h in ((int(a), int(b)) for a, b in np.argwhere(rel)):
-        ls = site.lower[h]
-        need = rel[site.meet[k, ls], ls]
-        if not np.all(need):
-            l = int(ls[np.flatnonzero(~need)[0]])
-            return ViolationReport("restriction", ((k, h), l, (int(site.meet[k, l]), l)))
-    two_step = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-    bad = two_step & ~rel
+    # lost[K, L]: K /\ L -> L is missing, so no edge K -> H with L <= H may stay
+    lost = ~rel[site.meet, np.arange(n)]
+    bad = rel & (lost @ site.leq)
+    if np.any(bad):
+        k, h = map(int, np.argwhere(bad)[0])
+        l = int(np.flatnonzero(lost[k] & site.leq[:, h])[0])
+        return ViolationReport("restriction", ((k, h), l, (int(site.meet[k, l]), l)))
+    bad = (rel @ rel) & ~rel
     if np.any(bad):
         l, h = map(int, np.argwhere(bad)[0])
         k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
@@ -192,20 +201,27 @@ def _conj(site: Site, rel: np.ndarray) -> np.ndarray:
 
 def _res(site: Site, rel: np.ndarray) -> np.ndarray:
     out = rel.copy()
-    for k, h in ((int(a), int(b)) for a, b in np.argwhere(rel)):
-        ls = site.lower[h]
-        out[site.meet[k, ls], ls] = True
+    # restricting some edge K -> H of rel along L <= H gives K /\ L -> L
+    k, l = np.nonzero(rel @ site.leq.T)
+    out[site.meet[k, l], l] = True
     return out
 
 
 def _comp(rel: np.ndarray) -> np.ndarray:
-    out = rel.copy()
+    out = rel
     while True:
-        two = (out.astype(np.uint8) @ out.astype(np.uint8)) > 0
-        new = out | two
-        if np.array_equal(new, out):
-            return out
+        new = out | (out @ out)
+        # same shape and dtype; bytes compare far faster than np.array_equal
+        if new.tobytes() == out.tobytes():
+            return new
         out = new
+
+
+def _edge_closure(site: Site, edge: tuple[int, int]) -> np.ndarray:
+    """R_e = res(conj(refl({e}))): what adding e brings before composition."""
+    rel = np.zeros((site.size, site.size), dtype=bool)
+    rel[edge] = True
+    return _res(site, _conj(site, _refl(site, rel)))
 
 
 def close_refl(b: BinaryRelation) -> BinaryRelation:
@@ -228,7 +244,10 @@ def generate(b: BinaryRelation) -> TransferSystem:
     """Minimal transfer system containing the relation.
 
     Single pass of composition(restriction(conjugation(reflexive(B)))); the
-    constructor asserts the result satisfies all four axioms.
+    constructor asserts the result satisfies all four axioms.  Conjugation
+    and restriction distribute over unions, so for a transfer system O and
+    an edge e, generate(O + e) = comp(O | R_e) with R_e = res(conj(refl({e})))
+    (see ``_edge_closure``); enumeration extends systems this way.
     """
     site = b.site
     rel = _comp(_res(site, _conj(site, _refl(site, b.rel))))
@@ -284,7 +303,7 @@ def is_saturated(ts: TransferSystem) -> SaturationResult:
     """Check for triples L <= K <= H with L->H present but K->H missing."""
     site, rel = ts.site, ts.rel
     gap = site.leq & ~rel  # K -> H missing
-    reach = site.leq.astype(np.uint8) @ gap.astype(np.uint8) > 0  # exists K >= L with gap
+    reach = site.leq @ gap  # exists K >= L with gap
     bad = rel & reach
     if not np.any(bad):
         return SaturationResult(True, None)
@@ -302,7 +321,7 @@ def hull(ts: TransferSystem) -> TransferSystem:
     while True:
         gap = site.leq & ~rel
         # needed[K,H]: some L <= K has L->H, while K->H is missing
-        reach = (site.leq.T.astype(np.uint8) @ rel.astype(np.uint8)) > 0
+        reach = site.leq.T @ rel
         needed = gap & reach
         if not np.any(needed):
             out = TransferSystem(site, rel)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from transfer_systems import (
+    Site,
     enumerate_all,
     generate_from_edges,
     site_from_descriptor,
@@ -17,6 +19,36 @@ cover: C B
 cover: B top
 cover: A top
 """
+
+# The 3x3 grid (product of two 3-chains); the automorphism swaps the factors.
+GRID_TEXT = """\
+nodes: 00 01 02 10 11 12 20 21 22
+cover: 00 01
+cover: 01 02
+cover: 10 11
+cover: 11 12
+cover: 20 21
+cover: 21 22
+cover: 00 10
+cover: 10 20
+cover: 01 11
+cover: 11 21
+cover: 02 12
+cover: 12 22
+auto: 00 10 20 01 11 21 02 12 22
+"""
+
+
+def chain_site(n):
+    """The chain 0 < 1 < ... < n-1 with the trivial action."""
+    idx = np.arange(n)
+    return Site(
+        leq=np.triu(np.ones((n, n), dtype=bool)),
+        meet=np.minimum.outer(idx, idx).astype(np.int32),
+        action=(idx.astype(np.int32),),
+        labels=tuple(str(i) for i in range(n)),
+        kind="abstract",
+    )
 
 
 def edges_by_label(site, pairs):
@@ -72,6 +104,11 @@ def p5_site():
 
 
 @pytest.fixture(scope="session")
+def grid_site():
+    return parse_poset_text(GRID_TEXT, descriptor="poset:GRID")
+
+
+@pytest.fixture(scope="session")
 def c6_catalog(c6_site):
     return enumerate_all(c6_site)
 
@@ -99,6 +136,11 @@ def q8_catalog(q8_site):
 @pytest.fixture(scope="session")
 def d4_catalog(d4_site):
     return enumerate_all(d4_site)
+
+
+@pytest.fixture(scope="session")
+def grid_catalog(grid_site):
+    return enumerate_all(grid_site)
 
 
 FIG1_EDGES = {

@@ -124,6 +124,27 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [None, "{not json", '{"edges": [["1"]]}'])
+@pytest.mark.parametrize("command", [
+    ["maximal", "--group", "cyclic:6"],
+    ["inflate", "--group", "cyclic:12", "--normal", "C2"],
+])
+def test_bad_input_file_is_a_usage_error(tmp_path, capsys, command, content):
+    path = tmp_path / "system.json"  # absent when content is None
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run(capsys, *command, "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic:6", "--cap", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --cap must be >= 0\n"
+
+
 def test_malformed_poset_file_names_line(tmp_path, capsys):
     path = tmp_path / "bad.poset"
     path.write_text("nodes: a b\ncover: a\n")

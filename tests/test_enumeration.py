@@ -97,10 +97,38 @@ def test_cross_method_audit_clean(catalog_name, request):
     assert report.disklike_total == sum(is_disklike(ts) for ts in catalog.systems)
 
 
-def test_disklike_systems_bfs_matches_catalog_filter(c12_catalog, c12_site):
-    expected = {ts.key for ts in c12_catalog.systems if is_disklike(ts)}
-    got = {ts.key for ts in disklike_systems(c12_site)}
-    assert got == expected
+def test_disklike_systems_bfs_matches_catalog_filter(
+    d4_catalog, c12_catalog, s3_catalog, q8_catalog
+):
+    # one BFS serves both enumerators: same systems in the same order
+    c6xc2_catalog = enumerate_all(site_from_descriptor("product:6x2"))
+    for catalog in (d4_catalog, c6xc2_catalog, c12_catalog, s3_catalog, q8_catalog):
+        expected = [ts for ts in catalog.systems if is_disklike(ts)]
+        assert disklike_systems(catalog.site) == expected
+
+
+@pytest.mark.parametrize(
+    "descriptor, count",
+    [
+        # |Tr(C_{p^n})| = Catalan(n + 1): Balchin, Barnes, Roitzheim,
+        # "N-infinity operads and associahedra", Pacific J. Math. 2021
+        ("cyclic:2", 2),
+        ("cyclic:4", 5),
+        ("cyclic:8", 14),
+        ("cyclic:16", 42),
+        ("cyclic:32", 132),
+        # measured regression values, not literature
+        ("cyclic:30", 450),
+        ("product:2x2", 19),
+    ],
+)
+def test_known_catalog_sizes(descriptor, count):
+    assert len(enumerate_all(site_from_descriptor(descriptor))) == count
+
+
+def test_disklike_enumeration_cap(c12_site):
+    with pytest.raises(CapExceededError, match="disklike enumeration cap 3 exceeded"):
+        disklike_systems(c12_site, cap=3)
 
 
 def test_disklike_systems_with_universal_edge(c12_site):

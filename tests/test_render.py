@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import chain_site
 from transfer_systems.compat import max_compat_recursive
 from transfer_systems.errors import UsageError
-from transfer_systems.render import render_dot, render_tikz
+from transfer_systems.render import _cover_pairs, render_dot, render_tikz
 from transfer_systems.systems import complete_ts, trivial_ts
 
 
@@ -66,3 +67,9 @@ def test_tikz_smoke(fig1, p5_site):
 
     o = generate_from_edges(p5_site, [(p5_site.node("A"), p5_site.node("top"))])
     assert "\\draw" in render_tikz(o, cluster=[p5_site.node("A"), p5_site.node("top")])
+
+
+@pytest.mark.parametrize("n", [258, 259])
+def test_cover_pairs_on_long_chains(n):
+    # pairs with exactly 256 nodes between them are not covers
+    assert _cover_pairs(chain_site(n).leq) == [(i, i + 1) for i in range(n - 1)]

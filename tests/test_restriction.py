@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import system_from_labels
+from conftest import chain_site, system_from_labels
 from transfer_systems.restriction import restriction_poset
+from transfer_systems.systems import generate_from_edges
 
 # The worked C_{p^2 q^2} example at p=2, q=3: a disklike system on C36 whose
 # maximal compatible subsystem is the bold set below.
@@ -115,3 +116,11 @@ def test_topological_order_is_a_linear_extension(c12_catalog):
             for j in range(len(poset)):
                 if poset.strict[i, j]:
                     assert position[i] < position[j]
+
+
+def test_cover_count_on_a_long_chain():
+    # 0 -> 258 restricts onto 0 -> l for every l: a 258-element chain of
+    # edges with 257 covers.  The pair at the two ends has exactly 256
+    # elements between it, which a product counted modulo 256 misses.
+    site = chain_site(259)
+    assert restriction_poset(generate_from_edges(site, [(0, 258)])).cover_count == 257

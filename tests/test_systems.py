@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import labeled, system_from_labels
-from transfer_systems.errors import MismatchedSitesError, UsageError
+from transfer_systems.errors import InternalCheckError, MismatchedSitesError, UsageError
 from transfer_systems.systems import (
     BinaryRelation,
     TransferSystem,
@@ -27,6 +27,8 @@ from transfer_systems.systems import (
     meet_ts,
     trivial_ts,
     tulip_ts,
+    _comp,
+    _edge_closure,
     validate,
 )
 
@@ -173,6 +175,32 @@ def test_closure_order_commutes(s3_site, d4_site, data):
     left = close_comp(close_res(close_conj(b)))
     right = close_comp(close_conj(close_res(b)))
     assert np.array_equal(left.rel, right.rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incremental_step_equals_generate(
+    c12_catalog, d4_catalog, s3_catalog, q8_catalog, grid_catalog, data
+):
+    # for a transfer system O, generate(O + e) = comp(O | R_e)
+    catalogs = [c12_catalog, d4_catalog, s3_catalog, q8_catalog, grid_catalog]
+    catalog = data.draw(st.sampled_from(catalogs))
+    site = catalog.site
+    o = data.draw(st.sampled_from(catalog.systems))
+    missing = [e for e in site.pairs if not o.rel[e]]
+    assume(missing)
+    e = data.draw(st.sampled_from(missing))
+    rel = o.rel.copy()
+    rel[e] = True
+    step = _comp(o.rel | _edge_closure(site, e))
+    assert np.array_equal(step, generate(BinaryRelation(site, rel)).rel)
+
+
+def test_constructor_rejects_edges_outside_the_order(c6_site):
+    rel = np.eye(c6_site.size, dtype=bool)
+    rel[c6_site.top, c6_site.bottom] = True
+    with pytest.raises(InternalCheckError, match="does not refine the order"):
+        TransferSystem(c6_site, rel)
 
 
 def test_generate_minimality_on_c6(c6_catalog, c6_site):

@@ -1,12 +1,25 @@
 """Compatible pairs and the maximal compatible transfer system M(O).
 
+Compatibility runs on whole matrices.  For an additive system O put
+
+    hyp[K, J] = O[K /\\ J, K]    and    gap[J, H] = (J <= H) and not O[J, H];
+
+then ``blocked = hyp @ gap`` (a boolean product) marks exactly the
+multiplicative edges K -> H that break condition (2) against O: some J <= H
+has K /\\ J -> K additive while J -> H is missing.  Reflexive entries are
+never blocked (hyp[H, J] = O[J, H] for J <= H), so (O, O_m) is compatible
+iff ``O_m.rel & blocked`` is empty.
+
 Three independent computations of M(O) are provided:
 
 * ``max_compat_oracle`` keeps each edge e whose generated system T(e) forms a
-  compatible pair with O (the definitional set expression);
-* ``max_compat_recursive`` runs the recursion over the full restriction
-  poset: e is kept iff every strict restriction r < e is already kept and
-  annotates a compatibility success;
+  compatible pair with O (the definitional set expression).  T(e) is
+  action-closed, so T(p.e) = T(e): each site caches T(e) once per edge orbit,
+  and the test is one masked ``any`` against ``blocked``;
+* ``max_compat_recursive`` evaluates the recursion over the full restriction
+  poset (e is kept iff every strict restriction r < e is kept and annotates
+  a compatibility success) in unrolled form: e is dropped iff some r <= e
+  has a failing strict restriction;
 * ``max_compat_disklike`` is the cover-relation worklist for disklike
   systems, processing conjugacy classes of minimal queue elements and
   counting cover inspections.
@@ -24,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DisklikeRequiredError
-from .restriction import restriction_poset
+from .restriction import FAILURE, restriction_poset
 from .sites import Site
 from .systems import (
     TransferSystem,
@@ -59,38 +72,75 @@ class CompatReport:
         return out
 
 
+def _blocked(o_a: TransferSystem) -> np.ndarray:
+    """blocked[K, H]: a multiplicative K -> H would break condition (2) against o_a."""
+    site = o_a.site
+    rel = o_a.rel
+    hyp = rel[site.meet, np.arange(site.size)[:, None]]  # hyp[K, J] = K /\ J -> K
+    gap = site.leq & ~rel
+    return hyp @ gap
+
+
 def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
     """Check that (o_a, o_m) is a compatible pair.
 
-    Scans condition (2) of the definition over all multiplicative edges;
-    the containment o_m <= o_a is subsumed by the scan (take J = K).
+    Condition (2) for every multiplicative edge at once: the pair is
+    compatible iff ``o_m.rel & blocked`` is empty (see the module
+    docstring).  The containment o_m <= o_a is subsumed (take J = K).  The
+    witness is the first flagged K -> H in row-major order and the least
+    J <= H that breaks it, as an edge-by-edge scan would find.
     """
     _require_same_site(o_a, o_m)
+    flat = np.flatnonzero(o_m.rel & _blocked(o_a))
+    if flat.size == 0:
+        return CompatReport(True)
     site = o_a.site
-    rel_a = o_a.rel
-    for k, h in o_m.edges():
-        js = site.lower[h]
-        hyp = rel_a[site.meet[k, js], k]
-        bad = hyp & ~rel_a[js, h]
-        if np.any(bad):
-            j = int(js[np.flatnonzero(bad)[0]])
-            return CompatReport(False, (k, j, h))
-    return CompatReport(True)
+    rel = o_a.rel
+    k, h = divmod(int(flat[0]), site.size)
+    hyp = rel[site.meet[k], k]
+    gap = site.leq[:, h] & ~rel[:, h]
+    j = int(np.flatnonzero(hyp & gap)[0])
+    return CompatReport(False, (k, j, h))
+
+
+def _edge_system(site: Site, edge: tuple[int, int]) -> np.ndarray:
+    """The relation of T(edge), cached on the site once per edge orbit.
+
+    T(e) is action-closed, so every edge of an orbit generates the same
+    system; it is built through ``generate_from_edges`` and so passes the
+    constructor's axiom check once per (site, orbit).
+    """
+    cache = site._cache.setdefault("edge_system", {})
+    rep = min(site.orbit(edge))
+    rel = cache.get(rep)
+    if rel is None:
+        rel = cache[rep] = generate_from_edges(site, [rep]).rel  # read-only
+    return rel
 
 
 def max_compat_oracle(o: TransferSystem) -> TransferSystem:
-    """M(O) via the set expression: e is kept iff (O, T(e)) is compatible."""
-    keep = [e for e in o.edges() if is_compatible(o, generate_from_edges(o.site, [e])).compatible]
+    """M(O) via the set expression: e is kept iff (O, T(e)) is compatible.
+
+    ``blocked`` is computed once for O; e is kept iff T(e), read from the
+    site's per-orbit cache, meets no blocked entry.
+    """
+    blocked = _blocked(o)
+    keep = [e for e in o.edges() if not (_edge_system(o.site, e) & blocked).any()]
     return _wrap(o.site, keep)
 
 
 def max_compat_recursive(o: TransferSystem) -> TransferSystem:
-    """M(O) via the recursion over the full restriction poset."""
+    """M(O) via the recursion over the full restriction poset.
+
+    The recursion keeps e iff every strict restriction r < e is kept and
+    annotates a success.  Unrolled: e is dropped iff some r <= e has a
+    failing strict restriction (induction along any linear extension), so
+    one boolean vector-matrix product over ``leq`` decides every node.
+    """
     poset = restriction_poset(o)
-    in_m = [False] * len(poset)
-    for j in poset.topological_order():
-        in_m[j] = all(in_m[i] and poset.is_success(i, j) for i in poset.strict_below(j))
-    keep = [e for j, e in enumerate(poset.nodes) if in_m[j]]
+    fails = (poset.annotation == FAILURE).any(axis=0)  # some strict restriction fails
+    dropped = fails @ poset.leq
+    keep = [e for e, d in zip(poset.nodes, dropped) if not d]
     return _wrap(o.site, keep)
 
 
@@ -143,11 +193,8 @@ def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     can fail the transfer-system axioms, so no validation is attempted.
     """
     poset = restriction_poset(o)
-    keep = []
-    for j, e in enumerate(poset.nodes):
-        if all(poset.is_success(i, j) for i in poset.strict_below(j)):
-            keep.append(e)
-    return frozenset(keep)
+    fails = (poset.annotation == FAILURE).any(axis=0)
+    return frozenset(e for e, f in zip(poset.nodes, fails) if not f)
 
 
 def _wrap(site: Site, edges: list[tuple[int, int]]) -> TransferSystem:

@@ -264,11 +264,19 @@ def _dicyclic(n: int) -> Group:
 # File-backed groups
 
 
+def _read_group_file(path: Path, what: str) -> str:
+    """File contents; an unreadable file raises InputFileError naming its path."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def group_from_cayley_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Read a Cayley table: line 1 is the order n, then n rows of n indices."""
     path = Path(path)
     tokens: list[str] = []
-    for line in path.read_text().splitlines():
+    for line in _read_group_file(path, "Cayley").splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             tokens.extend(line.split())
@@ -362,9 +370,8 @@ def group_from_permutations(
 
 def group_from_permutation_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     path = Path(path)
-    return group_from_permutations(
-        path.read_text().splitlines(), f"perms:{path}", path.stem, order_cap
-    )
+    lines = _read_group_file(path, "permutation").splitlines()
+    return group_from_permutations(lines, f"perms:{path}", path.stem, order_cap)
 
 
 # ---------------------------------------------------------------------------

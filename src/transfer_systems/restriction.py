@@ -7,9 +7,12 @@ compatibility success or failure:
 
     failure  iff  K /\\ J -> K is in O and J -> H is not,
 
-and exactly one of the two holds.  The poset and its annotations are
-computed once per system and cached; the maximal-compatible computations
-never re-derive them.
+and exactly one of the two holds.  The poset is built from the site's meet
+table in whole arrays: every (node e, J <= H) pair is listed at once, its
+restriction K /\\ J -> J is looked up in an n-by-n node-index table, and
+``leq`` and ``annotation`` are filled by one fancy-index assignment each.
+The poset and its annotations are computed once per system and cached; the
+maximal-compatible computations never re-derive them.
 """
 
 from __future__ import annotations
@@ -42,19 +45,21 @@ class RestrictionPoset:
         self.nodes = ts.edges()
         self.index = {e: i for i, e in enumerate(self.nodes)}
         m = len(self.nodes)
-        self.leq = np.eye(m, dtype=bool)
-        self.annotation = np.zeros((m, m), dtype=np.int8)
         rel = ts.rel
-        meet = site.meet
-        for j, (k, h) in enumerate(self.nodes):
-            for jj in site.lower[h]:
-                r = (int(meet[k, jj]), int(jj))
-                i = self.index.get(r)
-                if i is None:  # reflexive restriction, not a poset node
-                    continue
-                self.leq[i, j] = True
-                failed = bool(rel[r[0], k]) and not bool(rel[jj, h])
-                self.annotation[i, j] = FAILURE if failed else SUCCESS
+        ks, hs = np.nonzero(rel & ~np.eye(site.size, dtype=bool))  # nodes, in order
+        node_of = np.full((site.size, site.size), -1, dtype=np.intp)
+        node_of[ks, hs] = np.arange(m)
+        # every (node j = K -> H, J <= H) restricts onto r = K /\ J -> J
+        j, jj = np.nonzero(site.leq[:, hs].T)
+        src = site.meet[ks[j], jj]
+        i = node_of[src, jj]
+        proper = i >= 0  # a reflexive restriction is not a poset node
+        i, j, jj, src = i[proper], j[proper], jj[proper], src[proper]
+        failed = rel[src, ks[j]] & ~rel[jj, hs[j]]
+        self.leq = np.eye(m, dtype=bool)
+        self.leq[i, j] = True
+        self.annotation = np.zeros((m, m), dtype=np.int8)
+        self.annotation[i, j] = np.where(failed, FAILURE, SUCCESS)
         self.strict = self.leq & ~np.eye(m, dtype=bool)
         self.covers = self.strict & ~(self.strict @ self.strict)
         self.leq.flags.writeable = False

@@ -36,6 +36,10 @@ class Site:
         kind: ``"group"`` for conjugation sites, ``"abstract"`` otherwise.
         lattice: the source SubgroupLattice for plain group sites, else None.
         descriptor: string that rebuilds this site, if available.
+
+    Derived data that depends on the site alone (such as the generated
+    systems T(e) the compatibility oracle reuses) is cached in ``_cache``;
+    it lives and dies with this object.
     """
 
     def __init__(
@@ -63,8 +67,6 @@ class Site:
             p.flags.writeable = False
         self.bottom = int(np.flatnonzero(leq[:, :].all(axis=1))[0])
         self.top = int(np.flatnonzero(leq[:, :].all(axis=0))[0])
-        # lower[h] = indices of nodes <= h, ascending
-        self.lower = tuple(np.flatnonzero(leq[:, h]) for h in range(self.size))
         self.pairs = tuple(
             (int(a), int(b)) for a in range(self.size) for b in range(self.size)
             if a != b and leq[a, b]
@@ -72,6 +74,7 @@ class Site:
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         raw = leq.tobytes() + b"|" + b",".join(p.tobytes() for p in self.action)
         self.key = hashlib.sha256(raw).digest()
+        self._cache: dict = {}
 
     def _check(self) -> None:
         n = self.size

@@ -338,8 +338,12 @@ def disklike_generators(ts: TransferSystem) -> list[tuple[int, int]]:
 
 
 def is_disklike(ts: TransferSystem) -> bool:
-    """True iff ts is generated by its transfers into the top node."""
-    return generate_from_edges(ts.site, disklike_generators(ts)) == ts
+    """True iff ts is generated by its transfers into the top node (cached per system)."""
+    disklike = ts._cache.get("disklike")
+    if disklike is None:
+        disklike = generate_from_edges(ts.site, disklike_generators(ts)) == ts
+        ts._cache["disklike"] = disklike
+    return disklike
 
 
 def complexity(ts: TransferSystem, bound: int = 4) -> Optional[int]:

@@ -3,15 +3,18 @@
 Each oracle deliberately avoids the production code path it checks:
 closure runs as a one-step-at-a-time fixpoint loop instead of the
 single-pass pipeline, enumeration brute-forces subset closures, the hull
-intersects saturated catalog members, and quotient groups get an explicit
-coset Cayley table.
+intersects saturated catalog members, quotient groups get an explicit
+coset Cayley table, compatibility is scanned edge by edge, the restriction
+poset is built by a per-edge loop, and M(O) runs the literal recursion.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from transfer_systems.compat import CompatReport
 from transfer_systems.groups import Group, SubgroupLattice, _group_from_table
+from transfer_systems.restriction import FAILURE, SUCCESS
 from transfer_systems.sites import Site
 
 
@@ -123,3 +126,48 @@ def quotient_group(latt: SubgroupLattice, n: int) -> tuple[Group, list[frozenset
             mul[i, j] = index[prod]
     g = _group_from_table(mul, f"quotient:{group.descriptor}/{n}", "Q", [f"c{i}" for i in range(m)])
     return g, cosets
+
+
+def compatible_by_scan(o_a, o_m) -> CompatReport:
+    """Condition (2) scanned over the multiplicative edges in canonical order."""
+    site = o_a.site
+    rel_a = o_a.rel
+    for k, h in o_m.edges():
+        js = np.flatnonzero(site.leq[:, h])
+        hyp = rel_a[site.meet[k, js], k]
+        bad = hyp & ~rel_a[js, h]
+        if np.any(bad):
+            j = int(js[np.flatnonzero(bad)[0]])
+            return CompatReport(False, (k, j, h))
+    return CompatReport(True)
+
+
+def restriction_poset_by_loop(ts):
+    """(nodes, leq, annotation, covers) of the restriction poset, edge by edge."""
+    site = ts.site
+    nodes = ts.edges()
+    index = {e: i for i, e in enumerate(nodes)}
+    m = len(nodes)
+    leq = np.eye(m, dtype=bool)
+    annotation = np.zeros((m, m), dtype=np.int8)
+    rel = ts.rel
+    for j, (k, h) in enumerate(nodes):
+        for jj in np.flatnonzero(site.leq[:, h]):
+            r = (int(site.meet[k, jj]), int(jj))
+            i = index.get(r)
+            if i is None:  # reflexive restriction, not a poset node
+                continue
+            leq[i, j] = True
+            failed = bool(rel[r[0], k]) and not bool(rel[jj, h])
+            annotation[i, j] = FAILURE if failed else SUCCESS
+    strict = leq & ~np.eye(m, dtype=bool)
+    covers = strict & ~(strict @ strict)
+    return nodes, leq, annotation, covers
+
+
+def max_compat_by_recursion(poset) -> list[tuple[int, int]]:
+    """M(O) edges by the literal recursion along the poset's topological order."""
+    in_m = [False] * len(poset)
+    for j in poset.topological_order():
+        in_m[j] = all(in_m[i] and poset.is_success(i, j) for i in poset.strict_below(j))
+    return [e for j, e in enumerate(poset.nodes) if in_m[j]]

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P5_TEXT
 from transfer_systems.cli import main
@@ -153,6 +157,17 @@ def test_malformed_poset_file_names_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("family", ["cayley", "perms"])
+def test_unreadable_group_file_is_a_usage_error(tmp_path, capsys, family, kind):
+    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+    code, out, err = run(capsys, "lattice", "--group", f"{family}:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_seed_and_threads_accepted(capsys):
     code, out1, _ = run(capsys, "enumerate", "--group", "cyclic:6", "--census",
                         "--seed", "7", "--threads", "4")
@@ -196,3 +211,47 @@ def test_enumerate_jsonl(tmp_path, capsys):
     assert code == 0
     lines = target.read_text().strip().split("\n")
     assert len(lines) == 10
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzz: any argv from a small grammar ends in 0, 1 or 2, never a traceback
+
+EDGE_TOKENS = ["1>C2", "1>C6", "C3>C6", "<(12)>>S3", "1>S3", "C6>1", "X>Y", "oops", ">", "1>"]
+SUBCOMMANDS = ["lattice", "generate", "check", "maximal", "enumerate", "inflate",
+               "fixed-points", "reduce", "conjecture", "render", "audit"]
+EXTRAS = {
+    "check": [[], ["--complexity-bound", "2"]],
+    "maximal": [[], ["--method", "all"], ["--method", "algorithm"]],
+    "enumerate": [[], ["--census"]],
+    "inflate": [[], ["--normal", "C2"], ["--normal", "C3"], ["--normal", "<(12)>"]],
+    "fixed-points": [[], ["--normal", "C2"], ["--normal", "nope"]],
+    "render": [[], ["--highlight", "maximal"], ["--format", "tikz"]],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "bad.json").write_text("{not json")
+    return {"missing": str(root / "missing.json"), "bad": str(root / "bad.json"),
+            "cayley": f"cayley:{root / 'missing.cayley'}"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cli_fuzz_never_tracebacks(fuzz_files, data):
+    command = data.draw(st.sampled_from(SUBCOMMANDS))
+    group = data.draw(st.sampled_from(["cyclic:6", "symmetric:3", fuzz_files["cayley"]]))
+    argv = [command, "--groups" if command == "conjecture" else "--group", group]
+    argv += data.draw(st.sampled_from(EXTRAS.get(command, [[]])))
+    edges = data.draw(st.none() | st.lists(st.sampled_from(EDGE_TOKENS), max_size=3))
+    if edges is not None:
+        argv += ["--edges", ",".join(edges)]
+    source = data.draw(st.sampled_from([None, "missing", "bad"]))
+    if source is not None:
+        argv += ["--input", fuzz_files[source]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labeled, system_from_labels
+from oracles import compatible_by_scan
 from test_restriction import ALG_EXAMPLE_BOLD, ALG_EXAMPLE_EDGES
 from transfer_systems.compat import (
     conjecture_formula,
@@ -13,6 +15,7 @@ from transfer_systems.compat import (
 )
 from transfer_systems.errors import DisklikeRequiredError
 from transfer_systems.restriction import restriction_poset
+from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
     close_res,
     BinaryRelation,
@@ -289,3 +292,55 @@ def test_generator_restriction_lemma(s3_catalog, d4_catalog, data):
     res = close_res(BinaryRelation.from_edges(site, b_edges))
     via_res = all(_single_edge_compatible(o_a, e) for e in res.nonreflexive_edges())
     assert is_compatible(o_a, t_b).compatible == via_res
+
+
+# ---------------------------------------------------------------------------
+# the whole-matrix check and the per-orbit T(e) cache against their loop forms
+
+PINNED_CATALOGS = ["c12_catalog", "d4_catalog", "s3_catalog", "q8_catalog", "grid_catalog"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_compatible_matches_the_scan(
+    c12_catalog, d4_catalog, s3_catalog, q8_catalog, grid_catalog, data
+):
+    catalog = data.draw(
+        st.sampled_from([c12_catalog, d4_catalog, s3_catalog, q8_catalog, grid_catalog])
+    )
+    o_a = data.draw(st.sampled_from(catalog.systems))
+    if o_a.edges() and data.draw(st.booleans()):
+        # single-edge systems T(e) with e in O_a: compatible about as often as not
+        o_m = generate_from_edges(catalog.site, [data.draw(st.sampled_from(o_a.edges()))])
+    else:
+        o_m = data.draw(st.sampled_from(catalog.systems))
+    assert is_compatible(o_a, o_m) == compatible_by_scan(o_a, o_m)  # witness included
+
+
+@pytest.mark.parametrize("catalog_name", PINNED_CATALOGS)
+def test_oracle_matches_the_definition(catalog_name, request):
+    catalog = request.getfixturevalue(catalog_name)
+    site = catalog.site
+    for ts in catalog.systems:
+        expected = [
+            e for e in ts.edges()
+            if compatible_by_scan(ts, generate_from_edges(site, [e])).compatible
+        ]
+        assert max_compat_oracle(ts).edges() == expected
+
+
+def test_edge_system_cache_is_scoped_to_one_site():
+    a = site_from_descriptor("symmetric:4")
+    b = site_from_descriptor("symmetric:4")
+    assert a.key == b.key
+    max_compat_oracle(complete_ts(a))
+    cached = a._cache["edge_system"]
+    assert "edge_system" not in b._cache
+    # the complete system holds every edge: one cached T(e) per edge orbit
+    assert len(cached) == len(a.orbit_representatives(a.pairs)) == 34
+    max_compat_oracle(complete_ts(b))
+    assert b._cache["edge_system"].keys() == cached.keys()
+    for rep, rel in cached.items():
+        assert not rel.flags.writeable
+        assert not np.shares_memory(rel, b._cache["edge_system"][rep])
+        assert rel.tobytes() == generate_from_edges(a, [rep]).key

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import chain_site, system_from_labels
+from oracles import max_compat_by_recursion, restriction_poset_by_loop
+from transfer_systems.compat import conjecture_formula, max_compat_recursive
 from transfer_systems.restriction import restriction_poset
-from transfer_systems.systems import generate_from_edges
+from transfer_systems.systems import generate_from_edges, trivial_ts
 
 # The worked C_{p^2 q^2} example at p=2, q=3: a disklike system on C36 whose
 # maximal compatible subsystem is the bold set below.
@@ -124,3 +126,32 @@ def test_cover_count_on_a_long_chain():
     # elements between it, which a product counted modulo 256 misses.
     site = chain_site(259)
     assert restriction_poset(generate_from_edges(site, [(0, 258)])).cover_count == 257
+
+
+def assert_matches_loop_forms(ts):
+    """The NumPy poset and the unrolled recursion equal their loop forms."""
+    poset = restriction_poset(ts)
+    nodes, leq, annotation, covers = restriction_poset_by_loop(ts)
+    assert poset.nodes == nodes
+    assert np.array_equal(poset.leq, leq)
+    assert np.array_equal(poset.annotation, annotation)
+    assert np.array_equal(poset.covers, covers)
+    assert max_compat_recursive(ts).edges() == max_compat_by_recursion(poset)
+    assert conjecture_formula(ts) == frozenset(
+        e for j, e in enumerate(poset.nodes)
+        if all(poset.is_success(i, j) for i in poset.strict_below(j))
+    )
+
+
+@pytest.mark.parametrize(
+    "catalog_name", ["c12_catalog", "d4_catalog", "s3_catalog", "q8_catalog", "grid_catalog"]
+)
+def test_poset_and_recursion_match_loop_forms(catalog_name, request):
+    for ts in request.getfixturevalue(catalog_name).systems:
+        assert_matches_loop_forms(ts)
+
+
+def test_loop_forms_on_trivial_and_long_chain(c6_site):
+    assert_matches_loop_forms(trivial_ts(c6_site))
+    # the 258-node chain of test_cover_count_on_a_long_chain
+    assert_matches_loop_forms(generate_from_edges(chain_site(259), [(0, 258)]))

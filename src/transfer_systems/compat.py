@@ -111,7 +111,7 @@ def _edge_system(site: Site, edge: tuple[int, int]) -> np.ndarray:
     constructor's axiom check once per (site, orbit).
     """
     cache = site._cache.setdefault("edge_system", {})
-    rep = min(site.orbit(edge))
+    rep = divmod(int(site.edge_rep[edge]), site.size)
     rel = cache.get(rep)
     if rel is None:
         rel = cache[rep] = generate_from_edges(site, [rep]).rel  # read-only
@@ -161,6 +161,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
         raise DisklikeRequiredError("the cover-relation algorithm requires a disklike system")
     poset = restriction_poset(o)
     site = o.site
+    node_reps = site.edge_rep[o.rel & ~np.eye(site.size, dtype=bool)]  # in node order
     decided: dict[int, bool] = {}
     for i in poset.minimal():
         decided[i] = True
@@ -177,8 +178,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
             if not (decided.get(i, False) and poset.is_success(i, m)):
                 verdict = False
                 break
-        orbit = {poset.index[e] for e in site.orbit(poset.nodes[m]) if e in poset.index}
-        orbit.add(m)
+        orbit = set(np.flatnonzero(node_reps == node_reps[m]).tolist())  # m's orbit within O
         for j in orbit:
             decided[j] = verdict
         queue = [j for j in queue if j not in orbit]

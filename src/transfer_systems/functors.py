@@ -47,17 +47,26 @@ class QuotientContext:
 
 
 def quotient_context(latt_or_site: SubgroupLattice | Site, n: int) -> QuotientContext:
+    """The context of G -> G/N for the normal subgroup at node n.
+
+    Cached on the parent site per normal subgroup, so repeated reductions
+    share one interval site.
+    """
     if isinstance(latt_or_site, SubgroupLattice):
         parent = site_from_lattice(latt_or_site)
     else:
         parent = latt_or_site
     if parent.kind != "group" or parent.lattice is None:
         raise GroupSiteRequiredError("quotient contexts require a group subgroup lattice")
-    iv = interval_above(parent, n)
-    latt = parent.lattice
-    kn = np.array([int(latt.join[k, n]) for k in range(parent.size)], dtype=np.int32)
-    kn.flags.writeable = False
-    return QuotientContext(parent, iv, n, kn)
+    cache = parent._cache.setdefault("quotient_context", {})
+    ctx = cache.get(n)
+    if ctx is None:
+        iv = interval_above(parent, n)
+        latt = parent.lattice
+        kn = np.array([int(latt.join[k, n]) for k in range(parent.size)], dtype=np.int32)
+        kn.flags.writeable = False
+        ctx = cache[n] = QuotientContext(parent, iv, n, kn)
+    return ctx
 
 
 def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str) -> None:

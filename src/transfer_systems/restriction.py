@@ -12,11 +12,15 @@ table in whole arrays: every (node e, J <= H) pair is listed at once, its
 restriction K /\\ J -> J is looked up in an n-by-n node-index table, and
 ``leq`` and ``annotation`` are filled by one fancy-index assignment each.
 The poset and its annotations are computed once per system and cached; the
-maximal-compatible computations never re-derive them.
+maximal-compatible computations never re-derive them.  The cover relation
+costs a boolean m-by-m product, so it is computed on first use: the cover
+count and the disklike worklist read it, while the recursive M(O) and the
+conjecture formula need only ``leq`` and ``annotation``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,8 +39,11 @@ class RestrictionPoset:
     Attributes:
         nodes: edges in canonical (src, dst) order.
         leq: boolean matrix, ``leq[i, j]`` iff nodes[j] restricts onto nodes[i].
-        strict, covers: derived strict order and cover relation.
+        strict: derived strict order.
+        covers: cover relation, computed on first access and then cached.
         annotation: int8 matrix over comparable pairs (SUCCESS / FAILURE).
+
+    All matrices are read-only.
     """
 
     def __init__(self, ts: "TransferSystem"):
@@ -61,11 +68,16 @@ class RestrictionPoset:
         self.annotation = np.zeros((m, m), dtype=np.int8)
         self.annotation[i, j] = np.where(failed, FAILURE, SUCCESS)
         self.strict = self.leq & ~np.eye(m, dtype=bool)
-        self.covers = self.strict & ~(self.strict @ self.strict)
         self.leq.flags.writeable = False
         self.strict.flags.writeable = False
-        self.covers.flags.writeable = False
         self.annotation.flags.writeable = False
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """i < j with nothing strictly between: one m-by-m boolean product."""
+        covers = self.strict & ~(self.strict @ self.strict)
+        covers.flags.writeable = False
+        return covers
 
     def __len__(self) -> int:
         return len(self.nodes)

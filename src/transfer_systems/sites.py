@@ -30,8 +30,14 @@ class Site:
         size: number of nodes.
         leq: boolean partial-order matrix with unique bottom and top.
         meet: greatest-lower-bound table.
-        action: tuple of node permutations (closed under composition and
-            inverse; always contains the identity).
+        action: tuple of node permutations forming a group: it contains the
+            identity and is closed under composition (hence under inverse,
+            being finite).  ``_check`` enforces both.
+        edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
+            ``k * n + h`` of the lexicographically least edge (k, h) in the
+            action orbit of (K, H).  Orbit questions read this table instead
+            of looping over the action; it is exact because the action is a
+            group, so orbits partition the pairs.
         labels: display names, unique per node.
         kind: ``"group"`` for conjugation sites, ``"abstract"`` otherwise.
         lattice: the source SubgroupLattice for plain group sites, else None.
@@ -60,11 +66,19 @@ class Site:
         self.kind = kind
         self.lattice = lattice
         self.descriptor = descriptor
+        self._action_array = np.stack(action)  # |G| x n, row g is action[g]
         self._check()
         self.leq.flags.writeable = False
         self.meet.flags.writeable = False
         for p in self.action:
             p.flags.writeable = False
+        self._action_array.flags.writeable = False
+        n = self.size
+        rep = np.arange(n * n).reshape(n, n)
+        for p in self.action:
+            np.minimum(rep, p[:, None] * n + p[None, :], out=rep)
+        self.edge_rep = rep
+        self.edge_rep.flags.writeable = False
         self.bottom = int(np.flatnonzero(leq[:, :].all(axis=1))[0])
         self.top = int(np.flatnonzero(leq[:, :].all(axis=0))[0])
         self.pairs = tuple(
@@ -101,6 +115,10 @@ class Site:
             raise InternalCheckError("labels must be unique, one per node")
         if not any(np.array_equal(p, np.arange(n)) for p in self.action):
             raise InternalCheckError("action must contain the identity")
+        known = {p.tobytes() for p in self.action}
+        for p in self.action:
+            if not all(q.tobytes() in known for q in p[self._action_array]):
+                raise InternalCheckError("action must be closed under composition")
         for p in self.action:
             if not np.array_equal(leq[np.ix_(p, p)], leq):
                 raise InputFileError("declared automorphism does not preserve the order")
@@ -121,8 +139,8 @@ class Site:
 
     def orbit(self, edge: tuple[int, int]) -> frozenset[tuple[int, int]]:
         """Orbit of an edge under the action."""
-        k, h = edge
-        return frozenset((int(p[k]), int(p[h])) for p in self.action)
+        ks, hs = np.nonzero(self.edge_rep == self.edge_rep[edge])
+        return frozenset(zip(ks.tolist(), hs.tolist()))
 
     def orbit_representatives(self, edges) -> list[tuple[int, int]]:
         """Lexicographically least member of each edge orbit, in order.
@@ -130,19 +148,28 @@ class Site:
         Generated transfer systems depend on a generator edge only through
         its orbit, so enumerations may expand representatives only.
         """
-        reps = []
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            if e in seen:
-                continue
-            orbit = self.orbit(e)
-            seen.update(orbit)
-            reps.append(min(orbit))
-        return reps
+        edges = list(edges)
+        if not edges:
+            return []
+        reps = self.edge_rep[tuple(np.array(edges).T)]
+        _, first = np.unique(reps, return_index=True)
+        return [divmod(int(r), self.size) for r in reps[np.sort(first)]]
 
     def subset_orbit_key(self, edges) -> tuple:
-        """Canonical key of an edge set under the simultaneous action."""
-        return min(tuple(sorted((int(p[a]), int(p[b])) for a, b in edges)) for p in self.action)
+        """Canonical key of an edge set under the simultaneous action.
+
+        The lexicographically least sorted image of the edge set over the
+        action: images are flat edge indices, one sorted row per
+        permutation, and the key is the least row.
+        """
+        edges = list(edges)
+        if not edges:
+            return ()
+        ks, hs = np.array(edges).T
+        images = self._action_array[:, ks] * self.size + self._action_array[:, hs]
+        images.sort(axis=1)
+        least = images[np.lexsort(images.T[::-1])[0]]
+        return tuple(divmod(int(f), self.size) for f in least)
 
 
 def _meet_table(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:

@@ -156,11 +156,13 @@ def _first_violation(site: Site, rel: np.ndarray) -> Optional[ViolationReport]:
     diag = np.diag(rel)
     if not np.all(diag):
         return ViolationReport("reflexivity", (int(np.flatnonzero(~diag)[0]),))
-    for p in site.action:
-        bad = rel & ~rel[np.ix_(p, p)]
-        if np.any(bad):
-            k, h = map(int, np.argwhere(bad)[0])
-            return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
+    if np.any(_conj(site, rel) & ~rel):
+        # name the witness the per-permutation scan finds first
+        for p in site.action:
+            bad = rel & ~rel[np.ix_(p, p)]
+            if np.any(bad):
+                k, h = map(int, np.argwhere(bad)[0])
+                return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
     # lost[K, L]: K /\ L -> L is missing, so no edge K -> H with L <= H may stay
     lost = ~rel[site.meet, np.arange(n)]
     bad = rel & (lost @ site.leq)
@@ -193,10 +195,14 @@ def _refl(site: Site, rel: np.ndarray) -> np.ndarray:
 
 
 def _conj(site: Site, rel: np.ndarray) -> np.ndarray:
-    out = rel.copy()
-    for p in site.action:
-        out |= rel[np.ix_(p, p)]
-    return out
+    """Orbit closure of rel: an edge is hit iff its orbit meets rel.
+
+    Reads the site's orbit table, so the cost is O(n^2) whatever the size
+    of the action.
+    """
+    hit = np.zeros(site.size * site.size, dtype=bool)
+    hit[site.edge_rep[rel]] = True
+    return hit[site.edge_rep]
 
 
 def _res(site: Site, rel: np.ndarray) -> np.ndarray:

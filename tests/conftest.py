@@ -99,6 +99,11 @@ def d4_site():
 
 
 @pytest.fixture(scope="session")
+def s4_site():
+    return site_from_descriptor("symmetric:4")
+
+
+@pytest.fixture(scope="session")
 def p5_site():
     return parse_poset_text(P5_TEXT, descriptor="poset:P5")
 

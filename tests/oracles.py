@@ -5,7 +5,9 @@ closure runs as a one-step-at-a-time fixpoint loop instead of the
 single-pass pipeline, enumeration brute-forces subset closures, the hull
 intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, compatibility is scanned edge by edge, the restriction
-poset is built by a per-edge loop, and M(O) runs the literal recursion.
+poset is built by a per-edge loop, M(O) runs the literal recursion, and
+orbits, conjugation closure and the conjugation axiom loop over every
+permutation of the action instead of reading the site's orbit table.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from transfer_systems.compat import CompatReport
 from transfer_systems.groups import Group, SubgroupLattice, _group_from_table
 from transfer_systems.restriction import FAILURE, SUCCESS
 from transfer_systems.sites import Site
+from transfer_systems.systems import ViolationReport
 
 
 def closure_fixpoint(site: Site, edges) -> np.ndarray:
@@ -171,3 +174,60 @@ def max_compat_by_recursion(poset) -> list[tuple[int, int]]:
     for j in poset.topological_order():
         in_m[j] = all(in_m[i] and poset.is_success(i, j) for i in poset.strict_below(j))
     return [e for j, e in enumerate(poset.nodes) if in_m[j]]
+
+
+def orbit_by_loop(site: Site, edge) -> frozenset[tuple[int, int]]:
+    """Orbit of an edge: its image under every permutation of the action."""
+    k, h = edge
+    return frozenset((int(p[k]), int(p[h])) for p in site.action)
+
+
+def orbit_representatives_by_loop(site: Site, edges) -> list[tuple[int, int]]:
+    """Least member of each edge orbit, in order of first appearance."""
+    reps = []
+    seen: set[tuple[int, int]] = set()
+    for e in edges:
+        if e in seen:
+            continue
+        orbit = orbit_by_loop(site, e)
+        seen.update(orbit)
+        reps.append(min(orbit))
+    return reps
+
+
+def subset_orbit_key_by_loop(site: Site, edges) -> tuple:
+    """Least sorted image of an edge set over the action."""
+    return min(tuple(sorted((int(p[a]), int(p[b])) for a, b in edges)) for p in site.action)
+
+
+def conj_by_loop(site: Site, rel: np.ndarray) -> np.ndarray:
+    """Conjugation closure as the union of rel's images under the action."""
+    out = rel.copy()
+    for p in site.action:
+        out |= rel[np.ix_(p, p)]
+    return out
+
+
+def first_violation_by_loop(site: Site, rel: np.ndarray):
+    """First violated axiom, the conjugation check scanning every permutation."""
+    n = site.size
+    diag = np.diag(rel)
+    if not np.all(diag):
+        return ViolationReport("reflexivity", (int(np.flatnonzero(~diag)[0]),))
+    for p in site.action:
+        bad = rel & ~rel[np.ix_(p, p)]
+        if np.any(bad):
+            k, h = map(int, np.argwhere(bad)[0])
+            return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
+    lost = ~rel[site.meet, np.arange(n)]
+    bad = rel & (lost @ site.leq)
+    if np.any(bad):
+        k, h = map(int, np.argwhere(bad)[0])
+        l = int(np.flatnonzero(lost[k] & site.leq[:, h])[0])
+        return ViolationReport("restriction", ((k, h), l, (int(site.meet[k, l]), l)))
+    bad = (rel @ rel) & ~rel
+    if np.any(bad):
+        l, h = map(int, np.argwhere(bad)[0])
+        k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
+        return ViolationReport("composition", ((l, k), (k, h), (l, h)))
+    return None

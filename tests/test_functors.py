@@ -135,6 +135,20 @@ def test_universal_reduction_equals_direct(catalog_name, request):
             assert universal_reduction(o) == max_compat_recursive(o)
 
 
+def test_reductions_with_one_normal_subgroup_share_a_context(c36_catalog):
+    site = c36_catalog.site
+    by_normal = {}
+    for o in c36_catalog.systems:
+        if is_disklike(o):
+            by_normal.setdefault(minimal_transferring_subgroup(o), []).append(o)
+    n, systems = next((n, s) for n, s in by_normal.items() if len(s) >= 2)
+    universal_reduction(systems[0])
+    ctx = site._cache["quotient_context"][n]
+    universal_reduction(systems[1])
+    assert site._cache["quotient_context"][n] is ctx
+    assert quotient_context(site, n) is ctx
+
+
 def test_universal_reduction_rejects_non_disklike(fig1):
     with pytest.raises(DisklikeRequiredError):
         universal_reduction(fig1["g"])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import chain_site, system_from_labels
 from oracles import max_compat_by_recursion, restriction_poset_by_loop
+from transfer_systems import enumeration
 from transfer_systems.compat import conjecture_formula, max_compat_recursive
 from transfer_systems.restriction import restriction_poset
 from transfer_systems.systems import generate_from_edges, trivial_ts
@@ -136,6 +137,7 @@ def assert_matches_loop_forms(ts):
     assert np.array_equal(poset.leq, leq)
     assert np.array_equal(poset.annotation, annotation)
     assert np.array_equal(poset.covers, covers)
+    assert not poset.covers.flags.writeable
     assert max_compat_recursive(ts).edges() == max_compat_by_recursion(poset)
     assert conjecture_formula(ts) == frozenset(
         e for j, e in enumerate(poset.nodes)
@@ -155,3 +157,23 @@ def test_loop_forms_on_trivial_and_long_chain(c6_site):
     assert_matches_loop_forms(trivial_ts(c6_site))
     # the 258-node chain of test_cover_count_on_a_long_chain
     assert_matches_loop_forms(generate_from_edges(chain_site(259), [(0, 258)]))
+
+
+def test_conjecture_harness_leaves_covers_uncomputed(s4_site, monkeypatch):
+    # the recursion and the formula read leq and annotation only
+    scope = []
+    real = enumeration.disklike_systems
+
+    def recording(*args, **kwargs):
+        systems = real(*args, **kwargs)
+        scope.extend(systems)
+        return systems
+
+    monkeypatch.setattr(enumeration, "disklike_systems", recording)
+    report = enumeration.verify_conjecture([s4_site], complexity_bound=2)
+    assert report.ok and report.systems_checked == len(scope) > 0
+    posets = [ts._cache["restriction_poset"] for ts in scope]
+    assert all("covers" not in poset.__dict__ for poset in posets)
+    for poset in posets:
+        assert poset.cover_count == restriction_poset_by_loop(poset.owner)[3].sum()
+        assert not poset.covers.flags.writeable

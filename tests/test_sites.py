@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import P5_TEXT
-from transfer_systems.errors import InputFileError, NotNormalError
+from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
 from transfer_systems.groups import build_group, subgroup_lattice
 from transfer_systems.sites import (
+    Site,
     interval_above,
     parse_poset_text,
     site_from_descriptor,
@@ -40,6 +44,39 @@ def test_action_closed_under_composition(s3_site, d4_site):
         for p in site.action:
             for q in site.action:
                 assert tuple(int(p[i]) for i in q) in perms
+
+
+def test_action_must_be_closed_under_composition():
+    # M3: bot < a, b, c < top.  {id, (a b c)} preserves order and meets but
+    # leaves out the square of the 3-cycle, so it is not a group.
+    names = ("bot", "a", "b", "c", "top")
+    leq = np.eye(5, dtype=bool)
+    leq[0, :] = leq[:, 4] = True
+    meet = np.zeros((5, 5), dtype=np.int32)
+    for i in range(5):
+        meet[i, i] = i
+        meet[i, 4] = meet[4, i] = i
+    cycle = np.array([0, 2, 3, 1, 4], dtype=np.int32)
+    identity = np.arange(5, dtype=np.int32)
+    with pytest.raises(InternalCheckError, match="closed under composition"):
+        Site(leq, meet.copy(), (identity, cycle), names, kind="abstract")
+    site = Site(leq, meet.copy(), (identity, cycle, cycle[cycle]), names, kind="abstract")
+    assert site.orbit((0, 1)) == {(0, 1), (0, 2), (0, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orbit_table_matches_loop_oracles(
+    c12_site, d4_site, s3_site, q8_site, s4_site, grid_site, data
+):
+    site = data.draw(st.sampled_from([c12_site, d4_site, s3_site, q8_site, s4_site, grid_site]))
+    edges = data.draw(st.lists(st.sampled_from(site.pairs), max_size=8))
+    assert site.orbit_representatives(edges) == oracles.orbit_representatives_by_loop(site, edges)
+    for e in edges[:2]:
+        assert site.orbit(e) == oracles.orbit_by_loop(site, e)
+    top_edges = [(h, site.top) for h in range(site.size) if h != site.top]
+    subset = data.draw(st.lists(st.sampled_from(top_edges), unique=True, max_size=4))
+    assert site.subset_orbit_key(subset) == oracles.subset_orbit_key_by_loop(site, subset)
 
 
 def test_two_node_chain():

@@ -28,7 +28,9 @@ from transfer_systems.systems import (
     trivial_ts,
     tulip_ts,
     _comp,
+    _conj,
     _edge_closure,
+    _first_violation,
     validate,
 )
 
@@ -194,6 +196,24 @@ def test_incremental_step_equals_generate(
     rel[e] = True
     step = _comp(o.rel | _edge_closure(site, e))
     assert np.array_equal(step, generate(BinaryRelation(site, rel)).rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_conjugation_matches_loop_oracles(
+    c12_site, d4_site, s3_site, q8_site, s4_site, grid_site, data
+):
+    # the orbit-table closure and axiom check against the per-permutation scans
+    site = data.draw(st.sampled_from([c12_site, d4_site, s3_site, q8_site, s4_site, grid_site]))
+    rel = BinaryRelation.from_edges(site, data.draw(st.lists(st.sampled_from(site.pairs)))).rel
+    shape = data.draw(st.sampled_from(["raw", "reflexive", "action-closed"]))
+    if shape != "raw":
+        rel = rel | np.eye(site.size, dtype=bool)
+    if shape == "action-closed":
+        rel = oracles.conj_by_loop(site, rel)
+    assert np.array_equal(_conj(site, rel), oracles.conj_by_loop(site, rel))
+    # the whole report, witness included
+    assert _first_violation(site, rel) == oracles.first_violation_by_loop(site, rel)
 
 
 def test_constructor_rejects_edges_outside_the_order(c6_site):

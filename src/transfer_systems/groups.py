@@ -6,10 +6,13 @@ of cyclics, symmetric and alternating groups, dihedral and dicyclic groups
 (``Q8 == dicyclic(2)``); arbitrary groups can be read from Cayley-table or
 permutation-generator files.
 
-Subgroups are enumerated by seeding with all cyclic subgroups and closing
-under joins, which is deterministic and cheap at the scales this library
-targets.  The canonical subgroup order is (order, lexicographic member
-tuple); every downstream index refers to that order.
+Subgroups are enumerated as bool masks over the elements: the cyclic
+subgroups seed the search, every new subgroup brings in its whole conjugacy
+class, and one member per class is joined with the cyclic seeds it does not
+contain.  The order, meet, join and conjugation tables are then whole-array
+operations on the membership matrix.  The canonical subgroup order is
+(order, lexicographic member tuple); every downstream index refers to that
+order.
 """
 
 from __future__ import annotations
@@ -494,7 +497,7 @@ class Subgroup:
     members: tuple[int, ...]
 
     @staticmethod
-    def from_set(members: frozenset[int]) -> "Subgroup":
+    def from_set(members: Iterable[int]) -> "Subgroup":
         t = tuple(sorted(members))
         return Subgroup(len(t), t)
 
@@ -546,58 +549,97 @@ class SubgroupLattice:
         return self._labels
 
 
-def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
-    """Enumerate all subgroups and assemble the lattice."""
-    cyclics: set[frozenset[int]] = set()
-    for a in range(group.order):
-        cyclics.add(group.closure([a]))
-    seeds = sorted(cyclics, key=lambda s: (len(s), tuple(sorted(s))))
+def _cyclic_masks(group: Group) -> np.ndarray:
+    """Row a is the membership mask of the cyclic subgroup <a>."""
+    n = group.order
+    elems = np.arange(n)
+    masks = np.zeros((n, n), dtype=bool)
+    power = elems
+    while True:
+        masks[elems, power] = True
+        if not power.any():
+            return masks
+        power = group.mul[power, elems]
 
-    found: set[frozenset[int]] = set(seeds)
-    frontier = list(seeds)
+
+def _generated(group: Group, mask: np.ndarray) -> np.ndarray:
+    """Mask of the subgroup generated by a mask that contains the identity.
+
+    Squares the set until it stops growing: a finite set that contains the
+    identity and is closed under products is a subgroup.
+    """
+    idx = np.flatnonzero(mask)
+    while True:
+        mask = np.zeros(group.order, dtype=bool)
+        mask[group.mul[idx[:, None], idx]] = True
+        grown = np.flatnonzero(mask)
+        if grown.size == idx.size:
+            return mask
+        idx = grown
+
+
+def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
+    """Enumerate all subgroups and assemble the lattice.
+
+    Every subgroup is a bool mask over the elements.  The cyclic subgroups
+    seed the search; each new subgroup brings in its whole conjugacy class,
+    and only the first member of a class is joined with the seeds it does
+    not contain.  That suffices because the seeds are closed under
+    conjugation and <gHg^-1, c> = g<H, g^-1cg>g^-1.  ``max_subgroups``
+    bounds the total count, seeds included.
+    """
+    mul, inv = group.mul, group.inv
+    # pre[g, x] = g^-1 x g, so mask[pre] stacks the conjugates g H g^-1.
+    pre = mul[mul, inv[:, None]][inv]
+    found: dict[bytes, np.ndarray] = {}
+
+    def add_class(mask: np.ndarray) -> bool:
+        if mask.tobytes() in found:
+            return False
+        for conj in mask[pre]:
+            found.setdefault(conj.tobytes(), conj)
+        if len(found) > max_subgroups:
+            raise CapExceededError(f"{group.descriptor}: more than {max_subgroups} subgroups")
+        return True
+
+    seeds = list({c.tobytes(): c for c in _cyclic_masks(group)}.values())
+    frontier = [c for c in seeds if add_class(c)]
     while frontier:
         nxt = []
         for h in frontier:
             for c in seeds:
-                if c <= h:
+                if (c <= h).all():
                     continue
-                j = group.closure(h | c)
-                if j not in found:
-                    if len(found) >= max_subgroups:
-                        raise CapExceededError(
-                            f"{group.descriptor}: more than {max_subgroups} subgroups"
-                        )
-                    found.add(j)
+                j = _generated(group, h | c)
+                if add_class(j):
                     nxt.append(j)
         frontier = nxt
 
-    subs = tuple(sorted(Subgroup.from_set(s) for s in found))
+    members = np.array(
+        sorted(found.values(), key=lambda s: (int(s.sum()), np.flatnonzero(s).tolist()))
+    )
+    subs = tuple(Subgroup.from_set(np.flatnonzero(s).tolist()) for s in members)
+    index = {row.tobytes(): i for i, row in enumerate(members)}
     m = len(subs)
-    member_sets = [frozenset(s.members) for s in subs]
-    index = {s.members: i for i, s in enumerate(subs)}
 
-    leq = np.zeros((m, m), dtype=bool)
+    # |i & j| == |i| iff i <= j.
+    counts = members.astype(np.int32)
+    sizes = counts.sum(axis=1)
+    leq = (counts @ counts.T) == sizes[:, None]
+
+    # Subgroups are sorted by order, so the meet (the largest common lower
+    # bound) is the last common lower bound and the join the first upper.
+    meet = np.empty((m, m), dtype=np.int32)
+    join = np.empty((m, m), dtype=np.int32)
     for i in range(m):
-        for j in range(m):
-            leq[i, j] = member_sets[i] <= member_sets[j]
+        lows = leq[::-1, i, None] & leq[::-1]
+        meet[i] = m - 1 - lows.argmax(axis=0)
+        join[i] = (leq[i] & leq).argmax(axis=1)
 
-    meet = np.zeros((m, m), dtype=np.int32)
-    join = np.zeros((m, m), dtype=np.int32)
-    orders = np.array([s.order for s in subs])
-    for i in range(m):
-        for j in range(i, m):
-            inter = tuple(sorted(member_sets[i] & member_sets[j]))
-            meet[i, j] = meet[j, i] = index[inter]
-            uppers = np.nonzero(leq[i] & leq[j])[0]
-            k = uppers[int(np.argmin(orders[uppers]))]
-            join[i, j] = join[j, i] = k
-
-    conj = np.zeros((group.order, m), dtype=np.int32)
+    conj = np.empty((group.order, m), dtype=np.int32)
     for g in range(group.order):
-        for i in range(m):
-            image = frozenset(group.conj(g, h) for h in member_sets[i])
-            conj[g, i] = index[tuple(sorted(image))]
-    normal = np.array([bool(np.all(conj[:, i] == i)) for i in range(m)])
+        conj[g] = [index[row.tobytes()] for row in members[:, pre[g]]]
+    normal = (conj == np.arange(m)).all(axis=0)
 
     return SubgroupLattice(group, subs, leq, meet, join, conj, normal)
 

@@ -103,14 +103,17 @@ class Site:
             raise InputFileError("no unique bottom element")
         if int(leq.all(axis=0).sum()) != 1:
             raise InputFileError("no unique top element")
+        # meet[a, b] must be a lower bound of a and b above every other one;
+        # checked for b >= a, one row a at a time, first failure named.
         for a in range(n):
-            for b in range(a, n):
-                m = int(self.meet[a, b])
-                lows = leq[:, a] & leq[:, b]
-                if not (lows[m] and bool(np.all(leq[lows, m]))):
-                    raise InputFileError(
-                        f"not a lattice: {self.labels[a]} and {self.labels[b]} have no meet"
-                    )
+            m = self.meet[a, a:]
+            lows = leq[:, a, None] & leq[:, a:]
+            bad = ~lows[m, np.arange(m.size)] | (lows & ~leq[:, m]).any(axis=0)
+            if bad.any():
+                b = a + int(np.argmax(bad))
+                raise InputFileError(
+                    f"not a lattice: {self.labels[a]} and {self.labels[b]} have no meet"
+                )
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise InternalCheckError("labels must be unique, one per node")
         if not any(np.array_equal(p, np.arange(n)) for p in self.action):
@@ -210,8 +213,10 @@ def _close_permutations(perms: list[np.ndarray], n: int) -> tuple[np.ndarray, ..
 
 def site_from_lattice(latt: SubgroupLattice) -> Site:
     """The site of a subgroup lattice with its conjugation action."""
-    perms = sorted({tuple(int(x) for x in latt.conj_action[g]) for g in range(latt.group.order)})
-    action = tuple(np.array(p, dtype=np.int32) for p in perms)
+    # The distinct conjugation permutations in lexicographic order.  (Not
+    # np.unique(axis=0): its row sort has a transient peak of ~1 MB on S5.)
+    rows = latt.conj_action[np.lexsort(latt.conj_action.T[::-1])]
+    action = tuple(rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]])
     return Site(
         leq=latt.leq.copy(),
         meet=latt.meet.astype(np.int32).copy(),

@@ -4,7 +4,9 @@ Each oracle deliberately avoids the production code path it checks:
 closure runs as a one-step-at-a-time fixpoint loop instead of the
 single-pass pipeline, enumeration brute-forces subset closures, the hull
 intersects saturated catalog members, quotient groups get an explicit
-coset Cayley table, compatibility is scanned edge by edge, the restriction
+coset Cayley table, subgroups are closed under joins one frozenset at a
+time with every lattice table filled pair by pair, meets are validated
+pair by pair, compatibility is scanned edge by edge, the restriction
 poset is built by a per-edge loop, M(O) runs the literal recursion, and
 orbits, conjugation closure and the conjugation axiom loop over every
 permutation of the action instead of reading the site's orbit table.
@@ -15,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from transfer_systems.compat import CompatReport
-from transfer_systems.groups import Group, SubgroupLattice, _group_from_table
+from transfer_systems.errors import CapExceededError, InputFileError
+from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
+from transfer_systems.groups import _group_from_table
 from transfer_systems.restriction import FAILURE, SUCCESS
 from transfer_systems.sites import Site
 from transfer_systems.systems import ViolationReport
@@ -79,6 +83,69 @@ def brute_force_subgroups(group: Group) -> set[frozenset[int]]:
     return found
 
 
+def subgroup_lattice_by_joins(
+    group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP
+) -> SubgroupLattice:
+    """The subgroup lattice by closing the cyclic subgroups under joins.
+
+    Every join is a ``Group.closure`` over frozensets, and every table entry
+    is computed pair by pair.  Unlike the production cap, ``max_subgroups``
+    counts only the subgroups found by joins.
+    """
+    cyclics: set[frozenset[int]] = set()
+    for a in range(group.order):
+        cyclics.add(group.closure([a]))
+    seeds = sorted(cyclics, key=lambda s: (len(s), tuple(sorted(s))))
+
+    found: set[frozenset[int]] = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for c in seeds:
+                if c <= h:
+                    continue
+                j = group.closure(h | c)
+                if j not in found:
+                    if len(found) >= max_subgroups:
+                        raise CapExceededError(
+                            f"{group.descriptor}: more than {max_subgroups} subgroups"
+                        )
+                    found.add(j)
+                    nxt.append(j)
+        frontier = nxt
+
+    subs = tuple(sorted(Subgroup.from_set(s) for s in found))
+    m = len(subs)
+    member_sets = [frozenset(s.members) for s in subs]
+    index = {s.members: i for i, s in enumerate(subs)}
+
+    leq = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(m):
+            leq[i, j] = member_sets[i] <= member_sets[j]
+
+    meet = np.zeros((m, m), dtype=np.int32)
+    join = np.zeros((m, m), dtype=np.int32)
+    orders = np.array([s.order for s in subs])
+    for i in range(m):
+        for j in range(i, m):
+            inter = tuple(sorted(member_sets[i] & member_sets[j]))
+            meet[i, j] = meet[j, i] = index[inter]
+            uppers = np.nonzero(leq[i] & leq[j])[0]
+            k = uppers[int(np.argmin(orders[uppers]))]
+            join[i, j] = join[j, i] = k
+
+    conj = np.zeros((group.order, m), dtype=np.int32)
+    for g in range(group.order):
+        for i in range(m):
+            image = frozenset(group.conj(g, h) for h in member_sets[i])
+            conj[g, i] = index[tuple(sorted(image))]
+    normal = np.array([bool(np.all(conj[:, i] == i)) for i in range(m)])
+
+    return SubgroupLattice(group, subs, leq, meet, join, conj, normal)
+
+
 def setwise_product(group: Group, a_members, b_members) -> frozenset[int]:
     return frozenset(int(group.mul[x, y]) for x in a_members for y in b_members)
 
@@ -129,6 +196,17 @@ def quotient_group(latt: SubgroupLattice, n: int) -> tuple[Group, list[frozenset
             mul[i, j] = index[prod]
     g = _group_from_table(mul, f"quotient:{group.descriptor}/{n}", "Q", [f"c{i}" for i in range(m)])
     return g, cosets
+
+
+def meet_check_by_loop(leq: np.ndarray, meet: np.ndarray, labels) -> None:
+    """Raise Site's "no meet" error for the first bad pair a <= b, pair by pair."""
+    n = leq.shape[0]
+    for a in range(n):
+        for b in range(a, n):
+            m = int(meet[a, b])
+            lows = leq[:, a] & leq[:, b]
+            if not (lows[m] and bool(np.all(leq[lows, m]))):
+                raise InputFileError(f"not a lattice: {labels[a]} and {labels[b]} have no meet")
 
 
 def compatible_by_scan(o_a, o_m) -> CompatReport:

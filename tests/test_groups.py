@@ -16,6 +16,7 @@ from transfer_systems.groups import (
     small_group_descriptors,
     subgroup_lattice,
 )
+from transfer_systems.sites import site_from_lattice
 
 # Exhaustive lattice-law checks run on these (every group of order <= 24 we use).
 CATALOG = ["cyclic:6", "cyclic:12", "cyclic:24", "symmetric:3", "symmetric:4",
@@ -223,6 +224,59 @@ def test_order_cap():
 def test_subgroup_cap():
     with pytest.raises(CapExceededError):
         subgroup_lattice(build_group("symmetric:4"), max_subgroups=10)
+
+
+@pytest.mark.parametrize("desc, total", [("cyclic:12", 6), ("symmetric:4", 30)])
+def test_subgroup_cap_counts_every_subgroup(desc, total):
+    # The cyclic seeds count too: the cap is exact at the true total.
+    group = build_group(desc)
+    with pytest.raises(CapExceededError, match=f"^{desc}: more than {total - 1} subgroups$"):
+        subgroup_lattice(group, max_subgroups=total - 1)
+    assert len(subgroup_lattice(group, max_subgroups=total)) == total
+
+
+ORACLE_GROUPS = sorted(
+    set(small_group_descriptors(24)) | {"symmetric:4", "alternating:5", "product:2x2x2x2"}
+)
+
+
+@pytest.mark.parametrize("desc", ORACLE_GROUPS)
+def test_lattice_matches_join_closure_oracle(desc):
+    group = build_group(desc)
+    latt = subgroup_lattice(group)
+    ref = oracles.subgroup_lattice_by_joins(group)
+    assert latt.subgroups == ref.subgroups
+    for name in ("leq", "meet", "join", "conj_action", "normal"):
+        got, want = getattr(latt, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert latt.labels == ref.labels
+    action = [tuple(p.tolist()) for p in site_from_lattice(latt).action]
+    assert action == sorted({tuple(row) for row in ref.conj_action.tolist()})
+
+
+# Subgroup counts: OEIS A005432 (symmetric), A000638 (classes of S_n); for
+# C2^n the sum of Gaussian binomials [n choose k]_2.  None = not pinned.
+LITERATURE_COUNTS = [
+    ("symmetric:4", 30, 11, 4),
+    ("alternating:5", 59, 9, 2),
+    ("symmetric:5", 156, 19, 3),
+    ("dihedral:4", 10, 8, None),
+    ("product:2x2x2x2", 67, None, None),
+    ("product:2x2x2x2x2", 374, None, None),
+]
+
+
+@pytest.mark.parametrize("desc, subgroups, classes, normal", LITERATURE_COUNTS)
+def test_subgroup_counts_from_literature(desc, subgroups, classes, normal):
+    latt = subgroup_lattice(build_group(desc))
+    assert len(latt) == subgroups
+    orbits = {frozenset(latt.conj_action[:, i].tolist()) for i in range(len(latt))}
+    if classes is not None:
+        assert len(orbits) == classes
+    if normal is not None:
+        assert int(latt.normal.sum()) == normal
 
 
 def test_bad_descriptors():

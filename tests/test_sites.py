@@ -79,6 +79,40 @@ def test_orbit_table_matches_loop_oracles(
     assert site.subset_orbit_key(subset) == oracles.subset_orbit_key_by_loop(site, subset)
 
 
+def _raised(check):
+    """(type, message) of the exception check() raises, or None."""
+    try:
+        check()
+    except Exception as exc:  # compared whole, whatever its type
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_meet_check_matches_loop_oracle(c12_site, d4_site, s3_site, grid_site, data):
+    site = data.draw(st.sampled_from([c12_site, d4_site, s3_site, grid_site]))
+    n = site.size
+    assert oracles.meet_check_by_loop(site.leq, site.meet, site.labels) is None
+    meet = site.meet.copy()
+    node = st.integers(0, n - 1)
+    # Usually one corrupted entry; a second one checks which pair is named first.
+    for a, b, value in data.draw(st.lists(st.tuples(node, node, node), min_size=1, max_size=2)):
+        meet[a, b] = value
+    want = _raised(lambda: oracles.meet_check_by_loop(site.leq, meet, site.labels))
+    got = _raised(
+        lambda: Site(site.leq.copy(), meet, site.action, site.labels, kind=site.kind)
+    )
+    if want is None:
+        # Every entry the meet check reads (b >= a) is sound, so any change
+        # is below the diagonal; the automorphism check may still reject it.
+        assert got is None or "have no meet" not in got[1]
+        if np.array_equal(meet, site.meet):
+            assert got is None
+    else:
+        assert got == want
+
+
 def test_two_node_chain():
     site = parse_poset_text("nodes: a b\ncover: a b\n")
     assert site.size == 2

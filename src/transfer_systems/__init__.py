@@ -30,7 +30,6 @@ from .groups import (
     Subgroup,
     SubgroupLattice,
     build_group,
-    product_with_normal,
     small_group_descriptors,
     subgroup_lattice,
 )

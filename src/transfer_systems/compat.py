@@ -41,8 +41,8 @@ from .restriction import FAILURE, restriction_poset
 from .sites import Site
 from .systems import (
     TransferSystem,
+    _edge_system,
     _require_same_site,
-    generate_from_edges,
     is_disklike,
 )
 
@@ -101,21 +101,6 @@ def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
     gap = site.leq[:, h] & ~rel[:, h]
     j = int(np.flatnonzero(hyp & gap)[0])
     return CompatReport(False, (k, j, h))
-
-
-def _edge_system(site: Site, edge: tuple[int, int]) -> np.ndarray:
-    """The relation of T(edge), cached on the site once per edge orbit.
-
-    T(e) is action-closed, so every edge of an orbit generates the same
-    system; it is built through ``generate_from_edges`` and so passes the
-    constructor's axiom check once per (site, orbit).
-    """
-    cache = site._cache.setdefault("edge_system", {})
-    rep = divmod(int(site.edge_rep[edge]), site.size)
-    rel = cache.get(rep)
-    if rel is None:
-        rel = cache[rep] = generate_from_edges(site, [rep]).rel  # read-only
-    return rel
 
 
 def max_compat_oracle(o: TransferSystem) -> TransferSystem:

@@ -1,11 +1,14 @@
 """Exhaustive enumeration of Tr(site), censuses, and the verification harnesses.
 
-Both enumerators run one worklist BFS over single-edge additions: every
-transfer system is reachable from the trivial one because generation is
-monotone and idempotent.  The closure R_e of each added edge e (orbit
-representatives only) is precomputed once, so a step is one composition
-closure, comp(O | R_e), which equals generate(O + e) for a transfer system
-O.  Dedup happens on the canonical bit-string key before anything is built;
+Both enumerators run one level-by-level BFS over single-edge additions:
+every transfer system is reachable from the trivial one because generation
+is monotone and idempotent.  The closure R_e of each added edge e is
+precomputed once, so a step is one composition closure, comp(O | R_e),
+which equals generate(O + e) for a transfer system O.  Generators count
+only up to their orbit (T(g.e) = T(e) contains e, so generate(S + g.e) =
+generate(S + e)), so each level adds orbit representatives only, and k
+levels reach exactly the systems generated by at most k of the edges.
+Dedup happens on the canonical bit-string key before anything is built;
 the full axiom check runs once per newly found system.  The catalog order
 is canonical (edge count, then key bytes), so runs are reproducible
 regardless of expansion order.
@@ -13,9 +16,7 @@ regardless of expansion order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .compat import (
@@ -25,7 +26,7 @@ from .compat import (
     max_compat_oracle,
     max_compat_recursive,
 )
-from .errors import CapExceededError, InternalCheckError
+from .errors import CapExceededError, InternalCheckError, UsageError
 from .restriction import restriction_poset
 from .sites import Site
 from .systems import (
@@ -118,28 +119,34 @@ def _bfs(
     edges: list[tuple[int, int]],
     cap: int,
     message: str,
+    depth: Optional[int] = None,
 ) -> list[TransferSystem]:
     """Systems reachable from ``start`` by adding edges, in canonical order.
 
-    ``message`` is formatted with ``cap`` and ``count`` when more than
-    ``cap`` systems turn up.
+    With ``depth`` set, at most that many edges are added.  ``message`` is
+    formatted with ``cap`` and ``count`` when more than ``cap`` systems
+    turn up.
     """
     closures = [(e, _edge_closure(site, e)) for e in edges]
     seen: dict[bytes, TransferSystem] = {start.key: start}
-    queue = deque([start.rel])
-    while queue:
-        current = queue.popleft()
-        for e, r_e in closures:
-            if current[e]:
-                continue
-            rel = _comp(current | r_e)
-            key = rel.tobytes()
-            if key in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceededError(message.format(cap=cap, count=len(seen)))
-            seen[key] = TransferSystem(site, rel)
-            queue.append(rel)
+    frontier = [start.rel]
+    level = 0
+    while frontier and (depth is None or level < depth):
+        level += 1
+        next_level = []
+        for current in frontier:
+            for e, r_e in closures:
+                if current[e]:
+                    continue
+                rel = _comp(current | r_e)
+                key = rel.tobytes()
+                if key in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceededError(message.format(cap=cap, count=len(seen)))
+                seen[key] = TransferSystem(site, rel)
+                next_level.append(rel)
+        frontier = next_level
     return _canonical(seen.values())
 
 
@@ -268,37 +275,27 @@ def disklike_systems(
 ) -> list[TransferSystem]:
     """Disklike transfer systems on the site, deduplicated, canonical order.
 
-    With ``max_generators`` set, candidates are closures of generator sets of
-    at most that many transfers into top (such systems have complexity at
-    most the bound); otherwise a BFS over single top-edge additions yields
-    all disklike systems.  ``require_bottom_to_top`` keeps only systems
-    containing the universal transfer bottom -> top.
+    The BFS over top-edge orbit representatives.  With ``max_generators``
+    set it runs that many levels from the trivial system, which yields
+    exactly the systems generated by at most that many transfers into top
+    (complexity at most the bound); otherwise it yields all disklike
+    systems.  ``require_bottom_to_top`` keeps only systems containing the
+    universal transfer bottom -> top.
     """
+    if max_generators is not None and max_generators < 0:
+        raise UsageError("complexity bound must be >= 0")
     top = site.top
     top_edges = [(int(h), top) for h in range(site.size) if h != top]
     universal = (site.bottom, top)
-    if max_generators is not None:
-        found: dict[bytes, TransferSystem] = {}
-        # generator sets that differ by the action generate the same system
-        subset_keys: set[tuple] = set()
-        for k in range(max_generators + 1):
-            for subset in combinations(top_edges, k):
-                key = site.subset_orbit_key(subset)
-                if key in subset_keys:
-                    continue
-                subset_keys.add(key)
-                ts = generate_from_edges(site, subset)
-                found.setdefault(ts.key, ts)
-        systems = _canonical(found.values())
-    else:
-        seed_edges = [universal] if require_bottom_to_top else []
-        systems = _bfs(
-            site,
-            generate_from_edges(site, seed_edges),
-            site.orbit_representatives(top_edges),
-            cap,
-            "disklike enumeration cap {cap} exceeded",
-        )
+    seed = [universal] if require_bottom_to_top and max_generators is None else []
+    systems = _bfs(
+        site,
+        generate_from_edges(site, seed),
+        site.orbit_representatives(top_edges),
+        cap,
+        "disklike enumeration cap {cap} exceeded",
+        max_generators,
+    )
     if require_bottom_to_top:
         systems = [s for s in systems if s.rel[universal]]
     return systems

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DescriptorError, InputFileError, NotNormalError
+from .errors import CapExceededError, DescriptorError, InputFileError
 from .errors import InternalCheckError
 
 DEFAULT_ORDER_CAP = 1000
@@ -642,15 +642,6 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     normal = (conj == np.arange(m)).all(axis=0)
 
     return SubgroupLattice(group, subs, leq, meet, join, conj, normal)
-
-
-def product_with_normal(latt: SubgroupLattice, k: int, n: int) -> int:
-    """Index of the setwise product KN for N normal; equals join(k, n)."""
-    if not latt.normal[n]:
-        raise NotNormalError(f"subgroup {latt.labels[n]} is not normal")
-    g = latt.group
-    kn = {int(g.mul[a, b]) for a in latt.subgroups[k].members for b in latt.subgroups[n].members}
-    return latt.index_of(kn)
 
 
 # ---------------------------------------------------------------------------

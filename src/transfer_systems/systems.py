@@ -264,6 +264,21 @@ def generate_from_edges(site: Site, edges: Iterable[tuple[int, int]]) -> Transfe
     return generate(BinaryRelation.from_edges(site, edges))
 
 
+def _edge_system(site: Site, edge: tuple[int, int]) -> np.ndarray:
+    """The relation of T(edge), cached on the site once per edge orbit.
+
+    T(e) is action-closed, so every edge of an orbit generates the same
+    system; it is built through ``generate_from_edges`` and so passes the
+    constructor's axiom check once per (site, orbit).
+    """
+    cache = site._cache.setdefault("edge_system", {})
+    rep = divmod(int(site.edge_rep[edge]), site.size)
+    rel = cache.get(rep)
+    if rel is None:
+        rel = cache[rep] = generate_from_edges(site, [rep]).rel  # read-only
+    return rel
+
+
 # ---------------------------------------------------------------------------
 # Lattice structure on Tr(site) and named systems
 
@@ -355,17 +370,27 @@ def is_disklike(ts: TransferSystem) -> bool:
 def complexity(ts: TransferSystem, bound: int = 4) -> Optional[int]:
     """Minimum size of a generating edge set, or None if it exceeds bound.
 
-    Searched by increasing cardinality over the non-reflexive edges of ts
-    (any generating set is contained in what it generates).
+    Write T(e) for the system generated by e.  If S generates ts, e is in S
+    and T(e) <= T(e') for an edge e' of ts, then S - e + e' still generates
+    ts.  So only edges with maximal T(e) are tried, one per class of equal
+    T(e) (T(g.e) = T(e), so one edge per orbit is read), in subsets of
+    increasing cardinality, each closed as comp of the union of its T(e).
     """
     if bound < 0:
         raise UsageError("complexity bound must be >= 0")
-    edges = ts.edges()
-    if not edges:
+    classes: dict[bytes, tuple] = {}
+    for e in ts.site.orbit_representatives(ts.edges()):
+        t = _edge_system(ts.site, e)
+        classes.setdefault(t.tobytes(), (e, t))
+    if not classes:
         return 0
+    edges, systems = zip(*classes.values())
+    # T(e_i) <= T(e_j) iff e_i lies in T(e_j): T(e_i) is maximal iff no other T holds e_i
+    holders = sum(t[tuple(np.array(edges).T)] for t in systems)
+    maximal = [t for t, n in zip(systems, holders) if n == 1]
     for k in range(1, bound + 1):
-        for subset in combinations(edges, k):
-            if generate_from_edges(ts.site, subset) == ts:
+        for subset in combinations(maximal, k):
+            if _comp(np.logical_or.reduce(subset)).tobytes() == ts.key:
                 return k
     return None
 

@@ -2,7 +2,9 @@
 
 Each oracle deliberately avoids the production code path it checks:
 closure runs as a one-step-at-a-time fixpoint loop instead of the
-single-pass pipeline, enumeration brute-forces subset closures, the hull
+single-pass pipeline, enumeration brute-forces subset closures, bounded
+disklike scopes close every small set of top edges, complexity tries every
+subset of a system's edges, setwise products KN are multiplied out, the hull
 intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups are closed under joins one frozenset at a
 time with every lattice table filled pair by pair, meets are validated
@@ -14,15 +16,18 @@ permutation of the action instead of reading the site's orbit table.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from transfer_systems.compat import CompatReport
-from transfer_systems.errors import CapExceededError, InputFileError
+from transfer_systems.enumeration import _canonical
+from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
 from transfer_systems.restriction import FAILURE, SUCCESS
 from transfer_systems.sites import Site
-from transfer_systems.systems import ViolationReport
+from transfer_systems.systems import ViolationReport, generate_from_edges
 
 
 def closure_fixpoint(site: Site, edges) -> np.ndarray:
@@ -70,10 +75,53 @@ def enumerate_subset_closure(site: Site) -> set[bytes]:
     return out
 
 
+def disklike_by_subsets(site: Site, max_generators: int, require_bottom_to_top: bool = False):
+    """Disklike systems of complexity <= max_generators, by closing every
+    set of at most that many top edges (one per orbit of such sets)."""
+    top = site.top
+    top_edges = [(int(h), top) for h in range(site.size) if h != top]
+    universal = (site.bottom, top)
+    found = {}
+    # generator sets that differ by the action generate the same system
+    subset_keys: set[tuple] = set()
+    for k in range(max_generators + 1):
+        for subset in combinations(top_edges, k):
+            key = site.subset_orbit_key(subset)
+            if key in subset_keys:
+                continue
+            subset_keys.add(key)
+            ts = generate_from_edges(site, subset)
+            found.setdefault(ts.key, ts)
+    systems = _canonical(found.values())
+    if require_bottom_to_top:
+        systems = [s for s in systems if s.rel[universal]]
+    return systems
+
+
+def complexity_by_subsets(ts, bound: int = 4):
+    """Minimum size of a generating edge set (None above bound), trying
+    every subset of the system's edges by increasing cardinality."""
+    edges = ts.edges()
+    if not edges:
+        return 0
+    for k in range(1, bound + 1):
+        for subset in combinations(edges, k):
+            if generate_from_edges(ts.site, subset) == ts:
+                return k
+    return None
+
+
+def product_with_normal(latt: SubgroupLattice, k: int, n: int) -> int:
+    """Index of the setwise product KN for N normal; equals join(k, n)."""
+    if not latt.normal[n]:
+        raise NotNormalError(f"subgroup {latt.labels[n]} is not normal")
+    g = latt.group
+    kn = {int(g.mul[a, b]) for a in latt.subgroups[k].members for b in latt.subgroups[n].members}
+    return latt.index_of(kn)
+
+
 def brute_force_subgroups(group: Group) -> set[frozenset[int]]:
     """All subgroups, by closing every subset of elements (exponential)."""
-    from itertools import combinations
-
     n = group.order
     found = set()
     elements = list(range(n))

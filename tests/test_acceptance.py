@@ -169,6 +169,7 @@ def test_criterion_7b_conjecture_s4():
     started = time.perf_counter()
     report = verify_conjecture([site_from_descriptor("symmetric:4")], complexity_bound=2)
     assert report.ok, report.counterexamples
+    assert report.systems_checked == 48
     elapsed = time.perf_counter() - started
     assert elapsed < 600, f"S4 sweep took {elapsed:.1f}s, budget is 10 min"
     _report(7, f"(b) zero counterexamples over S4 disklike systems of complexity <= 2 "
@@ -179,6 +180,7 @@ def test_criterion_7b_conjecture_s5_long():
     started = time.perf_counter()
     report = verify_conjecture([site_from_descriptor("symmetric:5")], complexity_bound=2)
     assert report.ok, report.counterexamples
+    assert report.systems_checked == 144
     _report(7, f"(b, long) zero counterexamples over S5 complexity <= 2 "
                f"({report.systems_checked} systems)", started)
 

@@ -149,6 +149,12 @@ def test_negative_cap_is_a_usage_error(capsys):
     assert err == "error: --cap must be >= 0\n"
 
 
+def test_negative_complexity_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "conjecture", "--groups", "cyclic:6", "--complexity-bound", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: complexity bound must be >= 0\n"
+
+
 def test_malformed_poset_file_names_line(tmp_path, capsys):
     path = tmp_path / "bad.poset"
     path.write_text("nodes: a b\ncover: a\n")

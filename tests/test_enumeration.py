@@ -7,7 +7,7 @@ from transfer_systems.enumeration import (
     enumerate_all,
     verify_conjecture,
 )
-from transfer_systems.errors import CapExceededError
+from transfer_systems.errors import CapExceededError, UsageError
 from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import is_disklike, join_ts, meet_ts
 
@@ -129,6 +129,31 @@ def test_known_catalog_sizes(descriptor, count):
 def test_disklike_enumeration_cap(c12_site):
     with pytest.raises(CapExceededError, match="disklike enumeration cap 3 exceeded"):
         disklike_systems(c12_site, cap=3)
+
+
+def test_bounded_disklike_scope_obeys_cap(c12_site):
+    with pytest.raises(CapExceededError, match="disklike enumeration cap 3 exceeded"):
+        disklike_systems(c12_site, max_generators=2, cap=3)
+
+
+def test_negative_generator_bound_is_a_usage_error(c12_site):
+    with pytest.raises(UsageError, match="complexity bound must be >= 0"):
+        disklike_systems(c12_site, max_generators=-1)
+
+
+@pytest.mark.parametrize(
+    "descriptor, bound",
+    [("cyclic:12", 3), ("dihedral:4", 3), ("symmetric:3", 3), ("q8", 3),
+     ("symmetric:4", 2), ("alternating:5", 3)],
+)
+@pytest.mark.parametrize("require_bottom_to_top", [False, True])
+def test_bounded_disklike_bfs_matches_subset_search(descriptor, bound, require_bottom_to_top):
+    # the depth-bounded BFS lists exactly the closures of <= bound top edges, in order
+    site = site_from_descriptor(descriptor)
+    for k in range(bound + 1):
+        assert disklike_systems(site, k, require_bottom_to_top) == oracles.disklike_by_subsets(
+            site, k, require_bottom_to_top
+        )
 
 
 def test_disklike_systems_with_universal_edge(c12_site):

@@ -10,9 +10,9 @@ from transfer_systems.errors import (
     InputFileError,
     NotNormalError,
 )
+from oracles import product_with_normal
 from transfer_systems.groups import (
     build_group,
-    product_with_normal,
     small_group_descriptors,
     subgroup_lattice,
 )

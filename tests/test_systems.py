@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import labeled, system_from_labels
 from transfer_systems.errors import InternalCheckError, MismatchedSitesError, UsageError
+from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
     BinaryRelation,
     TransferSystem,
@@ -405,6 +408,28 @@ def test_complexity_examples(c6_site, s3_site, fig1):
 
 def test_complexity_bound_exceeded(fig1):
     assert complexity(fig1["a"], bound=0) is None
+
+
+@pytest.mark.parametrize("catalog_name", ["c12_catalog", "s3_catalog", "q8_catalog"])
+def test_complexity_matches_subset_search(catalog_name, request):
+    for ts in request.getfixturevalue(catalog_name).systems:
+        assert complexity(ts, bound=4) == oracles.complexity_by_subsets(ts, bound=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_complexity_matches_subset_search_sampled(d4_catalog, c36_catalog, data):
+    catalog = data.draw(st.sampled_from([d4_catalog, c36_catalog]))
+    ts = data.draw(st.sampled_from(catalog.systems))
+    assert complexity(ts, bound=4) == oracles.complexity_by_subsets(ts, bound=4)
+
+
+def test_complexity_of_complete_s5_is_fast():
+    # 1,089 edges: the subset search would close ~593k pairs
+    site = site_from_descriptor("symmetric:5")
+    started = time.perf_counter()
+    assert complexity(complete_ts(site), bound=2) is None
+    assert time.perf_counter() - started < 10
 
 
 def test_cover_count_fig1_d(fig1):

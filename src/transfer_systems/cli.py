@@ -319,13 +319,7 @@ def _quotient_from_args(args):
 
 def _cmd_inflate(args) -> int:
     site, ctx = _quotient_from_args(args)
-    interval = ctx.interval.site
-    o_bar = (
-        serialize.read_system(args.input, interval)
-        if args.input
-        else generate_from_edges(interval, parse_edges(interval, args.edges or ""))
-    )
-    result = inflate(ctx, o_bar)
+    result = inflate(ctx, _load_system(args, ctx.interval.site))
     _emit(args, "".join(_edge_str(site, e) + "\n" for e in result.edges()))
     return EXIT_OK
 

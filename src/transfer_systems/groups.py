@@ -9,8 +9,9 @@ permutation-generator files.
 Subgroups are enumerated as bool masks over the elements: the cyclic
 subgroups seed the search, every new subgroup brings in its whole conjugacy
 class, and one member per class is joined with the cyclic seeds it does not
-contain.  The order, meet, join and conjugation tables are then whole-array
-operations on the membership matrix.  The canonical subgroup order is
+contain.  The order, join and conjugation tables are then whole-array
+operations on the membership matrix; the meet table is not built here, as
+``sites.Site`` derives it from the order.  The canonical subgroup order is
 (order, lexicographic member tuple); every downstream index refers to that
 order.
 """
@@ -340,6 +341,29 @@ def _parse_cycles(text: str, npoints: int | None = None) -> tuple:
     return tuple(perm)
 
 
+def _permutation_group(gens: Sequence[tuple], degree: int, cap: int, what: str) -> list[tuple]:
+    """Sorted elements of the group the permutations generate on 0..degree-1.
+
+    A breadth-first search from the identity by right multiplication with
+    each generator; more than ``cap`` elements raises CapExceededError.
+    """
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = _compose(p, g)
+                if q not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceededError(f"{what}: generated more than {cap} elements")
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
+
+
 def group_from_permutations(
     lines: Iterable[str], descriptor: str, name: str, order_cap: int = DEFAULT_ORDER_CAP
 ) -> Group:
@@ -350,23 +374,7 @@ def group_from_permutations(
         raise InputFileError(f"{descriptor}: no generators")
     k = max(len(_parse_cycles(ln)) for ln in raw)
     gens = [_parse_cycles(ln, k) for ln in raw]
-    identity = tuple(range(k))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in seen:
-                    if len(seen) >= order_cap:
-                        raise CapExceededError(
-                            f"{descriptor}: generated more than {order_cap} elements"
-                        )
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    elements = sorted(seen)
+    elements = _permutation_group(gens, k, order_cap, descriptor)
     names = [_cycle_string(p) for p in elements]
     return _group_from_function(elements, _compose, descriptor, name, names)
 
@@ -504,7 +512,10 @@ class Subgroup:
 
 @dataclass
 class SubgroupLattice:
-    """All subgroups of a group with order, meet/join tables, and conjugation.
+    """All subgroups of a group with order and join tables, and conjugation.
+
+    Meets are not stored here: ``site_from_lattice(latt).meet`` derives them
+    from ``leq`` like every other site's.
 
     ``conj_action[g]`` is the permutation of subgroup indices realizing
     H -> gHg^-1; ``normal[i]`` is True iff every such permutation fixes i.
@@ -513,14 +524,13 @@ class SubgroupLattice:
     group: Group
     subgroups: tuple[Subgroup, ...]
     leq: np.ndarray
-    meet: np.ndarray
     join: np.ndarray
     conj_action: np.ndarray
     normal: np.ndarray
     _labels: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for a in (self.leq, self.meet, self.join, self.conj_action, self.normal):
+        for a in (self.leq, self.join, self.conj_action, self.normal):
             a.flags.writeable = False
         self._index = {s.members: i for i, s in enumerate(self.subgroups)}
 
@@ -627,13 +637,9 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     sizes = counts.sum(axis=1)
     leq = (counts @ counts.T) == sizes[:, None]
 
-    # Subgroups are sorted by order, so the meet (the largest common lower
-    # bound) is the last common lower bound and the join the first upper.
-    meet = np.empty((m, m), dtype=np.int32)
+    # Subgroups are sorted by order, so the join is the first upper bound.
     join = np.empty((m, m), dtype=np.int32)
     for i in range(m):
-        lows = leq[::-1, i, None] & leq[::-1]
-        meet[i] = m - 1 - lows.argmax(axis=0)
         join[i] = (leq[i] & leq).argmax(axis=1)
 
     conj = np.empty((group.order, m), dtype=np.int32)
@@ -641,7 +647,7 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
         conj[g] = [index[row.tobytes()] for row in members[:, pre[g]]]
     normal = (conj == np.arange(m)).all(axis=0)
 
-    return SubgroupLattice(group, subs, leq, meet, join, conj, normal)
+    return SubgroupLattice(group, subs, leq, join, conj, normal)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def _rank_groups(ts: TransferSystem) -> list[list[int]]:
     if site.lattice is not None:
         order = [s.order for s in site.lattice.subgroups]
     else:
-        # rank abstract nodes by the length of a longest chain below
+        # rank abstract nodes by the size of their down-set |down(v)|
         order = [int(site.leq[:, v].sum()) for v in range(site.size)]
     ranks: dict[int, list[int]] = {}
     for v in range(site.size):

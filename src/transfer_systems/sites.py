@@ -20,7 +20,13 @@ from .errors import (
     InternalCheckError,
     NotNormalError,
 )
-from .groups import SubgroupLattice, build_group, subgroup_lattice
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    SubgroupLattice,
+    _permutation_group,
+    build_group,
+    subgroup_lattice,
+)
 
 
 class Site:
@@ -29,7 +35,8 @@ class Site:
     Attributes:
         size: number of nodes.
         leq: boolean partial-order matrix with unique bottom and top.
-        meet: greatest-lower-bound table.
+        meet: greatest-lower-bound table, an int32 array derived from
+            ``leq``; deriving it is also the lattice check.
         action: tuple of node permutations forming a group: it contains the
             identity and is closed under composition (hence under inverse,
             being finite).  ``_check`` enforces both.
@@ -51,7 +58,6 @@ class Site:
     def __init__(
         self,
         leq: np.ndarray,
-        meet: np.ndarray,
         action: tuple[np.ndarray, ...],
         labels: tuple[str, ...],
         kind: str,
@@ -60,7 +66,6 @@ class Site:
     ):
         self.size = int(leq.shape[0])
         self.leq = leq
-        self.meet = meet
         self.action = action
         self.labels = labels
         self.kind = kind
@@ -103,17 +108,7 @@ class Site:
             raise InputFileError("no unique bottom element")
         if int(leq.all(axis=0).sum()) != 1:
             raise InputFileError("no unique top element")
-        # meet[a, b] must be a lower bound of a and b above every other one;
-        # checked for b >= a, one row a at a time, first failure named.
-        for a in range(n):
-            m = self.meet[a, a:]
-            lows = leq[:, a, None] & leq[:, a:]
-            bad = ~lows[m, np.arange(m.size)] | (lows & ~leq[:, m]).any(axis=0)
-            if bad.any():
-                b = a + int(np.argmax(bad))
-                raise InputFileError(
-                    f"not a lattice: {self.labels[a]} and {self.labels[b]} have no meet"
-                )
+        self.meet = _derive_meet(leq, self.labels)
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise InternalCheckError("labels must be unique, one per node")
         if not any(np.array_equal(p, np.arange(n)) for p in self.action):
@@ -125,8 +120,6 @@ class Site:
         for p in self.action:
             if not np.array_equal(leq[np.ix_(p, p)], leq):
                 raise InputFileError("declared automorphism does not preserve the order")
-            if not np.array_equal(p[self.meet], self.meet[np.ix_(p, p)]):
-                raise InputFileError("declared automorphism does not preserve meets")
 
     def node(self, label: str) -> int:
         """Node index for a display label (or a bare numeric index)."""
@@ -175,40 +168,29 @@ class Site:
         return tuple(divmod(int(f), self.size) for f in least)
 
 
-def _meet_table(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
-    """Compute all binary meets, erroring where a pair has none."""
+def _derive_meet(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+    """The meet table of a bounded order, or an error naming a pair without one.
+
+    A common lower bound m of a and b is their meet iff down(m) equals
+    down(a) & down(b), i.e. iff the two sets have the same size.  The common
+    lower bound with the largest down-set is the only candidate, so each row
+    takes the first one in that order; the first pair a <= b (by index)
+    whose candidate fails the count is named.
+    """
     n = leq.shape[0]
-    meet = np.zeros((n, n), dtype=np.int32)
+    f = leq.astype(np.float32)
+    down = f.sum(axis=0)  # |down(x)|
+    common = f.T @ f  # |down(a) & down(b)|, exact below 2**24 nodes
+    rank = np.argsort(-down, kind="stable")
+    below = leq.T[:, rank]  # row a is down(a), largest down-sets first
+    meet = np.empty((n, n), dtype=np.int32)
     for a in range(n):
-        for b in range(a, n):
-            lows = np.flatnonzero(leq[:, a] & leq[:, b])
-            if lows.size == 0:
-                raise InputFileError(f"nodes {labels[a]} and {labels[b]} have no common lower bound")
-            maximal = [m for m in lows if np.all(leq[lows, m])]
-            if len(maximal) != 1:
-                raise InputFileError(
-                    f"not a lattice: nodes {labels[a]} and {labels[b]} have no meet"
-                )
-            meet[a, b] = meet[b, a] = maximal[0]
+        meet[a] = rank[(below & below[a]).argmax(axis=1)]
+    bad = np.triu(down[meet] != common)
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        raise InputFileError(f"not a lattice: {labels[a]} and {labels[b]} have no meet")
     return meet
-
-
-def _close_permutations(perms: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
-    """Close a permutation set under composition; dedup; canonical order."""
-    seen = {tuple(range(n))}
-    for p in perms:
-        seen.add(tuple(int(x) for x in p))
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in list(seen):
-                for r in (tuple(p[i] for i in q), tuple(q[i] for i in p)):
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    return tuple(np.array(p, dtype=np.int32) for p in sorted(seen))
 
 
 def site_from_lattice(latt: SubgroupLattice) -> Site:
@@ -219,7 +201,6 @@ def site_from_lattice(latt: SubgroupLattice) -> Site:
     action = tuple(rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]])
     return Site(
         leq=latt.leq.copy(),
-        meet=latt.meet.astype(np.int32).copy(),
         action=action,
         labels=latt.labels,
         kind="group",
@@ -254,16 +235,13 @@ def interval_above(latt_or_site, n: int) -> IntervalView:
     from_parent = {p: i for i, p in enumerate(nodes)}
     idx = np.array(nodes)
     leq = parent.leq[np.ix_(idx, idx)].copy()
-    meet = np.array(
-        [[from_parent[int(parent.meet[a, b])] for b in nodes] for a in nodes], dtype=np.int32
-    )
     perms = sorted({tuple(from_parent[int(p[v])] for v in nodes) for p in parent.action})
     action = tuple(np.array(p, dtype=np.int32) for p in perms)
     labels = tuple(parent.labels[v] for v in nodes)
     descriptor = None
     if parent.descriptor is not None:
         descriptor = f"{parent.descriptor}|above:{parent.labels[n]}"
-    site = Site(leq, meet, action, labels, kind=parent.kind, lattice=None, descriptor=descriptor)
+    site = Site(leq, action, labels, kind=parent.kind, lattice=None, descriptor=descriptor)
     return IntervalView(site, parent, n, tuple(nodes), from_parent)
 
 
@@ -319,17 +297,14 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
     # transitive closure
     for k in range(n):
         leq |= np.outer(leq[:, k], leq[k, :])
-    labels = tuple(names)
-    if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
-        raise InputFileError("cycle detected among cover relations")
-    meet = _meet_table(leq, labels)
     perms = []
     for parts in autos:
         if sorted(parts) != sorted(names):
             raise InputFileError(f"auto: line must permute all node names: {parts}")
-        perms.append(np.array([index[p] for p in parts], dtype=np.int32))
-    action = _close_permutations(perms, n)
-    return Site(leq, meet, action, labels, kind="abstract", descriptor=descriptor)
+        perms.append(tuple(index[p] for p in parts))
+    closed = _permutation_group(perms, n, DEFAULT_ORDER_CAP, "auto: lines")
+    action = tuple(np.array(p, dtype=np.int32) for p in closed)
+    return Site(leq, action, tuple(names), kind="abstract", descriptor=descriptor)
 
 
 def site_from_poset_file(path: str | Path) -> Site:

@@ -39,12 +39,24 @@ auto: 00 10 20 01 11 21 02 12 22
 """
 
 
+def m_poset_text(k):
+    """M_k: a bottom, k atoms and a top, with auto: lines generating S_k.
+
+    The two automorphisms swap the first two atoms and cycle all k.
+    """
+    atoms = [f"a{i}" for i in range(k)]
+    lines = [f"nodes: bot {' '.join(atoms)} top"]
+    lines += [f"cover: bot {a}\ncover: {a} top" for a in atoms]
+    lines.append(f"auto: bot {' '.join([atoms[1], atoms[0]] + atoms[2:])} top")
+    lines.append(f"auto: bot {' '.join(atoms[1:] + atoms[:1])} top")
+    return "\n".join(lines) + "\n"
+
+
 def chain_site(n):
     """The chain 0 < 1 < ... < n-1 with the trivial action."""
     idx = np.arange(n)
     return Site(
         leq=np.triu(np.ones((n, n), dtype=bool)),
-        meet=np.minimum.outer(idx, idx).astype(np.int32),
         action=(idx.astype(np.int32),),
         labels=tuple(str(i) for i in range(n)),
         kind="abstract",

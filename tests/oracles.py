@@ -173,13 +173,10 @@ def subgroup_lattice_by_joins(
         for j in range(m):
             leq[i, j] = member_sets[i] <= member_sets[j]
 
-    meet = np.zeros((m, m), dtype=np.int32)
     join = np.zeros((m, m), dtype=np.int32)
     orders = np.array([s.order for s in subs])
     for i in range(m):
         for j in range(i, m):
-            inter = tuple(sorted(member_sets[i] & member_sets[j]))
-            meet[i, j] = meet[j, i] = index[inter]
             uppers = np.nonzero(leq[i] & leq[j])[0]
             k = uppers[int(np.argmin(orders[uppers]))]
             join[i, j] = join[j, i] = k
@@ -191,7 +188,7 @@ def subgroup_lattice_by_joins(
             conj[g, i] = index[tuple(sorted(image))]
     normal = np.array([bool(np.all(conj[:, i] == i)) for i in range(m)])
 
-    return SubgroupLattice(group, subs, leq, meet, join, conj, normal)
+    return SubgroupLattice(group, subs, leq, join, conj, normal)
 
 
 def setwise_product(group: Group, a_members, b_members) -> frozenset[int]:
@@ -246,15 +243,47 @@ def quotient_group(latt: SubgroupLattice, n: int) -> tuple[Group, list[frozenset
     return g, cosets
 
 
-def meet_check_by_loop(leq: np.ndarray, meet: np.ndarray, labels) -> None:
-    """Raise Site's "no meet" error for the first bad pair a <= b, pair by pair."""
+def meet_table_by_pairs(leq: np.ndarray, labels) -> np.ndarray:
+    """All binary meets pair by pair; Site's "no meet" error for the first bad pair a <= b."""
     n = leq.shape[0]
+    meet = np.zeros((n, n), dtype=np.int32)
     for a in range(n):
         for b in range(a, n):
-            m = int(meet[a, b])
-            lows = leq[:, a] & leq[:, b]
-            if not (lows[m] and bool(np.all(leq[lows, m]))):
+            lows = np.flatnonzero(leq[:, a] & leq[:, b])
+            maximal = [m for m in lows if np.all(leq[lows, m])]
+            if len(maximal) != 1:
                 raise InputFileError(f"not a lattice: {labels[a]} and {labels[b]} have no meet")
+            meet[a, b] = meet[b, a] = maximal[0]
+    return meet
+
+
+def meet_by_intersection(latt: SubgroupLattice) -> np.ndarray:
+    """Subgroup meets as member-set intersections, pair by pair."""
+    m = len(latt)
+    members = [frozenset(s.members) for s in latt.subgroups]
+    meet = np.zeros((m, m), dtype=np.int32)
+    for i in range(m):
+        for j in range(i, m):
+            meet[i, j] = meet[j, i] = latt.index_of(members[i] & members[j])
+    return meet
+
+
+def close_permutations_by_pairs(perms, n: int) -> tuple[np.ndarray, ...]:
+    """Close a permutation set under composition by composing every pair found so far."""
+    seen = {tuple(range(n))}
+    for p in perms:
+        seen.add(tuple(int(x) for x in p))
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in list(seen):
+                for r in (tuple(p[i] for i in q), tuple(q[i] for i in p)):
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    return tuple(np.array(p, dtype=np.int32) for p in sorted(seen))
 
 
 def compatible_by_scan(o_a, o_m) -> CompatReport:

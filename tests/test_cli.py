@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P5_TEXT
+from conftest import P5_TEXT, m_poset_text
 from transfer_systems.cli import main
 
 
@@ -69,6 +70,12 @@ def test_inflate_and_fixed_points(capsys):
                        "--edges", "1>C2,1>C3,1>C6,C2>C6,C3>C6,1>C4,1>C12,C2>C4,C2>C12,C6>C12,C3>C12,C4>C12")
     assert code == 0
     assert "C2>C4" in out
+
+
+def test_inflate_requires_a_system(capsys):
+    code, out, err = run(capsys, "inflate", "--group", "cyclic:12", "--normal", "C2")
+    assert code == 2 and out == ""
+    assert err == 'error: provide --edges "SRC>DST ..." or --input FILE.json\n'
 
 
 def test_reduce(capsys):
@@ -161,6 +168,17 @@ def test_malformed_poset_file_names_line(tmp_path, capsys):
     code, _, err = run(capsys, "lattice", "--site", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+def test_poset_automorphisms_are_capped(tmp_path, capsys):
+    # M7's auto: lines generate S7, with 5040 elements.
+    path = tmp_path / "m7.poset"
+    path.write_text(m_poset_text(7))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "--site", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == "error: auto: lines: generated more than 1000 elements\n"
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -74,7 +74,7 @@ def test_element_indexing_deterministic():
 def test_lattice_laws_exhaustive(desc):
     latt = subgroup_lattice(build_group(desc))
     m = len(latt)
-    meet, join, leq = latt.meet, latt.join, latt.leq
+    meet, join, leq = site_from_lattice(latt).meet, latt.join, latt.leq
     for a in range(m):
         assert meet[a, a] == a and join[a, a] == a
         for b in range(m):
@@ -246,14 +246,24 @@ def test_lattice_matches_join_closure_oracle(desc):
     latt = subgroup_lattice(group)
     ref = oracles.subgroup_lattice_by_joins(group)
     assert latt.subgroups == ref.subgroups
-    for name in ("leq", "meet", "join", "conj_action", "normal"):
-        got, want = getattr(latt, name), getattr(ref, name)
+    site = site_from_lattice(latt)
+    tables = [(name, getattr(latt, name), getattr(ref, name))
+              for name in ("leq", "join", "conj_action", "normal")]
+    tables.append(("meet", site.meet, oracles.meet_by_intersection(ref)))
+    for name, got, want in tables:
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+    assert not site.meet.flags.writeable
     assert latt.labels == ref.labels
-    action = [tuple(p.tolist()) for p in site_from_lattice(latt).action]
+    action = [tuple(p.tolist()) for p in site.action]
     assert action == sorted({tuple(row) for row in ref.conj_action.tolist()})
+
+
+def test_s5_site_meets_are_intersections():
+    # S5 is too large for the join-closure oracle, not for this one.
+    latt = subgroup_lattice(build_group("symmetric:5"))
+    assert np.array_equal(site_from_lattice(latt).meet, oracles.meet_by_intersection(latt))
 
 
 # Subgroup counts: OEIS A005432 (symmetric), A000638 (classes of S_n); for

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import P5_TEXT
+from conftest import GRID_TEXT, P5_TEXT, m_poset_text
 from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
 from transfer_systems.groups import build_group, subgroup_lattice
 from transfer_systems.sites import (
@@ -47,20 +49,16 @@ def test_action_closed_under_composition(s3_site, d4_site):
 
 
 def test_action_must_be_closed_under_composition():
-    # M3: bot < a, b, c < top.  {id, (a b c)} preserves order and meets but
+    # M3: bot < a, b, c < top.  {id, (a b c)} preserves the order but
     # leaves out the square of the 3-cycle, so it is not a group.
     names = ("bot", "a", "b", "c", "top")
     leq = np.eye(5, dtype=bool)
     leq[0, :] = leq[:, 4] = True
-    meet = np.zeros((5, 5), dtype=np.int32)
-    for i in range(5):
-        meet[i, i] = i
-        meet[i, 4] = meet[4, i] = i
     cycle = np.array([0, 2, 3, 1, 4], dtype=np.int32)
     identity = np.arange(5, dtype=np.int32)
     with pytest.raises(InternalCheckError, match="closed under composition"):
-        Site(leq, meet.copy(), (identity, cycle), names, kind="abstract")
-    site = Site(leq, meet.copy(), (identity, cycle, cycle[cycle]), names, kind="abstract")
+        Site(leq, (identity, cycle), names, kind="abstract")
+    site = Site(leq, (identity, cycle, cycle[cycle]), names, kind="abstract")
     assert site.orbit((0, 1)) == {(0, 1), (0, 2), (0, 3)}
 
 
@@ -88,29 +86,70 @@ def _raised(check):
     return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_meet_check_matches_loop_oracle(c12_site, d4_site, s3_site, grid_site, data):
-    site = data.draw(st.sampled_from([c12_site, d4_site, s3_site, grid_site]))
-    n = site.size
-    assert oracles.meet_check_by_loop(site.leq, site.meet, site.labels) is None
-    meet = site.meet.copy()
-    node = st.integers(0, n - 1)
-    # Usually one corrupted entry; a second one checks which pair is named first.
-    for a, b, value in data.draw(st.lists(st.tuples(node, node, node), min_size=1, max_size=2)):
-        meet[a, b] = value
-    want = _raised(lambda: oracles.meet_check_by_loop(site.leq, meet, site.labels))
-    got = _raised(
-        lambda: Site(site.leq.copy(), meet, site.action, site.labels, kind=site.kind)
-    )
+@st.composite
+def bounded_orders(draw):
+    """leq of a random strict order on at most 6 inner nodes plus a bottom and a top.
+
+    Node indices are shuffled, so neither the bottom nor the top need be
+    node 0 or the last node, and index order need not extend the order.
+    """
+    inner = draw(st.integers(0, 6))
+    n = inner + 2
+    # Before shuffling, index order is a linear extension: 0 is the bottom
+    # and n - 1 the top, and each inner pair i < j is drawn as related or not.
+    below = np.eye(n, dtype=bool)
+    below[0, :] = below[:, n - 1] = True
+    for i in range(1, n - 1):
+        for j in range(i + 1, n - 1):
+            below[i, j] = draw(st.booleans())
+    for k in range(n):
+        below |= np.outer(below[:, k], below[k, :])
+    perm = np.array(draw(st.permutations(range(n))))
+    leq = np.empty_like(below)
+    leq[np.ix_(perm, perm)] = below
+    return leq
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_orders())
+def test_derived_meet_matches_pairwise_oracle(leq):
+    n = leq.shape[0]
+    labels = tuple(f"v{i}" for i in range(n))
+    identity = (np.arange(n, dtype=np.int32),)
+    want = _raised(lambda: oracles.meet_table_by_pairs(leq, labels))
+    got = _raised(lambda: Site(leq.copy(), identity, labels, kind="abstract"))
+    assert got == want
     if want is None:
-        # Every entry the meet check reads (b >= a) is sound, so any change
-        # is below the diagonal; the automorphism check may still reject it.
-        assert got is None or "have no meet" not in got[1]
-        if np.array_equal(meet, site.meet):
-            assert got is None
-    else:
-        assert got == want
+        meet = Site(leq.copy(), identity, labels, kind="abstract").meet
+        assert meet.dtype == np.int32 and not meet.flags.writeable
+        assert np.array_equal(meet, oracles.meet_table_by_pairs(leq, labels))
+
+
+def test_poset_fixture_meets_match_pairwise_oracle(p5_site, grid_site):
+    for site in (p5_site, grid_site):
+        assert np.array_equal(site.meet, oracles.meet_table_by_pairs(site.leq, site.labels))
+
+
+def test_long_chain_poset_builds_quickly():
+    # The old per-pair meet loop took ~20 s on this chain.
+    n = 259
+    text = f"nodes: {' '.join(f'c{i}' for i in range(n))}\n"
+    text += "".join(f"cover: c{i} c{i + 1}\n" for i in range(n - 1))
+    start = time.perf_counter()
+    site = parse_poset_text(text)
+    assert time.perf_counter() - start < 2.0
+    idx = np.arange(n)
+    assert np.array_equal(site.meet, np.minimum.outer(idx, idx))
+
+
+@pytest.mark.parametrize("text, order", [(GRID_TEXT, 2), (m_poset_text(5), 120)])
+def test_poset_action_matches_pairwise_closure(text, order):
+    site = parse_poset_text(text)
+    autos = [line.split()[1:] for line in text.splitlines() if line.startswith("auto:")]
+    perms = [[site.node(x) for x in parts] for parts in autos]
+    want = oracles.close_permutations_by_pairs(perms, site.size)
+    assert len(site.action) == order
+    assert [p.tolist() for p in site.action] == [p.tolist() for p in want]
 
 
 def test_two_node_chain():
@@ -142,7 +181,7 @@ def test_two_maximal_lower_bounds_rejected():
         "cover: x c\ncover: x d\ncover: y c\ncover: y d\n"
         "cover: c top\ncover: d top\n"
     )
-    with pytest.raises(InputFileError, match="no meet"):
+    with pytest.raises(InputFileError, match="^not a lattice: c and d have no meet$"):
         parse_poset_text(text)
 
 

@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="transys",
         description=(
             "Compute with transfer systems on subgroup lattices and abstract "
-            "bounded lattices. Cayley tables are validated fully below order "
-            "256 and by sampled triples above."
+            "bounded lattices. Cayley tables are validated fully at every "
+            "order."
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)

@@ -20,9 +20,12 @@ Three independent computations of M(O) are provided:
   poset (e is kept iff every strict restriction r < e is kept and annotates
   a compatibility success) in unrolled form: e is dropped iff some r <= e
   has a failing strict restriction;
-* ``max_compat_disklike`` is the cover-relation worklist for disklike
-  systems, processing conjugacy classes of minimal queue elements and
-  counting cover inspections.
+* ``max_compat_disklike`` is the cover-relation algorithm for disklike
+  systems: one pass over the poset nodes in order of down-set size (covers
+  come first), deciding each conjugacy class of edges at its least edge
+  and counting cover inspections.
+
+Each hands ``_wrap`` a boolean mask over O's edges in node order.
 
 ``conjecture_formula`` evaluates the conjectured one-shot simplification
 (keep e iff all strict restrictions are successes) and deliberately returns
@@ -37,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DisklikeRequiredError
-from .restriction import FAILURE, restriction_poset
+from .restriction import FAILURE, SUCCESS, restriction_poset
 from .sites import Site
 from .systems import (
     TransferSystem,
@@ -110,8 +113,7 @@ def max_compat_oracle(o: TransferSystem) -> TransferSystem:
     site's per-orbit cache, meets no blocked entry.
     """
     blocked = _blocked(o)
-    keep = [e for e in o.edges() if not (_edge_system(o.site, e) & blocked).any()]
-    return _wrap(o.site, keep)
+    return _wrap(o, [not (_edge_system(o.site, e) & blocked).any() for e in o.edges()])
 
 
 def max_compat_recursive(o: TransferSystem) -> TransferSystem:
@@ -124,9 +126,7 @@ def max_compat_recursive(o: TransferSystem) -> TransferSystem:
     """
     poset = restriction_poset(o)
     fails = (poset.annotation == FAILURE).any(axis=0)  # some strict restriction fails
-    dropped = fails @ poset.leq
-    keep = [e for e, d in zip(poset.nodes, dropped) if not d]
-    return _wrap(o.site, keep)
+    return _wrap(o, ~(fails @ poset.leq))
 
 
 class DisklikeResult(NamedTuple):
@@ -135,40 +135,36 @@ class DisklikeResult(NamedTuple):
 
 
 def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
-    """M(O) for disklike O by the worklist over cover relations.
+    """M(O) for disklike O by the cover-relation algorithm.
 
-    Starts from the minimal elements of the restriction poset, repeatedly
-    takes the minimal queue element (lowest canonical index on ties) and
-    decides its whole conjugacy class at once.  The step counter records
-    how many cover relations were inspected.
+    e is kept iff each cover r of e is kept and annotates a success.  The
+    covers are inspected in node order up to the first that fails;
+    ``steps`` counts the inspections.
+
+    One pass visits the nodes by down-set size: a strict restriction has a
+    smaller down-set, so every cover is decided before the node above it.
+    Conjugation is a poset automorphism that keeps annotations, and
+    conjugate edges have equal down-sets, so each conjugacy class of edges
+    is decided once, at its least edge, as a worklist that always takes the
+    least ready node would decide it.
     """
     if not is_disklike(o):
         raise DisklikeRequiredError("the cover-relation algorithm requires a disklike system")
     poset = restriction_poset(o)
     site = o.site
-    node_reps = site.edge_rep[o.rel & ~np.eye(site.size, dtype=bool)]  # in node order
-    decided: dict[int, bool] = {}
-    for i in poset.minimal():
-        decided[i] = True
-    queue = sorted(set(range(len(poset))) - decided.keys())
+    nodes = np.flatnonzero(o.rel & ~np.eye(site.size, dtype=bool))  # flat indices, node order
+    reps = site.edge_rep.ravel()[nodes]
+    kept = np.zeros(len(nodes), dtype=bool)
     steps = 0
-    while queue:
-        queue_set = set(queue)
-        # Minimal queue element under the restriction order; ties break by
-        # lowest canonical edge index since queue stays sorted.
-        m = next(j for j in queue if not any(i in queue_set for i in poset.strict_below(j)))
-        verdict = True
-        for i in poset.covers_below(m):
-            steps += 1
-            if not (decided.get(i, False) and poset.is_success(i, m)):
-                verdict = False
-                break
-        orbit = set(np.flatnonzero(node_reps == node_reps[m]).tolist())  # m's orbit within O
-        for j in orbit:
-            decided[j] = verdict
-        queue = [j for j in queue if j not in orbit]
-    keep = [e for j, e in enumerate(poset.nodes) if decided.get(j, False)]
-    return DisklikeResult(_wrap(site, keep), steps)
+    for j in np.argsort(poset.leq.sum(axis=0), kind="stable"):
+        if reps[j] != nodes[j]:
+            continue  # decided with the least edge of its class
+        below = np.flatnonzero(poset.covers[:, j])
+        ok = kept[below] & (poset.annotation[below, j] == SUCCESS)
+        verdict = bool(ok.all())
+        steps += below.size if verdict else int(ok.argmin()) + 1
+        kept[reps == reps[j]] = verdict
+    return DisklikeResult(_wrap(o, kept), steps)
 
 
 def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
@@ -182,8 +178,8 @@ def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     return frozenset(e for e, f in zip(poset.nodes, fails) if not f)
 
 
-def _wrap(site: Site, edges: list[tuple[int, int]]) -> TransferSystem:
-    rel = np.eye(site.size, dtype=bool)
-    for k, h in edges:
-        rel[k, h] = True
-    return TransferSystem(site, rel)  # constructor asserts the axioms
+def _wrap(o: TransferSystem, keep) -> TransferSystem:
+    """The subsystem of O keeping the non-reflexive edges that ``keep`` marks, in node order."""
+    rel = np.eye(o.site.size, dtype=bool)
+    rel[o.rel & ~rel] = keep
+    return TransferSystem(o.site, rel)  # constructor asserts the axioms

@@ -18,7 +18,6 @@ order.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -30,11 +29,6 @@ from .errors import InternalCheckError
 
 DEFAULT_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 5000
-
-# Full associativity check is O(n^3); above this order we fall back to
-# sampled triples (documented in the CLI help).
-FULL_ASSOCIATIVITY_LIMIT = 256
-SAMPLED_TRIPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -108,21 +102,24 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
         raise InputFileError(f"{what}: some element has no inverse")
     if not np.array_equal(mul[inv, np.arange(n)], np.zeros(n, dtype=mul.dtype)):
         raise InputFileError(f"{what}: left and right inverses disagree")
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        for a in range(n):
-            if not np.array_equal(mul[mul[a]], mul[a][mul]):
-                bad = np.argwhere(mul[mul[a]] != mul[a][mul])[0]
-                b, c = int(bad[0]), int(bad[1])
-                raise InputFileError(
-                    f"{what}: non-associative at ({a},{b},{c}): "
-                    f"(ab)c={int(mul[mul[a, b], c])} != a(bc)={int(mul[a, mul[b, c]])}"
-                )
-    else:
-        rng = random.Random(0)
-        for _ in range(SAMPLED_TRIPLES):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if mul[mul[a, b], c] != mul[a, mul[b, c]]:
-                raise InputFileError(f"{what}: non-associative at sampled triple ({a},{b},{c})")
+    # Light's test: (xg)y = x(gy) for all x, y and each g of a greedy
+    # generating set.  The g that pass are closed under products, so once
+    # the generators' products span the table every element passes.
+    span = np.zeros(n, dtype=bool)
+    span[0] = True
+    for g in range(n):
+        if span[g]:
+            continue
+        left, right = mul[mul[:, g]], mul[:, mul[g]]  # (xg)y and x(gy)
+        bad = np.argwhere(left != right)
+        if bad.size:
+            x, y = int(bad[0, 0]), int(bad[0, 1])
+            raise InputFileError(
+                f"{what}: non-associative at ({x},{g},{y}): "
+                f"(xg)y={int(left[x, y])} != x(gy)={int(right[x, y])}"
+            )
+        span[g] = True
+        span = _generated(mul, span)
 
 
 def _group_from_table(
@@ -572,16 +569,16 @@ def _cyclic_masks(group: Group) -> np.ndarray:
         power = group.mul[power, elems]
 
 
-def _generated(group: Group, mask: np.ndarray) -> np.ndarray:
-    """Mask of the subgroup generated by a mask that contains the identity.
+def _generated(mul: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mask of the closure under the product ``mul`` of a mask that contains the identity.
 
-    Squares the set until it stops growing: a finite set that contains the
-    identity and is closed under products is a subgroup.
+    Squares the set until it stops growing: in a group, a finite set that
+    contains the identity and is closed under products is a subgroup.
     """
     idx = np.flatnonzero(mask)
     while True:
-        mask = np.zeros(group.order, dtype=bool)
-        mask[group.mul[idx[:, None], idx]] = True
+        mask = np.zeros(mul.shape[0], dtype=bool)
+        mask[mul[idx[:, None], idx]] = True
         grown = np.flatnonzero(mask)
         if grown.size == idx.size:
             return mask
@@ -620,7 +617,7 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
             for c in seeds:
                 if (c <= h).all():
                     continue
-                j = _generated(group, h | c)
+                j = _generated(mul, h | c)
                 if add_class(j):
                     nxt.append(j)
         frontier = nxt

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import UsageError
+from .restriction import cover_relation
 from .systems import TransferSystem
 
 
@@ -58,7 +59,6 @@ def render_dot(
     for group in _rank_groups(ts):
         if len(group) > 1:
             lines.append("  { rank=same; " + " ".join(f"n{v};" for v in group) + " }")
-    covers = _cover_pairs(site.leq)
     drawn = set()
     for a, b in ts.edges():
         if highlight is not None and highlight.rel[a, b]:
@@ -66,17 +66,11 @@ def render_dot(
         else:
             lines.append(f"  n{a} -> n{b};")
         drawn.add((a, b))
-    for a, b in covers:
+    for a, b in np.argwhere(cover_relation(site.leq)).tolist():
         if (a, b) not in drawn:
             lines.append(f"  n{a} -> n{b} [style=dotted, arrowhead=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _cover_pairs(leq: np.ndarray) -> list[tuple[int, int]]:
-    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    covers = strict & ~(strict @ strict)
-    return [(int(a), int(b)) for a, b in np.argwhere(covers)]
 
 
 def render_tikz(
@@ -100,7 +94,7 @@ def render_tikz(
         arrow = "->" if style == "->" else f"->,{style}"
         lines.append(f"  \\draw[{arrow}] (n{a}) -- (n{b});")
         drawn.add((a, b))
-    for a, b in _cover_pairs(site.leq):
+    for a, b in np.argwhere(cover_relation(site.leq)).tolist():
         if (a, b) not in drawn:
             lines.append(f"  \\draw[dotted] (n{a}) -- (n{b});")
     lines.append("\\end{tikzpicture}")

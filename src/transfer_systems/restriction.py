@@ -11,11 +11,13 @@ and exactly one of the two holds.  The poset is built from the site's meet
 table in whole arrays: every (node e, J <= H) pair is listed at once, its
 restriction K /\\ J -> J is looked up in an n-by-n node-index table, and
 ``leq`` and ``annotation`` are filled by one fancy-index assignment each.
-The poset and its annotations are computed once per system and cached; the
-maximal-compatible computations never re-derive them.  The cover relation
-costs a boolean m-by-m product, so it is computed on first use: the cover
-count and the disklike worklist read it, while the recursive M(O) and the
-conjecture formula need only ``leq`` and ``annotation``.
+The poset keeps only these arrays; callers read them directly (a node's
+strict restrictions are column j of ``leq`` off the diagonal).  It is
+computed once per system and cached.  The cover relation costs a boolean
+m-by-m product, so it is computed on first use: the cover count and the
+disklike M(O) read it, while the recursive M(O) and the conjecture formula
+need only ``leq`` and ``annotation``.  ``cover_relation`` is the one
+cover-relation helper; the renderers use it on the site order too.
 """
 
 from __future__ import annotations
@@ -33,15 +35,23 @@ SUCCESS = 1
 FAILURE = 2
 
 
+def cover_relation(leq: np.ndarray) -> np.ndarray:
+    """``covers[i, j]``: i < j in the order ``leq`` with nothing strictly between."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return strict & ~(strict @ strict)
+
+
 class RestrictionPoset:
-    """Poset (<=, <, covers) over the non-reflexive edges of one system.
+    """Poset (<=, covers) over the non-reflexive edges of one system.
 
     Attributes:
+        owner: the system whose edges are the nodes.
         nodes: edges in canonical (src, dst) order.
         leq: boolean matrix, ``leq[i, j]`` iff nodes[j] restricts onto nodes[i].
-        strict: derived strict order.
-        covers: cover relation, computed on first access and then cached.
-        annotation: int8 matrix over comparable pairs (SUCCESS / FAILURE).
+        annotation: int8 matrix over comparable pairs (SUCCESS / FAILURE),
+            NOT_COMPARABLE elsewhere.
+        covers: cover relation of ``leq``, computed on first access and
+            then cached.
 
     All matrices are read-only.
     """
@@ -50,7 +60,6 @@ class RestrictionPoset:
         site = ts.site
         self.owner = ts
         self.nodes = ts.edges()
-        self.index = {e: i for i, e in enumerate(self.nodes)}
         m = len(self.nodes)
         rel = ts.rel
         ks, hs = np.nonzero(rel & ~np.eye(site.size, dtype=bool))  # nodes, in order
@@ -67,15 +76,12 @@ class RestrictionPoset:
         self.leq[i, j] = True
         self.annotation = np.zeros((m, m), dtype=np.int8)
         self.annotation[i, j] = np.where(failed, FAILURE, SUCCESS)
-        self.strict = self.leq & ~np.eye(m, dtype=bool)
         self.leq.flags.writeable = False
-        self.strict.flags.writeable = False
         self.annotation.flags.writeable = False
 
     @cached_property
     def covers(self) -> np.ndarray:
-        """i < j with nothing strictly between: one m-by-m boolean product."""
-        covers = self.strict & ~(self.strict @ self.strict)
+        covers = cover_relation(self.leq)
         covers.flags.writeable = False
         return covers
 
@@ -85,37 +91,6 @@ class RestrictionPoset:
     @property
     def cover_count(self) -> int:
         return int(self.covers.sum())
-
-    def minimal(self) -> list[int]:
-        """Indices of edges with no non-trivial strict restriction."""
-        return [i for i in range(len(self.nodes)) if not self.strict[:, i].any()]
-
-    def strict_below(self, j: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.strict[:, j])]
-
-    def covers_below(self, j: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.covers[:, j])]
-
-    def is_success(self, i: int, j: int) -> bool:
-        return self.annotation[i, j] == SUCCESS
-
-    def annotation_name(self, r: tuple[int, int], e: tuple[int, int]) -> str:
-        a = self.annotation[self.index[r], self.index[e]]
-        return ("not-comparable", "success", "failure")[int(a)]
-
-    def topological_order(self) -> list[int]:
-        """Linear extension of <=, ties broken by canonical edge index."""
-        m = len(self.nodes)
-        remaining = np.array([int(self.strict[:, j].sum()) for j in range(m)])
-        done = np.zeros(m, dtype=bool)
-        order = []
-        for _ in range(m):
-            ready = np.flatnonzero(~done & (remaining == 0))
-            j = int(ready[0])
-            order.append(j)
-            done[j] = True
-            remaining[self.strict[j]] -= 1
-        return order
 
 
 def restriction_poset(ts: "TransferSystem") -> RestrictionPoset:

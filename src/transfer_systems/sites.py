@@ -86,10 +86,7 @@ class Site:
         self.edge_rep.flags.writeable = False
         self.bottom = int(np.flatnonzero(leq[:, :].all(axis=1))[0])
         self.top = int(np.flatnonzero(leq[:, :].all(axis=0))[0])
-        self.pairs = tuple(
-            (int(a), int(b)) for a in range(self.size) for b in range(self.size)
-            if a != b and leq[a, b]
-        )
+        self.pairs = tuple(map(tuple, np.argwhere(leq & ~np.eye(n, dtype=bool)).tolist()))
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         raw = leq.tobytes() + b"|" + b",".join(p.tobytes() for p in self.action)
         self.key = hashlib.sha256(raw).digest()

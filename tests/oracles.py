@@ -9,7 +9,8 @@ intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups are closed under joins one frozenset at a
 time with every lattice table filled pair by pair, meets are validated
 pair by pair, compatibility is scanned edge by edge, the restriction
-poset is built by a per-edge loop, M(O) runs the literal recursion, and
+poset is built by a per-edge loop, M(O) runs the literal recursion and
+the disklike M(O) the cover-relation worklist, and
 orbits, conjugation closure and the conjugation axiom loop over every
 permutation of the action instead of reading the site's orbit table.
 """
@@ -25,9 +26,9 @@ from transfer_systems.enumeration import _canonical
 from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
-from transfer_systems.restriction import FAILURE, SUCCESS
+from transfer_systems.restriction import FAILURE, SUCCESS, restriction_poset
 from transfer_systems.sites import Site
-from transfer_systems.systems import ViolationReport, generate_from_edges
+from transfer_systems.systems import TransferSystem, ViolationReport, generate_from_edges
 
 
 def closure_fixpoint(site: Site, edges) -> np.ndarray:
@@ -129,6 +130,12 @@ def brute_force_subgroups(group: Group) -> set[frozenset[int]]:
         for subset in combinations(elements, r):
             found.add(group.closure(subset))
     return found
+
+
+def associative_by_triples(mul: np.ndarray) -> bool:
+    """(ab)c = a(bc) for every triple of the table."""
+    n = len(mul)
+    return bool(np.array_equal(mul[mul], mul[np.arange(n)[:, None, None], mul[None]]))
 
 
 def subgroup_lattice_by_joins(
@@ -324,11 +331,54 @@ def restriction_poset_by_loop(ts):
 
 
 def max_compat_by_recursion(poset) -> list[tuple[int, int]]:
-    """M(O) edges by the literal recursion along the poset's topological order."""
-    in_m = [False] * len(poset)
-    for j in poset.topological_order():
-        in_m[j] = all(in_m[i] and poset.is_success(i, j) for i in poset.strict_below(j))
+    """M(O) edges by the literal recursion, nodes taken by down-set size.
+
+    A strict restriction has a smaller down-set, so every r < e is decided
+    before e.
+    """
+    m = len(poset)
+    in_m = [False] * m
+    for j in sorted(range(m), key=lambda j: int(poset.leq[:, j].sum())):
+        in_m[j] = all(
+            in_m[i] and poset.annotation[i, j] == SUCCESS
+            for i in range(m) if i != j and poset.leq[i, j]
+        )
     return [e for j, e in enumerate(poset.nodes) if in_m[j]]
+
+
+def disklike_by_worklist(o):
+    """(M(O), steps) by the cover-relation worklist over the restriction poset.
+
+    Starts from the minimal nodes, repeatedly takes the least queued node
+    with no queued strict restriction, inspects its covers in order until
+    one is not kept or not a success, and decides the node's whole
+    conjugacy class with that verdict.
+    """
+    poset = restriction_poset(o)
+    site = o.site
+    m = len(poset)
+    strict = poset.leq & ~np.eye(m, dtype=bool)
+    node_reps = site.edge_rep[o.rel & ~np.eye(site.size, dtype=bool)]  # in node order
+    decided: dict[int, bool] = {i: True for i in range(m) if not strict[:, i].any()}
+    queue = sorted(set(range(m)) - decided.keys())
+    steps = 0
+    while queue:
+        queue_set = set(queue)
+        j = next(j for j in queue if not any(i in queue_set for i in np.flatnonzero(strict[:, j])))
+        verdict = True
+        for i in np.flatnonzero(poset.covers[:, j]):
+            steps += 1
+            if not (decided.get(i, False) and poset.annotation[i, j] == SUCCESS):
+                verdict = False
+                break
+        orbit = set(np.flatnonzero(node_reps == node_reps[j]).tolist())  # j's class within O
+        for i in orbit:
+            decided[i] = verdict
+        queue = [i for i in queue if i not in orbit]
+    rel = np.eye(site.size, dtype=bool)
+    for j, (k, h) in enumerate(poset.nodes):
+        rel[k, h] = decided.get(j, False)
+    return TransferSystem(site, rel), steps
 
 
 def orbit_by_loop(site: Site, edge) -> frozenset[tuple[int, int]]:

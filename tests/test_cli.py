@@ -3,6 +3,7 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,21 @@ def test_unreadable_group_file_is_a_usage_error(tmp_path, capsys, family, kind):
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
     assert str(path) in err
     assert "Traceback" not in err
+
+
+def test_non_associative_cayley_table_above_order_256(tmp_path, capsys):
+    # C1000 with one wrong entry: 5 * 7 = 13 instead of 12.
+    n = 1000
+    mul = (np.arange(n)[:, None] + np.arange(n)) % n
+    mul[5, 7] = 13
+    path = tmp_path / "c1000.cayley"
+    path.write_text(f"{n}\n" + "\n".join(" ".join(map(str, row)) for row in mul.tolist()) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "--group", f"cayley:{path}")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: cayley:") and err.count("\n") == 1
+    assert "non-associative at (4,1,7): (xg)y=13 != x(gy)=12" in err
 
 
 def test_seed_and_threads_accepted(capsys):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled, system_from_labels
-from oracles import compatible_by_scan
+from conftest import GRID_TEXT, P5_TEXT, labeled, m_poset_text, system_from_labels
+from oracles import compatible_by_scan, disklike_by_worklist
 from test_restriction import ALG_EXAMPLE_BOLD, ALG_EXAMPLE_EDGES
 from transfer_systems.compat import (
     conjecture_formula,
@@ -13,9 +13,10 @@ from transfer_systems.compat import (
     max_compat_oracle,
     max_compat_recursive,
 )
+from transfer_systems.enumeration import disklike_systems
 from transfer_systems.errors import DisklikeRequiredError
-from transfer_systems.restriction import restriction_poset
-from transfer_systems.sites import site_from_descriptor
+from transfer_systems.restriction import SUCCESS, restriction_poset
+from transfer_systems.sites import parse_poset_text, site_from_descriptor
 from transfer_systems.systems import (
     close_res,
     BinaryRelation,
@@ -147,8 +148,9 @@ def test_non_disklike_example_defeats_conjecture_formula(non_disklike_example, c
     assert truth <= formula
     # the kept top edge has no direct compatibility failure below it
     poset = restriction_poset(non_disklike_example)
-    j = poset.index[(c12_site.node("C4"), c12_site.node("C12"))]
-    assert all(poset.is_success(i, j) for i in poset.strict_below(j))
+    j = poset.nodes.index((c12_site.node("C4"), c12_site.node("C12")))
+    below = poset.leq[:, j] & (np.arange(len(poset)) != j)
+    assert below.any() and (poset.annotation[below, j] == SUCCESS).all()
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,30 @@ def test_algorithm_agrees_with_oracle(catalog_name, request):
             assert result.system == max_compat_oracle(ts)
             c_o = restriction_poset(ts).cover_count
             assert result.steps <= max(c_o, 0)
+
+
+# Every disklike system of these sites (S5 only up to complexity 1): the
+# one-pass algorithm and the worklist agree on M(O) and on the step count.
+WORKLIST_SCOPES = [
+    ("cyclic:36", None), ("dihedral:4", None), ("symmetric:4", None), ("dihedral:6", None),
+    ("product:6x2", None), (P5_TEXT, None), (GRID_TEXT, None), (m_poset_text(5), None),
+    ("symmetric:5", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "source, bound", WORKLIST_SCOPES, ids=["C36", "D4", "S4", "D6", "C6xC2", "P5", "grid", "M5", "S5"]
+)
+def test_algorithm_matches_the_worklist(source, bound):
+    if "nodes:" in source:
+        site = parse_poset_text(source)
+    else:
+        site = site_from_descriptor(source)
+    systems = disklike_systems(site, max_generators=bound)
+    assert systems
+    for ts in systems:
+        result = max_compat_disklike(ts)
+        assert (result.system, result.steps) == disklike_by_worklist(ts)
 
 
 # ---------------------------------------------------------------------------

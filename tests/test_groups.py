@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from transfer_systems.errors import (
 )
 from oracles import product_with_normal
 from transfer_systems.groups import (
+    _validate_table,
     build_group,
     small_group_descriptors,
     subgroup_lattice,
@@ -204,6 +206,36 @@ def test_cayley_file_rejects_non_associative(tmp_path):
     path.write_text("3\n0 1 2\n1 2 0\n2 1 0\n")
     with pytest.raises(InputFileError, match="associative|inverse"):
         build_group(f"cayley:{path}")
+
+
+def test_associativity_check_matches_the_full_scan():
+    # single wrong entries in the S4 table, judged against every triple
+    mul = np.array(build_group("symmetric:4").mul)
+    n = len(mul)
+    rng = np.random.default_rng(5)
+    caught = 0
+    for _ in range(300):
+        bad = mul.copy()
+        a, b = rng.integers(1, n, size=2)
+        bad[a, b] = (bad[a, b] + rng.integers(1, n)) % n
+        try:
+            _validate_table(bad, "t")
+        except InputFileError as exc:
+            message = str(exc)
+            if "non-associative" not in message:
+                continue  # an earlier check (identity, inverses) fired
+            x, g, y = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", message).groups())
+            assert bad[bad[x, g], y] != bad[x, bad[g, y]]
+            assert not oracles.associative_by_triples(bad)
+            caught += 1
+        else:
+            assert oracles.associative_by_triples(bad)
+    assert caught > 200
+
+
+def test_associativity_check_accepts_groups():
+    for desc in small_group_descriptors(24) + ["symmetric:5", "alternating:5", "product:2x2x2x2x2"]:
+        _validate_table(np.array(build_group(desc).mul), desc)
 
 
 def test_permutation_file_generates_s3(tmp_path):

@@ -5,7 +5,7 @@ from conftest import chain_site, system_from_labels
 from oracles import max_compat_by_recursion, restriction_poset_by_loop
 from transfer_systems import enumeration
 from transfer_systems.compat import conjecture_formula, max_compat_recursive
-from transfer_systems.restriction import restriction_poset
+from transfer_systems.restriction import FAILURE, NOT_COMPARABLE, SUCCESS, restriction_poset
 from transfer_systems.systems import generate_from_edges, trivial_ts
 
 # The worked C_{p^2 q^2} example at p=2, q=3: a disklike system on C36 whose
@@ -43,13 +43,12 @@ def test_fig1_d_poset(fig1, c6_site):
     e = lambda a, b: (c6_site.node(a), c6_site.node(b))
     top = e("1", "C6")
     assert set(poset.nodes) == {e("1", "C2"), e("1", "C3"), top}
-    assert poset.covers[poset.index[e("1", "C2")], poset.index[top]]
-    assert poset.covers[poset.index[e("1", "C3")], poset.index[top]]
+    c2, c3, t = (poset.nodes.index(x) for x in (e("1", "C2"), e("1", "C3"), top))
+    assert poset.covers[c2, t] and poset.covers[c3, t]
     assert poset.cover_count == 2
     # both covers are failures: 1 -> 1 is additive but C2 -> C6, C3 -> C6 are not in d
-    assert poset.annotation_name(e("1", "C2"), top) == "failure"
-    assert poset.annotation_name(e("1", "C3"), top) == "failure"
-    assert poset.annotation_name(e("1", "C2"), e("1", "C3")) == "not-comparable"
+    assert poset.annotation[c2, t] == poset.annotation[c3, t] == FAILURE
+    assert poset.annotation[c2, c3] == NOT_COMPARABLE
 
 
 def test_poset_axioms(c12_catalog):
@@ -99,26 +98,16 @@ def test_alg_example_annotations(alg_example, c36_site):
     e = lambda a, b: (c36_site.node(a), c36_site.node(b))
     e1, e2, e3 = e("C3", "C9"), e("C6", "C18"), e("C12", "C36")
     f1, g1, f2 = e("1", "C2"), e("1", "C3"), e("1", "C6")
-    assert poset.annotation_name(e1, e2) == "failure"
-    assert poset.covers[poset.index[e1], poset.index[e2]]
-    assert poset.annotation_name(f1, f2) == "success"
-    assert poset.annotation_name(g1, f2) == "success"
-    assert poset.covers[poset.index[f1], poset.index[f2]]
-    assert poset.covers[poset.index[g1], poset.index[f2]]
-    assert poset.covers[poset.index[e2], poset.index[e3]]
-    # e1, f1, g1 restrict into nothing else
+    e1, e2, e3, f1, g1, f2 = (poset.nodes.index(x) for x in (e1, e2, e3, f1, g1, f2))
+    assert poset.annotation[e1, e2] == FAILURE
+    assert poset.covers[e1, e2]
+    assert poset.annotation[f1, f2] == poset.annotation[g1, f2] == SUCCESS
+    assert poset.covers[f1, f2]
+    assert poset.covers[g1, f2]
+    assert poset.covers[e2, e3]
+    # e1, f1, g1 restrict onto nothing but themselves: they are minimal
     for minimal in (e1, f1, g1):
-        assert poset.index[minimal] in poset.minimal()
-
-
-def test_topological_order_is_a_linear_extension(c12_catalog):
-    for ts in c12_catalog.systems:
-        poset = restriction_poset(ts)
-        position = {j: t for t, j in enumerate(poset.topological_order())}
-        for i in range(len(poset)):
-            for j in range(len(poset)):
-                if poset.strict[i, j]:
-                    assert position[i] < position[j]
+        assert poset.leq[:, minimal].sum() == 1
 
 
 def test_cover_count_on_a_long_chain():
@@ -140,8 +129,8 @@ def assert_matches_loop_forms(ts):
     assert not poset.covers.flags.writeable
     assert max_compat_recursive(ts).edges() == max_compat_by_recursion(poset)
     assert conjecture_formula(ts) == frozenset(
-        e for j, e in enumerate(poset.nodes)
-        if all(poset.is_success(i, j) for i in poset.strict_below(j))
+        e for j, e in enumerate(nodes)
+        if all(annotation[i, j] == SUCCESS for i in range(len(nodes)) if i != j and leq[i, j])
     )
 
 

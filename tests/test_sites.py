@@ -120,9 +120,14 @@ def test_derived_meet_matches_pairwise_oracle(leq):
     got = _raised(lambda: Site(leq.copy(), identity, labels, kind="abstract"))
     assert got == want
     if want is None:
-        meet = Site(leq.copy(), identity, labels, kind="abstract").meet
+        site = Site(leq.copy(), identity, labels, kind="abstract")
+        meet = site.meet
         assert meet.dtype == np.int32 and not meet.flags.writeable
         assert np.array_equal(meet, oracles.meet_table_by_pairs(leq, labels))
+        assert site.pairs == tuple(
+            (a, b) for a in range(n) for b in range(n) if a != b and leq[a, b]
+        )
+        assert all(type(v) is int for pair in site.pairs for v in pair)
 
 
 def test_poset_fixture_meets_match_pairwise_oracle(p5_site, grid_site):

@@ -629,8 +629,10 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     index = {row.tobytes(): i for i, row in enumerate(members)}
     m = len(subs)
 
-    # |i & j| == |i| iff i <= j.
-    counts = members.astype(np.int32)
+    # |i & j| == |i| iff i <= j.  A float32 product runs on BLAS (an int32
+    # one does not) and is exact: every count is at most |G|, far below 2**24
+    # (the default order cap is 1000).
+    counts = members.astype(np.float32)
     sizes = counts.sum(axis=1)
     leq = (counts @ counts.T) == sizes[:, None]
 

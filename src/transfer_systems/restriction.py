@@ -17,7 +17,9 @@ computed once per system and cached.  The cover relation costs a boolean
 m-by-m product, so it is computed on first use: the cover count and the
 disklike M(O) read it, while the recursive M(O) and the conjecture formula
 need only ``leq`` and ``annotation``.  ``cover_relation`` is the one
-cover-relation helper; the renderers use it on the site order too.
+cover-relation helper; the renderers use it on the site order too.  Its
+m-by-m product stays a NumPy bool ``@`` (see ``cover_relation``), while the
+site-sized products elsewhere run through ``sites._bmm``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ FAILURE = 2
 
 
 def cover_relation(leq: np.ndarray) -> np.ndarray:
-    """``covers[i, j]``: i < j in the order ``leq`` with nothing strictly between."""
+    """``covers[i, j]``: i < j in the order ``leq`` with nothing strictly between.
+
+    The product stays a bool ``@`` rather than ``sites._bmm``: m reaches
+    ~940 on S5, and there float32 operands raised the ``conjecture``
+    benchmark's peak RSS by 8.8%, near its 10% bound.
+    """
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
     return strict & ~(strict @ strict)
 

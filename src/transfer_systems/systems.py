@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InternalCheckError, MismatchedSitesError, UsageError
-from .sites import Site
+from .sites import Site, _bmm
 
 
 class BinaryRelation:
@@ -41,7 +41,7 @@ class BinaryRelation:
         return BinaryRelation(site, rel)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(int(a), int(b)) for a, b in np.argwhere(self.rel)]
+        return list(map(tuple, np.argwhere(self.rel).tolist()))
 
     def nonreflexive_edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a, b in self.edges() if a != b]
@@ -126,7 +126,7 @@ class TransferSystem:
 
     def edges(self) -> list[tuple[int, int]]:
         """Non-reflexive edges in canonical (src, dst) order."""
-        return [(int(a), int(b)) for a, b in np.argwhere(self.rel & ~np.eye(self.site.size, dtype=bool))]
+        return list(map(tuple, np.argwhere(self.rel & ~np.eye(self.site.size, dtype=bool)).tolist()))
 
     @property
     def edge_count(self) -> int:
@@ -165,12 +165,12 @@ def _first_violation(site: Site, rel: np.ndarray) -> Optional[ViolationReport]:
                 return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
     # lost[K, L]: K /\ L -> L is missing, so no edge K -> H with L <= H may stay
     lost = ~rel[site.meet, np.arange(n)]
-    bad = rel & (lost @ site.leq)
+    bad = rel & _bmm(lost, site.leq)
     if np.any(bad):
         k, h = map(int, np.argwhere(bad)[0])
         l = int(np.flatnonzero(lost[k] & site.leq[:, h])[0])
         return ViolationReport("restriction", ((k, h), l, (int(site.meet[k, l]), l)))
-    bad = (rel @ rel) & ~rel
+    bad = _bmm(rel, rel) & ~rel
     if np.any(bad):
         l, h = map(int, np.argwhere(bad)[0])
         k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
@@ -208,7 +208,7 @@ def _conj(site: Site, rel: np.ndarray) -> np.ndarray:
 def _res(site: Site, rel: np.ndarray) -> np.ndarray:
     out = rel.copy()
     # restricting some edge K -> H of rel along L <= H gives K /\ L -> L
-    k, l = np.nonzero(rel @ site.leq.T)
+    k, l = np.nonzero(_bmm(rel, site.leq.T))
     out[site.meet[k, l], l] = True
     return out
 
@@ -216,7 +216,7 @@ def _res(site: Site, rel: np.ndarray) -> np.ndarray:
 def _comp(rel: np.ndarray) -> np.ndarray:
     out = rel
     while True:
-        new = out | (out @ out)
+        new = out | _bmm(out, out)
         # same shape and dtype; bytes compare far faster than np.array_equal
         if new.tobytes() == out.tobytes():
             return new
@@ -324,7 +324,7 @@ def is_saturated(ts: TransferSystem) -> SaturationResult:
     """Check for triples L <= K <= H with L->H present but K->H missing."""
     site, rel = ts.site, ts.rel
     gap = site.leq & ~rel  # K -> H missing
-    reach = site.leq @ gap  # exists K >= L with gap
+    reach = _bmm(site.leq, gap)  # exists K >= L with gap
     bad = rel & reach
     if not np.any(bad):
         return SaturationResult(True, None)
@@ -342,7 +342,7 @@ def hull(ts: TransferSystem) -> TransferSystem:
     while True:
         gap = site.leq & ~rel
         # needed[K,H]: some L <= K has L->H, while K->H is missing
-        reach = site.leq.T @ rel
+        reach = _bmm(site.leq.T, rel)
         needed = gap & reach
         if not np.any(needed):
             out = TransferSystem(site, rel)

@@ -185,6 +185,15 @@ def test_criterion_7b_conjecture_s5_long():
                f"({report.systems_checked} systems)", started)
 
 
+def test_criterion_7b_conjecture_s5_complexity_3():
+    started = time.perf_counter()
+    report = verify_conjecture([site_from_descriptor("symmetric:5")], complexity_bound=3)
+    assert report.ok, report.counterexamples
+    assert report.systems_checked == 627
+    _report(7, f"(b, long) zero counterexamples over S5 complexity <= 3 "
+               f"({report.systems_checked} systems)", started)
+
+
 def test_criterion_7_known_negative_cases(c12_site, p5_site):
     started = time.perf_counter()
     # non-disklike C12 system: the formula wrongly keeps the top transfer

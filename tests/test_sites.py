@@ -10,7 +10,9 @@ from conftest import GRID_TEXT, P5_TEXT, m_poset_text
 from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
 from transfer_systems.groups import build_group, subgroup_lattice
 from transfer_systems.sites import (
+    _BMM_BLAS_MIN,
     Site,
+    _bmm,
     interval_above,
     parse_poset_text,
     site_from_descriptor,
@@ -75,6 +77,46 @@ def test_orbit_table_matches_loop_oracles(
     top_edges = [(h, site.top) for h in range(site.size) if h != site.top]
     subset = data.draw(st.lists(st.sampled_from(top_edges), unique=True, max_size=4))
     assert site.subset_orbit_key(subset) == oracles.subset_orbit_key_by_loop(site, subset)
+
+
+@st.composite
+def bool_operands(draw):
+    """A pair of random bool operands of one of four shapes, sized on both
+    sides of the BLAS crossover: square, non-square, vector-matrix, and a
+    matrix times a transposed view."""
+    m, k, n = (draw(st.integers(1, 2 * _BMM_BLAS_MIN)) for _ in range(3))
+    kind = draw(st.sampled_from(["square", "rect", "vector", "transposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+
+    def bits(*shape):
+        return rng.random(shape) < density
+
+    if kind == "square":
+        return bits(k, k), bits(k, k)
+    if kind == "rect":
+        return bits(m, k), bits(k, n)
+    if kind == "vector":
+        return bits(k), bits(k, n)
+    return bits(m, k), bits(n, k).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(bool_operands())
+def test_bmm_matches_bool_matmul(operands):
+    a, b = operands
+    got = _bmm(a, b)
+    assert got.dtype == bool
+    assert np.array_equal(got, a @ b)
+
+
+@pytest.mark.parametrize("ones", [256, 300])
+def test_bmm_exact_at_large_counts(ones):
+    # every entry sums `ones` terms; 300 is the all-True pair, 256 wraps to 0 in 8 bits
+    a = np.ones((300, 300), dtype=bool)
+    b = np.zeros((300, 300), dtype=bool)
+    b[:ones] = True
+    assert np.array_equal(_bmm(a, b), a @ b)
 
 
 def _raised(check):

@@ -128,7 +128,9 @@ def test_close_comp_two_step_chain():
 
 def test_close_refl_adds_diagonal(c6_site):
     b = BinaryRelation.from_edges(c6_site, [])
-    assert set(close_refl(b).edges()) == {(i, i) for i in range(c6_site.size)}
+    edges = close_refl(b).edges()
+    assert edges == [(i, i) for i in range(c6_site.size)]
+    assert all(type(v) is int for edge in edges for v in edge)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +142,17 @@ def test_generate_empty_is_trivial(c6_site, s3_site, q8_site):
         assert generate_from_edges(site, []) == trivial_ts(site)
 
 
-def test_generate_s3_example(s3_site):
+def test_generate_s3_example(s3_site, s4_site):
     ts = generate_from_edges(s3_site, by_label(s3_site, [("<(12)>", "S3")]))
     all_pairs = set(s3_site.pairs)
     assert set(ts.edges()) == all_pairs - {(s3_site.node("<(123)>"), s3_site.node("S3"))}
+    for o in (ts, complete_ts(s4_site)):
+        edges = o.edges()  # row-major, plain ints
+        assert edges == [
+            (a, b) for a in range(o.site.size) for b in range(o.site.size)
+            if a != b and o.rel[a, b]
+        ]
+        assert all(type(v) is int for edge in edges for v in edge)
 
 
 def test_generate_c6_universal(fig1, c6_site):

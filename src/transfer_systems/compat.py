@@ -9,28 +9,39 @@ on BLAS for sites of ``_BMM_BLAS_MIN`` nodes or more) marks exactly the
 multiplicative edges K -> H that break condition (2) against O: some J <= H
 has K /\\ J -> K additive while J -> H is missing.  Reflexive entries are
 never blocked (hyp[H, J] = O[J, H] for J <= H), so (O, O_m) is compatible
-iff ``O_m.rel & blocked`` is empty.
+iff ``O_m.rel & blocked`` is empty.  ``hyp`` is one flat gather through the
+site's ``meet_flat`` table.
+
+The same matrix decides the restriction poset's annotations.  An edge
+e = K -> H of O restricts along J <= H onto r = K /\\ J -> J, and the pair
+is a failure iff O[K /\\ J, K] holds and O[J, H] does not.  J = H never
+fails, and J <= K cannot fail: O[J, K] and O[K, H] give O[J, H] by
+composition.  So e has a failing strict restriction iff ``blocked[e]``,
+and every method below except the disklike one runs on n-by-n matrices
+without building the m-by-m poset.
 
 Three independent computations of M(O) are provided:
 
 * ``max_compat_oracle`` keeps each edge e whose generated system T(e) forms a
   compatible pair with O (the definitional set expression).  T(e) is
-  action-closed, so T(p.e) = T(e): each site caches T(e) once per edge orbit,
-  and the test is one masked ``any`` against ``blocked``;
-* ``max_compat_recursive`` evaluates the recursion over the full restriction
-  poset (e is kept iff every strict restriction r < e is kept and annotates
-  a compatibility success) in unrolled form: e is dropped iff some r <= e
-  has a failing strict restriction;
+  action-closed, so T(p.e) = T(e): each site keeps a table of T(e) over
+  its strict pairs, one row per edge orbit filled on first use, and every
+  edge of O is decided by one product of its rows with ``blocked``;
+* ``max_compat_recursive`` evaluates the recursion over the restriction
+  poset (e is kept iff every strict restriction r < e is kept and
+  annotates a success) in unrolled form: e is dropped iff some r <= e is
+  blocked, one product over the site order;
 * ``max_compat_disklike`` is the cover-relation algorithm for disklike
   systems: one pass over the poset nodes in order of down-set size (covers
   come first), deciding each conjugacy class of edges at its least edge
-  and counting cover inspections.
+  and counting cover inspections.  It is the one method that builds the
+  restriction poset.
 
 Each hands ``_wrap`` a boolean mask over O's edges in node order.
 
 ``conjecture_formula`` evaluates the conjectured one-shot simplification
-(keep e iff all strict restrictions are successes) and deliberately returns
-a raw edge set rather than a validated system.
+(keep e iff all strict restrictions are successes, i.e. e is not blocked)
+and deliberately returns a raw edge set rather than a validated system.
 """
 
 from __future__ import annotations
@@ -41,11 +52,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DisklikeRequiredError
-from .restriction import FAILURE, SUCCESS, restriction_poset
+from .restriction import SUCCESS, restriction_poset
 from .sites import Site, _bmm
 from .systems import (
     TransferSystem,
-    _edge_system,
+    _orbit_table,
     _require_same_site,
     is_disklike,
 )
@@ -83,7 +94,7 @@ def _blocked(o_a: TransferSystem) -> np.ndarray:
     """
     site = o_a.site
     rel = o_a.rel
-    hyp = rel[site.meet, np.arange(site.size)[:, None]]  # hyp[K, J] = K /\ J -> K
+    hyp = rel.ravel()[site.meet_flat].T  # hyp[K, J] = K /\ J -> K
     gap = site.leq & ~rel
     return _bmm(hyp, gap)
 
@@ -113,27 +124,33 @@ def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
 def max_compat_oracle(o: TransferSystem) -> TransferSystem:
     """M(O) via the set expression: e is kept iff (O, T(e)) is compatible.
 
-    ``blocked`` is computed once for O; e is kept iff T(e), read from the
-    site's per-orbit cache, meets no blocked entry.
+    ``blocked`` is computed once for O; e is kept iff T(e), read as its
+    orbit's row of the site's table over the strict pairs, meets no
+    blocked entry.  One product decides every edge of O.
     """
-    blocked = _blocked(o)
-    return _wrap(o, [not (_edge_system(o.site, e) & blocked).any() for e in o.edges()])
+    site = o.site
+    table = _orbit_table(site)
+    rows = table.lookup(site, np.flatnonzero(o.rel & ~np.eye(site.size, dtype=bool)))
+    hit = _bmm(table.rows[rows], _blocked(o).ravel()[table.pair_flat])
+    return _wrap(o, ~hit)
 
 
 def max_compat_recursive(o: TransferSystem) -> TransferSystem:
-    """M(O) via the recursion over the full restriction poset.
+    """M(O) via the recursion over the restriction poset, on n-by-n matrices.
 
     The recursion keeps e iff every strict restriction r < e is kept and
     annotates a success.  Unrolled: e is dropped iff some r <= e has a
-    failing strict restriction (induction along any linear extension), so
-    one boolean vector-matrix product over ``leq`` decides every node.  It
-    stays a bool ``@`` rather than ``sites._bmm``: the float32 copy of the
-    m-by-m ``leq`` raised the ``conjecture`` benchmark's peak RSS from 49.2
-    to 50.6 MB (three runs each) and saved no time.
+    failing strict restriction (induction along any linear extension).
+    An edge has a failing strict restriction iff it is blocked (see the
+    module docstring: restricting along J <= K cannot fail, by
+    composition), and the restrictions of K -> H are the K /\\ J -> J for
+    J <= H.  So with F[K, J] = blocked[K /\\ J, J], e is dropped iff
+    ``(F @ leq)[e]``: one gather and one product through ``sites._bmm``.
     """
-    poset = restriction_poset(o)
-    fails = (poset.annotation == FAILURE).any(axis=0)  # some strict restriction fails
-    return _wrap(o, ~(fails @ poset.leq))
+    site = o.site
+    below = _blocked(o).ravel()[site.meet_flat]  # below[K, J] = blocked[K /\ J, J]
+    dropped = _bmm(below, site.leq)
+    return _wrap(o, ~dropped[o.rel & ~np.eye(site.size, dtype=bool)])
 
 
 class DisklikeResult(NamedTuple):
@@ -177,12 +194,13 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
 def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     """Edges e whose strict restrictions are all compatibility successes.
 
-    Returned as a raw edge set: on inputs outside the conjecture's scope it
-    can fail the transfer-system axioms, so no validation is attempted.
+    A strict restriction of e fails iff e is blocked (module docstring), so
+    these are the non-reflexive edges of O outside ``blocked``.  Returned as
+    a raw edge set: on inputs outside the conjecture's scope it can fail the
+    transfer-system axioms, so no validation is attempted.
     """
-    poset = restriction_poset(o)
-    fails = (poset.annotation == FAILURE).any(axis=0)
-    return frozenset(e for e, f in zip(poset.nodes, fails) if not f)
+    kept = o.rel & ~_blocked(o) & ~np.eye(o.site.size, dtype=bool)
+    return frozenset(map(tuple, np.argwhere(kept).tolist()))
 
 
 def _wrap(o: TransferSystem, keep) -> TransferSystem:

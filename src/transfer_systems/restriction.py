@@ -13,13 +13,18 @@ restriction K /\\ J -> J is looked up in an n-by-n node-index table, and
 ``leq`` and ``annotation`` are filled by one fancy-index assignment each.
 The poset keeps only these arrays; callers read them directly (a node's
 strict restrictions are column j of ``leq`` off the diagonal).  It is
-computed once per system and cached.  The cover relation costs a boolean
-m-by-m product, so it is computed on first use: the cover count and the
-disklike M(O) read it, while the recursive M(O) and the conjecture formula
-need only ``leq`` and ``annotation``.  ``cover_relation`` is the one
-cover-relation helper; the renderers use it on the site order too.  Its
-m-by-m product stays a NumPy bool ``@`` (see ``cover_relation``), while the
-site-sized products elsewhere run through ``sites._bmm``.
+computed once per system and cached.
+
+With m = |O| reaching about 940 on S5, the m-by-m poset is built only where
+its order itself is read: by the disklike M(O), which walks its covers, and
+by the cover count C_O (``count_cover_relations``, the audit's step ratio).
+The recursive M(O), the oracle and the conjecture formula decide the same
+annotations from the site's n-by-n matrices instead (see ``compat``).  The
+cover relation costs a boolean m-by-m product, so it is computed on first
+use.  ``cover_relation`` is the one cover-relation helper; the renderers use
+it on the site order too.  Its m-by-m product stays a NumPy bool ``@`` (see
+``cover_relation``), while the site-sized products elsewhere run through
+``sites._bmm``.
 """
 
 from __future__ import annotations

@@ -59,9 +59,13 @@ class Site:
         leq: boolean partial-order matrix with unique bottom and top.
         meet: greatest-lower-bound table, an int32 array derived from
             ``leq``; deriving it is also the lattice check.
+        meet_flat: intp table ``meet_flat[K, L] = meet[K, L] * n + L``, so
+            that ``rel.ravel()[meet_flat]`` gathers ``rel[K /\\ L, L]`` of an
+            n-by-n ``rel`` in one flat take (its ``.T`` is ``rel[K /\\ L, K]``).
         action: tuple of node permutations forming a group: it contains the
             identity and is closed under composition (hence under inverse,
-            being finite).  ``_check`` enforces both.
+            being finite).  ``_check`` enforces that each row is a
+            permutation, and both.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
             ``k * n + h`` of the lexicographically least edge (k, h) in the
             action orbit of (K, H).  Orbit questions read this table instead
@@ -97,10 +101,12 @@ class Site:
         self._check()
         self.leq.flags.writeable = False
         self.meet.flags.writeable = False
+        n = self.size
+        self.meet_flat = self.meet.astype(np.intp) * n + np.arange(n)
+        self.meet_flat.flags.writeable = False
         for p in self.action:
             p.flags.writeable = False
         self._action_array.flags.writeable = False
-        n = self.size
         rep = np.arange(n * n).reshape(n, n)
         for p in self.action:
             np.minimum(rep, p[:, None] * n + p[None, :], out=rep)
@@ -130,15 +136,20 @@ class Site:
         self.meet = _derive_meet(leq, self.labels)
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise InternalCheckError("labels must be unique, one per node")
+        acts = self._action_array
+        if not (np.sort(acts, axis=1) == np.arange(n)).all():
+            raise InternalCheckError("action must consist of permutations of the nodes")
         if not any(np.array_equal(p, np.arange(n)) for p in self.action):
             raise InternalCheckError("action must contain the identity")
         known = {p.tobytes() for p in self.action}
         for p in self.action:
-            if not all(q.tobytes() in known for q in p[self._action_array]):
+            if not all(q.tobytes() in known for q in p[acts]):
                 raise InternalCheckError("action must be closed under composition")
-        for p in self.action:
-            if not np.array_equal(leq[np.ix_(p, p)], leq):
-                raise InputFileError("declared automorphism does not preserve the order")
+        # a permutation maps the strict pairs injectively, so it preserves
+        # the order iff every strict pair lands on a strict pair
+        ks, hs = np.nonzero(leq & ~np.eye(n, dtype=bool))
+        if not leq.ravel()[acts[:, ks] * n + acts[:, hs]].all():
+            raise InputFileError("declared automorphism does not preserve the order")
 
     def node(self, label: str) -> int:
         """Node index for a display label (or a bare numeric index)."""

@@ -152,7 +152,6 @@ def _require_same_site(a, b) -> None:
 
 
 def _first_violation(site: Site, rel: np.ndarray) -> Optional[ViolationReport]:
-    n = site.size
     diag = np.diag(rel)
     if not np.all(diag):
         return ViolationReport("reflexivity", (int(np.flatnonzero(~diag)[0]),))
@@ -164,7 +163,7 @@ def _first_violation(site: Site, rel: np.ndarray) -> Optional[ViolationReport]:
                 k, h = map(int, np.argwhere(bad)[0])
                 return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
     # lost[K, L]: K /\ L -> L is missing, so no edge K -> H with L <= H may stay
-    lost = ~rel[site.meet, np.arange(n)]
+    lost = ~rel.ravel()[site.meet_flat]
     bad = rel & _bmm(lost, site.leq)
     if np.any(bad):
         k, h = map(int, np.argwhere(bad)[0])
@@ -279,6 +278,41 @@ def _edge_system(site: Site, edge: tuple[int, int]) -> np.ndarray:
     return rel
 
 
+class _OrbitTable:
+    """T(e) over a site's strict pairs, one row per edge orbit seen so far.
+
+    ``rows[row_of[r]]`` is T(e) read at the pairs ``pair_flat`` (flat
+    indices, in ``site.pairs`` order) for any edge e whose orbit has the
+    representative r.  A row is filled from ``_edge_system`` the first time
+    its orbit is asked for, so the table holds only the orbits seen.
+    """
+
+    def __init__(self, site: Site):
+        n = site.size
+        self.pair_flat = np.flatnonzero(site.leq & ~np.eye(n, dtype=bool))
+        self.row_of = np.full(n * n, -1, dtype=np.intp)
+        self.rows = np.zeros((0, self.pair_flat.size), dtype=bool)
+
+    def lookup(self, site: Site, flat: np.ndarray) -> np.ndarray:
+        """Row indices for the edges with flat indices ``flat``."""
+        reps = site.edge_rep.ravel()[flat]
+        missing = self.row_of[reps] < 0
+        if missing.any():
+            new = sorted(set(reps[missing].tolist()))  # np.unique imports numpy.ma: ~15 ms cold
+            fresh = [_edge_system(site, divmod(r, site.size)).ravel()[self.pair_flat] for r in new]
+            self.row_of[new] = np.arange(len(self.rows), len(self.rows) + len(new))
+            self.rows = np.concatenate([self.rows, fresh])
+        return self.row_of[reps]
+
+
+def _orbit_table(site: Site) -> _OrbitTable:
+    """The site's (cached) table of T(e) rows."""
+    table = site._cache.get("orbit_table")
+    if table is None:
+        table = site._cache["orbit_table"] = _OrbitTable(site)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Lattice structure on Tr(site) and named systems
 
@@ -362,8 +396,12 @@ def is_disklike(ts: TransferSystem) -> bool:
     """True iff ts is generated by its transfers into the top node (cached per system)."""
     disklike = ts._cache.get("disklike")
     if disklike is None:
-        disklike = generate_from_edges(ts.site, disklike_generators(ts)) == ts
-        ts._cache["disklike"] = disklike
+        # the system they generate is comp of the union of their T(e), as in complexity()
+        site = ts.site
+        rel = np.eye(site.size, dtype=bool)
+        for e in disklike_generators(ts):
+            rel |= _edge_system(site, e)
+        disklike = ts._cache["disklike"] = _comp(rel).tobytes() == ts.key
     return disklike
 
 

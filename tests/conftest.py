@@ -156,6 +156,11 @@ def d4_catalog(d4_site):
 
 
 @pytest.fixture(scope="session")
+def s4_catalog(s4_site):
+    return enumerate_all(s4_site)
+
+
+@pytest.fixture(scope="session")
 def grid_catalog(grid_site):
     return enumerate_all(grid_site)
 

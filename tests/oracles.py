@@ -9,8 +9,10 @@ intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups are closed under joins one frozenset at a
 time with every lattice table filled pair by pair, meets are validated
 pair by pair, compatibility is scanned edge by edge, the restriction
-poset is built by a per-edge loop, M(O) runs the literal recursion and
-the disklike M(O) the cover-relation worklist, and
+poset is built by a per-edge loop, M(O) runs the literal recursion, the
+unrolled recursion and the conjecture formula read the m-by-m restriction
+poset instead of the site's n-by-n matrices, the disklike M(O) runs the
+cover-relation worklist, and
 orbits, conjugation closure and the conjugation axiom loop over every
 permutation of the action instead of reading the site's orbit table.
 """
@@ -26,7 +28,7 @@ from transfer_systems.enumeration import _canonical
 from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
-from transfer_systems.restriction import FAILURE, SUCCESS, restriction_poset
+from transfer_systems.restriction import FAILURE, SUCCESS, RestrictionPoset, restriction_poset
 from transfer_systems.sites import Site
 from transfer_systems.systems import TransferSystem, ViolationReport, generate_from_edges
 
@@ -344,6 +346,28 @@ def max_compat_by_recursion(poset) -> list[tuple[int, int]]:
             for i in range(m) if i != j and poset.leq[i, j]
         )
     return [e for j, e in enumerate(poset.nodes) if in_m[j]]
+
+
+def max_compat_recursive_by_poset(o) -> TransferSystem:
+    """M(O) by the unrolled recursion over the restriction poset.
+
+    e is dropped iff some r <= e has a failing strict restriction: one
+    vector-matrix product over the m-by-m poset order.  The poset is built
+    afresh, not cached on O.
+    """
+    poset = RestrictionPoset(o)
+    fails = (poset.annotation == FAILURE).any(axis=0)  # some strict restriction fails
+    rel = np.eye(o.site.size, dtype=bool)
+    rel[o.rel & ~rel] = ~(fails @ poset.leq)
+    return TransferSystem(o.site, rel)
+
+
+def conjecture_formula_by_poset(o) -> frozenset[tuple[int, int]]:
+    """Poset nodes none of whose strict restrictions is annotated a failure
+    (the poset built afresh, not cached on O)."""
+    poset = RestrictionPoset(o)
+    fails = (poset.annotation == FAILURE).any(axis=0)
+    return frozenset(e for e, f in zip(poset.nodes, fails) if not f)
 
 
 def disklike_by_worklist(o):

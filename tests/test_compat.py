@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_TEXT, P5_TEXT, labeled, m_poset_text, system_from_labels
-from oracles import compatible_by_scan, disklike_by_worklist
+from oracles import (
+    compatible_by_scan,
+    conjecture_formula_by_poset,
+    disklike_by_worklist,
+    max_compat_recursive_by_poset,
+)
 from test_restriction import ALG_EXAMPLE_BOLD, ALG_EXAMPLE_EDGES
 from transfer_systems.compat import (
     conjecture_formula,
@@ -18,6 +23,7 @@ from transfer_systems.errors import DisklikeRequiredError
 from transfer_systems.restriction import SUCCESS, restriction_poset
 from transfer_systems.sites import parse_poset_text, site_from_descriptor
 from transfer_systems.systems import (
+    _edge_system,
     close_res,
     BinaryRelation,
     complete_ts,
@@ -370,3 +376,43 @@ def test_edge_system_cache_is_scoped_to_one_site():
         assert not rel.flags.writeable
         assert not np.shares_memory(rel, b._cache["edge_system"][rep])
         assert rel.tobytes() == generate_from_edges(a, [rep]).key
+
+
+def test_orbit_table_grows_with_the_orbits_seen():
+    site = site_from_descriptor("symmetric:4")
+    o = generate_from_edges(site, [(site.bottom, site.top)])
+    max_compat_oracle(o)
+    table = site._cache["orbit_table"]
+    assert [divmod(int(f), site.size) for f in table.pair_flat] == list(site.pairs)
+    reps = {int(site.edge_rep[e]) for e in o.edges()}
+    assert len(table.rows) == len(reps) == (table.row_of >= 0).sum()
+    for r in reps:
+        t = _edge_system(site, divmod(r, site.size))
+        assert np.array_equal(table.rows[table.row_of[r]], t.ravel()[table.pair_flat])
+    max_compat_oracle(complete_ts(site))
+    assert len(table.rows) == (table.row_of >= 0).sum() == 34
+
+
+# ---------------------------------------------------------------------------
+# the n-by-n recursion and formula against their restriction-poset forms
+
+
+def assert_matches_poset_forms(ts):
+    assert max_compat_recursive(ts) == max_compat_recursive_by_poset(ts)
+    assert conjecture_formula(ts) == conjecture_formula_by_poset(ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_forms_match_the_poset_on_s4(s4_catalog, data):
+    assert_matches_poset_forms(data.draw(st.sampled_from(s4_catalog.systems)))
+
+
+@pytest.mark.parametrize("descriptor", ["alternating:5", "symmetric:5"])
+def test_matrix_forms_match_the_poset_on_large_scopes(descriptor):
+    # the restriction posets here reach about 940 nodes on S5
+    systems = disklike_systems(site_from_descriptor(descriptor), max_generators=2)
+    assert systems
+    for ts in systems:
+        assert_matches_poset_forms(ts)
+        assert max_compat_oracle(ts) == max_compat_recursive(ts)

@@ -5,7 +5,13 @@ from conftest import chain_site, system_from_labels
 from oracles import max_compat_by_recursion, restriction_poset_by_loop
 from transfer_systems import enumeration
 from transfer_systems.compat import conjecture_formula, max_compat_recursive
-from transfer_systems.restriction import FAILURE, NOT_COMPARABLE, SUCCESS, restriction_poset
+from transfer_systems.restriction import (
+    FAILURE,
+    NOT_COMPARABLE,
+    SUCCESS,
+    RestrictionPoset,
+    restriction_poset,
+)
 from transfer_systems.systems import generate_from_edges, trivial_ts
 
 # The worked C_{p^2 q^2} example at p=2, q=3: a disklike system on C36 whose
@@ -148,8 +154,8 @@ def test_loop_forms_on_trivial_and_long_chain(c6_site):
     assert_matches_loop_forms(generate_from_edges(chain_site(259), [(0, 258)]))
 
 
-def test_conjecture_harness_leaves_covers_uncomputed(s4_site, monkeypatch):
-    # the recursion and the formula read leq and annotation only
+def test_conjecture_harness_builds_no_poset(s4_site, monkeypatch):
+    # the recursion and the formula run on the site's n-by-n matrices
     scope = []
     real = enumeration.disklike_systems
 
@@ -159,9 +165,13 @@ def test_conjecture_harness_leaves_covers_uncomputed(s4_site, monkeypatch):
         return systems
 
     monkeypatch.setattr(enumeration, "disklike_systems", recording)
+    built = []
+    init = RestrictionPoset.__init__
+    monkeypatch.setattr(RestrictionPoset, "__init__", lambda self, ts: built.append(ts) or init(self, ts))
     report = enumeration.verify_conjecture([s4_site], complexity_bound=2)
     assert report.ok and report.systems_checked == len(scope) > 0
-    posets = [ts._cache["restriction_poset"] for ts in scope]
+    assert not built and not any("restriction_poset" in ts._cache for ts in scope)
+    posets = [restriction_poset(ts) for ts in scope]
     assert all("covers" not in poset.__dict__ for poset in posets)
     for poset in posets:
         assert poset.cover_count == restriction_poset_by_loop(poset.owner)[3].sum()

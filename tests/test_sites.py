@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -62,6 +63,42 @@ def test_action_must_be_closed_under_composition():
         Site(leq, (identity, cycle), names, kind="abstract")
     site = Site(leq, (identity, cycle, cycle[cycle]), names, kind="abstract")
     assert site.orbit((0, 1)) == {(0, 1), (0, 2), (0, 3)}
+
+
+def test_action_must_consist_of_permutations():
+    # On M3, f = (bot, a, a, a, top) sends every strict pair to a strict
+    # pair and {id, f} is closed under composition, yet f is no bijection.
+    names = ("bot", "a", "b", "c", "top")
+    leq = np.eye(5, dtype=bool)
+    leq[0, :] = leq[:, 4] = True
+    identity = np.arange(5, dtype=np.int32)
+    collapse = np.array([0, 1, 1, 1, 4], dtype=np.int32)
+    with pytest.raises(InternalCheckError, match="permutations of the nodes"):
+        Site(leq, (identity, collapse), names, kind="abstract")
+    with pytest.raises(InternalCheckError, match="permutations of the nodes"):
+        Site(leq, (identity, np.array([0, 1, 2, 3, 5], dtype=np.int32)), names, kind="abstract")
+
+
+def test_declared_automorphism_must_preserve_the_order():
+    # swapping A and C in P5 sends C < B to A, B, which are incomparable
+    with pytest.raises(InputFileError, match="does not preserve the order"):
+        parse_poset_text(P5_TEXT + "auto: bot C B A top\n")
+    # every permutation of M3's nodes: accepted iff leq[p, p] == leq
+    m3 = m_poset_text(3)
+    names = ["bot", "a0", "a1", "a2", "top"]
+    leq = parse_poset_text(m3).leq
+    accepted = 0
+    for p in itertools.permutations(range(5)):
+        preserves = np.array_equal(leq[np.ix_(p, p)], leq)
+        text = m3 + "auto: " + " ".join(names[i] for i in p) + "\n"
+        try:
+            parse_poset_text(text)
+        except InputFileError as exc:
+            assert "does not preserve the order" in str(exc) and not preserves
+        else:
+            assert preserves
+            accepted += 1
+    assert accepted == 6  # the permutations of the three atoms
 
 
 @settings(max_examples=200, deadline=None)

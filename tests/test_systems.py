@@ -397,7 +397,9 @@ def test_s3_maximal_disklike_generators(s3_site):
 
 
 @pytest.mark.parametrize(
-    "catalog_name", ["c6_catalog", "c12_catalog", "s3_catalog", "q8_catalog", "c36_catalog"]
+    "catalog_name",
+    ["c6_catalog", "c12_catalog", "s3_catalog", "q8_catalog", "c36_catalog", "d4_catalog",
+     "s4_catalog"],
 )
 def test_disklike_criteria_agree(catalog_name, request):
     catalog = request.getfixturevalue(catalog_name)

@@ -33,7 +33,6 @@ from .groups import (
     small_group_descriptors,
     subgroup_lattice,
 )
-from .restriction import RestrictionPoset, restriction_poset
 from .sites import (
     IntervalView,
     Site,

@@ -12,13 +12,20 @@ never blocked (hyp[H, J] = O[J, H] for J <= H), so (O, O_m) is compatible
 iff ``O_m.rel & blocked`` is empty.  ``hyp`` is one flat gather through the
 site's ``meet_flat`` table.
 
-The same matrix decides the restriction poset's annotations.  An edge
-e = K -> H of O restricts along J <= H onto r = K /\\ J -> J, and the pair
-is a failure iff O[K /\\ J, K] holds and O[J, H] does not.  J = H never
-fails, and J <= K cannot fail: O[J, K] and O[K, H] give O[J, H] by
-composition.  So e has a failing strict restriction iff ``blocked[e]``,
-and every method below except the disklike one runs on n-by-n matrices
-without building the m-by-m poset.
+The methods for M(O) are written in the restriction poset of O: its nodes
+are the non-reflexive edges of O, and e = K -> H restricts along J <= H
+onto r = K /\\ J -> J, a pair annotated a failure iff O[K /\\ J, K] holds
+and O[J, H] does not.  No method builds that m-by-m poset; two facts put
+everything on the site's n-by-n matrices.
+
+* The down-set of e is {K /\\ J -> J : J <= H, J not <= K}, ordered like
+  the J's: a restriction of a restriction is the restriction along the
+  smaller node, and J <= J' with J not <= K gives J' not <= K.  So the
+  covers of e are the K /\\ J -> J with J covered by H in the site and
+  J not <= K, and |down(e)| = #{J <= H : J not <= K}.
+* e has a failing strict restriction iff ``blocked[e]``: J = H never fails,
+  and J <= K cannot fail, since O[J, K] and O[K, H] give O[J, H] by
+  composition.
 
 Three independent computations of M(O) are provided:
 
@@ -34,8 +41,8 @@ Three independent computations of M(O) are provided:
 * ``max_compat_disklike`` is the cover-relation algorithm for disklike
   systems: one pass over the poset nodes in order of down-set size (covers
   come first), deciding each conjugacy class of edges at its least edge
-  and counting cover inspections.  It is the one method that builds the
-  restriction poset.
+  and counting cover inspections.  It reads each node's covers from the
+  site's cover relation.
 
 Each hands ``_wrap`` a boolean mask over O's edges in node order.
 
@@ -52,7 +59,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DisklikeRequiredError
-from .restriction import SUCCESS, restriction_poset
 from .sites import Site, _bmm
 from .systems import (
     TransferSystem,
@@ -142,13 +148,16 @@ def max_compat_recursive(o: TransferSystem) -> TransferSystem:
     annotates a success.  Unrolled: e is dropped iff some r <= e has a
     failing strict restriction (induction along any linear extension).
     An edge has a failing strict restriction iff it is blocked (see the
-    module docstring: restricting along J <= K cannot fail, by
-    composition), and the restrictions of K -> H are the K /\\ J -> J for
-    J <= H.  So with F[K, J] = blocked[K /\\ J, J], e is dropped iff
+    module docstring), and the restrictions of K -> H are the K /\\ J -> J
+    for J <= H.  So with F[K, J] = blocked[K /\\ J, J], e is dropped iff
     ``(F @ leq)[e]``: one gather and one product through ``sites._bmm``.
     """
+    return _max_compat_recursive(o, _blocked(o))
+
+
+def _max_compat_recursive(o: TransferSystem, blocked: np.ndarray) -> TransferSystem:
     site = o.site
-    below = _blocked(o).ravel()[site.meet_flat]  # below[K, J] = blocked[K /\ J, J]
+    below = blocked.ravel()[site.meet_flat]  # below[K, J] = blocked[K /\ J, J]
     dropped = _bmm(below, site.leq)
     return _wrap(o, ~dropped[o.rel & ~np.eye(site.size, dtype=bool)])
 
@@ -171,24 +180,40 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     conjugate edges have equal down-sets, so each conjugacy class of edges
     is decided once, at its least edge, as a worklist that always takes the
     least ready node would decide it.
+
+    By the identity in the module docstring, the covers of e = K -> H are
+    the K /\\ J -> J for the site covers J of H with J not <= K, and
+    |down(e)| = #{J <= H : J not <= K}.  The covers of every class's least
+    edge are listed at once, from n-by-m masks, before the pass.
     """
     if not is_disklike(o):
         raise DisklikeRequiredError("the cover-relation algorithm requires a disklike system")
-    poset = restriction_poset(o)
     site = o.site
-    nodes = np.flatnonzero(o.rel & ~np.eye(site.size, dtype=bool))  # flat indices, node order
-    reps = site.edge_rep.ravel()[nodes]
-    kept = np.zeros(len(nodes), dtype=bool)
+    n = site.size
+    rel = o.rel
+    edge_rep = site.edge_rep.ravel()
+    nodes = np.flatnonzero(rel & ~np.eye(n, dtype=bool))  # flat indices, node order
+    least = nodes[edge_rep[nodes] == nodes]  # the least edge of each class
+    ks, hs = np.divmod(least, n)
+    outside = ~site.leq[:, ks]  # outside[J, i]: J not <= K
+    down = (site.leq[:, hs] & outside).sum(axis=0)
+    # every pair (least edge i = K -> H, cover K /\ J -> J), each i's covers in node order
+    i, j = np.nonzero((site.covers[:, hs] & outside).T)
+    cover = site.meet_flat[ks[i], j]
+    order = np.lexsort((cover, i))
+    i, j, cover = i[order], j[order], cover[order]
+    success = ~(rel.ravel()[site.meet_flat[j, ks[i]]] & ~rel[j, hs[i]])
+    cover_class = edge_rep[cover]
+    bounds = np.searchsorted(i, np.arange(len(least) + 1)).tolist()
+    kept = np.zeros(n * n, dtype=bool)  # by class, at the flat index of its least edge
     steps = 0
-    for j in np.argsort(poset.leq.sum(axis=0), kind="stable"):
-        if reps[j] != nodes[j]:
-            continue  # decided with the least edge of its class
-        below = np.flatnonzero(poset.covers[:, j])
-        ok = kept[below] & (poset.annotation[below, j] == SUCCESS)
+    for x in np.argsort(down, kind="stable").tolist():
+        lo, hi = bounds[x], bounds[x + 1]
+        ok = kept[cover_class[lo:hi]] & success[lo:hi]
         verdict = bool(ok.all())
-        steps += below.size if verdict else int(ok.argmin()) + 1
-        kept[reps == reps[j]] = verdict
-    return DisklikeResult(_wrap(o, kept), steps)
+        steps += hi - lo if verdict else int(ok.argmin()) + 1
+        kept[least[x]] = verdict
+    return DisklikeResult(_wrap(o, kept[edge_rep[nodes]]), steps)
 
 
 def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
@@ -199,7 +224,11 @@ def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     a raw edge set: on inputs outside the conjecture's scope it can fail the
     transfer-system axioms, so no validation is attempted.
     """
-    kept = o.rel & ~_blocked(o) & ~np.eye(o.site.size, dtype=bool)
+    return _conjecture_formula(o, _blocked(o))
+
+
+def _conjecture_formula(o: TransferSystem, blocked: np.ndarray) -> frozenset[tuple[int, int]]:
+    kept = o.rel & ~blocked & ~np.eye(o.site.size, dtype=bool)
     return frozenset(map(tuple, np.argwhere(kept).tolist()))
 
 

@@ -20,19 +20,21 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .compat import (
-    conjecture_formula,
+    _blocked,
+    _conjecture_formula,
+    _max_compat_recursive,
     is_compatible,
     max_compat_disklike,
     max_compat_oracle,
     max_compat_recursive,
 )
 from .errors import CapExceededError, InternalCheckError, UsageError
-from .restriction import restriction_poset
 from .sites import Site
 from .systems import (
     TransferSystem,
     _comp,
     _edge_closure,
+    count_cover_relations,
     generate_from_edges,
     is_disklike,
     is_saturated,
@@ -251,7 +253,7 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
                         f"algorithm={_labeled_edges(result.system)} oracle={_labeled_edges(oracle)}",
                     )
                 )
-            c_o = restriction_poset(ts).cover_count
+            c_o = count_cover_relations(ts)
             if c_o == 0:
                 if result.steps != 0:
                     disagreements.append(
@@ -357,8 +359,9 @@ def verify_conjecture(
         scopes.append(desc)
         for ts in disklike_systems(site, complexity_bound, require_bottom_to_top, cap):
             checked += 1
-            formula = conjecture_formula(ts)
-            truth = frozenset(max_compat_recursive(ts).edges())
+            blocked = _blocked(ts)  # shared by the formula and the recursion
+            formula = _conjecture_formula(ts, blocked)
+            truth = frozenset(_max_compat_recursive(ts, blocked).edges())
             if formula != truth:
                 lab = site.labels
 

@@ -13,7 +13,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .restriction import cover_relation
 from .systems import TransferSystem
 
 
@@ -66,7 +65,7 @@ def render_dot(
         else:
             lines.append(f"  n{a} -> n{b};")
         drawn.add((a, b))
-    for a, b in np.argwhere(cover_relation(site.leq)).tolist():
+    for a, b in np.argwhere(site.covers).tolist():
         if (a, b) not in drawn:
             lines.append(f"  n{a} -> n{b} [style=dotted, arrowhead=none];")
     lines.append("}")
@@ -94,7 +93,7 @@ def render_tikz(
         arrow = "->" if style == "->" else f"->,{style}"
         lines.append(f"  \\draw[{arrow}] (n{a}) -- (n{b});")
         drawn.add((a, b))
-    for a, b in np.argwhere(cover_relation(site.leq)).tolist():
+    for a, b in np.argwhere(site.covers).tolist():
         if (a, b) not in drawn:
             lines.append(f"  \\draw[dotted] (n{a}) -- (n{b});")
     lines.append("\\end{tikzpicture}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,8 @@ class Site:
             identity and is closed under composition (hence under inverse,
             being finite).  ``_check`` enforces that each row is a
             permutation, and both.
+        covers: read-only cover relation of ``leq``, computed on first
+            use: ``covers[J, H]`` iff J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
             ``k * n + h`` of the lexicographically least edge (k, h) in the
             action orbit of (K, H).  Orbit questions read this table instead
@@ -150,6 +153,13 @@ class Site:
         ks, hs = np.nonzero(leq & ~np.eye(n, dtype=bool))
         if not leq.ravel()[acts[:, ks] * n + acts[:, hs]].all():
             raise InputFileError("declared automorphism does not preserve the order")
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        strict = self.leq & ~np.eye(self.size, dtype=bool)
+        covers = strict & ~_bmm(strict, strict)
+        covers.flags.writeable = False
+        return covers
 
     def node(self, label: str) -> int:
         """Node index for a display label (or a bare numeric index)."""

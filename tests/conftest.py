@@ -165,6 +165,11 @@ def grid_catalog(grid_site):
     return enumerate_all(grid_site)
 
 
+@pytest.fixture(scope="session")
+def p5_catalog(p5_site):
+    return enumerate_all(p5_site)
+
+
 FIG1_EDGES = {
     "a": [("1", "C2"), ("1", "C3"), ("1", "C6"), ("C2", "C6"), ("C3", "C6")],
     "b": [("1", "C2"), ("1", "C3"), ("1", "C6"), ("C3", "C6")],

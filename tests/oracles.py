@@ -8,17 +8,20 @@ subset of a system's edges, setwise products KN are multiplied out, the hull
 intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups are closed under joins one frozenset at a
 time with every lattice table filled pair by pair, meets are validated
-pair by pair, compatibility is scanned edge by edge, the restriction
-poset is built by a per-edge loop, M(O) runs the literal recursion, the
-unrolled recursion and the conjecture formula read the m-by-m restriction
-poset instead of the site's n-by-n matrices, the disklike M(O) runs the
-cover-relation worklist, and
-orbits, conjugation closure and the conjugation axiom loop over every
-permutation of the action instead of reading the site's orbit table.
+pair by pair, compatibility is scanned edge by edge, the m-by-m
+restriction poset (whose order the library reads off the site's matrices)
+is built in whole arrays and again by a per-edge loop, with its covers
+from an m-cubed product, M(O) runs the literal recursion, the unrolled
+recursion and the conjecture formula read the restriction poset instead
+of the site's n-by-n matrices, the disklike M(O) runs the cover-relation
+worklist over the poset's covers, and orbits, conjugation closure and the
+conjugation axiom loop over every permutation of the action instead of
+reading the site's orbit table.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -28,9 +31,81 @@ from transfer_systems.enumeration import _canonical
 from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
-from transfer_systems.restriction import FAILURE, SUCCESS, RestrictionPoset, restriction_poset
 from transfer_systems.sites import Site
 from transfer_systems.systems import TransferSystem, ViolationReport, generate_from_edges
+
+
+NOT_COMPARABLE = 0
+SUCCESS = 1
+FAILURE = 2
+
+
+class RestrictionPoset:
+    """Poset (<=, covers) over the non-reflexive edges of one system.
+
+    For e: K -> H and r: K' -> J, r <= e iff J <= H and K' = K /\\ J (e
+    "restricts onto" r); such an r is automatically in O.  Each comparable
+    pair is annotated a compatibility failure iff K /\\ J -> K is in O and
+    J -> H is not, else a success.
+
+    Attributes:
+        owner: the system whose edges are the nodes.
+        nodes: edges in canonical (src, dst) order.
+        leq: boolean matrix, ``leq[i, j]`` iff nodes[j] restricts onto nodes[i].
+        annotation: int8 matrix over comparable pairs (SUCCESS / FAILURE),
+            NOT_COMPARABLE elsewhere.
+        covers: cover relation of ``leq`` by a bool m-by-m product,
+            computed on first access and then cached.
+
+    All matrices are read-only.  Every (node j = K -> H, J <= H) pair is
+    listed at once, its restriction looked up in an n-by-n node-index
+    table, and ``leq`` and ``annotation`` filled by one fancy-index
+    assignment each.
+    """
+
+    def __init__(self, ts: TransferSystem):
+        site = ts.site
+        self.owner = ts
+        self.nodes = ts.edges()
+        m = len(self.nodes)
+        rel = ts.rel
+        ks, hs = np.nonzero(rel & ~np.eye(site.size, dtype=bool))  # nodes, in order
+        node_of = np.full((site.size, site.size), -1, dtype=np.intp)
+        node_of[ks, hs] = np.arange(m)
+        j, jj = np.nonzero(site.leq[:, hs].T)
+        src = site.meet[ks[j], jj]
+        i = node_of[src, jj]
+        proper = i >= 0  # a reflexive restriction is not a poset node
+        i, j, jj, src = i[proper], j[proper], jj[proper], src[proper]
+        failed = rel[src, ks[j]] & ~rel[jj, hs[j]]
+        self.leq = np.eye(m, dtype=bool)
+        self.leq[i, j] = True
+        self.annotation = np.zeros((m, m), dtype=np.int8)
+        self.annotation[i, j] = np.where(failed, FAILURE, SUCCESS)
+        self.leq.flags.writeable = False
+        self.annotation.flags.writeable = False
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        strict = self.leq & ~np.eye(len(self), dtype=bool)
+        covers = strict & ~(strict @ strict)
+        covers.flags.writeable = False
+        return covers
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def cover_count(self) -> int:
+        return int(self.covers.sum())
+
+
+def restriction_poset(ts: TransferSystem) -> RestrictionPoset:
+    """The restriction poset of a system, cached on it."""
+    poset = ts._cache.get("restriction_poset")
+    if poset is None:
+        poset = ts._cache["restriction_poset"] = RestrictionPoset(ts)
+    return poset
 
 
 def closure_fixpoint(site: Site, edges) -> np.ndarray:

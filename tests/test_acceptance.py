@@ -7,6 +7,7 @@ lines and timings.  The S5 conjecture scope is the longest criterion.
 import time
 
 from conftest import labeled, system_from_labels
+from oracles import restriction_poset
 from transfer_systems.cli import main as cli_main
 from transfer_systems.compat import (
     conjecture_formula,
@@ -15,6 +16,7 @@ from transfer_systems.compat import (
     max_compat_recursive,
 )
 from transfer_systems.enumeration import (
+    TransferSystemCatalog,
     cross_method_audit,
     disklike_systems,
     enumerate_all,
@@ -28,7 +30,6 @@ from transfer_systems.functors import (
     universal_reduction,
 )
 from transfer_systems.groups import small_group_descriptors
-from transfer_systems.restriction import restriction_poset
 from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
     complete_ts,
@@ -88,6 +89,17 @@ def test_criterion_4_cross_method_audit():
     elapsed = time.perf_counter() - started
     assert elapsed < 300, f"audit took {elapsed:.1f}s, budget is 5 min"
     _report(4, f"oracle/recursive/algorithm agree on full catalogs of {', '.join(AUDIT_GROUPS)}", started)
+
+
+def test_criterion_4_cross_method_audit_s5_complexity_3():
+    started = time.perf_counter()
+    site = site_from_descriptor("symmetric:5")
+    report = cross_method_audit(TransferSystemCatalog(site, disklike_systems(site, 3)))
+    assert report.ok, report.disagreements
+    assert report.total == report.disklike_total == 627
+    assert report.max_step_ratio == 0.19491525423728814
+    _report(4, f"oracle/recursive/algorithm agree on the {report.total} S5 disklike systems "
+               f"of complexity <= 3 (max step ratio {report.max_step_ratio:.3f})", started)
 
 
 def _property_suite(catalog, exhaustive: bool) -> None:

@@ -1,5 +1,6 @@
 import pytest
 
+from transfer_systems import compat, enumeration
 from transfer_systems.enumeration import (
     census,
     cross_method_audit,
@@ -179,6 +180,22 @@ def test_verify_conjecture_on_c6_and_c12(c6_site, c12_site):
     report = verify_conjecture([c6_site, c12_site])
     assert report.ok
     assert report.systems_checked > 10
+
+
+def test_verify_conjecture_computes_blocked_once_per_system(s4_site, monkeypatch):
+    # the formula and the recursion share one blocked matrix per system
+    calls = []
+    real = compat._blocked
+
+    def counting(o):
+        calls.append(o.key)
+        return real(o)
+
+    monkeypatch.setattr(compat, "_blocked", counting)
+    monkeypatch.setattr(enumeration, "_blocked", counting)
+    report = verify_conjecture([s4_site], complexity_bound=2)
+    assert report.ok and report.systems_checked == 48
+    assert len(calls) == len(set(calls)) == 48
 
 
 def test_verify_conjecture_categorical_counterexample(p5_site):

@@ -5,7 +5,6 @@ from conftest import chain_site
 from transfer_systems.compat import max_compat_recursive
 from transfer_systems.errors import UsageError
 from transfer_systems.render import render_dot, render_tikz
-from transfer_systems.restriction import cover_relation
 from transfer_systems.systems import complete_ts, trivial_ts
 
 
@@ -73,5 +72,5 @@ def test_tikz_smoke(fig1, p5_site):
 @pytest.mark.parametrize("n", [258, 259])
 def test_cover_pairs_on_long_chains(n):
     # pairs with exactly 256 nodes between them are not covers
-    covers = cover_relation(chain_site(n).leq)
+    covers = chain_site(n).covers
     assert np.argwhere(covers).tolist() == [[i, i + 1] for i in range(n - 1)]

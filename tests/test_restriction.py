@@ -1,18 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import transfer_systems
 from conftest import chain_site, system_from_labels
-from oracles import max_compat_by_recursion, restriction_poset_by_loop
-from transfer_systems import enumeration
-from transfer_systems.compat import conjecture_formula, max_compat_recursive
-from transfer_systems.restriction import (
+from oracles import (
     FAILURE,
     NOT_COMPARABLE,
     SUCCESS,
-    RestrictionPoset,
+    max_compat_by_recursion,
     restriction_poset,
+    restriction_poset_by_loop,
 )
-from transfer_systems.systems import generate_from_edges, trivial_ts
+from transfer_systems.compat import conjecture_formula, max_compat_recursive
+from transfer_systems.enumeration import disklike_systems
+from transfer_systems.systems import count_cover_relations, generate_from_edges, trivial_ts
 
 # The worked C_{p^2 q^2} example at p=2, q=3: a disklike system on C36 whose
 # maximal compatible subsystem is the bold set below.
@@ -38,8 +44,6 @@ def alg_example(c36_site):
 
 
 def test_trivial_system_has_empty_poset(c6_site):
-    from transfer_systems.systems import trivial_ts
-
     poset = restriction_poset(trivial_ts(c6_site))
     assert len(poset) == 0 and poset.cover_count == 0
 
@@ -125,9 +129,10 @@ def test_cover_count_on_a_long_chain():
 
 
 def assert_matches_loop_forms(ts):
-    """The NumPy poset and the unrolled recursion equal their loop forms."""
+    """The NumPy poset, C_O and the unrolled recursion equal their loop forms."""
     poset = restriction_poset(ts)
     nodes, leq, annotation, covers = restriction_poset_by_loop(ts)
+    assert count_cover_relations(ts) == covers.sum()
     assert poset.nodes == nodes
     assert np.array_equal(poset.leq, leq)
     assert np.array_equal(poset.annotation, annotation)
@@ -141,7 +146,9 @@ def assert_matches_loop_forms(ts):
 
 
 @pytest.mark.parametrize(
-    "catalog_name", ["c12_catalog", "d4_catalog", "s3_catalog", "q8_catalog", "grid_catalog"]
+    "catalog_name",
+    ["c12_catalog", "c36_catalog", "d4_catalog", "s3_catalog", "q8_catalog", "grid_catalog",
+     "p5_catalog"],
 )
 def test_poset_and_recursion_match_loop_forms(catalog_name, request):
     for ts in request.getfixturevalue(catalog_name).systems:
@@ -154,25 +161,29 @@ def test_loop_forms_on_trivial_and_long_chain(c6_site):
     assert_matches_loop_forms(generate_from_edges(chain_site(259), [(0, 258)]))
 
 
-def test_conjecture_harness_builds_no_poset(s4_site, monkeypatch):
-    # the recursion and the formula run on the site's n-by-n matrices
-    scope = []
-    real = enumeration.disklike_systems
+def test_conjecture_harness_builds_no_poset():
+    # C_O and every M(O) read the site's matrices: after the CLI's imports and
+    # a conjecture sweep, no transfer_systems.restriction module is loaded
+    code = (
+        "import sys, transfer_systems.cli\n"
+        "from transfer_systems.enumeration import verify_conjecture\n"
+        "from transfer_systems.sites import site_from_descriptor\n"
+        "report = verify_conjecture([site_from_descriptor('symmetric:4')], 2)\n"
+        "assert report.ok and report.systems_checked == 48, report.to_json()\n"
+        "assert 'transfer_systems.restriction' not in sys.modules\n"
+    )
+    src = str(Path(transfer_systems.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
-    def recording(*args, **kwargs):
-        systems = real(*args, **kwargs)
-        scope.extend(systems)
-        return systems
 
-    monkeypatch.setattr(enumeration, "disklike_systems", recording)
-    built = []
-    init = RestrictionPoset.__init__
-    monkeypatch.setattr(RestrictionPoset, "__init__", lambda self, ts: built.append(ts) or init(self, ts))
-    report = enumeration.verify_conjecture([s4_site], complexity_bound=2)
-    assert report.ok and report.systems_checked == len(scope) > 0
-    assert not built and not any("restriction_poset" in ts._cache for ts in scope)
+def test_cover_counts_on_the_s4_conjecture_scope(s4_site):
+    scope = disklike_systems(s4_site, 2)
+    assert len(scope) == 48
     posets = [restriction_poset(ts) for ts in scope]
     assert all("covers" not in poset.__dict__ for poset in posets)
     for poset in posets:
-        assert poset.cover_count == restriction_poset_by_loop(poset.owner)[3].sum()
+        c_o = restriction_poset_by_loop(poset.owner)[3].sum()
+        assert poset.cover_count == count_cover_relations(poset.owner) == c_o
         assert not poset.covers.flags.writeable

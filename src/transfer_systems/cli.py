@@ -27,6 +27,7 @@ from .compat import (
     max_compat_recursive,
 )
 from .enumeration import (
+    DEFAULT_ENUMERATION_CAP,
     cross_method_audit,
     enumerate_all,
     verify_conjecture,
@@ -169,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all transfer systems on the site")
     _add_common(p)
     p.add_argument("--census", action="store_true", help="print census counts")
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--jsonl", help="write the catalog as JSON-lines to a file")
 
     p = sub.add_parser("inflate", help="inflate a system on [N, G] to the whole group")
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate disklike systems from at most this many top transfers")
     p.add_argument("--require-bottom-to-top", action="store_true",
                    help="only systems containing the universal transfer")
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p = sub.add_parser("render", help="emit DOT or TikZ for a system")
     _add_common(p, system_input=True)
@@ -202,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="cross-method agreement over the full catalog")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     return ap
 
 
@@ -312,8 +313,6 @@ def _cmd_enumerate(args) -> int:
 
 def _quotient_from_args(args):
     site = _load_site(args)
-    if site.lattice is None:
-        raise UsageError("inflation requires a group-derived site")
     return site, quotient_context(site, site.node(args.normal))
 
 
@@ -351,11 +350,10 @@ def _cmd_conjecture(args) -> int:
     if args.groups:
         for desc in args.groups.split(","):
             sites.append(site_from_descriptor(desc.strip(), args.max_order))
-    if args.site:
-        sites.append(_load_site(argparse.Namespace(group=None, site=args.site,
-                                                   max_order=args.max_order)))
+    if args.group or args.site:
+        sites.append(_load_site(args))
     if not sites:
-        raise UsageError("provide --groups, --order-le, or --site")
+        raise UsageError("provide --groups, --group, --order-le, or --site")
     report = verify_conjecture(
         sites, args.complexity_bound, args.require_bottom_to_top, args.cap
     )

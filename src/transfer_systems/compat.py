@@ -39,9 +39,9 @@ Three independent computations of M(O) are provided:
   annotates a success) in unrolled form: e is dropped iff some r <= e is
   blocked, one product over the site order;
 * ``max_compat_disklike`` is the cover-relation algorithm for disklike
-  systems: one pass over the poset nodes in order of down-set size (covers
-  come first), deciding each conjugacy class of edges at its least edge
-  and counting cover inspections.  It reads each node's covers from the
+  systems: one pass over the poset nodes in order of the site's |down(H)|
+  at each node's target (covers come first), deciding each conjugacy class
+  of edges at its least edge and counting cover inspections.  It reads each node's covers from the
   site's cover relation.
 
 Each hands ``_wrap`` a boolean mask over O's edges in node order.
@@ -174,17 +174,16 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     covers are inspected in node order up to the first that fails;
     ``steps`` counts the inspections.
 
-    One pass visits the nodes by down-set size: a strict restriction has a
-    smaller down-set, so every cover is decided before the node above it.
-    Conjugation is a poset automorphism that keeps annotations, and
-    conjugate edges have equal down-sets, so each conjugacy class of edges
-    is decided once, at its least edge, as a worklist that always takes the
-    least ready node would decide it.
-
     By the identity in the module docstring, the covers of e = K -> H are
-    the K /\\ J -> J for the site covers J of H with J not <= K, and
-    |down(e)| = #{J <= H : J not <= K}.  The covers of every class's least
-    edge are listed at once, from n-by-m masks, before the pass.
+    the K /\\ J -> J for the site covers J of H with J not <= K.  So every
+    cover of e ends at a node J strictly below H, and one pass that visits
+    the edges by the site's |down(H)| decides every cover before the edge
+    above it.  Conjugation is a poset automorphism that keeps annotations,
+    and conjugate edges have conjugate targets, so each conjugacy class of
+    edges is decided once, at its least edge, as a worklist that always
+    takes the least ready node would decide it.  The covers of every
+    class's least edge are listed at once, from n-by-m masks, before the
+    pass.
     """
     if not is_disklike(o):
         raise DisklikeRequiredError("the cover-relation algorithm requires a disklike system")
@@ -196,7 +195,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     least = nodes[edge_rep[nodes] == nodes]  # the least edge of each class
     ks, hs = np.divmod(least, n)
     outside = ~site.leq[:, ks]  # outside[J, i]: J not <= K
-    down = (site.leq[:, hs] & outside).sum(axis=0)
+    down = site.leq.sum(axis=0)[hs]  # |down(H)| in the site
     # every pair (least edge i = K -> H, cover K /\ J -> J), each i's covers in node order
     i, j = np.nonzero((site.covers[:, hs] & outside).T)
     cover = site.meet_flat[ks[i], j]

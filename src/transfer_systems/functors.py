@@ -23,8 +23,7 @@ from .errors import (
     InternalCheckError,
     MismatchedSitesError,
 )
-from .groups import SubgroupLattice
-from .sites import IntervalView, Site, interval_above, site_from_lattice
+from .sites import IntervalView, Site, interval_above
 from .systems import TransferSystem, is_disklike, is_saturated
 
 
@@ -46,24 +45,21 @@ class QuotientContext:
         return self.interval.site
 
 
-def quotient_context(latt_or_site: SubgroupLattice | Site, n: int) -> QuotientContext:
+def quotient_context(parent: Site, n: int) -> QuotientContext:
     """The context of G -> G/N for the normal subgroup at node n.
 
     Cached on the parent site per normal subgroup, so repeated reductions
     share one interval site.
     """
-    if isinstance(latt_or_site, SubgroupLattice):
-        parent = site_from_lattice(latt_or_site)
-    else:
-        parent = latt_or_site
-    if parent.kind != "group" or parent.lattice is None:
+    if parent.lattice is None:
         raise GroupSiteRequiredError("quotient contexts require a group subgroup lattice")
     cache = parent._cache.setdefault("quotient_context", {})
     ctx = cache.get(n)
     if ctx is None:
         iv = interval_above(parent, n)
-        latt = parent.lattice
-        kn = np.array([int(latt.join[k, n]) for k in range(parent.size)], dtype=np.int32)
+        # KN is the join.  Subgroups are sorted by order, and every common
+        # upper bound of K and N contains the join, so the first one is it.
+        kn = (parent.leq & parent.leq[n]).argmax(axis=1).astype(np.int32)
         kn.flags.writeable = False
         ctx = cache[n] = QuotientContext(parent, iv, n, kn)
     return ctx
@@ -79,7 +75,7 @@ def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
     _require_interval_system(ctx, o_bar, "inflate input")
     parent = ctx.parent
     iv = ctx.interval
-    sub_of = np.array([iv.from_parent[int(p)] for p in ctx.kn])  # interval index of KN
+    sub_of = iv.from_parent[ctx.kn]  # interval index of KN
     lifted = o_bar.rel[np.ix_(sub_of, sub_of)]  # KN -> HN is an interval transfer
     anchored = parent.meet[ctx.kn, :] == np.arange(parent.size)[:, None]  # K == KN /\ H
     rel = parent.leq & lifted & anchored
@@ -108,7 +104,7 @@ def minimal_transferring_subgroup(o: TransferSystem) -> int:
     if is_disklike(o):
         if not o.rel[n, site.top]:
             raise InternalCheckError("minimal transferring subgroup lost its top transfer")
-        if any(int(p[n]) != n for p in site.action):
+        if not (site.action[:, n] == n).all():
             raise InternalCheckError("minimal transferring subgroup is not action-fixed")
     return n
 
@@ -119,7 +115,7 @@ def universal_reduction(o: TransferSystem) -> TransferSystem:
     Refused on abstract sites: the reduction is specific to group
     quotients and is known to fail for categorical transfer systems.
     """
-    if o.site.kind != "group" or o.site.lattice is None:
+    if o.site.lattice is None:
         raise GroupSiteRequiredError(
             "universal reduction is only valid over a group subgroup lattice"
         )

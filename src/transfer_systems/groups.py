@@ -9,11 +9,11 @@ permutation-generator files.
 Subgroups are enumerated as bool masks over the elements: the cyclic
 subgroups seed the search, every new subgroup brings in its whole conjugacy
 class, and one member per class is joined with the cyclic seeds it does not
-contain.  The order, join and conjugation tables are then whole-array
-operations on the membership matrix; the meet table is not built here, as
-``sites.Site`` derives it from the order.  The canonical subgroup order is
-(order, lexicographic member tuple); every downstream index refers to that
-order.
+contain.  The order and conjugation tables are then whole-array
+operations on the membership matrix.  No meet or join table is built here:
+``sites.Site`` derives meets from the order, and ``functors`` reads each
+product KN off it.  The canonical subgroup order is (order, lexicographic
+member tuple); every downstream index refers to that order.
 """
 
 from __future__ import annotations
@@ -509,7 +509,7 @@ class Subgroup:
 
 @dataclass
 class SubgroupLattice:
-    """All subgroups of a group with order and join tables, and conjugation.
+    """All subgroups of a group with their order table and conjugation.
 
     Meets are not stored here: ``site_from_lattice(latt).meet`` derives them
     from ``leq`` like every other site's.
@@ -521,13 +521,12 @@ class SubgroupLattice:
     group: Group
     subgroups: tuple[Subgroup, ...]
     leq: np.ndarray
-    join: np.ndarray
     conj_action: np.ndarray
     normal: np.ndarray
     _labels: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for a in (self.leq, self.join, self.conj_action, self.normal):
+        for a in (self.leq, self.conj_action, self.normal):
             a.flags.writeable = False
         self._index = {s.members: i for i, s in enumerate(self.subgroups)}
 
@@ -636,17 +635,12 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     sizes = counts.sum(axis=1)
     leq = (counts @ counts.T) == sizes[:, None]
 
-    # Subgroups are sorted by order, so the join is the first upper bound.
-    join = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        join[i] = (leq[i] & leq).argmax(axis=1)
-
     conj = np.empty((group.order, m), dtype=np.int32)
     for g in range(group.order):
         conj[g] = [index[row.tobytes()] for row in members[:, pre[g]]]
     normal = (conj == np.arange(m)).all(axis=0)
 
-    return SubgroupLattice(group, subs, leq, join, conj, normal)
+    return SubgroupLattice(group, subs, leq, conj, normal)
 
 
 # ---------------------------------------------------------------------------

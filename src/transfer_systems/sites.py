@@ -9,6 +9,7 @@ system machinery downstream runs identically on both kinds.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -63,10 +64,12 @@ class Site:
         meet_flat: intp table ``meet_flat[K, L] = meet[K, L] * n + L``, so
             that ``rel.ravel()[meet_flat]`` gathers ``rel[K /\\ L, L]`` of an
             n-by-n ``rel`` in one flat take (its ``.T`` is ``rel[K /\\ L, K]``).
-        action: tuple of node permutations forming a group: it contains the
-            identity and is closed under composition (hence under inverse,
-            being finite).  ``_check`` enforces that each row is a
-            permutation, and both.
+        action: read-only int32 array of node permutations, one per row:
+            the distinct rows of the ``action`` given (any stack, repeats
+            allowed) in lexicographic order, so the identity is row 0.
+            ``_check`` enforces that each row is a permutation, that the
+            identity is present and that the rows are closed under
+            composition (hence under inverse, being finite).
         covers: read-only cover relation of ``leq``, computed on first
             use: ``covers[J, H]`` iff J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -75,8 +78,8 @@ class Site:
             of looping over the action; it is exact because the action is a
             group, so orbits partition the pairs.
         labels: display names, unique per node.
-        kind: ``"group"`` for conjugation sites, ``"abstract"`` otherwise.
-        lattice: the source SubgroupLattice for plain group sites, else None.
+        lattice: the source SubgroupLattice for plain group sites, else
+            None; ``lattice is not None`` is the test for a group site.
         descriptor: string that rebuilds this site, if available.
 
     Derived data that depends on the site alone (such as the generated
@@ -87,29 +90,31 @@ class Site:
     def __init__(
         self,
         leq: np.ndarray,
-        action: tuple[np.ndarray, ...],
+        action: np.ndarray | Sequence,
         labels: tuple[str, ...],
-        kind: str,
         lattice: SubgroupLattice | None = None,
         descriptor: str | None = None,
     ):
         self.size = int(leq.shape[0])
         self.leq = leq
-        self.action = action
+        # The distinct rows in lexicographic order.  (Not np.unique(axis=0):
+        # it lazily imports numpy.ma, and its row sort has a transient peak
+        # of ~1 MB on S5.)
+        rows = np.asarray(action, dtype=np.int32)
+        if rows.ndim == 2 and len(rows) > 1:
+            rows = rows[np.lexsort(rows.T[::-1])]
+            rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        self.action = rows
         self.labels = labels
-        self.kind = kind
         self.lattice = lattice
         self.descriptor = descriptor
-        self._action_array = np.stack(action)  # |G| x n, row g is action[g]
         self._check()
         self.leq.flags.writeable = False
         self.meet.flags.writeable = False
+        self.action.flags.writeable = False
         n = self.size
         self.meet_flat = self.meet.astype(np.intp) * n + np.arange(n)
         self.meet_flat.flags.writeable = False
-        for p in self.action:
-            p.flags.writeable = False
-        self._action_array.flags.writeable = False
         rep = np.arange(n * n).reshape(n, n)
         for p in self.action:
             np.minimum(rep, p[:, None] * n + p[None, :], out=rep)
@@ -139,13 +144,13 @@ class Site:
         self.meet = _derive_meet(leq, self.labels)
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise InternalCheckError("labels must be unique, one per node")
-        acts = self._action_array
-        if not (np.sort(acts, axis=1) == np.arange(n)).all():
+        acts = self.action
+        if acts.shape[1:] != (n,) or not (np.sort(acts, axis=1) == np.arange(n)).all():
             raise InternalCheckError("action must consist of permutations of the nodes")
-        if not any(np.array_equal(p, np.arange(n)) for p in self.action):
+        if not len(acts) or not (acts[0] == np.arange(n)).all():  # the least row
             raise InternalCheckError("action must contain the identity")
-        known = {p.tobytes() for p in self.action}
-        for p in self.action:
+        known = {p.tobytes() for p in acts}
+        for p in acts:
             if not all(q.tobytes() in known for q in p[acts]):
                 raise InternalCheckError("action must be closed under composition")
         # a permutation maps the strict pairs injectively, so it preserves
@@ -202,7 +207,7 @@ class Site:
         if not edges:
             return ()
         ks, hs = np.array(edges).T
-        images = self._action_array[:, ks] * self.size + self._action_array[:, hs]
+        images = self.action[:, ks] * self.size + self.action[:, hs]
         images.sort(axis=1)
         least = images[np.lexsort(images.T[::-1])[0]]
         return tuple(divmod(int(f), self.size) for f in least)
@@ -235,15 +240,10 @@ def _derive_meet(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
 
 def site_from_lattice(latt: SubgroupLattice) -> Site:
     """The site of a subgroup lattice with its conjugation action."""
-    # The distinct conjugation permutations in lexicographic order.  (Not
-    # np.unique(axis=0): its row sort has a transient peak of ~1 MB on S5.)
-    rows = latt.conj_action[np.lexsort(latt.conj_action.T[::-1])]
-    action = tuple(rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]])
     return Site(
         leq=latt.leq.copy(),
-        action=action,
+        action=latt.conj_action,
         labels=latt.labels,
-        kind="group",
         lattice=latt,
         descriptor=latt.group.descriptor,
     )
@@ -251,38 +251,34 @@ def site_from_lattice(latt: SubgroupLattice) -> Site:
 
 @dataclass(frozen=True)
 class IntervalView:
-    """The sub-site on {H : N <= H <= top} with index maps to the parent."""
+    """The sub-site on {H : N <= H <= top} with index maps to the parent.
+
+    ``from_parent`` is a read-only intp array over the parent's nodes: the
+    interval index of each node of the interval, -1 elsewhere.
+    """
 
     site: Site
     parent: Site
     normal_index: int
     to_parent: tuple[int, ...]
-    from_parent: dict[int, int] = field(hash=False)
+    from_parent: np.ndarray = field(hash=False, compare=False)
 
 
-def interval_above(latt_or_site, n: int) -> IntervalView:
-    """Induced site on the subgroups containing a normal subgroup n."""
-    if isinstance(latt_or_site, SubgroupLattice):
-        parent = site_from_lattice(latt_or_site)
-    else:
-        parent = latt_or_site
-    if not all(int(p[n]) == n for p in parent.action):
+def interval_above(parent: Site, n: int) -> IntervalView:
+    """Induced site on the nodes above n, a node the action fixes (a normal subgroup)."""
+    if not (parent.action[:, n] == n).all():
         raise NotNormalError(f"node {parent.labels[n]} is not fixed by the action")
-    if parent.kind == "group" and parent.lattice is not None:
-        if not parent.lattice.normal[n]:
-            raise NotNormalError(f"subgroup {parent.labels[n]} is not normal")
-    nodes = [int(i) for i in np.flatnonzero(parent.leq[n])]
-    from_parent = {p: i for i, p in enumerate(nodes)}
-    idx = np.array(nodes)
-    leq = parent.leq[np.ix_(idx, idx)].copy()
-    perms = sorted({tuple(from_parent[int(p[v])] for v in nodes) for p in parent.action})
-    action = tuple(np.array(p, dtype=np.int32) for p in perms)
+    nodes = np.flatnonzero(parent.leq[n])
+    from_parent = np.full(parent.size, -1, dtype=np.intp)
+    from_parent[nodes] = np.arange(len(nodes))
+    from_parent.flags.writeable = False
+    leq = parent.leq[np.ix_(nodes, nodes)]
     labels = tuple(parent.labels[v] for v in nodes)
     descriptor = None
     if parent.descriptor is not None:
         descriptor = f"{parent.descriptor}|above:{parent.labels[n]}"
-    site = Site(leq, action, labels, kind=parent.kind, lattice=None, descriptor=descriptor)
-    return IntervalView(site, parent, n, tuple(nodes), from_parent)
+    site = Site(leq, from_parent[parent.action[:, nodes]], labels, descriptor=descriptor)
+    return IntervalView(site, parent, n, tuple(nodes.tolist()), from_parent)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +339,7 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
             raise InputFileError(f"auto: line must permute all node names: {parts}")
         perms.append(tuple(index[p] for p in parts))
     closed = _permutation_group(perms, n, DEFAULT_ORDER_CAP, "auto: lines")
-    action = tuple(np.array(p, dtype=np.int32) for p in closed)
-    return Site(leq, action, tuple(names), kind="abstract", descriptor=descriptor)
+    return Site(leq, closed, tuple(names), descriptor=descriptor)
 
 
 def site_from_poset_file(path: str | Path) -> Site:
@@ -356,7 +351,7 @@ def site_from_poset_file(path: str | Path) -> Site:
     return parse_poset_text(text, descriptor=f"poset:{path}")
 
 
-def site_from_descriptor(descriptor: str, order_cap: int = 1000) -> Site:
+def site_from_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Site:
     """Rebuild a site from its descriptor string.
 
     Understands group descriptors, ``poset:FILE``, and interval descriptors

@@ -59,7 +59,6 @@ def chain_site(n):
         leq=np.triu(np.ones((n, n), dtype=bool)),
         action=(idx.astype(np.int32),),
         labels=tuple(str(i) for i in range(n)),
-        kind="abstract",
     )
 
 

@@ -21,6 +21,7 @@ reading the site's orbit table.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -215,9 +216,28 @@ def associative_by_triples(mul: np.ndarray) -> bool:
     return bool(np.array_equal(mul[mul], mul[np.arange(n)[:, None, None], mul[None]]))
 
 
+@dataclass
+class JoinedLattice(SubgroupLattice):
+    """A subgroup lattice that also tables every join, pair by pair."""
+
+    join: np.ndarray | None = None
+
+
+def join_by_orders(leq: np.ndarray, orders) -> np.ndarray:
+    """Joins pair by pair: the common upper bound of least order."""
+    m = len(leq)
+    orders = np.asarray(orders)
+    join = np.zeros((m, m), dtype=np.int32)
+    for i in range(m):
+        for j in range(i, m):
+            uppers = np.nonzero(leq[i] & leq[j])[0]
+            join[i, j] = join[j, i] = uppers[int(np.argmin(orders[uppers]))]
+    return join
+
+
 def subgroup_lattice_by_joins(
     group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP
-) -> SubgroupLattice:
+) -> JoinedLattice:
     """The subgroup lattice by closing the cyclic subgroups under joins.
 
     Every join is a ``Group.closure`` over frozensets, and every table entry
@@ -257,14 +277,6 @@ def subgroup_lattice_by_joins(
         for j in range(m):
             leq[i, j] = member_sets[i] <= member_sets[j]
 
-    join = np.zeros((m, m), dtype=np.int32)
-    orders = np.array([s.order for s in subs])
-    for i in range(m):
-        for j in range(i, m):
-            uppers = np.nonzero(leq[i] & leq[j])[0]
-            k = uppers[int(np.argmin(orders[uppers]))]
-            join[i, j] = join[j, i] = k
-
     conj = np.zeros((group.order, m), dtype=np.int32)
     for g in range(group.order):
         for i in range(m):
@@ -272,7 +284,8 @@ def subgroup_lattice_by_joins(
             conj[g, i] = index[tuple(sorted(image))]
     normal = np.array([bool(np.all(conj[:, i] == i)) for i in range(m)])
 
-    return SubgroupLattice(group, subs, leq, join, conj, normal)
+    join = join_by_orders(leq, [s.order for s in subs])
+    return JoinedLattice(group, subs, leq, conj, normal, join=join)
 
 
 def setwise_product(group: Group, a_members, b_members) -> frozenset[int]:

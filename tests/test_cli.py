@@ -109,6 +109,25 @@ def test_conjecture_positive(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_conjecture_group_adds_a_scope(capsys):
+    code, out, _ = run(capsys, "conjecture", "--group", "cyclic:6")
+    assert code == 0
+    assert (code, out) == run(capsys, "conjecture", "--groups", "cyclic:6")[:2]
+    code, out, err = run(capsys, "conjecture")
+    assert code == 2 and out == ""
+    assert err == "error: provide --groups, --group, --order-le, or --site\n"
+
+
+@pytest.mark.parametrize("command", ["inflate", "fixed-points"])
+def test_quotients_require_a_group_site(tmp_path, capsys, command):
+    path = tmp_path / "p5.poset"
+    path.write_text(P5_TEXT)
+    code, out, err = run(capsys, command, "--site", str(path), "--normal", "bot",
+                         "--edges", "A>top")
+    assert code == 2 and out == ""
+    assert err == "error: quotient contexts require a group subgroup lattice\n"
+
+
 def test_render_dot(capsys):
     code, out, _ = run(capsys, "render", "--group", "cyclic:6", "--edges", "1>C6",
                        "--highlight", "maximal")

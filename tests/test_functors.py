@@ -127,7 +127,7 @@ def test_universal_reduction_degenerate_cases(c12_site):
     assert universal_reduction(complete_ts(c12_site)) == complete_ts(c12_site)
 
 
-@pytest.mark.parametrize("catalog_name", ["c12_catalog", "c36_catalog"])
+@pytest.mark.parametrize("catalog_name", ["c12_catalog", "c36_catalog", "s4_catalog"])
 def test_universal_reduction_equals_direct(catalog_name, request):
     catalog = request.getfixturevalue(catalog_name)
     for o in catalog.systems:

@@ -12,6 +12,7 @@ from transfer_systems.errors import (
     NotNormalError,
 )
 from oracles import product_with_normal
+from transfer_systems.functors import quotient_context
 from transfer_systems.groups import (
     _validate_table,
     build_group,
@@ -76,7 +77,8 @@ def test_element_indexing_deterministic():
 def test_lattice_laws_exhaustive(desc):
     latt = subgroup_lattice(build_group(desc))
     m = len(latt)
-    meet, join, leq = site_from_lattice(latt).meet, latt.join, latt.leq
+    meet, leq = site_from_lattice(latt).meet, latt.leq
+    join = oracles.join_by_orders(leq, [s.order for s in latt.subgroups])
     for a in range(m):
         assert meet[a, a] == a and join[a, a] == a
         for b in range(m):
@@ -105,11 +107,13 @@ def test_conjugation_preserves_containment(desc):
 @pytest.mark.parametrize("desc", CATALOG)
 def test_product_with_normal_is_join(desc):
     latt = subgroup_lattice(build_group(desc))
+    site = site_from_lattice(latt)
     for n in range(len(latt)):
         if not latt.normal[n]:
             continue
+        kn = quotient_context(site, n).kn
         for k in range(len(latt)):
-            assert product_with_normal(latt, k, n) == latt.join[k, n]
+            assert product_with_normal(latt, k, n) == kn[k]
 
 
 def test_product_with_normal_examples():
@@ -280,7 +284,7 @@ def test_lattice_matches_join_closure_oracle(desc):
     assert latt.subgroups == ref.subgroups
     site = site_from_lattice(latt)
     tables = [(name, getattr(latt, name), getattr(ref, name))
-              for name in ("leq", "join", "conj_action", "normal")]
+              for name in ("leq", "conj_action", "normal")]
     tables.append(("meet", site.meet, oracles.meet_by_intersection(ref)))
     for name, got, want in tables:
         assert got.dtype == want.dtype, name
@@ -290,6 +294,10 @@ def test_lattice_matches_join_closure_oracle(desc):
     assert latt.labels == ref.labels
     action = [tuple(p.tolist()) for p in site.action]
     assert action == sorted({tuple(row) for row in ref.conj_action.tolist()})
+    for n in np.flatnonzero(ref.normal):
+        kn = quotient_context(site, int(n)).kn
+        assert kn.dtype == np.int32 and not kn.flags.writeable
+        assert np.array_equal(kn, ref.join[:, n])
 
 
 def test_s5_site_meets_are_intersections():

@@ -26,7 +26,7 @@ def test_round_trip_preserves_order(c6_site):
     site = site_from_lattice(latt)
     assert site.size == len(latt)
     assert np.array_equal(site.leq, latt.leq)
-    assert site.kind == "group"
+    assert site.lattice is latt
 
 
 def test_abelian_site_has_trivial_action(c6_site):
@@ -60,8 +60,8 @@ def test_action_must_be_closed_under_composition():
     cycle = np.array([0, 2, 3, 1, 4], dtype=np.int32)
     identity = np.arange(5, dtype=np.int32)
     with pytest.raises(InternalCheckError, match="closed under composition"):
-        Site(leq, (identity, cycle), names, kind="abstract")
-    site = Site(leq, (identity, cycle, cycle[cycle]), names, kind="abstract")
+        Site(leq, (identity, cycle), names)
+    site = Site(leq, (identity, cycle, cycle[cycle]), names)
     assert site.orbit((0, 1)) == {(0, 1), (0, 2), (0, 3)}
 
 
@@ -74,9 +74,41 @@ def test_action_must_consist_of_permutations():
     identity = np.arange(5, dtype=np.int32)
     collapse = np.array([0, 1, 1, 1, 4], dtype=np.int32)
     with pytest.raises(InternalCheckError, match="permutations of the nodes"):
-        Site(leq, (identity, collapse), names, kind="abstract")
+        Site(leq, (identity, collapse), names)
     with pytest.raises(InternalCheckError, match="permutations of the nodes"):
-        Site(leq, (identity, np.array([0, 1, 2, 3, 5], dtype=np.int32)), names, kind="abstract")
+        Site(leq, (identity, np.array([0, 1, 2, 3, 5], dtype=np.int32)), names)
+
+
+@pytest.mark.parametrize("source", ["symmetric:4", "dihedral:6", GRID_TEXT, m_poset_text(4)],
+                         ids=["S4", "D6", "grid", "M4"])
+def test_action_rows_are_canonical(source):
+    site = parse_poset_text(source) if "nodes:" in source else site_from_descriptor(source)
+    acts = site.action
+    assert acts.dtype == np.int32 and not acts.flags.writeable
+    assert np.array_equal(acts[0], np.arange(site.size))
+    assert [tuple(p) for p in acts.tolist()] == sorted({tuple(p) for p in acts.tolist()})
+    # shuffled rows with repeats, as an array or as a tuple of rows
+    rng = np.random.default_rng(0)
+    stack = np.concatenate([acts, acts[rng.integers(len(acts), size=len(acts))]])
+    stack = stack[rng.permutation(len(stack))]
+    for given_rows in (stack, tuple(stack)):
+        rebuilt = Site(site.leq.copy(), given_rows, site.labels)
+        assert np.array_equal(rebuilt.action, acts)
+        assert rebuilt.key == site.key
+
+
+def test_interval_action_matches_the_loop_form(s4_site):
+    normal = [n for n in range(s4_site.size) if (s4_site.action[:, n] == n).all()]
+    assert len(normal) == 4
+    for n in normal:
+        iv = interval_above(s4_site, n)
+        nodes = iv.to_parent
+        index = {v: i for i, v in enumerate(nodes)}
+        want = sorted({tuple(index[int(p[v])] for v in nodes) for p in s4_site.action})
+        assert [tuple(p) for p in iv.site.action.tolist()] == want
+        assert iv.site.lattice is None
+        assert iv.from_parent[list(nodes)].tolist() == list(range(len(nodes)))
+        assert (np.delete(iv.from_parent, nodes) == -1).all()
 
 
 def test_declared_automorphism_must_preserve_the_order():
@@ -196,10 +228,10 @@ def test_derived_meet_matches_pairwise_oracle(leq):
     labels = tuple(f"v{i}" for i in range(n))
     identity = (np.arange(n, dtype=np.int32),)
     want = _raised(lambda: oracles.meet_table_by_pairs(leq, labels))
-    got = _raised(lambda: Site(leq.copy(), identity, labels, kind="abstract"))
+    got = _raised(lambda: Site(leq.copy(), identity, labels))
     assert got == want
     if want is None:
-        site = Site(leq.copy(), identity, labels, kind="abstract")
+        site = Site(leq.copy(), identity, labels)
         meet = site.meet
         assert meet.dtype == np.int32 and not meet.flags.writeable
         assert np.array_equal(meet, oracles.meet_table_by_pairs(leq, labels))

@@ -103,6 +103,8 @@ def _edge_str(site: Site, e: tuple[int, int]) -> str:
 
 
 def _load_site(args) -> Site:
+    if getattr(args, "group", None) and getattr(args, "site", None):
+        raise UsageError("--group and --site exclude each other")
     if getattr(args, "group", None):
         desc = args.group
     elif getattr(args, "site", None):

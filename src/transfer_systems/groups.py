@@ -3,8 +3,12 @@
 A group is a multiplication table over element indices ``0..order-1`` with
 index 0 the identity.  Built-in families cover the cyclic groups, products
 of cyclics, symmetric and alternating groups, dihedral and dicyclic groups
-(``Q8 == dicyclic(2)``); arbitrary groups can be read from Cayley-table or
-permutation-generator files.
+(``Q8 == dicyclic:2``); arbitrary groups can be read from Cayley-table or
+permutation-generator files.  Each job has one path: S_n and A_n are
+generated from permutations by the search that reads ``perms:`` files,
+dihedral and dicyclic groups come from one builder of C_m extended by an
+element x that inverts C_m and squares into it, and ``build_group`` checks
+every built-in family's order against one cap.
 
 Subgroups are enumerated as bool masks over the elements: the cyclic
 subgroups seed the search, every new subgroup brings in its whole conjugacy
@@ -13,11 +17,14 @@ contain.  The order and conjugation tables are then whole-array
 operations on the membership matrix.  No meet or join table is built here:
 ``sites.Site`` derives meets from the order, and ``functors`` reads each
 product KN off it.  The canonical subgroup order is (order, lexicographic
-member tuple); every downstream index refers to that order.
+member tuple); every downstream index refers to that order.  Labels read
+element orders as the row sums of the cyclic masks and find generators
+with the same mask closure as the search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -55,37 +62,9 @@ class Group:
         self.mul.flags.writeable = False
         self.inv.flags.writeable = False
 
-    def conj(self, g: int, h: int) -> int:
-        """g h g^-1."""
-        return int(self.mul[self.mul[g, h], self.inv[g]])
-
-    def element_order(self, a: int) -> int:
-        x, n = a, 1
-        while x != 0:
-            x = int(self.mul[x, a])
-            n += 1
-        return n
-
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
-
-    def closure(self, generators: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given elements."""
-        gens = sorted(set(generators) | {0})
-        seen = set(gens)
-        frontier = list(gens)
-        mul = self.mul
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    y = int(mul[h, g])
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
 
 
 def _validate_table(mul: np.ndarray, what: str) -> None:
@@ -194,71 +173,39 @@ def _cycle_string(p: tuple) -> str:
     return "".join("(" + sep.join(str(x) for x in c) + ")" for c in out)
 
 
-def _symmetric(n: int, even_only: bool = False) -> Group:
-    import itertools
+def _symmetric(n: int, even_only: bool, order_cap: int) -> Group:
+    """S_n from (1 2) and (1 2 ... n), A_n from the 3-cycles (1 2 i).
 
-    if n < 1:
-        raise DescriptorError("symmetric/alternating degree must be >= 1")
-    elements = []
-    for p in itertools.permutations(range(n)):
-        if even_only:
-            inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-            if inversions % 2:
-                continue
-        elements.append(p)
-    elements.sort()  # identity is lexicographically first
-    fam = "alternating" if even_only else "symmetric"
-    name = ("A" if even_only else "S") + str(n)
-    names = [_cycle_string(p) for p in elements]
-    return _group_from_function(elements, _compose, f"{fam}:{n}", name, names)
+    Both are read like a ``perms:`` file, whose generator search sorts the
+    elements: the list is that of all (even) permutations in lexicographic
+    order.  The identity "(1)" generates the trivial groups S1, A1 and A2.
+    """
+    if even_only:
+        cycles = [f"(1 2 {i})" for i in range(3, n + 1)]
+    else:
+        cycles = ["(1 2)", "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"] if n > 1 else []
+    fam, letter = ("alternating", "A") if even_only else ("symmetric", "S")
+    return group_from_permutations(cycles or ["(1)"], f"{fam}:{n}", f"{letter}{n}", order_cap)
 
 
-def _dihedral(n: int) -> Group:
-    """Dihedral group of order 2n: <r, s | r^n = s^2 = 1, s r s = r^-1>."""
-    if n < 1:
-        raise DescriptorError("dihedral parameter must be >= 1")
-    elements = [(a, e) for e in (0, 1) for a in range(n)]
+def _cyclic_extension(
+    m: int, shift: int, descriptor: str, name: str, names: Sequence[str] | str
+) -> Group:
+    """C_m = <a> extended by x with x a x^-1 = a^-1 and x^2 = a^shift.
 
-    def op(x, y):
-        a, e = x
-        b, f = y
-        return ((a + (b if e == 0 else -b)) % n, e ^ f)
-
-    def nm(x):
-        a, e = x
-        r = "" if a == 0 else ("r" if a == 1 else f"r{a}")
-        s = "s" if e else ""
-        return (r + s) or "1"
-
-    return _group_from_function(elements, op, f"dihedral:{n}", f"D{n}", [nm(x) for x in elements])
-
-
-def _dicyclic(n: int) -> Group:
-    """Dicyclic group of order 4n: <a, b | a^2n = 1, b^2 = a^n, b a b^-1 = a^-1>."""
-    if n < 1:
-        raise DescriptorError("dicyclic parameter must be >= 1")
-    m = 2 * n
-    elements = [(a, e) for e in (0, 1) for a in range(m)]
+    The elements a^k x^e are listed with e major.  ``names`` lists their
+    names, or is the two letters that stand for a and x.
+    """
+    elements = [(k, e) for e in (0, 1) for k in range(m)]
 
     def op(x, y):
-        a, e = x
-        b, f = y
-        c = (a + (b if e == 0 else -b)) % m
-        if e and f:
-            c = (c + n) % m
-        return (c, e ^ f)
+        (a, e), (b, f) = x, y
+        return ((a + (-b if e else b) + shift * (e & f)) % m, e ^ f)
 
-    if n == 2:
-        names = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-        return _group_from_function(elements, op, "q8", "Q8", names)
-
-    def nm(x):
-        a, e = x
-        r = "" if a == 0 else ("a" if a == 1 else f"a{a}")
-        s = "b" if e else ""
-        return (r + s) or "1"
-
-    return _group_from_function(elements, op, f"dicyclic:{n}", f"Dic{n}", [nm(x) for x in elements])
+    if isinstance(names, str):
+        r, s = names
+        names = [((r if k == 1 else f"{r}{k}" if k else "") + s * e) or "1" for k, e in elements]
+    return _group_from_function(elements, op, descriptor, name, names)
 
 
 # ---------------------------------------------------------------------------
@@ -386,97 +333,83 @@ def group_from_permutation_file(path: str | Path, order_cap: int = DEFAULT_ORDER
 # Descriptors
 
 
+# Order of each built-in family from its parameters.
+_ORDERS: dict[str, Callable[[list[int]], int]] = {
+    "cyclic": lambda p: p[0],
+    "product": math.prod,
+    "symmetric": lambda p: math.factorial(p[0]),
+    "alternating": lambda p: max(math.factorial(p[0]) // 2, 1),
+    "dihedral": lambda p: 2 * p[0],
+    "dicyclic": lambda p: 4 * p[0],
+}
+
+
 def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build a group from a descriptor string.
 
     Supported: ``cyclic:n``, ``product:n1xn2[x...]``, ``symmetric:n``,
     ``alternating:n``, ``dihedral:n`` (order 2n), ``dicyclic:n`` (order 4n),
-    ``q8``, ``cayley:path``, ``perms:path``.
+    ``q8`` (= ``dicyclic:2``), ``cayley:path``, ``perms:path``.
     """
     descriptor = descriptor.strip()
     fam, _, arg = descriptor.partition(":")
     fam = fam.lower()
-    if fam == "q8" and not arg:
-        return _dicyclic(2)
     if fam in ("cayley", "perms"):
         if not arg:
             raise DescriptorError(f"{fam}: requires a file path")
         if fam == "cayley":
             return group_from_cayley_file(arg, order_cap)
         return group_from_permutation_file(arg, order_cap)
-    if fam == "product":
-        try:
-            orders = [int(t) for t in arg.split("x")]
-        except ValueError:
-            raise DescriptorError(f"bad product descriptor {descriptor!r}") from None
-        if not orders or any(m < 1 for m in orders):
-            raise DescriptorError(f"bad product descriptor {descriptor!r}")
-        total = 1
-        for m in orders:
-            total *= m
-        if total > order_cap:
-            raise CapExceededError(f"{descriptor}: order {total} exceeds cap {order_cap}")
-        return _product_of_cyclics(orders)
-    try:
-        n = int(arg)
-    except ValueError:
-        raise DescriptorError(f"unsupported descriptor {descriptor!r}") from None
-    if fam == "cyclic":
-        if n < 1:
-            raise DescriptorError("cyclic order must be >= 1")
-        if n > order_cap:
-            raise CapExceededError(f"{descriptor}: order {n} exceeds cap {order_cap}")
-        return _cyclic(n)
-    sizes = {"symmetric": None, "alternating": None, "dihedral": 2 * n, "dicyclic": 4 * n}
-    if fam not in sizes:
+    if fam == "q8" and not arg:
+        fam, arg = "dicyclic", "2"
+    if fam not in _ORDERS:
         raise DescriptorError(f"unsupported descriptor {descriptor!r}")
+    try:
+        params = [int(t) for t in arg.split("x")] if fam == "product" else [int(arg)]
+        if min(params) < 1:
+            raise ValueError
+    except ValueError:
+        raise DescriptorError(f"{descriptor}: parameters must be integers >= 1") from None
+    order = _ORDERS[fam](params)
+    if order > order_cap:
+        raise CapExceededError(f"{descriptor}: order {order} exceeds cap {order_cap}")
+    n = params[0]
+    if fam == "cyclic":
+        return _cyclic(n)
+    if fam == "product":
+        return _product_of_cyclics(params)
     if fam in ("symmetric", "alternating"):
-        import math
-
-        order = math.factorial(n) // (1 if fam == "symmetric" else 2)
-        if order > order_cap:
-            raise CapExceededError(f"{descriptor}: order {order} exceeds cap {order_cap}")
-        return _symmetric(n, even_only=(fam == "alternating"))
-    if sizes[fam] > order_cap:
-        raise CapExceededError(f"{descriptor}: order {sizes[fam]} exceeds cap {order_cap}")
-    return _dihedral(n) if fam == "dihedral" else _dicyclic(n)
+        return _symmetric(n, fam == "alternating", order_cap)
+    if fam == "dihedral":
+        return _cyclic_extension(n, 0, f"dihedral:{n}", f"D{n}", "rs")
+    if n == 2:
+        return _cyclic_extension(4, 2, "q8", "Q8", ["1", "i", "-1", "-i", "j", "k", "-j", "-k"])
+    return _cyclic_extension(2 * n, n, f"dicyclic:{n}", f"Dic{n}", "ab")
 
 
 def small_group_descriptors(max_order: int) -> list[str]:
     """Built-in descriptors covering every isomorphism class of order <= max_order.
 
+    Each abelian group appears once: cyclic, or as ``product:d1xd2x...``
+    with each factor dividing the one before (its invariant factors).
     Complete up to order 15; beyond that it still enumerates the built-in
     families but makes no completeness claim.
     """
-    import math
+
+    def invariant_factors(n: int, top: int):
+        """Factor lists of n, each factor dividing the one before and the first dividing top."""
+        if n == 1:
+            yield []
+        for f in range(2, top + 1):
+            if top % f == 0 and n % f == 0:
+                for rest in invariant_factors(n // f, f):
+                    yield [f] + rest
 
     out = [f"cyclic:{n}" for n in range(1, max_order + 1)]
-    # Non-cyclic abelian groups as products of prime-power cyclics; skip
-    # factorizations with coprime parts (those collapse into cyclic factors
-    # already produced by a coarser factorization).
-    seen: set[tuple[int, ...]] = set()
-
-    def factorizations(n: int, max_factor: int, acc: list[int]):
-        if n == 1:
-            if len(acc) >= 2:
-                key = tuple(sorted(acc))
-                if key not in seen:
-                    seen.add(key)
-                    yield list(key)
-            return
-        f = 2
-        while f <= min(max_factor, n):
-            if n % f == 0:
-                yield from factorizations(n // f, f, acc + [f])
-            f += 1
-
     for n in range(4, max_order + 1):
-        for factors in factorizations(n, n, []):
-            if any(
-                math.gcd(a, b) == 1 for i, a in enumerate(factors) for b in factors[i + 1 :]
-            ):
-                continue
-            out.append("product:" + "x".join(str(f) for f in sorted(factors, reverse=True)))
+        for factors in invariant_factors(n, n):
+            if len(factors) >= 2:
+                out.append("product:" + "x".join(str(f) for f in factors))
     n = 3
     while math.factorial(n) <= max_order:
         out.append(f"symmetric:{n}")
@@ -647,74 +580,62 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
 # Labels
 
 
-def _abelian_type_name(group: Group, members: Sequence[int]) -> str:
-    """Invariant-factor name like ``C6`` or ``C2xC2`` for an abelian subgroup."""
-    order = len(members)
-    if order == 1:
-        return "1"
-    elem_orders = [group.element_order(a) for a in members]
-    primes = []
-    n, p = order, 2
-    while n > 1:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
+def _abelian_type_name(elem_orders: Sequence[int]) -> str:
+    """Invariant-factor name like ``C6`` or ``C2xC2`` of an abelian subgroup.
+
+    ``elem_orders`` holds the orders of the subgroup's elements.  For each
+    prime p, going from the elements killed by p^(i-1) to those killed by
+    p^i multiplies their count by p once per p-power factor of order >= p^i.
+    """
+    invariant: list[int] = []
+    rest, p = len(elem_orders), 2
+    while rest > 1:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            killed, at_least = 1, []  # at_least[i]: factors of order >= p^(i+1)
+            while True:
+                now = sum(p ** (len(at_least) + 1) % o == 0 for o in elem_orders)
+                if now == killed:
+                    break
+                at_least.append(round(math.log(now // killed, p)))
+                killed = now
+            for t in range(at_least[0]):
+                factor = p ** sum(k > t for k in at_least)
+                if t < len(invariant):
+                    invariant[t] *= factor
+                else:
+                    invariant.append(factor)
         p += 1
-    # Per prime: the partition of the p-part, recovered from p^i-torsion counts.
-    factors_by_prime: dict[int, list[int]] = {}
-    for p in primes:
-        counts = [1]
-        i = 1
-        while True:
-            pi = p**i
-            c = sum(1 for o in elem_orders if pi % o == 0)
-            if c == counts[-1]:
-                break
-            counts.append(c)
-            i += 1
-        # counts[i] / counts[i-1] = p^(number of parts >= i)
-        parts: list[int] = []
-        for i in range(1, len(counts)):
-            ge_i = 0
-            q = counts[i] // counts[i - 1]
-            while q > 1:
-                q //= p
-                ge_i += 1
-            if i == 1:
-                parts = [0] * ge_i
-            for t in range(ge_i):
-                parts[t] += 1
-        factors_by_prime[p] = [p**e for e in parts]
-    width = max(len(v) for v in factors_by_prime.values())
-    invariant = []
-    for i in range(width):
-        d = 1
-        for p, fs in factors_by_prime.items():
-            if i < len(fs):
-                d *= fs[i]
-        invariant.append(d)
-    return "x".join(f"C{d}" for d in invariant)
+    return "x".join(f"C{d}" for d in invariant) or "1"
 
 
-def _minimal_generators(group: Group, members: Sequence[int]) -> list[int]:
-    """Small generating list: one element for cyclic subgroups, else greedy."""
+def _minimal_generators(
+    mul: np.ndarray, cyclic: np.ndarray, orders: list[int], members: Sequence[int]
+) -> list[int]:
+    """One generator of a nontrivial cyclic subgroup, else a greedy generating list.
+
+    ``cyclic`` is the group's ``_cyclic_masks`` and ``orders`` its row sums,
+    the element orders.
+    """
     for a in members:
-        if a != 0 and len(group.closure([a])) == len(members):
+        if orders[a] == len(members):
             return [a]
     gens: list[int] = []
-    span: frozenset[int] = frozenset([0])
+    span = cyclic[0]
     for a in members:
-        if a not in span:
+        if not span[a]:
             gens.append(a)
-            span = group.closure(gens)
-            if len(span) == len(members):
+            span = _generated(mul, span | cyclic[a])
+            if span.sum() == len(members):
                 break
     return gens
 
 
 def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
     group = latt.group
+    cyclic = _cyclic_masks(group)
+    orders = cyclic.sum(axis=1).tolist()
     raw: list[str] = []
     for sub in latt.subgroups:
         if sub.order == 1:
@@ -722,9 +643,9 @@ def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
         elif sub.order == group.order:
             raw.append(group.name)
         elif group.is_abelian:
-            raw.append(_abelian_type_name(group, sub.members))
+            raw.append(_abelian_type_name([orders[a] for a in sub.members]))
         else:
-            gens = _minimal_generators(group, sub.members)
+            gens = _minimal_generators(group.mul, cyclic, orders, sub.members)
             raw.append("<" + ",".join(group.element_names[a] for a in gens) + ">")
     counts: dict[str, int] = {}
     labels = []

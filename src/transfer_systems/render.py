@@ -39,12 +39,11 @@ def render_dot(
     ts: TransferSystem,
     highlight: Optional[TransferSystem] = None,
     cluster: Optional[Iterable[int]] = None,
-    title: str = "transfers",
 ) -> str:
     _check_highlight(ts, highlight)
     site = ts.site
     lab = site.labels
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;", '  node [shape=plaintext];']
+    lines = ['digraph "transfers" {', "  rankdir=BT;", '  node [shape=plaintext];']
     cluster_nodes = sorted(set(cluster)) if cluster is not None else []
     if cluster_nodes:
         lines.append("  subgraph cluster_interval {")

@@ -6,8 +6,10 @@ single-pass pipeline, enumeration brute-forces subset closures, bounded
 disklike scopes close every small set of top edges, complexity tries every
 subset of a system's edges, setwise products KN are multiplied out, the hull
 intersects saturated catalog members, quotient groups get an explicit
-coset Cayley table, subgroups are closed under joins one frozenset at a
-time with every lattice table filled pair by pair, meets are validated
+coset Cayley table, subgroups and element orders come from a breadth-first
+search over products instead of the library's element masks, subgroups
+are closed under joins one frozenset at a time with every lattice table
+filled pair by pair, meets are validated
 pair by pair, compatibility is scanned edge by edge, the m-by-m
 restriction poset (whose order the library reads off the site's matrices)
 is built in whole arrays and again by a per-edge loop, with its covers
@@ -199,6 +201,28 @@ def product_with_normal(latt: SubgroupLattice, k: int, n: int) -> int:
     return latt.index_of(kn)
 
 
+def closure(group: Group, generators) -> frozenset[int]:
+    """Subgroup generated by the elements, by a breadth-first search over products."""
+    gens = sorted(set(generators) | {0})
+    seen = set(gens)
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                y = int(group.mul[h, g])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def element_orders(group: Group) -> list[int]:
+    """Order of every element, as the size of the subgroup it generates."""
+    return [len(closure(group, [a])) for a in range(group.order)]
+
+
 def brute_force_subgroups(group: Group) -> set[frozenset[int]]:
     """All subgroups, by closing every subset of elements (exponential)."""
     n = group.order
@@ -206,7 +230,7 @@ def brute_force_subgroups(group: Group) -> set[frozenset[int]]:
     elements = list(range(n))
     for r in range(n + 1):
         for subset in combinations(elements, r):
-            found.add(group.closure(subset))
+            found.add(closure(group, subset))
     return found
 
 
@@ -240,13 +264,13 @@ def subgroup_lattice_by_joins(
 ) -> JoinedLattice:
     """The subgroup lattice by closing the cyclic subgroups under joins.
 
-    Every join is a ``Group.closure`` over frozensets, and every table entry
+    Every join is a ``closure`` over frozensets, and every table entry
     is computed pair by pair.  Unlike the production cap, ``max_subgroups``
     counts only the subgroups found by joins.
     """
     cyclics: set[frozenset[int]] = set()
     for a in range(group.order):
-        cyclics.add(group.closure([a]))
+        cyclics.add(closure(group, [a]))
     seeds = sorted(cyclics, key=lambda s: (len(s), tuple(sorted(s))))
 
     found: set[frozenset[int]] = set(seeds)
@@ -257,7 +281,7 @@ def subgroup_lattice_by_joins(
             for c in seeds:
                 if c <= h:
                     continue
-                j = group.closure(h | c)
+                j = closure(group, h | c)
                 if j not in found:
                     if len(found) >= max_subgroups:
                         raise CapExceededError(
@@ -280,7 +304,7 @@ def subgroup_lattice_by_joins(
     conj = np.zeros((group.order, m), dtype=np.int32)
     for g in range(group.order):
         for i in range(m):
-            image = frozenset(group.conj(g, h) for h in member_sets[i])
+            image = frozenset(int(group.mul[group.mul[g, h], group.inv[g]]) for h in member_sets[i])
             conj[g, i] = index[tuple(sorted(image))]
     normal = np.array([bool(np.all(conj[:, i] == i)) for i in range(m)])
 

@@ -182,6 +182,23 @@ def test_negative_complexity_bound_is_a_usage_error(capsys):
     assert err == "error: complexity bound must be >= 0\n"
 
 
+@pytest.mark.parametrize("desc", ["symmetric:-1", "alternating:-3", "dihedral:-2"])
+def test_negative_group_parameter_is_a_usage_error(capsys, desc):
+    code, out, err = run(capsys, "lattice", "--group", desc)
+    assert code == 2 and out == ""
+    assert err == f"error: {desc}: parameters must be integers >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [["lattice"], ["conjecture"], ["enumerate"],
+                                  ["generate", "--edges", "1>C2"]])
+def test_group_and_site_exclude_each_other(tmp_path, capsys, argv):
+    path = tmp_path / "p5.poset"
+    path.write_text(P5_TEXT)
+    code, out, err = run(capsys, *argv, "--group", "cyclic:2", "--site", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: --group and --site exclude each other\n"
+
+
 def test_malformed_poset_file_names_line(tmp_path, capsys):
     path = tmp_path / "bad.poset"
     path.write_text("nodes: a b\ncover: a\n")

@@ -1,5 +1,5 @@
 import re
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from transfer_systems.errors import (
 from oracles import product_with_normal
 from transfer_systems.functors import quotient_context
 from transfer_systems.groups import (
+    _parse_cycles,
     _validate_table,
     build_group,
     small_group_descriptors,
@@ -271,8 +272,10 @@ def test_subgroup_cap_counts_every_subgroup(desc, total):
     assert len(subgroup_lattice(group, max_subgroups=total)) == total
 
 
+# product:6x4 is C12xC2 again, listed by small_group_descriptors as product:12x2.
 ORACLE_GROUPS = sorted(
-    set(small_group_descriptors(24)) | {"symmetric:4", "alternating:5", "product:2x2x2x2"}
+    set(small_group_descriptors(24))
+    | {"symmetric:4", "alternating:5", "product:2x2x2x2", "product:6x4"}
 )
 
 
@@ -330,7 +333,8 @@ def test_subgroup_counts_from_literature(desc, subgroups, classes, normal):
 
 
 def test_bad_descriptors():
-    for bad in ("nope:3", "cyclic:x", "product:axb", "cyclic:0"):
+    for bad in ("nope:3", "cyclic:x", "product:axb", "cyclic:0",
+                "symmetric:-1", "alternating:-3", "dihedral:0", "dicyclic:-1", "product:2x0"):
         with pytest.raises(DescriptorError):
             build_group(bad)
 
@@ -350,7 +354,7 @@ def test_builtin_scope_covers_order_15():
     fingerprints = set()
     for d in descs:
         g = build_group(d)
-        profile = tuple(sorted(g.element_order(a) for a in range(g.order)))
+        profile = tuple(sorted(oracles.element_orders(g)))
         fingerprints.add((g.order, g.is_abelian, profile))
     assert len(fingerprints) == 28
 
@@ -366,3 +370,84 @@ def test_abelian_labels():
     latt = subgroup_lattice(build_group("product:2x6"))
     assert "C2xC2" in latt.labels
     assert latt.labels.count("C6") + latt.labels.count("C6'") + latt.labels.count("C6''") == 3
+
+
+def test_abelian_groups_are_listed_once():
+    # Finite abelian groups are determined by their element orders.
+    abelian = [d for d in small_group_descriptors(32) if d.startswith(("cyclic:", "product:"))]
+    profiles = [tuple(sorted(oracles.element_orders(build_group(d)))) for d in abelian]
+    assert len(set(profiles)) == len(profiles)
+
+
+def _power(group, a, k):
+    x = 0
+    for _ in range(k):
+        x = int(group.mul[x, a])
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
+def test_dihedral_presentation(n):
+    # D_n = <r, s | r^n = s^2 = 1, srs = r^-1>, elements r^k s^e named r^k s^e
+    g = build_group(f"dihedral:{n}")
+    names = g.element_names
+    r, s = names.index("r"), names.index("s")
+    mul, orders = g.mul, oracles.element_orders(g)
+    assert g.order == 2 * n and g.name == f"D{n}"
+    assert orders[r] == n and orders[s] == 2
+    assert mul[mul[s, r], s] == g.inv[r]
+    for i, name in enumerate(names):
+        k, e = i % n, i // n
+        assert name == ((f"r{k}" if k > 1 else "r" * k) + "s" * e or "1")
+        assert mul[_power(g, r, k), _power(g, s, e)] == i
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dicyclic_presentation(n):
+    # Dic_n = <a, b | a^2n = 1, b^2 = a^n, bab^-1 = a^-1>, elements a^k b^e named a^k b^e
+    g = build_group(f"dicyclic:{n}")
+    names = g.element_names
+    a, b = names.index("a"), names.index("b")
+    mul = g.mul
+    assert g.order == 4 * n and g.name == f"Dic{n}"
+    assert oracles.element_orders(g)[a] == 2 * n
+    assert mul[b, b] == _power(g, a, n)
+    assert mul[mul[b, a], g.inv[b]] == g.inv[a]
+    for i, name in enumerate(names):
+        k, e = i % (2 * n), i // (2 * n)
+        assert name == ((f"a{k}" if k > 1 else "a" * k) + "b" * e or "1")
+        assert mul[_power(g, a, k), _power(g, b, e)] == i
+
+
+def test_q8_names_and_relations():
+    g = build_group("q8")
+    assert (g.descriptor, g.name) == ("q8", "Q8")
+    assert g.element_names == ("1", "i", "-1", "-i", "j", "k", "-j", "-k")
+    q = {name: i for i, name in enumerate(g.element_names)}
+    mul = g.mul
+    for x in "ijk":
+        assert mul[q[x], q[x]] == q["-1"]
+    assert mul[q["i"], q["j"]] == q["k"] and mul[q["j"], q["i"]] == q["-k"]
+    assert mul[mul[q["i"], q["j"]], q["k"]] == q["-1"]
+    same = build_group("dicyclic:2")
+    assert np.array_equal(same.mul, g.mul) and same.element_names == g.element_names
+
+
+@pytest.mark.parametrize("desc", ["symmetric:1", "symmetric:2", "symmetric:3", "symmetric:5",
+                                  "alternating:1", "alternating:2", "alternating:4",
+                                  "alternating:5"])
+def test_symmetric_and_alternating_are_sorted_permutations(desc):
+    fam, n = desc.split(":")[0], int(desc.split(":")[1])
+
+    def even(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+    perms = [p for p in permutations(range(n)) if fam == "symmetric" or even(p)]
+    g = build_group(desc)
+    assert g.order == len(perms)
+    identity = tuple(range(n))
+    assert [identity if nm == "e" else _parse_cycles(nm, n) for nm in g.element_names] == perms
+    index = {p: i for i, p in enumerate(perms)}
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            assert g.mul[i, j] == index[tuple(p[x] for x in q)]

@@ -5,7 +5,7 @@ Compatibility runs on whole matrices.  For an additive system O put
     hyp[K, J] = O[K /\\ J, K]    and    gap[J, H] = (J <= H) and not O[J, H];
 
 then ``blocked = hyp @ gap`` (a boolean product, run by ``sites._bmm``
-on BLAS for sites of ``_BMM_BLAS_MIN`` nodes or more) marks exactly the
+on BLAS for sites of 20 nodes or more) marks exactly the
 multiplicative edges K -> H that break condition (2) against O: some J <= H
 has K /\\ J -> K additive while J -> H is missing.  Reflexive entries are
 never blocked (hyp[H, J] = O[J, H] for J <= H), so (O, O_m) is compatible
@@ -114,7 +114,7 @@ def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
     witness is the first flagged K -> H in row-major order and the least
     J <= H that breaks it, as an edge-by-edge scan would find.
     """
-    _require_same_site(o_a, o_m)
+    _require_same_site(o_a.site, o_m.site)
     flat = np.flatnonzero(o_m.rel & _blocked(o_a))
     if flat.size == 0:
         return CompatReport(True)

@@ -3,21 +3,30 @@
 Both enumerators run one level-by-level BFS over single-edge additions:
 every transfer system is reachable from the trivial one because generation
 is monotone and idempotent.  The closure R_e of each added edge e is
-precomputed once, so a step is one composition closure, comp(O | R_e),
-which equals generate(O + e) for a transfer system O.  Generators count
-only up to their orbit (T(g.e) = T(e) contains e, so generate(S + g.e) =
-generate(S + e)), so each level adds orbit representatives only, and k
-levels reach exactly the systems generated by at most k of the edges.
-Dedup happens on the canonical bit-string key before anything is built;
-the full axiom check runs once per newly found system.  The catalog order
-is canonical (edge count, then key bytes), so runs are reproducible
-regardless of expansion order.
+precomputed once, so extending a system O by e is one composition closure,
+comp(O | R_e), which equals generate(O + e) for a transfer system O.
+Generators count only up to their orbit (T(g.e) = T(e) contains e, so
+generate(S + g.e) = generate(S + e)), so each level adds orbit
+representatives only, and k levels reach exactly the systems generated by
+at most k of the edges.
+
+A level runs on stacks.  Its candidates O | R_e, for every frontier system
+O and every edge e not in O, frontier-major and edge-minor, are closed in
+blocks of ``_STACK_ENTRIES`` bool entries: a step is one stacked closure
+per block.  Dedup happens on the canonical bit-string key before anything
+is built, in candidate order, so the cap fires at the same count as a
+per-candidate loop would.  The level's new systems then pass the full
+axiom check in stacked blocks, the check the constructor runs on one
+relation.  The catalog order is canonical (edge count, then key bytes),
+so runs are reproducible regardless of expansion order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .compat import (
     _blocked,
@@ -31,6 +40,7 @@ from .compat import (
 from .errors import CapExceededError, InternalCheckError, UsageError
 from .sites import Site
 from .systems import (
+    _STACK_ENTRIES,
     TransferSystem,
     _comp,
     _edge_closure,
@@ -129,31 +139,35 @@ def _bfs(
     formatted with ``cap`` and ``count`` when more than ``cap`` systems
     turn up.
     """
-    closures = [(e, _edge_closure(site, e)) for e in edges]
-    seen: dict[bytes, TransferSystem] = {start.key: start}
-    frontier = [start.rel]
+    n = site.size
+    closures = np.array([_edge_closure(site, e) for e in edges], dtype=bool).reshape(-1, n, n)
+    edge_flat = np.array([k * n + h for k, h in edges], dtype=np.intp)
+    as_key = np.dtype((np.void, n * n))  # one row's bytes: .tolist() gives the keys
+    step = max(1, _STACK_ENTRIES // (n * n))
+    seen = {start.key}
+    ranked = [(start.edge_count, start.key, start)]
+    frontier = start.rel[None]
     level = 0
-    while frontier and (depth is None or level < depth):
+    while len(frontier) and (depth is None or level < depth):
         level += 1
-        next_level = []
-        for current in frontier:
-            for e, r_e in closures:
-                if current[e]:
-                    continue
-                rel = _comp(current | r_e)
-                key = rel.tobytes()
-                if key in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise CapExceededError(message.format(cap=cap, count=len(seen)))
-                seen[key] = TransferSystem(site, rel)
-                next_level.append(rel)
-        frontier = next_level
-    return _canonical(seen.values())
-
-
-def _canonical(systems: Iterable[TransferSystem]) -> list[TransferSystem]:
-    return sorted(systems, key=lambda s: (s.edge_count, s.key))
+        # (system, edge) pairs without the edge, frontier-major and edge-minor
+        fi, ei = np.nonzero(~frontier.reshape(len(frontier), n * n)[:, edge_flat])
+        found: list[bytes] = []
+        for lo in range(0, len(fi), step):
+            block = _comp(frontier[fi[lo : lo + step]] | closures[ei[lo : lo + step]])
+            keys = block.reshape(len(block), n * n).view(as_key).ravel().tolist()
+            # the block's new keys, each once, in candidate order
+            new = dict.fromkeys(k for k in keys if k not in seen)
+            if len(seen) + len(new) > cap:
+                raise CapExceededError(message.format(cap=cap, count=max(cap, len(seen))))
+            seen.update(new)
+            found += new
+        # rows copied out of the keys: no candidate block outlives its step
+        frontier = np.frombuffer(b"".join(found), dtype=bool).reshape(-1, n, n)
+        counts = np.count_nonzero(frontier.reshape(len(frontier), n * n), axis=1) - n
+        ranked += zip(counts.tolist(), found, TransferSystem._from_stack(site, frontier, found))
+    # the canonical order: edge count, then key bytes (keys are distinct)
+    return [ts for _, _, ts in sorted(ranked)]
 
 
 def census(catalog: TransferSystemCatalog) -> CensusStats:

@@ -21,10 +21,9 @@ from .errors import (
     DisklikeRequiredError,
     GroupSiteRequiredError,
     InternalCheckError,
-    MismatchedSitesError,
 )
 from .sites import IntervalView, Site, interval_above
-from .systems import TransferSystem, is_disklike, is_saturated
+from .systems import TransferSystem, _require_same_site, is_disklike, is_saturated
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ def quotient_context(parent: Site, n: int) -> QuotientContext:
 
 
 def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str) -> None:
-    if ts.site.key != ctx.interval.site.key:
-        raise MismatchedSitesError(f"{what} must live on the interval site of the context")
+    message = f"{what} must live on the interval site of the context"
+    _require_same_site(ts.site, ctx.interval.site, message)
 
 
 def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
@@ -84,8 +83,7 @@ def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
 
 def fixed_points(ctx: QuotientContext, o: TransferSystem) -> TransferSystem:
     """Restrict a G-transfer system to the interval [N, G]."""
-    if o.site.key != ctx.parent.key:
-        raise MismatchedSitesError("fixed_points input must live on the parent site")
+    _require_same_site(o.site, ctx.parent, "fixed_points input must live on the parent site")
     idx = np.array(ctx.interval.to_parent)
     return TransferSystem(ctx.interval.site, o.rel[np.ix_(idx, idx)].copy())
 

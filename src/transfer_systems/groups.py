@@ -333,14 +333,15 @@ def group_from_permutation_file(path: str | Path, order_cap: int = DEFAULT_ORDER
 # Descriptors
 
 
-# Order of each built-in family from its parameters.
-_ORDERS: dict[str, Callable[[list[int]], int]] = {
-    "cyclic": lambda p: p[0],
-    "product": math.prod,
-    "symmetric": lambda p: math.factorial(p[0]),
-    "alternating": lambda p: max(math.factorial(p[0]) // 2, 1),
-    "dihedral": lambda p: 2 * p[0],
-    "dicyclic": lambda p: 4 * p[0],
+# Factors whose product is the order of each built-in family, from its
+# parameters (n!/2 = 3 * 4 * ... * n for n >= 2, and A1 = A2 = 1).
+_ORDER_FACTORS: dict[str, Callable[[list[int]], Iterable[int]]] = {
+    "cyclic": lambda p: p,
+    "product": lambda p: p,
+    "symmetric": lambda p: range(2, p[0] + 1),
+    "alternating": lambda p: range(3, p[0] + 1),
+    "dihedral": lambda p: (2, p[0]),
+    "dicyclic": lambda p: (4, p[0]),
 }
 
 
@@ -362,7 +363,7 @@ def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
         return group_from_permutation_file(arg, order_cap)
     if fam == "q8" and not arg:
         fam, arg = "dicyclic", "2"
-    if fam not in _ORDERS:
+    if fam not in _ORDER_FACTORS:
         raise DescriptorError(f"unsupported descriptor {descriptor!r}")
     try:
         params = [int(t) for t in arg.split("x")] if fam == "product" else [int(arg)]
@@ -370,9 +371,11 @@ def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
             raise ValueError
     except ValueError:
         raise DescriptorError(f"{descriptor}: parameters must be integers >= 1") from None
-    order = _ORDERS[fam](params)
-    if order > order_cap:
-        raise CapExceededError(f"{descriptor}: order {order} exceeds cap {order_cap}")
+    order = 1
+    for factor in _ORDER_FACTORS[fam](params):
+        order *= factor
+        if order > order_cap:  # stop here: n! of symmetric:2000 has 5,736 digits
+            raise CapExceededError(f"{descriptor}: order exceeds cap {order_cap}")
     n = params[0]
     if fam == "cyclic":
         return _cyclic(n)

@@ -13,13 +13,15 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .systems import TransferSystem
+from .systems import TransferSystem, _require_same_site
 
 
 def _check_highlight(ts: TransferSystem, highlight: Optional[TransferSystem]) -> None:
     if highlight is not None:
-        if highlight.site.key != ts.site.key or not highlight.le(ts):
-            raise UsageError("highlight system must be contained in the rendered system")
+        message = "highlight system must be contained in the rendered system"
+        _require_same_site(highlight.site, ts.site, message)
+        if not highlight.le(ts):
+            raise UsageError(message)
 
 
 def _rank_groups(ts: TransferSystem) -> list[list[int]]:

@@ -30,27 +30,35 @@ from .groups import (
     subgroup_lattice,
 )
 
-# Inner dimension from which _bmm runs on BLAS.  Timed with NumPy 2.4 on
-# OpenBLAS 0.3.31 (2 vCPUs), random n-by-n operands of density 0.05 to 0.5,
-# bool @ against float32 @ plus > 0: bool is faster up to n = 12 (by 1.3 to
-# 2.5x), the two cross between n = 16 and 24, and float32 is faster by 1.1
-# to 2.1x at n = 24, 1.3 to 6.7x at n = 40 and 8.8x at n = 156 (S5).
-_BMM_BLAS_MIN = 24
+# Multiply-adds from which _bmm runs on BLAS.  Timed with NumPy 2.4 on
+# OpenBLAS 0.3.31 (2 vCPUs), random bool operands of density 0.3: for
+# matrices and (B, n, n) stacks of every n from 5 to 24 and B from 1 to 64,
+# bool @ is faster below about 6,000 multiply-adds (2.5x at 125) and float32
+# @ plus > 0 from about 8,000 (1.2x at 8,000, 3.5x at 16,000, 8 to 35x on
+# stacks of 32 or more).  A single n-by-n product thus switches at n = 20.
+_BMM_BLAS_WORK = 8000
 
 
 def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The boolean matrix product ``a @ b`` of two bool arrays.
 
-    NumPy's bool ``@`` does not use BLAS.  From an inner dimension
-    ``len(b)`` of ``_BMM_BLAS_MIN`` up the product runs in float32 and is
-    compared with 0.  This is exact: each entry is a sum of ``len(b)`` terms
-    equal to 0 or 1, which float32 holds exactly below 2**24 whatever the
-    summation order or thread count, so the result does not depend on the
-    BLAS build.
+    ``a`` is a matrix, a vector or a (B, n, k) stack; ``b`` is a matrix, a
+    vector, or a stack as long as ``a``'s (``np.matmul`` broadcasting).
+    NumPy's bool ``@`` does not use BLAS, and on stacks its cost grows much
+    faster than the work.  So from ``a.size * b.shape[-1]`` (the number of
+    multiply-adds) of ``_BMM_BLAS_WORK`` up, both operands are cast to
+    float32 copies, multiplied, and compared with 0.  (Casting first is as
+    fast as ``np.matmul(..., dtype=np.float32)`` on contiguous operands and
+    1.8 to 2.8x faster on transposed views at n = 156.)  A vector ``b``
+    always takes bool ``@``: a bool matrix-vector product outruns the cast
+    (6 us against 440 us at 1000 x 1000).  The float32 product is exact:
+    each entry is a sum of ``a.shape[-1]`` terms equal to 0 or 1, which
+    float32 holds exactly below 2**24 whatever the summation order or
+    thread count, so the result does not depend on the BLAS build.
     """
-    if len(b) < _BMM_BLAS_MIN:  # len() is cheaper than .shape on hot small calls
+    if b.ndim == 1 or a.size * b.shape[-1] < _BMM_BLAS_WORK:
         return a @ b
-    return np.matmul(a, b, dtype=np.float32) > 0
+    return np.matmul(a.astype(np.float32), b.astype(np.float32)) > 0
 
 
 class Site:

@@ -2,9 +2,10 @@
 
 Each oracle deliberately avoids the production code path it checks:
 closure runs as a one-step-at-a-time fixpoint loop instead of the
-single-pass pipeline, enumeration brute-forces subset closures, bounded
-disklike scopes close every small set of top edges, complexity tries every
-subset of a system's edges, setwise products KN are multiplied out, the hull
+single-pass pipeline, enumeration brute-forces subset closures and runs
+the BFS one candidate at a time, bounded disklike scopes close every small
+set of top edges, complexity tries every subset of a system's edges,
+setwise products KN are multiplied out, the hull
 intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups and element orders come from a breadth-first
 search over products instead of the library's element masks, subgroups
@@ -30,12 +31,17 @@ from itertools import combinations
 import numpy as np
 
 from transfer_systems.compat import CompatReport
-from transfer_systems.enumeration import _canonical
 from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
 from transfer_systems.sites import Site
-from transfer_systems.systems import TransferSystem, ViolationReport, generate_from_edges
+from transfer_systems.systems import (
+    TransferSystem,
+    ViolationReport,
+    _comp,
+    _edge_closure,
+    generate_from_edges,
+)
 
 
 NOT_COMPARABLE = 0
@@ -146,6 +152,38 @@ def closure_fixpoint(site: Site, edges) -> np.ndarray:
     return rel
 
 
+def canonical(systems) -> list[TransferSystem]:
+    """Systems sorted by edge count, then key bytes."""
+    return sorted(systems, key=lambda s: (s.edge_count, s.key))
+
+
+def bfs_by_loop(site: Site, start, edges, cap: int, message: str, depth=None):
+    """The enumerators' BFS one candidate at a time: each frontier system
+    plus each edge it lacks is closed by its own ``_comp`` call, deduped,
+    and built through the constructor, which checks it."""
+    closures = [(e, _edge_closure(site, e)) for e in edges]
+    seen = {start.key: start}
+    frontier = [start.rel]
+    level = 0
+    while frontier and (depth is None or level < depth):
+        level += 1
+        next_level = []
+        for current in frontier:
+            for e, r_e in closures:
+                if current[e]:
+                    continue
+                rel = _comp(current | r_e)
+                key = rel.tobytes()
+                if key in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceededError(message.format(cap=cap, count=len(seen)))
+                seen[key] = TransferSystem(site, rel)
+                next_level.append(rel)
+        frontier = next_level
+    return canonical(seen.values())
+
+
 def enumerate_subset_closure(site: Site) -> set[bytes]:
     """Keys of the closures of every subset of comparable pairs."""
     pairs = site.pairs
@@ -173,7 +211,7 @@ def disklike_by_subsets(site: Site, max_generators: int, require_bottom_to_top: 
             subset_keys.add(key)
             ts = generate_from_edges(site, subset)
             found.setdefault(ts.key, ts)
-    systems = _canonical(found.values())
+    systems = canonical(found.values())
     if require_bottom_to_top:
         systems = [s for s in systems if s.rel[universal]]
     return systems

@@ -189,6 +189,13 @@ def test_negative_group_parameter_is_a_usage_error(capsys, desc):
     assert err == f"error: {desc}: parameters must be integers >= 1\n"
 
 
+@pytest.mark.parametrize("desc", ["symmetric:2000", "symmetric:10000000"])
+def test_huge_group_order_is_a_usage_error(capsys, desc):
+    code, out, err = run(capsys, "lattice", "--group", desc)
+    assert code == 2 and out == ""
+    assert err == f"error: {desc}: order exceeds cap 1000\n"
+
+
 @pytest.mark.parametrize("argv", [["lattice"], ["conjecture"], ["enumerate"],
                                   ["generate", "--edges", "1>C2"]])
 def test_group_and_site_exclude_each_other(tmp_path, capsys, argv):

@@ -1,6 +1,6 @@
 import pytest
 
-from transfer_systems import compat, enumeration
+from transfer_systems import compat, enumeration, systems
 from transfer_systems.enumeration import (
     census,
     cross_method_audit,
@@ -10,7 +10,7 @@ from transfer_systems.enumeration import (
 )
 from transfer_systems.errors import CapExceededError, UsageError
 from transfer_systems.sites import site_from_descriptor
-from transfer_systems.systems import is_disklike, join_ts, meet_ts
+from transfer_systems.systems import generate_from_edges, is_disklike, join_ts, meet_ts, trivial_ts
 
 import oracles
 
@@ -70,6 +70,68 @@ def test_catalog_closed_under_meet_join_sampled(c12_catalog):
         for b in systems:
             assert meet_ts(a, b).key in keys
             assert join_ts(a, b).key in keys
+
+
+ENUMERATION_MESSAGE = "enumeration cap {cap} exceeded (partial count {count})"
+
+
+@pytest.mark.parametrize(
+    "catalog_name",
+    ["c12_catalog", "d4_catalog", "s3_catalog", "q8_catalog", "grid_catalog", "p5_catalog",
+     "s4_catalog"],
+)
+def test_stacked_bfs_matches_the_loop(catalog_name, request):
+    # the level-at-a-time BFS lists the systems of the per-candidate loop, in order
+    catalog = request.getfixturevalue(catalog_name)
+    site = catalog.site
+    expected = oracles.bfs_by_loop(
+        site, trivial_ts(site), site.orbit_representatives(site.pairs), 200_000,
+        ENUMERATION_MESSAGE,
+    )
+    assert [ts.key for ts in catalog.systems] == [ts.key for ts in expected]
+
+
+@pytest.mark.parametrize("descriptor, depth", [("alternating:5", 2), ("symmetric:5", 1)])
+def test_stacked_disklike_bfs_matches_the_loop(descriptor, depth):
+    site = site_from_descriptor(descriptor)
+    top_edges = [(h, site.top) for h in range(site.size) if h != site.top]
+    expected = oracles.bfs_by_loop(
+        site, generate_from_edges(site, []), site.orbit_representatives(top_edges), 200_000,
+        "disklike enumeration cap {cap} exceeded", depth,
+    )
+    assert [ts.key for ts in disklike_systems(site, depth)] == [ts.key for ts in expected]
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:12", "symmetric:4"])
+def test_every_new_system_passes_the_stacked_check(descriptor, monkeypatch):
+    # the trivial start through the constructor, every other system in stacks
+    site = site_from_descriptor(descriptor)
+    checked = []
+    real = systems._check_stack
+
+    def recording(site, rels):
+        checked.extend(rel.tobytes() for rel in rels)
+        real(site, rels)
+
+    monkeypatch.setattr(systems, "_check_stack", recording)
+    catalog = enumerate_all(site)
+    assert sorted(checked) == sorted(ts.key for ts in catalog.systems)
+
+
+@pytest.mark.parametrize("cap, count", [(0, 1), (1, 1), (10, 10), (500, 500), (1395, 1395)])
+def test_cap_message_matches_the_loop(c36_site, cap, count):
+    # C36 has 1,396 systems; the cap falls inside a level and inside a block
+    message = f"enumeration cap {cap} exceeded (partial count {count})"
+    with pytest.raises(CapExceededError) as loop:
+        oracles.bfs_by_loop(
+            c36_site, trivial_ts(c36_site), c36_site.orbit_representatives(c36_site.pairs), cap,
+            ENUMERATION_MESSAGE,
+        )
+    assert str(loop.value) == message
+    with pytest.raises(CapExceededError) as stacked:
+        enumerate_all(c36_site, cap=cap)
+    assert str(stacked.value) == message
+    assert len(enumerate_all(c36_site, cap=1396)) == 1396
 
 
 def test_enumeration_cap(c6_site):

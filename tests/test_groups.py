@@ -1,4 +1,5 @@
 import re
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -337,6 +338,15 @@ def test_bad_descriptors():
                 "symmetric:-1", "alternating:-3", "dihedral:0", "dicyclic:-1", "product:2x0"):
         with pytest.raises(DescriptorError):
             build_group(bad)
+    # orders far past the cap are refused before they are computed: 2000! has
+    # 5,736 digits, too many to print, and 10000000! would take hours
+    huge = "product:" + "x".join(["1000"] * 2000)
+    for bad in ("symmetric:2000", "symmetric:10000000", "alternating:10000000", huge):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as err:
+            build_group(bad)
+        assert str(err.value) == f"{bad}: order exceeds cap 1000"
+        assert time.perf_counter() - start < 1.0
 
 
 def test_q8_all_subgroups_normal():

@@ -11,7 +11,7 @@ from conftest import GRID_TEXT, P5_TEXT, m_poset_text
 from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
 from transfer_systems.groups import build_group, subgroup_lattice
 from transfer_systems.sites import (
-    _BMM_BLAS_MIN,
+    _BMM_BLAS_WORK,
     Site,
     _bmm,
     interval_above,
@@ -150,11 +150,14 @@ def test_orbit_table_matches_loop_oracles(
 
 @st.composite
 def bool_operands(draw):
-    """A pair of random bool operands of one of four shapes, sized on both
-    sides of the BLAS crossover: square, non-square, vector-matrix, and a
-    matrix times a transposed view."""
-    m, k, n = (draw(st.integers(1, 2 * _BMM_BLAS_MIN)) for _ in range(3))
-    kind = draw(st.sampled_from(["square", "rect", "vector", "transposed"]))
+    """A pair of random bool operands of one of seven shapes, sized on both
+    sides of the BLAS switch: square, non-square, vector-matrix,
+    matrix-vector, a matrix times a transposed view, a (B, m, k) stack
+    times a (B, k, n) stack, and a stack times one shared matrix."""
+    side = round(_BMM_BLAS_WORK ** (1 / 3))  # the square that switches
+    m, k, n = (draw(st.integers(1, 2 * side)) for _ in range(3))
+    kind = draw(st.sampled_from(
+        ["square", "rect", "vector", "matvec", "transposed", "stack", "shared"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.05, 0.3, 0.9]))
 
@@ -167,10 +170,17 @@ def bool_operands(draw):
         return bits(m, k), bits(k, n)
     if kind == "vector":
         return bits(k), bits(k, n)
-    return bits(m, k), bits(n, k).T
+    if kind == "matvec":
+        return bits(m, k), bits(k)
+    if kind == "transposed":
+        return bits(m, k), bits(n, k).T
+    b = draw(st.integers(1, 16))
+    if kind == "stack":
+        return bits(b, m, k), bits(b, k, n)
+    return bits(b, m, k), bits(k, n)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(bool_operands())
 def test_bmm_matches_bool_matmul(operands):
     a, b = operands

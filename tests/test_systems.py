@@ -30,6 +30,7 @@ from transfer_systems.systems import (
     meet_ts,
     trivial_ts,
     tulip_ts,
+    _check_stack,
     _comp,
     _conj,
     _edge_closure,
@@ -233,6 +234,74 @@ def test_constructor_rejects_edges_outside_the_order(c6_site):
     rel[c6_site.top, c6_site.bottom] = True
     with pytest.raises(InternalCheckError, match="does not refine the order"):
         TransferSystem(c6_site, rel)
+
+
+def _failing_axioms(site, rel) -> set[str]:
+    """Every axiom a relation refining the order breaks, each tested alone."""
+    failing = set()
+    if not np.all(np.diag(rel)):
+        failing.add("reflexivity")
+    if not np.array_equal(oracles.conj_by_loop(site, rel), rel):
+        failing.add("conjugation")
+    lost = ~rel[site.meet, np.arange(site.size)]
+    if np.any(rel & (lost @ site.leq)):
+        failing.add("restriction")
+    if np.any((rel @ rel) & ~rel):
+        failing.add("composition")
+    return failing
+
+
+def _corrupted(catalog, axiom):
+    """A system of the catalog with one reflexive edge, one edge or one edge
+    orbit dropped, so that ``axiom`` is the only axiom it breaks."""
+    site = catalog.site
+    for ts in catalog.systems:
+        drops = [[(v, v)] for v in range(site.size)]
+        drops += [[e] for e in ts.edges()] + [sorted(site.orbit(e)) for e in ts.edges()]
+        for edges in drops:
+            rel = ts.rel.copy()
+            rel[tuple(np.array(edges).T)] = False
+            if _failing_axioms(site, rel) == {axiom}:
+                return rel
+    raise AssertionError(f"no {axiom} case on {site.descriptor}")
+
+
+@pytest.mark.parametrize("catalog_name", ["d4_catalog", "s4_catalog"])
+@pytest.mark.parametrize(
+    "axiom", ["reflexivity", "conjugation", "restriction", "composition", "order"]
+)
+def test_stacked_check_flags_the_corrupted_item(catalog_name, axiom, request):
+    # D4 (10 nodes) runs the bool products, S4 (30 nodes) the float32 ones
+    catalog = request.getfixturevalue(catalog_name)
+    site = catalog.site
+    if axiom == "order":
+        bad = np.eye(site.size, dtype=bool)
+        bad[site.top, site.bottom] = True
+        reason = (f"edge {site.labels[site.top]} -> {site.labels[site.bottom]} "
+                  "does not refine the order")
+    else:
+        bad = _corrupted(catalog, axiom)
+        report = oracles.first_violation_by_loop(site, bad)
+        assert report.axiom == axiom  # the only axiom it breaks
+        assert _first_violation(site, bad) == report
+        reason = report.describe(site)
+    message = f"relation is not a transfer system: {reason}"
+    with pytest.raises(InternalCheckError) as single:
+        TransferSystem(site, bad)
+    assert str(single.value) == message
+    valid = [ts.rel for ts in catalog.systems[:: max(1, len(catalog) // 6)]]
+    for at in (0, 3, len(valid)):
+        stack = np.array(valid[:at] + [bad] + valid[at:])
+        with pytest.raises(InternalCheckError) as stacked:
+            _check_stack(site, stack)
+        assert str(stacked.value) == message
+        for i in range(len(stack)):
+            if i == at:
+                with pytest.raises(InternalCheckError):
+                    _check_stack(site, stack[i : i + 1])
+            else:
+                _check_stack(site, stack[i : i + 1])
+    _check_stack(site, np.array(valid))
 
 
 def test_generate_minimality_on_c6(c6_catalog, c6_site):

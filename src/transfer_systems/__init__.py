@@ -34,7 +34,6 @@ from .groups import (
     subgroup_lattice,
 )
 from .sites import (
-    IntervalView,
     Site,
     interval_above,
     site_from_descriptor,

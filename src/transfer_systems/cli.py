@@ -102,6 +102,11 @@ def _edge_str(site: Site, e: tuple[int, int]) -> str:
     return f"{site.labels[e[0]]}>{site.labels[e[1]]}"
 
 
+def _emit_edges(args, ts: TransferSystem) -> None:
+    """One ``SRC>DST`` line per non-reflexive edge, in the labels of the system's site."""
+    _emit(args, "".join(_edge_str(ts.site, e) + "\n" for e in ts.edges()))
+
+
 def _load_site(args) -> Site:
     if getattr(args, "group", None) and getattr(args, "site", None):
         raise UsageError("--group and --site exclude each other")
@@ -235,9 +240,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    site = _load_site(args)
-    ts = _load_system(args, site)
-    _emit(args, "".join(_edge_str(site, e) + "\n" for e in ts.edges()))
+    _emit_edges(args, _load_system(args, _load_site(args)))
     return EXIT_OK
 
 
@@ -315,30 +318,23 @@ def _cmd_enumerate(args) -> int:
 
 def _quotient_from_args(args):
     site = _load_site(args)
-    return site, quotient_context(site, site.node(args.normal))
+    return quotient_context(site, site.node(args.normal))
 
 
 def _cmd_inflate(args) -> int:
-    site, ctx = _quotient_from_args(args)
-    result = inflate(ctx, _load_system(args, ctx.interval.site))
-    _emit(args, "".join(_edge_str(site, e) + "\n" for e in result.edges()))
+    ctx = _quotient_from_args(args)
+    _emit_edges(args, inflate(ctx, _load_system(args, ctx.interval_site)))
     return EXIT_OK
 
 
 def _cmd_fixed_points(args) -> int:
-    site, ctx = _quotient_from_args(args)
-    ts = _load_system(args, site)
-    result = fixed_points(ctx, ts)
-    interval = ctx.interval.site
-    _emit(args, "".join(_edge_str(interval, e) + "\n" for e in result.edges()))
+    ctx = _quotient_from_args(args)
+    _emit_edges(args, fixed_points(ctx, _load_system(args, ctx.parent)))
     return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
-    site = _load_site(args)
-    ts = _load_system(args, site)
-    result = universal_reduction(ts)
-    _emit(args, "".join(_edge_str(site, e) + "\n" for e in result.edges()))
+    _emit_edges(args, universal_reduction(_load_system(args, _load_site(args))))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ so runs are reproducible regardless of expansion order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -80,13 +80,6 @@ class TransferSystemCatalog:
 
     def __len__(self) -> int:
         return len(self.systems)
-
-    def index_of(self, ts: TransferSystem) -> int:
-        key = ts.key
-        for i, s in enumerate(self.systems):
-            if s.key == key:
-                return i
-        raise KeyError("system not in catalog")
 
     @property
     def stats(self) -> CensusStats:
@@ -216,17 +209,7 @@ class AuditReport:
         return not self.disagreements
 
     def to_json(self) -> dict:
-        return {
-            "site": self.site,
-            "total": self.total,
-            "disklike_total": self.disklike_total,
-            "disagreements": [
-                {"index": d.index, "edges": d.edges, "kind": d.kind, "detail": d.detail}
-                for d in self.disagreements
-            ],
-            "max_step_ratio": self.max_step_ratio,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _labeled_edges(ts: TransferSystem) -> list[tuple[str, str]]:
@@ -320,7 +303,7 @@ def disklike_systems(
 @dataclass
 class ConjectureCase:
     site: str
-    system_edges: list[tuple[str, str]]
+    system: list[tuple[str, str]]
     formula_only: list[tuple[str, str]]  # edges the conjectured formula keeps but M drops
     missing: list[tuple[str, str]]  # edges M keeps but the formula drops
 
@@ -336,20 +319,7 @@ class ConjectureReport:
         return not self.counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "scopes": self.scopes,
-            "systems_checked": self.systems_checked,
-            "counterexamples": [
-                {
-                    "site": c.site,
-                    "system": c.system_edges,
-                    "formula_only": c.formula_only,
-                    "missing": c.missing,
-                }
-                for c in self.counterexamples
-            ],
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_conjecture(

@@ -1,8 +1,9 @@
 """Inflation along a quotient, N-fixed points, and the universal-transfer reduction.
 
 For a normal subgroup N of G the subgroup lattice of G/N is identified with
-the interval [N, G] inside Sub(G).  Inflation pulls a transfer system on the
-interval back to G via the membership test
+the interval [N, G] inside Sub(G), a plain site (``interval_above``) that a
+:class:`QuotientContext` records with the parent.  Inflation pulls a
+transfer system on the interval back to G via the membership test
 
     K -> H  is inflated  iff  KN -> HN is an interval transfer and K = KN /\\ H,
 
@@ -22,26 +23,22 @@ from .errors import (
     GroupSiteRequiredError,
     InternalCheckError,
 )
-from .sites import IntervalView, Site, interval_above
+from .sites import Site, interval_above
 from .systems import TransferSystem, _require_same_site, is_disklike, is_saturated
 
 
 @dataclass(frozen=True)
 class QuotientContext:
-    """Everything needed to move transfer systems across G -> G/N.
-
-    ``kn[k]`` is the parent index of the product KN (the join, N being
-    normal), precomputed once.
+    """The one record of G -> G/N: the parent, the interval site [N, G], and
+    two read-only arrays: ``to_parent``, the parent index of each interval
+    node in increasing order, and int32 ``kn``, where ``kn[k]`` is the parent
+    index of the product KN (the join, N being normal).
     """
 
     parent: Site
-    interval: IntervalView
-    normal_index: int
+    interval_site: Site
+    to_parent: np.ndarray
     kn: np.ndarray
-
-    @property
-    def interval_site(self) -> Site:
-        return self.interval.site
 
 
 def quotient_context(parent: Site, n: int) -> QuotientContext:
@@ -55,26 +52,26 @@ def quotient_context(parent: Site, n: int) -> QuotientContext:
     cache = parent._cache.setdefault("quotient_context", {})
     ctx = cache.get(n)
     if ctx is None:
-        iv = interval_above(parent, n)
+        to_parent = np.flatnonzero(parent.leq[n])
+        to_parent.flags.writeable = False
         # KN is the join.  Subgroups are sorted by order, and every common
         # upper bound of K and N contains the join, so the first one is it.
         kn = (parent.leq & parent.leq[n]).argmax(axis=1).astype(np.int32)
         kn.flags.writeable = False
-        ctx = cache[n] = QuotientContext(parent, iv, n, kn)
+        ctx = cache[n] = QuotientContext(parent, interval_above(parent, n), to_parent, kn)
     return ctx
 
 
 def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str) -> None:
     message = f"{what} must live on the interval site of the context"
-    _require_same_site(ts.site, ctx.interval.site, message)
+    _require_same_site(ts.site, ctx.interval_site, message)
 
 
 def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
     """Pull a transfer system on [N, G] back to G."""
     _require_interval_system(ctx, o_bar, "inflate input")
     parent = ctx.parent
-    iv = ctx.interval
-    sub_of = iv.from_parent[ctx.kn]  # interval index of KN
+    sub_of = np.searchsorted(ctx.to_parent, ctx.kn)  # interval index of KN
     lifted = o_bar.rel[np.ix_(sub_of, sub_of)]  # KN -> HN is an interval transfer
     anchored = parent.meet[ctx.kn, :] == np.arange(parent.size)[:, None]  # K == KN /\ H
     rel = parent.leq & lifted & anchored
@@ -84,8 +81,8 @@ def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
 def fixed_points(ctx: QuotientContext, o: TransferSystem) -> TransferSystem:
     """Restrict a G-transfer system to the interval [N, G]."""
     _require_same_site(o.site, ctx.parent, "fixed_points input must live on the parent site")
-    idx = np.array(ctx.interval.to_parent)
-    return TransferSystem(ctx.interval.site, o.rel[np.ix_(idx, idx)].copy())
+    idx = ctx.to_parent
+    return TransferSystem(ctx.interval_site, o.rel[np.ix_(idx, idx)])
 
 
 def minimal_transferring_subgroup(o: TransferSystem) -> int:

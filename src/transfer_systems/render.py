@@ -59,16 +59,13 @@ def render_dot(
     for group in _rank_groups(ts):
         if len(group) > 1:
             lines.append("  { rank=same; " + " ".join(f"n{v};" for v in group) + " }")
-    drawn = set()
     for a, b in ts.edges():
         if highlight is not None and highlight.rel[a, b]:
             lines.append(f"  n{a} -> n{b} [style=bold, color=blue];")
         else:
             lines.append(f"  n{a} -> n{b};")
-        drawn.add((a, b))
-    for a, b in np.argwhere(site.covers).tolist():
-        if (a, b) not in drawn:
-            lines.append(f"  n{a} -> n{b} [style=dotted, arrowhead=none];")
+    for a, b in np.argwhere(site.covers & ~ts.rel).tolist():
+        lines.append(f"  n{a} -> n{b} [style=dotted, arrowhead=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -88,14 +85,11 @@ def render_tikz(
             x = 2.0 * col - (len(group) - 1)
             mark = ",draw=green,dashed" if v in cluster_nodes else ""
             lines.append(f"  \\node[{mark.strip(',')}] (n{v}) at ({x:.1f},{depth:.1f}) {{{lab[v]}}};")
-    drawn = set()
     for a, b in ts.edges():
         style = "very thick,blue" if highlight is not None and highlight.rel[a, b] else "->"
         arrow = "->" if style == "->" else f"->,{style}"
         lines.append(f"  \\draw[{arrow}] (n{a}) -- (n{b});")
-        drawn.add((a, b))
-    for a, b in np.argwhere(site.covers).tolist():
-        if (a, b) not in drawn:
-            lines.append(f"  \\draw[dotted] (n{a}) -- (n{b});")
+    for a, b in np.argwhere(site.covers & ~ts.rel).tolist():
+        lines.append(f"  \\draw[dotted] (n{a}) -- (n{b});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

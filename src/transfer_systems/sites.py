@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -54,11 +53,13 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (6 us against 440 us at 1000 x 1000).  The float32 product is exact:
     each entry is a sum of ``a.shape[-1]`` terms equal to 0 or 1, which
     float32 holds exactly below 2**24 whatever the summation order or
-    thread count, so the result does not depend on the BLAS build.
+    thread count, so the result does not depend on the BLAS build.  A
+    square ``_bmm(a, a)`` casts ``a`` once.
     """
     if b.ndim == 1 or a.size * b.shape[-1] < _BMM_BLAS_WORK:
         return a @ b
-    return np.matmul(a.astype(np.float32), b.astype(np.float32)) > 0
+    fa = a.astype(np.float32)
+    return np.matmul(fa, fa if b is a else b.astype(np.float32)) > 0
 
 
 class Site:
@@ -257,36 +258,21 @@ def site_from_lattice(latt: SubgroupLattice) -> Site:
     )
 
 
-@dataclass(frozen=True)
-class IntervalView:
-    """The sub-site on {H : N <= H <= top} with index maps to the parent.
-
-    ``from_parent`` is a read-only intp array over the parent's nodes: the
-    interval index of each node of the interval, -1 elsewhere.
+def interval_above(parent: Site, n: int) -> Site:
+    """The site induced on the nodes above n, a node the action fixes (a
+    normal subgroup N, making it [N, G] = Sub(G/N)), with the parent's
+    labels and action and the descriptor ``<parent>|above:<label>``.
     """
-
-    site: Site
-    parent: Site
-    normal_index: int
-    to_parent: tuple[int, ...]
-    from_parent: np.ndarray = field(hash=False, compare=False)
-
-
-def interval_above(parent: Site, n: int) -> IntervalView:
-    """Induced site on the nodes above n, a node the action fixes (a normal subgroup)."""
     if not (parent.action[:, n] == n).all():
         raise NotNormalError(f"node {parent.labels[n]} is not fixed by the action")
     nodes = np.flatnonzero(parent.leq[n])
-    from_parent = np.full(parent.size, -1, dtype=np.intp)
-    from_parent[nodes] = np.arange(len(nodes))
-    from_parent.flags.writeable = False
+    action = np.searchsorted(nodes, parent.action[:, nodes])  # interval indices
     leq = parent.leq[np.ix_(nodes, nodes)]
     labels = tuple(parent.labels[v] for v in nodes)
     descriptor = None
     if parent.descriptor is not None:
         descriptor = f"{parent.descriptor}|above:{parent.labels[n]}"
-    site = Site(leq, from_parent[parent.action[:, nodes]], labels, descriptor=descriptor)
-    return IntervalView(site, parent, n, tuple(nodes.tolist()), from_parent)
+    return Site(leq, action, labels, descriptor=descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +355,7 @@ def site_from_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) ->
     if "|above:" in descriptor:
         parent_desc, _, label = descriptor.rpartition("|above:")
         parent = site_from_descriptor(parent_desc, order_cap)
-        return interval_above(parent, parent.node(label)).site
+        return interval_above(parent, parent.node(label))
     if descriptor.startswith("poset:"):
         return site_from_poset_file(descriptor[len("poset:") :])
     return site_from_lattice(subgroup_lattice(build_group(descriptor, order_cap)))

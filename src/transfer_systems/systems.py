@@ -423,15 +423,11 @@ def is_saturated(ts: TransferSystem) -> SaturationResult:
     """Check for triples L <= K <= H with L->H present but K->H missing."""
     site, rel = ts.site, ts.rel
     gap = site.leq & ~rel  # K -> H missing
-    reach = _bmm(site.leq, gap)  # exists K >= L with gap
-    bad = rel & reach
+    bad = rel & _bmm(site.leq, gap)  # L -> H with some K >= L missing K -> H
     if not np.any(bad):
         return SaturationResult(True, None)
-    for l, h in ((int(a), int(b)) for a, b in np.argwhere(bad)):
-        ks = np.flatnonzero(site.leq[l] & gap[:, h])
-        if ks.size:
-            return SaturationResult(False, (l, int(ks[0]), h))
-    raise InternalCheckError("saturation witness extraction failed")  # pragma: no cover
+    l, h = map(int, np.argwhere(bad)[0])  # the first flagged pair, so such a K exists
+    return SaturationResult(False, (l, int(np.argmax(site.leq[l] & gap[:, h])), h))
 
 
 def hull(ts: TransferSystem) -> TransferSystem:

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import time
 
 import numpy as np
@@ -249,6 +251,117 @@ def test_non_associative_cayley_table_above_order_256(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: cayley:") and err.count("\n") == 1
     assert "non-associative at (4,1,7): (xg)y=13 != x(gy)=12" in err
+
+
+# Bad inputs, one per input-error branch: (id, argv, file text, message).
+# "{f}" stands for the case's file, written with the text; a text of None
+# leaves "{f}" naming a directory.
+_EISDIR = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+INPUT_ERRORS = [
+    ("cayley-empty", ["lattice", "--group", "cayley:{f}"], "", "{f}: empty Cayley file"),
+    ("cayley-token", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1 x\n",
+     "{f}: non-integer token: invalid literal for int() with base 10: 'x'"),
+    ("cayley-order-0", ["lattice", "--group", "cayley:{f}"], "0\n",
+     "{f}: order must be positive"),
+    ("cayley-over-cap", ["lattice", "--group", "cayley:{f}"], "1001\n",
+     "{f}: order 1001 exceeds cap 1000"),
+    ("cayley-entry-count", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1\n",
+     "{f}: expected 4 entries, got 3"),
+    ("cayley-entry-range", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1 2\n",
+     "cayley:{f}: entries must be indices in 0..1"),
+    ("cayley-identity", ["lattice", "--group", "cayley:{f}"], "2\n1 0\n0 1\n",
+     "cayley:{f}: index 0 must be the identity element"),
+    ("perms-empty", ["lattice", "--group", "perms:{f}"], "# nothing\n",
+     "perms:{f}: no generators"),
+    ("perms-unclosed", ["lattice", "--group", "perms:{f}"], "(1 2\n",
+     "unclosed cycle in '(1 2'"),
+    ("perms-outside", ["lattice", "--group", "perms:{f}"], "x(1 2)\n",
+     "bad cycle notation near 'x(1 2)'"),
+    ("perms-non-integer", ["lattice", "--group", "perms:{f}"], "(1 a)\n",
+     "bad cycle '(1 a)'"),
+    ("perms-repeated", ["lattice", "--group", "perms:{f}"], "(1 2 1)\n",
+     "bad cycle '(1 2 1)'"),
+    ("cayley-no-path", ["lattice", "--group", "cayley:"], None,
+     "cayley: requires a file path"),
+    ("poset-second-nodes", ["lattice", "--site", "{f}"], "nodes: a b\nnodes: a b\n",
+     "line 2: duplicate nodes: line"),
+    ("poset-directive", ["lattice", "--site", "{f}"], "nodes: a b\nfoo: a\n",
+     "line 2: unknown directive 'foo'"),
+    ("poset-no-nodes", ["lattice", "--site", "{f}"], "cover: a b\n", "missing nodes: line"),
+    ("poset-duplicate-names", ["lattice", "--site", "{f}"], "nodes: a a\n",
+     "duplicate node names"),
+    ("poset-unknown-cover", ["lattice", "--site", "{f}"], "nodes: a b\ncover: a c\n",
+     "cover references unknown node in 'a' 'c'"),
+    ("poset-auto", ["lattice", "--site", "{f}"], "nodes: a b\ncover: a b\nauto: a a\n",
+     "auto: line must permute all node names: ['a', 'a']"),
+    ("poset-no-top", ["lattice", "--site", "{f}"], "nodes: a b c\ncover: a b\ncover: a c\n",
+     "no unique top element"),
+    ("poset-directory", ["lattice", "--site", "{f}"], None,
+     "cannot read poset file {f}: " + _EISDIR + ": '{f}'"),
+    ("input-without-edges", ["check", "--group", "cyclic:6", "--input", "{f}"],
+     '{"site": "cyclic:6"}', "system JSON must have an 'edges' field"),
+    ("lattice-without-site", ["lattice"], None,
+     "provide --group DESCRIPTOR or --site POSET-FILE"),
+    ("check-negative-bound", ["check", "--group", "cyclic:6", "--edges", "1>C2",
+                              "--complexity-bound", "-1"], None,
+     "complexity bound must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", [case[1:] for case in INPUT_ERRORS],
+                         ids=[case[0] for case in INPUT_ERRORS])
+def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+    code, out, err = run(capsys, *(arg.format(f=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(f=path) + "\n"
+
+
+def test_lattice_of_a_poset_site(tmp_path, capsys):
+    path = tmp_path / "p5.poset"
+    path.write_text(P5_TEXT)
+    code, out, _ = run(capsys, "lattice", "--site", str(path))
+    assert code == 0
+    assert out == (f"# poset:{path}: 5 nodes\nindex\tlabel\n"
+                   "0\tbot\n1\tA\n2\tB\n3\tC\n4\ttop\n")
+
+
+def test_render_interval_cluster(capsys):
+    code, out, _ = run(capsys, "render", "--group", "cyclic:12", "--edges", "1>C12",
+                       "--interval-above", "C2")
+    assert code == 0
+    cluster = ("  subgraph cluster_interval {\n"
+               '    style=dashed; color=green; label="interval";\n'
+               '    n1 [label="C2"];\n    n3 [label="C4"];\n'
+               '    n4 [label="C6"];\n    n5 [label="C12"];\n  }\n'
+               '  n0 [label="1"];\n  n2 [label="C3"];\n')
+    assert cluster in out
+
+
+def test_conjecture_over_small_orders(capsys):
+    code, out, _ = run(capsys, "conjecture", "--order-le", "6")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["systems_checked"] == 36
+    assert report["scopes"] == ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5",
+                                "cyclic:6", "product:2x2", "symmetric:3"]
+
+
+def test_check_an_input_file(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"site": "cyclic:6", "edges": [["1", "C2"]]}))
+    code, out, _ = run(capsys, "check", "--group", "cyclic:6", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "input file: valid transfer system"
+
+
+def test_numeric_labels(capsys):
+    code, out, _ = run(capsys, "generate", "--group", "cyclic:6", "--edges", "0>3")
+    assert code == 0
+    assert out == "1>C2\n1>C3\n1>C6\n"
 
 
 def test_seed_and_threads_accepted(capsys):

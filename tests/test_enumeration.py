@@ -267,7 +267,7 @@ def test_verify_conjecture_categorical_counterexample(p5_site):
     case = report.counterexamples[0]
     assert case.formula_only == [("A", "top")]
     assert case.missing == []
-    assert sorted(case.system_edges) == [("A", "top"), ("bot", "B"), ("bot", "C")]
+    assert sorted(case.system) == [("A", "top"), ("bot", "B"), ("bot", "C")]
 
 
 def test_verify_conjecture_json_round_trip(p5_site):

@@ -54,8 +54,8 @@ def test_inflate_trivial_and_point(ctx_c12, c12_site):
 
 def test_inflate_complete_contains_interval_and_restrictions(ctx_c12, c12_site):
     ts = inflate(ctx_c12, complete_ts(ctx_c12.interval_site))
-    for x, i in enumerate(ctx_c12.interval.to_parent):
-        for y, j in enumerate(ctx_c12.interval.to_parent):
+    for x, i in enumerate(ctx_c12.to_parent):
+        for y, j in enumerate(ctx_c12.to_parent):
             if c12_site.leq[i, j]:
                 assert ts.rel[i, j]
     # restrictions of interval edges leave the interval (C2 -> C6 along C3)...
@@ -66,7 +66,7 @@ def test_inflate_complete_contains_interval_and_restrictions(ctx_c12, c12_site):
 
 def test_inflate_matches_generated_preimage(ctx_c12, interval_catalog_c12, c12_site):
     # the membership formula equals the closure of the preimage, edge for edge
-    idx = ctx_c12.interval.to_parent
+    idx = ctx_c12.to_parent
     for x in interval_catalog_c12.systems:
         preimage = [(idx[a], idx[b]) for a, b in x.edges()]
         assert inflate(ctx_c12, x) == generate_from_edges(c12_site, preimage)
@@ -74,7 +74,7 @@ def test_inflate_matches_generated_preimage(ctx_c12, interval_catalog_c12, c12_s
 
 def test_interval_transparency(ctx_c12, interval_catalog_c12):
     # edges of the inflation inside [N, G] match the input exactly
-    idx = np.array(ctx_c12.interval.to_parent)
+    idx = ctx_c12.to_parent
     for x in interval_catalog_c12.systems:
         ts = inflate(ctx_c12, x)
         assert np.array_equal(ts.rel[np.ix_(idx, idx)], x.rel)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import GRID_TEXT, P5_TEXT, m_poset_text
 from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
+from transfer_systems.functors import quotient_context
 from transfer_systems.groups import build_group, subgroup_lattice
 from transfer_systems.sites import (
     _BMM_BLAS_WORK,
@@ -101,14 +102,14 @@ def test_interval_action_matches_the_loop_form(s4_site):
     normal = [n for n in range(s4_site.size) if (s4_site.action[:, n] == n).all()]
     assert len(normal) == 4
     for n in normal:
-        iv = interval_above(s4_site, n)
-        nodes = iv.to_parent
+        ctx = quotient_context(s4_site, n)
+        nodes = [v for v in range(s4_site.size) if s4_site.leq[n, v]]
+        assert ctx.to_parent.tolist() == nodes
+        assert not ctx.to_parent.flags.writeable
         index = {v: i for i, v in enumerate(nodes)}
         want = sorted({tuple(index[int(p[v])] for v in nodes) for p in s4_site.action})
-        assert [tuple(p) for p in iv.site.action.tolist()] == want
-        assert iv.site.lattice is None
-        assert iv.from_parent[list(nodes)].tolist() == list(range(len(nodes)))
-        assert (np.delete(iv.from_parent, nodes) == -1).all()
+        assert [tuple(p) for p in ctx.interval_site.action.tolist()] == want
+        assert ctx.interval_site.lattice is None
 
 
 def test_declared_automorphism_must_preserve_the_order():
@@ -150,14 +151,15 @@ def test_orbit_table_matches_loop_oracles(
 
 @st.composite
 def bool_operands(draw):
-    """A pair of random bool operands of one of seven shapes, sized on both
+    """A pair of random bool operands of one of eight shapes, sized on both
     sides of the BLAS switch: square, non-square, vector-matrix,
     matrix-vector, a matrix times a transposed view, a (B, m, k) stack
-    times a (B, k, n) stack, and a stack times one shared matrix."""
+    times a (B, k, n) stack, a stack times one shared matrix, and one
+    square stack above the switch passed as both operands."""
     side = round(_BMM_BLAS_WORK ** (1 / 3))  # the square that switches
     m, k, n = (draw(st.integers(1, 2 * side)) for _ in range(3))
     kind = draw(st.sampled_from(
-        ["square", "rect", "vector", "matvec", "transposed", "stack", "shared"]))
+        ["square", "rect", "vector", "matvec", "transposed", "stack", "shared", "same"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.05, 0.3, 0.9]))
 
@@ -177,6 +179,9 @@ def bool_operands(draw):
     b = draw(st.integers(1, 16))
     if kind == "stack":
         return bits(b, m, k), bits(b, k, n)
+    if kind == "same":  # one stack twice, as _comp squares it, above the switch
+        same = bits(b, side + k, side + k)
+        return same, same
     return bits(b, m, k), bits(k, n)
 
 
@@ -337,19 +342,19 @@ def test_site_from_poset_file(tmp_path, p5_site):
 
 def test_interval_above_trivial_and_top(c12_site):
     full = interval_above(c12_site, c12_site.bottom)
-    assert full.site.size == c12_site.size
-    assert np.array_equal(full.site.leq, c12_site.leq)
+    assert full.size == c12_site.size
+    assert np.array_equal(full.leq, c12_site.leq)
     point = interval_above(c12_site, c12_site.top)
-    assert point.site.size == 1
+    assert point.size == 1
 
 
 def test_interval_above_c6_in_c36(c36_site):
     iv = interval_above(c36_site, c36_site.node("C6"))
-    assert iv.site.size == 4
-    assert [c36_site.labels[i] for i in iv.to_parent] == ["C6", "C12", "C18", "C36"]
+    assert iv.size == 4
+    assert iv.labels == ("C6", "C12", "C18", "C36")
     # isomorphic to the divisor lattice of 6: diamond
     c6 = site_from_descriptor("cyclic:6")
-    assert np.array_equal(iv.site.leq, c6.leq)
+    assert np.array_equal(iv.leq, c6.leq)
 
 
 def test_interval_requires_normal(s3_site):
@@ -360,5 +365,5 @@ def test_interval_requires_normal(s3_site):
 
 def test_interval_descriptor_round_trip(c12_site):
     iv = interval_above(c12_site, c12_site.node("C2"))
-    rebuilt = site_from_descriptor(iv.site.descriptor)
-    assert rebuilt.key == iv.site.key
+    rebuilt = site_from_descriptor(iv.descriptor)
+    assert rebuilt.key == iv.key

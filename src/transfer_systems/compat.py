@@ -1,6 +1,7 @@
 """Compatible pairs and the maximal compatible transfer system M(O).
 
-Compatibility runs on whole matrices.  For an additive system O put
+Compatibility runs on whole matrices, and on stacks of them.  For an
+additive system O put
 
     hyp[K, J] = O[K /\\ J, K]    and    gap[J, H] = (J <= H) and not O[J, H];
 
@@ -10,7 +11,8 @@ multiplicative edges K -> H that break condition (2) against O: some J <= H
 has K /\\ J -> K additive while J -> H is missing.  Reflexive entries are
 never blocked (hyp[H, J] = O[J, H] for J <= H), so (O, O_m) is compatible
 iff ``O_m.rel & blocked`` is empty.  ``hyp`` is one flat gather through the
-site's ``meet_flat`` table.
+site's ``meet_flat`` table.  ``_blocked`` computes it for a whole (B, n, n)
+stack of systems at once.
 
 The methods for M(O) are written in the restriction poset of O: its nodes
 are the non-reflexive edges of O, and e = K -> H restricts along J <= H
@@ -33,7 +35,7 @@ Three independent computations of M(O) are provided:
   compatible pair with O (the definitional set expression).  T(e) is
   action-closed, so T(p.e) = T(e): each site keeps a table of T(e) over
   its strict pairs, one row per edge orbit filled on first use, and every
-  edge of O is decided by one product of its rows with ``blocked``;
+  edge is decided by one product of the rows with ``blocked``;
 * ``max_compat_recursive`` evaluates the recursion over the restriction
   poset (e is kept iff every strict restriction r < e is kept and
   annotates a success) in unrolled form: e is dropped iff some r <= e is
@@ -41,10 +43,17 @@ Three independent computations of M(O) are provided:
 * ``max_compat_disklike`` is the cover-relation algorithm for disklike
   systems: one pass over the poset nodes in order of the site's |down(H)|
   at each node's target (covers come first), deciding each conjugacy class
-  of edges at its least edge and counting cover inspections.  It reads each node's covers from the
-  site's cover relation.
+  of edges at its least edge and counting cover inspections.  It reads
+  each node's covers from the site's cover relation.
 
-Each hands ``_wrap`` a boolean mask over O's edges in node order.
+The first two are kernels over a (B, n, n) stack of systems, ``_oracle``
+and ``_recursive``; they share the stack's ``blocked`` and return the
+stack of M(O).  The public functions run them on a stack of one, and the
+catalog sweeps in ``enumeration`` on blocks of the catalog.  Every M(O)
+stack passes the axiom check ``systems._check_stack`` before its
+relations are used, whether as systems (``TransferSystem._from_stack``)
+or as catalog keys.  The third method stays per system: it is the
+independent check, and its inspection count is the measured quantity.
 
 ``conjecture_formula`` evaluates the conjectured one-shot simplification
 (keep e iff all strict restrictions are successes, i.e. e is not blocked)
@@ -93,16 +102,57 @@ class CompatReport:
         return out
 
 
-def _blocked(o_a: TransferSystem) -> np.ndarray:
-    """blocked[K, H]: a multiplicative K -> H would break condition (2) against o_a.
+def _blocked(site: Site, rels: np.ndarray) -> np.ndarray:
+    """blocked[b, K, H]: a multiplicative K -> H would break condition (2) against system b.
 
-    One n-by-n boolean product through ``sites._bmm``.
+    ``rels`` is a (B, n, n) stack of additive systems.  ``hyp`` is one
+    gather through ``meet_flat`` per relation; then one stacked product
+    through ``sites._bmm``.
     """
-    site = o_a.site
-    rel = o_a.rel
-    hyp = rel.ravel()[site.meet_flat].T  # hyp[K, J] = K /\ J -> K
-    gap = site.leq & ~rel
-    return _bmm(hyp, gap)
+    b, n = len(rels), site.size
+    hyp = np.take(rels.reshape(b, n * n), site.meet_flat.T, axis=1)  # hyp[b, K, J] = K /\ J -> K
+    return _bmm(hyp, site.leq & ~rels)
+
+
+def _oracle(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack of M(O) by the set expression, for a stack of O and their ``blocked``.
+
+    Edge e of O is kept iff T(e), read as its orbit's row of the site's
+    table over the strict pairs, meets no blocked pair of O.  Rows are
+    looked up only for the strict pairs that occur in the stack, and one
+    product of the (B, P) blocked pairs with those rows decides every edge.
+    """
+    b, n = len(rels), site.size
+    table = _orbit_table(site)
+    strict = (rels & ~np.eye(n, dtype=bool)).reshape(b, n * n)
+    occur = np.flatnonzero(strict.any(axis=0))  # flat indices of the strict pairs in use
+    found = table.lookup(site, occur)  # may grow table.rows
+    hit = _bmm(table.rows[found], blocked.reshape(b, n * n)[:, table.pair_flat].T)
+    out = np.zeros((b, n * n), dtype=bool)
+    out[:, occur] = strict[:, occur] & ~hit.T  # hit[i, b]: T(occur[i]) meets a blocked pair of b
+    return out.reshape(b, n, n) | np.eye(n, dtype=bool)
+
+
+def _recursive(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack of M(O) by the recursion, for a stack of O and their ``blocked``.
+
+    The recursion keeps e iff every strict restriction r < e is kept and
+    annotates a success.  Unrolled: e is dropped iff some r <= e has a
+    failing strict restriction (induction along any linear extension).
+    An edge has a failing strict restriction iff it is blocked (see the
+    module docstring), and the restrictions of K -> H are the K /\\ J -> J
+    for J <= H.  So with F[K, J] = blocked[K /\\ J, J], e is dropped iff
+    ``(F @ leq)[e]``: one gather and one stacked product.
+    """
+    b, n = len(rels), site.size
+    below = np.take(blocked.reshape(b, n * n), site.meet_flat, axis=1)  # blocked[K /\ J, J]
+    return np.eye(n, dtype=bool) | (rels & ~_bmm(below, site.leq))
+
+
+def _maximal(o: TransferSystem, method) -> TransferSystem:
+    """M(O) by a stacked method, on a stack of one, checked as every M(O) stack is."""
+    rels = o.rel[None]
+    return TransferSystem._from_stack(o.site, method(o.site, rels, _blocked(o.site, rels)))[0]
 
 
 def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
@@ -115,11 +165,11 @@ def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
     J <= H that breaks it, as an edge-by-edge scan would find.
     """
     _require_same_site(o_a.site, o_m.site)
-    flat = np.flatnonzero(o_m.rel & _blocked(o_a))
-    if flat.size == 0:
-        return CompatReport(True)
     site = o_a.site
     rel = o_a.rel
+    flat = np.flatnonzero(o_m.rel & _blocked(site, rel[None])[0])
+    if flat.size == 0:
+        return CompatReport(True)
     k, h = divmod(int(flat[0]), site.size)
     hyp = rel[site.meet[k], k]
     gap = site.leq[:, h] & ~rel[:, h]
@@ -134,32 +184,17 @@ def max_compat_oracle(o: TransferSystem) -> TransferSystem:
     orbit's row of the site's table over the strict pairs, meets no
     blocked entry.  One product decides every edge of O.
     """
-    site = o.site
-    table = _orbit_table(site)
-    rows = table.lookup(site, np.flatnonzero(o.rel & ~np.eye(site.size, dtype=bool)))
-    hit = _bmm(table.rows[rows], _blocked(o).ravel()[table.pair_flat])
-    return _wrap(o, ~hit)
+    return _maximal(o, _oracle)
 
 
 def max_compat_recursive(o: TransferSystem) -> TransferSystem:
     """M(O) via the recursion over the restriction poset, on n-by-n matrices.
 
-    The recursion keeps e iff every strict restriction r < e is kept and
-    annotates a success.  Unrolled: e is dropped iff some r <= e has a
-    failing strict restriction (induction along any linear extension).
-    An edge has a failing strict restriction iff it is blocked (see the
-    module docstring), and the restrictions of K -> H are the K /\\ J -> J
-    for J <= H.  So with F[K, J] = blocked[K /\\ J, J], e is dropped iff
-    ``(F @ leq)[e]``: one gather and one product through ``sites._bmm``.
+    e is dropped iff some restriction of e has a failing strict
+    restriction: one gather of ``blocked`` and one product over the site
+    order (see ``_recursive``).
     """
-    return _max_compat_recursive(o, _blocked(o))
-
-
-def _max_compat_recursive(o: TransferSystem, blocked: np.ndarray) -> TransferSystem:
-    site = o.site
-    below = blocked.ravel()[site.meet_flat]  # below[K, J] = blocked[K /\ J, J]
-    dropped = _bmm(below, site.leq)
-    return _wrap(o, ~dropped[o.rel & ~np.eye(site.size, dtype=bool)])
+    return _maximal(o, _recursive)
 
 
 class DisklikeResult(NamedTuple):
@@ -212,7 +247,9 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
         verdict = bool(ok.all())
         steps += hi - lo if verdict else int(ok.argmin()) + 1
         kept[least[x]] = verdict
-    return DisklikeResult(_wrap(o, kept[edge_rep[nodes]]), steps)
+    rel = np.eye(n, dtype=bool)
+    rel.ravel()[nodes] = kept[edge_rep[nodes]]
+    return DisklikeResult(TransferSystem._from_stack(site, rel[None])[0], steps)
 
 
 def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
@@ -223,16 +260,14 @@ def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     a raw edge set: on inputs outside the conjecture's scope it can fail the
     transfer-system axioms, so no validation is attempted.
     """
-    return _conjecture_formula(o, _blocked(o))
+    rels = o.rel[None]
+    return _edge_set(_formula(o.site, rels, _blocked(o.site, rels))[0])
 
 
-def _conjecture_formula(o: TransferSystem, blocked: np.ndarray) -> frozenset[tuple[int, int]]:
-    kept = o.rel & ~blocked & ~np.eye(o.site.size, dtype=bool)
-    return frozenset(map(tuple, np.argwhere(kept).tolist()))
+def _formula(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """The conjectured formula's edges, as a (B, n, n) stack without the diagonal."""
+    return rels & ~blocked & ~np.eye(site.size, dtype=bool)
 
 
-def _wrap(o: TransferSystem, keep) -> TransferSystem:
-    """The subsystem of O keeping the non-reflexive edges that ``keep`` marks, in node order."""
-    rel = np.eye(o.site.size, dtype=bool)
-    rel[o.rel & ~rel] = keep
-    return TransferSystem(o.site, rel)  # constructor asserts the axioms
+def _edge_set(rel: np.ndarray) -> frozenset[tuple[int, int]]:
+    return frozenset(map(tuple, np.argwhere(rel).tolist()))

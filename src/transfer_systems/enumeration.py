@@ -19,35 +19,46 @@ per-candidate loop would.  The level's new systems then pass the full
 axiom check in stacked blocks, the check the constructor runs on one
 relation.  The catalog order is canonical (edge count, then key bytes),
 so runs are reproducible regardless of expansion order.
+
+The sweeps over a list of systems (``census``, ``cross_method_audit``,
+``TransferSystemCatalog.m_pairing`` and ``verify_conjecture``) walk it in
+blocks of ``_STACK_ENTRIES`` bool entries too, in catalog order: each
+block is one (B, n, n) stack, and saturation, self-compatibility, the
+disklike test, ``blocked`` and the oracle and recursive M(O) are each one
+stacked kernel per block.  Every M(O) stack passes the stacked axiom
+check.  Only the cover-relation algorithm, the independent third method,
+runs per disklike system, and every disagreement is still reported at
+its catalog index.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .compat import (
     _blocked,
-    _conjecture_formula,
-    _max_compat_recursive,
-    is_compatible,
+    _edge_set,
+    _formula,
+    _oracle,
+    _recursive,
     max_compat_disklike,
-    max_compat_oracle,
-    max_compat_recursive,
 )
 from .errors import CapExceededError, InternalCheckError, UsageError
 from .sites import Site
 from .systems import (
     _STACK_ENTRIES,
     TransferSystem,
+    _check_stack,
     _comp,
+    _disklike,
     _edge_closure,
+    _stack_keys,
+    _unsaturated,
     count_cover_relations,
     generate_from_edges,
-    is_disklike,
-    is_saturated,
     trivial_ts,
 )
 
@@ -91,13 +102,16 @@ class TransferSystemCatalog:
     def m_pairing(self) -> list[int]:
         """For each catalog index i, the catalog index of M(systems[i])."""
         if self._m_pairing is None:
+            site = self.site
             by_key = {s.key: i for i, s in enumerate(self.systems)}
             pairing = []
-            for s in self.systems:
-                m = max_compat_recursive(s)
-                if m.key not in by_key:
-                    raise InternalCheckError("M(O) escaped the catalog")
-                pairing.append(by_key[m.key])
+            for _, rels in _blocks(site, self.systems):
+                maximal = _recursive(site, rels, _blocked(site, rels))
+                _check_stack(site, maximal)
+                for key in _stack_keys(maximal):
+                    if key not in by_key:
+                        raise InternalCheckError("M(O) escaped the catalog")
+                    pairing.append(by_key[key])
             self._m_pairing = pairing
         return self._m_pairing
 
@@ -135,7 +149,6 @@ def _bfs(
     n = site.size
     closures = np.array([_edge_closure(site, e) for e in edges], dtype=bool).reshape(-1, n, n)
     edge_flat = np.array([k * n + h for k, h in edges], dtype=np.intp)
-    as_key = np.dtype((np.void, n * n))  # one row's bytes: .tolist() gives the keys
     step = max(1, _STACK_ENTRIES // (n * n))
     seen = {start.key}
     ranked = [(start.edge_count, start.key, start)]
@@ -148,7 +161,7 @@ def _bfs(
         found: list[bytes] = []
         for lo in range(0, len(fi), step):
             block = _comp(frontier[fi[lo : lo + step]] | closures[ei[lo : lo + step]])
-            keys = block.reshape(len(block), n * n).view(as_key).ravel().tolist()
+            keys = _stack_keys(block)
             # the block's new keys, each once, in candidate order
             new = dict.fromkeys(k for k in keys if k not in seen)
             if len(seen) + len(new) > cap:
@@ -163,20 +176,43 @@ def _bfs(
     return [ts for _, _, ts in sorted(ranked)]
 
 
+def _blocks(site: Site, systems: list[TransferSystem]) -> Iterator[tuple[int, np.ndarray]]:
+    """(index of its first system, (B, n, n) stack) per block of ``_STACK_ENTRIES`` entries."""
+    step = max(1, _STACK_ENTRIES // site.size**2)
+    for lo in range(0, len(systems), step):
+        yield lo, np.stack([ts.rel for ts in systems[lo : lo + step]])
+
+
+def _block_disklike(
+    site: Site, systems: list[TransferSystem], lo: int, rels: np.ndarray
+) -> np.ndarray:
+    """``systems._disklike`` of the block at ``lo``, also kept in each system's cache."""
+    disklike = _disklike(site, rels)
+    for ts, disk in zip(systems[lo : lo + len(rels)], disklike.tolist()):
+        ts._cache["disklike"] = disk
+    return disklike
+
+
+def _none(stack: np.ndarray) -> np.ndarray:
+    """none[b]: relation b of a (B, n, n) stack is empty."""
+    return ~stack.reshape(len(stack), -1).any(axis=1)
+
+
 def census(catalog: TransferSystemCatalog) -> CensusStats:
     """Counts of saturated / disklike / both / self-compatible systems.
 
     Saturated and self-compatible counts must agree; a mismatch means a bug,
     so it is raised rather than reported.
     """
+    site = catalog.site
     saturated = disklike = both = selfc = 0
-    for ts in catalog.systems:
-        sat = is_saturated(ts).saturated
-        disk = is_disklike(ts)
-        saturated += sat
-        disklike += disk
-        both += sat and disk
-        selfc += is_compatible(ts, ts).compatible
+    for lo, rels in _blocks(site, catalog.systems):
+        sat = _none(_unsaturated(site, rels))
+        disk = _block_disklike(site, catalog.systems, lo, rels)
+        saturated += int(sat.sum())
+        disklike += int(disk.sum())
+        both += int((sat & disk).sum())
+        selfc += int(_none(rels & _blocked(site, rels)).sum())  # (O, O) compatible
     if selfc != saturated:
         raise InternalCheckError(
             f"self-compatible count {selfc} != saturated count {saturated}"
@@ -212,9 +248,9 @@ class AuditReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _labeled_edges(ts: TransferSystem) -> list[tuple[str, str]]:
-    lab = ts.site.labels
-    return [(lab[a], lab[b]) for a, b in ts.edges()]
+def _labeled_edges(site: Site, rel: np.ndarray) -> list[tuple[str, str]]:
+    lab = site.labels
+    return [(lab[a], lab[b]) for a, b in np.argwhere(rel & ~np.eye(site.size, dtype=bool)).tolist()]
 
 
 def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
@@ -223,42 +259,54 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
     Any disagreement is recorded with a full witness dump; the step counter
     of the disklike algorithm is checked against the cover-relation count.
     """
+    site = catalog.site
     disagreements: list[AuditEntry] = []
     max_ratio = 0.0
     disklike_total = 0
-    for i, ts in enumerate(catalog.systems):
-        oracle = max_compat_oracle(ts)
-        recursive = max_compat_recursive(ts)
-        if oracle != recursive:
-            disagreements.append(
-                AuditEntry(
-                    i,
-                    _labeled_edges(ts),
-                    "oracle-vs-recursive",
-                    f"oracle={_labeled_edges(oracle)} recursive={_labeled_edges(recursive)}",
-                )
-            )
-        if is_disklike(ts):
-            disklike_total += 1
-            result = max_compat_disklike(ts)
-            if result.system != oracle:
+    for lo, rels in _blocks(site, catalog.systems):
+        blocked = _blocked(site, rels)
+        oracle = _oracle(site, rels, blocked)
+        recursive = _recursive(site, rels, blocked)
+        _check_stack(site, oracle)
+        _check_stack(site, recursive)
+        differ = ~_none(oracle != recursive)
+        disklike = _block_disklike(site, catalog.systems, lo, rels)
+        disklike_total += int(disklike.sum())
+        for b in np.flatnonzero(differ | disklike).tolist():
+            i, ts = lo + b, catalog.systems[lo + b]
+            edges = _labeled_edges(site, ts.rel)
+            if differ[b]:
                 disagreements.append(
                     AuditEntry(
                         i,
-                        _labeled_edges(ts),
+                        edges,
+                        "oracle-vs-recursive",
+                        f"oracle={_labeled_edges(site, oracle[b])} "
+                        f"recursive={_labeled_edges(site, recursive[b])}",
+                    )
+                )
+            if not disklike[b]:
+                continue
+            result = max_compat_disklike(ts)
+            if result.system.key != oracle[b].tobytes():
+                disagreements.append(
+                    AuditEntry(
+                        i,
+                        edges,
                         "algorithm-vs-oracle",
-                        f"algorithm={_labeled_edges(result.system)} oracle={_labeled_edges(oracle)}",
+                        f"algorithm={_labeled_edges(site, result.system.rel)} "
+                        f"oracle={_labeled_edges(site, oracle[b])}",
                     )
                 )
             c_o = count_cover_relations(ts)
             if c_o == 0:
                 if result.steps != 0:
                     disagreements.append(
-                        AuditEntry(i, _labeled_edges(ts), "steps", f"steps={result.steps} with C_O=0")
+                        AuditEntry(i, edges, "steps", f"steps={result.steps} with C_O=0")
                     )
             else:
                 max_ratio = max(max_ratio, result.steps / c_o)
-    desc = catalog.site.descriptor or f"<site size {catalog.site.size}>"
+    desc = site.descriptor or f"<site size {site.size}>"
     return AuditReport(desc, len(catalog.systems), disklike_total, disagreements, max_ratio)
 
 
@@ -341,23 +389,27 @@ def verify_conjecture(
     for site in sites:
         desc = site.descriptor or f"<site size {site.size}>"
         scopes.append(desc)
-        for ts in disklike_systems(site, complexity_bound, require_bottom_to_top, cap):
-            checked += 1
-            blocked = _blocked(ts)  # shared by the formula and the recursion
-            formula = _conjecture_formula(ts, blocked)
-            truth = frozenset(_max_compat_recursive(ts, blocked).edges())
-            if formula != truth:
-                lab = site.labels
+        lab = site.labels
 
-                def named(edges: Iterable[tuple[int, int]]) -> list[tuple[str, str]]:
-                    return sorted((lab[a], lab[b]) for a, b in edges)
+        def named(edges: Iterable[tuple[int, int]]) -> list[tuple[str, str]]:
+            return sorted((lab[a], lab[b]) for a, b in edges)
 
+        systems = disklike_systems(site, complexity_bound, require_bottom_to_top, cap)
+        for lo, rels in _blocks(site, systems):
+            checked += len(rels)
+            blocked = _blocked(site, rels)  # shared by the formula and the recursion
+            formula = _formula(site, rels, blocked)
+            truth = _recursive(site, rels, blocked)
+            _check_stack(site, truth)
+            truth &= ~np.eye(site.size, dtype=bool)
+            for b in np.flatnonzero(~_none(formula != truth)).tolist():
+                kept, true = _edge_set(formula[b]), _edge_set(truth[b])
                 cases.append(
                     ConjectureCase(
                         desc,
-                        named(ts.edges()),
-                        named(formula - truth),
-                        named(truth - formula),
+                        named(systems[lo + b].edges()),
+                        named(kept - true),
+                        named(true - kept),
                     )
                 )
     return ConjectureReport(scopes, checked, cases)

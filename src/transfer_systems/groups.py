@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DescriptorError, InputFileError
-from .errors import InternalCheckError
 
 DEFAULT_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 5000
@@ -311,13 +310,24 @@ def _permutation_group(gens: Sequence[tuple], degree: int, cap: int, what: str) 
 def group_from_permutations(
     lines: Iterable[str], descriptor: str, name: str, order_cap: int = DEFAULT_ORDER_CAP
 ) -> Group:
-    """Group generated by permutations given in cycle notation on points 1..k."""
-    raw = [ln.split("#", 1)[0].strip() for ln in lines]
-    raw = [ln for ln in raw if ln]
+    """Group generated by permutations given in cycle notation on points 1..k.
+
+    A line that does not parse is named by the descriptor and its 1-based
+    line number.
+    """
+    raw = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(lines, 1)]
+    raw = [(i, ln) for i, ln in raw if ln]
     if not raw:
         raise InputFileError(f"{descriptor}: no generators")
-    k = max(len(_parse_cycles(ln)) for ln in raw)
-    gens = [_parse_cycles(ln, k) for ln in raw]
+
+    def parse(i: int, line: str, npoints: int | None = None) -> tuple:
+        try:
+            return _parse_cycles(line, npoints)
+        except InputFileError as exc:
+            raise InputFileError(f"{descriptor}: line {i}: {exc}") from None
+
+    k = max(len(parse(i, ln)) for i, ln in raw)
+    gens = [parse(i, ln, k) for i, ln in raw]
     elements = _permutation_group(gens, k, order_cap, descriptor)
     names = [_cycle_string(p) for p in elements]
     return _group_from_function(elements, _compose, descriptor, name, names)
@@ -464,17 +474,9 @@ class SubgroupLattice:
     def __post_init__(self):
         for a in (self.leq, self.conj_action, self.normal):
             a.flags.writeable = False
-        self._index = {s.members: i for i, s in enumerate(self.subgroups)}
 
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    def index_of(self, members: Iterable[int]) -> int:
-        key = tuple(sorted(members))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise InternalCheckError(f"element set {key} is not a subgroup") from None
 
     @property
     def bottom(self) -> int:

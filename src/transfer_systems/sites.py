@@ -42,21 +42,24 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The boolean matrix product ``a @ b`` of two bool arrays.
 
     ``a`` is a matrix, a vector or a (B, n, k) stack; ``b`` is a matrix, a
-    vector, or a stack as long as ``a``'s (``np.matmul`` broadcasting).
-    NumPy's bool ``@`` does not use BLAS, and on stacks its cost grows much
-    faster than the work.  So from ``a.size * b.shape[-1]`` (the number of
-    multiply-adds) of ``_BMM_BLAS_WORK`` up, both operands are cast to
+    vector, or a (B, k, p) stack under a matrix ``a`` or one as long as
+    ``a`` (``np.matmul`` broadcasting).  NumPy's bool ``@`` does not use
+    BLAS, and on stacks its cost grows much faster than the work.  So from
+    ``_BMM_BLAS_WORK`` multiply-adds up (``a.size * b.shape[-1]``, times B
+    for a stack ``b`` under a matrix ``a``), both operands are cast to
     float32 copies, multiplied, and compared with 0.  (Casting first is as
     fast as ``np.matmul(..., dtype=np.float32)`` on contiguous operands and
-    1.8 to 2.8x faster on transposed views at n = 156.)  A vector ``b``
-    always takes bool ``@``: a bool matrix-vector product outruns the cast
-    (6 us against 440 us at 1000 x 1000).  The float32 product is exact:
+    1.8 to 2.8x faster on transposed views at n = 156.)  A vector ``b``, or
+    a ``b`` of one column, always takes bool ``@``: a bool matrix-vector
+    product outruns the cast (6 us against 440 us at 1000 x 1000, and
+    3.7 against 7.9 ms at 1500 x 2500).  The float32 product is exact:
     each entry is a sum of ``a.shape[-1]`` terms equal to 0 or 1, which
     float32 holds exactly below 2**24 whatever the summation order or
     thread count, so the result does not depend on the BLAS build.  A
     square ``_bmm(a, a)`` casts ``a`` once.
     """
-    if b.ndim == 1 or a.size * b.shape[-1] < _BMM_BLAS_WORK:
+    work = a.size * b.shape[-1] * (len(b) if b.ndim > a.ndim == 2 else 1)
+    if b.ndim == 1 or b.shape[-1] == 1 or work < _BMM_BLAS_WORK:
         return a @ b
     fa = a.astype(np.float32)
     return np.matmul(fa, fa if b is a else b.astype(np.float32)) > 0

@@ -43,9 +43,6 @@ class BinaryRelation:
     def edges(self) -> list[tuple[int, int]]:
         return list(map(tuple, np.argwhere(self.rel).tolist()))
 
-    def nonreflexive_edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b in self.edges() if a != b]
-
 
 @dataclass(frozen=True)
 class ViolationReport:
@@ -84,9 +81,9 @@ class TransferSystem:
     constructors; the constructor itself re-checks that the relation refines
     the order and satisfies all four axioms, and raises InternalCheckError
     on violation.  The check is ``_check_stack`` on a stack of one; the
-    enumerators run the same check on whole stacks of new systems and wrap
-    its relations through ``_from_stack`` instead of one constructor call
-    per system.
+    enumerators and the M(O) kernels run the same check on whole stacks of
+    new systems and wrap their relations through ``_from_stack`` instead of
+    one constructor call per system.
     """
 
     __slots__ = ("site", "rel", "key", "_cache")
@@ -102,17 +99,21 @@ class TransferSystem:
 
     @classmethod
     def _from_stack(
-        cls, site: Site, rels: np.ndarray, keys: list[bytes]
+        cls, site: Site, rels: np.ndarray, keys: Optional[list[bytes]] = None
     ) -> list["TransferSystem"]:
         """Systems for the relations of a (B, n, n) bool stack, checked in blocks.
 
-        ``keys[i]`` must be ``rels[i].tobytes()``.  The stack becomes
-        read-only and each system's ``rel`` is a view into it.
+        ``keys[i]``, if given, must be ``rels[i].tobytes()`` (the BFS shares
+        its dedup keys this way); by default they are read off the stack.
+        The stack becomes read-only and each system's ``rel`` is a view
+        into it.
         """
         step = max(1, _STACK_ENTRIES // site.size**2)
         for lo in range(0, len(rels), step):
             _check_stack(site, rels[lo : lo + step])
         rels.flags.writeable = False
+        if keys is None:
+            keys = _stack_keys(rels)
         out = []
         for rel, key in zip(rels, keys):
             ts = cls.__new__(cls)
@@ -145,9 +146,6 @@ class TransferSystem:
         """|O|: the number of non-reflexive transfers."""
         return int(self.rel.sum()) - self.site.size
 
-    def has_edge(self, k: int, h: int) -> bool:
-        return bool(self.rel[k, h])
-
     def le(self, other: "TransferSystem") -> bool:
         """Containment of transfer systems (refinement order)."""
         _require_same_site(self.site, other.site)
@@ -175,6 +173,12 @@ def _require_same_site(
 # on S5, whose float32 products then allocate 256 KB and more per call, and
 # raised the catalog pass's peak RSS by 0.5 and 2 MB.
 _STACK_ENTRIES = 1 << 15
+
+
+def _stack_keys(rels: np.ndarray) -> list[bytes]:
+    """``rels[i].tobytes()`` for every relation of a (B, n, n) bool stack, in one pass."""
+    b, n = len(rels), rels.shape[-1]
+    return rels.reshape(b, n * n).view(f"V{n * n}").ravel().tolist()  # one void row per relation
 
 
 def _check_stack(site: Site, rels: np.ndarray) -> None:
@@ -419,15 +423,24 @@ class SaturationResult(NamedTuple):
     witness: Optional[tuple[int, int, int]]  # (L, K, H) with L->H present, K->H missing
 
 
+def _unsaturated(site: Site, rels: np.ndarray) -> np.ndarray:
+    """bad[b, L, H]: L -> H is in relation b, and some K >= L below H misses K -> H.
+
+    ``rels`` is a (B, n, n) stack; relation b is saturated iff ``bad[b]``
+    is empty.  One stacked product through ``_bmm``.
+    """
+    return rels & _bmm(site.leq, site.leq & ~rels)
+
+
 def is_saturated(ts: TransferSystem) -> SaturationResult:
     """Check for triples L <= K <= H with L->H present but K->H missing."""
-    site, rel = ts.site, ts.rel
-    gap = site.leq & ~rel  # K -> H missing
-    bad = rel & _bmm(site.leq, gap)  # L -> H with some K >= L missing K -> H
+    site = ts.site
+    bad = _unsaturated(site, ts.rel[None])[0]
     if not np.any(bad):
         return SaturationResult(True, None)
     l, h = map(int, np.argwhere(bad)[0])  # the first flagged pair, so such a K exists
-    return SaturationResult(False, (l, int(np.argmax(site.leq[l] & gap[:, h])), h))
+    gap = site.leq[:, h] & ~ts.rel[:, h]  # K -> H missing
+    return SaturationResult(False, (l, int(np.argmax(site.leq[l] & gap)), h))
 
 
 def hull(ts: TransferSystem) -> TransferSystem:
@@ -453,16 +466,30 @@ def disklike_generators(ts: TransferSystem) -> list[tuple[int, int]]:
     return [(int(h), top) for h in np.flatnonzero(ts.rel[:, top]) if h != top]
 
 
+def _disklike(site: Site, rels: np.ndarray) -> np.ndarray:
+    """disklike[b]: system b of a (B, n, n) stack is generated by its transfers into top.
+
+    The system those transfers generate is comp of the union of their
+    T(h -> top), as in ``complexity``.  A system holds whole edge orbits
+    and T(g.e) = T(e), so only the least source h of each orbit of top
+    edges is read: the union ORs each such T(h -> top) into the relations
+    holding h -> top, and one stacked ``_comp`` closes every union.
+    """
+    n, top = site.size, site.top
+    union = np.broadcast_to(np.eye(n, dtype=bool), rels.shape).copy()
+    # the sources h != top held somewhere in the stack and least in their orbit
+    held = rels[:, :, top].any(axis=0) & (site.edge_rep[:, top] == np.arange(n) * n + top)
+    held[top] = False
+    for h in np.flatnonzero(held).tolist():
+        union |= rels[:, h, top, None, None] & _edge_system(site, (h, top))
+    return (_comp(union) == rels).reshape(len(rels), n * n).all(axis=1)
+
+
 def is_disklike(ts: TransferSystem) -> bool:
     """True iff ts is generated by its transfers into the top node (cached per system)."""
     disklike = ts._cache.get("disklike")
     if disklike is None:
-        # the system they generate is comp of the union of their T(e), as in complexity()
-        site = ts.site
-        rel = np.eye(site.size, dtype=bool)
-        for e in disklike_generators(ts):
-            rel |= _edge_system(site, e)
-        disklike = ts._cache["disklike"] = _comp(rel).tobytes() == ts.key
+        disklike = ts._cache["disklike"] = bool(_disklike(ts.site, ts.rel[None])[0])
     return disklike
 
 

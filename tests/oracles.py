@@ -17,9 +17,11 @@ is built in whole arrays and again by a per-edge loop, with its covers
 from an m-cubed product, M(O) runs the literal recursion, the unrolled
 recursion and the conjecture formula read the restriction poset instead
 of the site's n-by-n matrices, the disklike M(O) runs the cover-relation
-worklist over the poset's covers, and orbits, conjugation closure and the
+worklist over the poset's covers, orbits, conjugation closure and the
 conjugation axiom loop over every permutation of the action instead of
-reading the site's orbit table.
+reading the site's orbit table, and the census, the cross-method audit, the
+M(O) pairing and the conjecture harness walk their systems one at a time
+through the public per-system functions instead of in stacked blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,22 @@ from itertools import combinations
 
 import numpy as np
 
-from transfer_systems.compat import CompatReport
+from transfer_systems.compat import (
+    CompatReport,
+    conjecture_formula,
+    is_compatible,
+    max_compat_disklike,
+    max_compat_oracle,
+    max_compat_recursive,
+)
+from transfer_systems.enumeration import (
+    AuditEntry,
+    AuditReport,
+    CensusStats,
+    ConjectureCase,
+    ConjectureReport,
+    disklike_systems,
+)
 from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
@@ -40,7 +57,11 @@ from transfer_systems.systems import (
     ViolationReport,
     _comp,
     _edge_closure,
+    _edge_system,
+    count_cover_relations,
+    disklike_generators,
     generate_from_edges,
+    is_saturated,
 )
 
 
@@ -236,7 +257,25 @@ def product_with_normal(latt: SubgroupLattice, k: int, n: int) -> int:
         raise NotNormalError(f"subgroup {latt.labels[n]} is not normal")
     g = latt.group
     kn = {int(g.mul[a, b]) for a in latt.subgroups[k].members for b in latt.subgroups[n].members}
-    return latt.index_of(kn)
+    return index_of(latt, kn)
+
+
+def index_of(latt: SubgroupLattice, members) -> int:
+    """Index of the subgroup with exactly these elements."""
+    return _subgroup_index(latt)[tuple(sorted(members))]
+
+
+def _subgroup_index(latt: SubgroupLattice) -> dict[tuple[int, ...], int]:
+    return {s.members: i for i, s in enumerate(latt.subgroups)}
+
+
+def has_edge(ts: TransferSystem, k: int, h: int) -> bool:
+    return bool(ts.rel[k, h])
+
+
+def nonreflexive_edges(rel: np.ndarray) -> list[tuple[int, int]]:
+    """The edges (a, b) of a relation matrix with a != b, in row-major order."""
+    return [(a, b) for a, b in np.argwhere(rel).tolist() if a != b]
 
 
 def closure(group: Group, generators) -> frozenset[int]:
@@ -420,10 +459,11 @@ def meet_by_intersection(latt: SubgroupLattice) -> np.ndarray:
     """Subgroup meets as member-set intersections, pair by pair."""
     m = len(latt)
     members = [frozenset(s.members) for s in latt.subgroups]
+    index = _subgroup_index(latt)
     meet = np.zeros((m, m), dtype=np.int32)
     for i in range(m):
         for j in range(i, m):
-            meet[i, j] = meet[j, i] = latt.index_of(members[i] & members[j])
+            meet[i, j] = meet[j, i] = index[tuple(sorted(members[i] & members[j]))]
     return meet
 
 
@@ -610,3 +650,102 @@ def first_violation_by_loop(site: Site, rel: np.ndarray):
         k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
         return ViolationReport("composition", ((l, k), (k, h), (l, h)))
     return None
+
+
+def disklike_by_generators(ts) -> bool:
+    """Disklike test of one system: its transfers into top, each T(e) ORed in, then closed."""
+    site = ts.site
+    rel = np.eye(site.size, dtype=bool)
+    for e in disklike_generators(ts):
+        rel |= _edge_system(site, e)
+    return _comp(rel).tobytes() == ts.key
+
+
+def census_by_loop(catalog) -> CensusStats:
+    """``census`` one system at a time."""
+    saturated = disklike = both = selfc = 0
+    for ts in catalog.systems:
+        sat = is_saturated(ts).saturated
+        disk = disklike_by_generators(ts)
+        saturated += sat
+        disklike += disk
+        both += sat and disk
+        selfc += is_compatible(ts, ts).compatible
+    assert selfc == saturated
+    return CensusStats(len(catalog.systems), saturated, disklike, both, selfc)
+
+
+def _labeled_edges(ts) -> list[tuple[str, str]]:
+    lab = ts.site.labels
+    return [(lab[a], lab[b]) for a, b in ts.edges()]
+
+
+def cross_method_audit_by_loop(catalog) -> AuditReport:
+    """``cross_method_audit`` one system at a time, through the public M(O) functions."""
+    disagreements = []
+    max_ratio = 0.0
+    disklike_total = 0
+    for i, ts in enumerate(catalog.systems):
+        oracle = max_compat_oracle(ts)
+        recursive = max_compat_recursive(ts)
+        if oracle != recursive:
+            disagreements.append(
+                AuditEntry(
+                    i,
+                    _labeled_edges(ts),
+                    "oracle-vs-recursive",
+                    f"oracle={_labeled_edges(oracle)} recursive={_labeled_edges(recursive)}",
+                )
+            )
+        if disklike_by_generators(ts):
+            disklike_total += 1
+            result = max_compat_disklike(ts)
+            if result.system != oracle:
+                disagreements.append(
+                    AuditEntry(
+                        i,
+                        _labeled_edges(ts),
+                        "algorithm-vs-oracle",
+                        f"algorithm={_labeled_edges(result.system)} oracle={_labeled_edges(oracle)}",
+                    )
+                )
+            c_o = count_cover_relations(ts)
+            if c_o == 0:
+                if result.steps != 0:
+                    disagreements.append(
+                        AuditEntry(i, _labeled_edges(ts), "steps", f"steps={result.steps} with C_O=0")
+                    )
+            else:
+                max_ratio = max(max_ratio, result.steps / c_o)
+    desc = catalog.site.descriptor or f"<site size {catalog.site.size}>"
+    return AuditReport(desc, len(catalog.systems), disklike_total, disagreements, max_ratio)
+
+
+def m_pairing_by_loop(catalog) -> list[int]:
+    """``TransferSystemCatalog.m_pairing`` one system at a time."""
+    by_key = {s.key: i for i, s in enumerate(catalog.systems)}
+    return [by_key[max_compat_recursive(s).key] for s in catalog.systems]
+
+
+def verify_conjecture_by_loop(sites, complexity_bound=None, require_bottom_to_top=False):
+    """``verify_conjecture`` one system at a time, through the public functions."""
+    scopes, checked, cases = [], 0, []
+    for site in sites:
+        desc = site.descriptor or f"<site size {site.size}>"
+        scopes.append(desc)
+        lab = site.labels
+
+        def named(edges):
+            return sorted((lab[a], lab[b]) for a, b in edges)
+
+        for ts in disklike_systems(site, complexity_bound, require_bottom_to_top):
+            checked += 1
+            formula = conjecture_formula(ts)
+            truth = frozenset(max_compat_recursive(ts).edges())
+            if formula != truth:
+                cases.append(
+                    ConjectureCase(
+                        desc, named(ts.edges()), named(formula - truth), named(truth - formula)
+                    )
+                )
+    return ConjectureReport(scopes, checked, cases)

@@ -274,13 +274,13 @@ INPUT_ERRORS = [
     ("perms-empty", ["lattice", "--group", "perms:{f}"], "# nothing\n",
      "perms:{f}: no generators"),
     ("perms-unclosed", ["lattice", "--group", "perms:{f}"], "(1 2\n",
-     "unclosed cycle in '(1 2'"),
+     "perms:{f}: line 1: unclosed cycle in '(1 2'"),
     ("perms-outside", ["lattice", "--group", "perms:{f}"], "x(1 2)\n",
-     "bad cycle notation near 'x(1 2)'"),
+     "perms:{f}: line 1: bad cycle notation near 'x(1 2)'"),
     ("perms-non-integer", ["lattice", "--group", "perms:{f}"], "(1 a)\n",
-     "bad cycle '(1 a)'"),
+     "perms:{f}: line 1: bad cycle '(1 a)'"),
     ("perms-repeated", ["lattice", "--group", "perms:{f}"], "(1 2 1)\n",
-     "bad cycle '(1 2 1)'"),
+     "perms:{f}: line 1: bad cycle '(1 2 1)'"),
     ("cayley-no-path", ["lattice", "--group", "cayley:"], None,
      "cayley: requires a file path"),
     ("poset-second-nodes", ["lattice", "--site", "{f}"], "nodes: a b\nnodes: a b\n",

@@ -1,16 +1,29 @@
+import json
+
+import numpy as np
 import pytest
 
 from transfer_systems import compat, enumeration, systems
+from transfer_systems.compat import max_compat_oracle
 from transfer_systems.enumeration import (
+    TransferSystemCatalog,
     census,
     cross_method_audit,
     disklike_systems,
     enumerate_all,
     verify_conjecture,
 )
-from transfer_systems.errors import CapExceededError, UsageError
+from transfer_systems.errors import CapExceededError, InternalCheckError, UsageError
 from transfer_systems.sites import site_from_descriptor
-from transfer_systems.systems import generate_from_edges, is_disklike, join_ts, meet_ts, trivial_ts
+from transfer_systems.systems import (
+    _STACK_ENTRIES,
+    _violation_text,
+    generate_from_edges,
+    is_disklike,
+    join_ts,
+    meet_ts,
+    trivial_ts,
+)
 
 import oracles
 
@@ -244,20 +257,22 @@ def test_verify_conjecture_on_c6_and_c12(c6_site, c12_site):
     assert report.systems_checked > 10
 
 
-def test_verify_conjecture_computes_blocked_once_per_system(s4_site, monkeypatch):
-    # the formula and the recursion share one blocked matrix per system
+def test_verify_conjecture_computes_blocked_once_per_block(s4_site, monkeypatch):
+    # the formula and the recursion share one blocked stack per block of systems
     calls = []
     real = compat._blocked
 
-    def counting(o):
-        calls.append(o.key)
-        return real(o)
+    def counting(site, rels):
+        calls.append(systems._stack_keys(rels))
+        return real(site, rels)
 
     monkeypatch.setattr(compat, "_blocked", counting)
     monkeypatch.setattr(enumeration, "_blocked", counting)
     report = verify_conjecture([s4_site], complexity_bound=2)
     assert report.ok and report.systems_checked == 48
-    assert len(calls) == len(set(calls)) == 48
+    step = _STACK_ENTRIES // s4_site.size**2
+    assert [len(keys) for keys in calls] == [step, 48 - step]
+    assert len({key for keys in calls for key in keys}) == 48
 
 
 def test_verify_conjecture_categorical_counterexample(p5_site):
@@ -276,3 +291,147 @@ def test_verify_conjecture_json_round_trip(p5_site):
     report = verify_conjecture([p5_site])
     data = json.loads(json.dumps(report.to_json()))
     assert data["ok"] is False and len(data["counterexamples"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# The block sweeps against the per-system loops they replaced
+
+
+def _json_bytes(report) -> str:
+    return json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
+def _fresh(catalog, length=None):
+    """The catalog's first ``length`` systems, as new systems with empty caches."""
+    systems = [generate_from_edges(catalog.site, ts.edges()) for ts in catalog.systems[:length]]
+    return TransferSystemCatalog(catalog.site, systems)
+
+
+def _assert_sweeps_match_loops(catalog, pairing=True):
+    assert census(catalog) == oracles.census_by_loop(catalog)
+    assert _json_bytes(cross_method_audit(catalog)) == _json_bytes(
+        oracles.cross_method_audit_by_loop(catalog)
+    )
+    if pairing:
+        assert catalog.m_pairing == oracles.m_pairing_by_loop(catalog)
+
+
+@pytest.mark.parametrize(
+    "name, total", [("c36_catalog", 1396), ("d4_catalog", 294), ("s4_catalog", 8691)]
+)
+def test_block_sweeps_match_per_system_loops(name, total, request):
+    catalog = request.getfixturevalue(name)
+    assert len(catalog) == total
+    _assert_sweeps_match_loops(TransferSystemCatalog(catalog.site, catalog.systems))
+    site = catalog.site
+    assert _json_bytes(verify_conjecture([site])) == _json_bytes(
+        oracles.verify_conjecture_by_loop([site])
+    )
+
+
+def test_s4_census_pinned(s4_catalog):
+    stats = census(TransferSystemCatalog(s4_catalog.site, s4_catalog.systems))
+    assert stats.summary() == "total=8691 saturated=132 disklike=183 both=4"
+
+
+@pytest.mark.parametrize("name", ["c36_catalog", "s4_catalog"])
+def test_block_boundaries_match_per_system_loops(name, request):
+    # prefixes of a catalog are closed under M(O), which has no more edges than O
+    catalog = request.getfixturevalue(name)
+    step = max(1, _STACK_ENTRIES // catalog.site.size**2)
+    assert step + 1 < len(catalog)
+    for length in (1, step, step + 1):
+        _assert_sweeps_match_loops(_fresh(catalog, length))
+
+
+def test_s4_conjecture_block_boundary_matches_loop(s4_site):
+    # 48 systems: one full block of 36 and one of 12
+    assert _json_bytes(verify_conjecture([s4_site], 2)) == _json_bytes(
+        oracles.verify_conjecture_by_loop([s4_site], 2)
+    )
+
+
+def test_s5_blocks_of_one_match_per_system_loops():
+    site = site_from_descriptor("symmetric:5")
+    assert _STACK_ENTRIES // site.size**2 == 1  # so a block holds one system
+    catalog = TransferSystemCatalog(site, disklike_systems(site, 3))
+    assert len(catalog) == 627
+    _assert_sweeps_match_loops(catalog, pairing=False)
+    assert _json_bytes(verify_conjecture([site], 3)) == _json_bytes(
+        oracles.verify_conjecture_by_loop([site], 3)
+    )
+
+
+def test_sweeps_check_every_maximal_relation(d4_catalog, s4_site, monkeypatch):
+    checked = []
+    real = enumeration._check_stack
+
+    def counting(site, rels):
+        checked.append(len(rels))
+        return real(site, rels)
+
+    monkeypatch.setattr(enumeration, "_check_stack", counting)
+    catalog = _fresh(d4_catalog)
+    cross_method_audit(catalog)
+    assert sum(checked) == 2 * len(catalog)  # the oracle and the recursive stacks
+    checked.clear()
+    assert len(catalog.m_pairing) == sum(checked) == len(catalog)
+    checked.clear()
+    assert verify_conjecture([s4_site], 2).systems_checked == sum(checked) == 48
+
+
+# ---------------------------------------------------------------------------
+# The safety nets fire on stacks
+
+
+def test_audit_records_a_recursion_fault_at_its_index(c36_catalog, monkeypatch):
+    catalog = _fresh(c36_catalog)
+    target = 500  # in the second block of 404
+    seen = [0]
+    real = enumeration._recursive
+
+    def faulty(site, rels, blocked):
+        out = real(site, rels, blocked)
+        lo, seen[0] = seen[0], seen[0] + len(rels)
+        if lo <= target < seen[0]:
+            out[target - lo] = np.eye(site.size, dtype=bool)
+        return out
+
+    monkeypatch.setattr(enumeration, "_recursive", faulty)
+    report = cross_method_audit(catalog)
+    ts = catalog.systems[target]
+    lab = catalog.site.labels
+    oracle = [(lab[a], lab[b]) for a, b in max_compat_oracle(ts).edges()]
+    assert oracle  # so the trivial system is a disagreement
+    assert [(e.index, e.kind, e.detail) for e in report.disagreements] == [
+        (target, "oracle-vs-recursive", f"oracle={oracle} recursive=[]")
+    ]
+
+
+def test_stacked_axiom_check_names_the_broken_relation(c36_catalog, monkeypatch):
+    catalog = _fresh(c36_catalog)
+    site = catalog.site
+    target = 7  # not the block's first relation
+    broken = []
+    real = enumeration._oracle
+
+    def faulty(site, rels, blocked):
+        out = real(site, rels, blocked)
+        if not broken:
+            k, h = map(int, np.argwhere(site.leq & ~out[target])[0])  # a missing edge
+            out[target, k, h] = True
+            broken.append(out[target].copy())
+        return out
+
+    monkeypatch.setattr(enumeration, "_oracle", faulty)
+    with pytest.raises(InternalCheckError) as excinfo:
+        cross_method_audit(catalog)
+    reason = _violation_text(site, broken[0])
+    assert str(excinfo.value) == f"relation is not a transfer system: {reason}"
+
+
+def test_census_raises_on_a_saturation_mismatch(c36_catalog, monkeypatch):
+    catalog = _fresh(c36_catalog)
+    monkeypatch.setattr(enumeration, "_unsaturated", lambda site, rels: np.zeros_like(rels))
+    with pytest.raises(InternalCheckError, match="self-compatible count 115 != saturated count 1396"):
+        census(catalog)

@@ -59,9 +59,9 @@ def test_inflate_complete_contains_interval_and_restrictions(ctx_c12, c12_site):
             if c12_site.leq[i, j]:
                 assert ts.rel[i, j]
     # restrictions of interval edges leave the interval (C2 -> C6 along C3)...
-    assert ts.has_edge(c12_site.node("1"), c12_site.node("C3"))
+    assert oracles.has_edge(ts, c12_site.node("1"), c12_site.node("C3"))
     # ...but 1 -> C2 is no restriction of an interval edge: KN /\ C2 = C2 always
-    assert not ts.has_edge(c12_site.node("1"), c12_site.node("C2"))
+    assert not oracles.has_edge(ts, c12_site.node("1"), c12_site.node("C2"))
 
 
 def test_inflate_matches_generated_preimage(ctx_c12, interval_catalog_c12, c12_site):
@@ -207,4 +207,4 @@ def test_quotient_context_matches_coset_table(c12_site):
         kn = oracles.setwise_product(
             latt.group, latt.subgroups[k].members, latt.subgroups[n].members
         )
-        assert int(ctx.kn[k]) == latt.index_of(kn)
+        assert int(ctx.kn[k]) == oracles.index_of(latt, kn)

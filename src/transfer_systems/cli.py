@@ -32,7 +32,7 @@ from .enumeration import (
     enumerate_all,
     verify_conjecture,
 )
-from .errors import TransferSystemsError, UsageError
+from .errors import InputFileError, TransferSystemsError, UsageError
 from .functors import fixed_points, inflate, quotient_context, universal_reduction
 from .groups import DEFAULT_ORDER_CAP
 from .render import render_dot, render_tikz
@@ -127,9 +127,17 @@ def _load_system(args, site: Site) -> TransferSystem:
     raise UsageError("provide --edges \"SRC>DST ...\" or --input FILE.json")
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; an unwritable path raises InputFileError naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputFileError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -310,7 +318,7 @@ def _cmd_enumerate(args) -> int:
     else:
         out.append(f"total={len(catalog)}")
     if args.jsonl:
-        Path(args.jsonl).write_text(serialize.dump_catalog(catalog))
+        _write(args.jsonl, serialize.dump_catalog(catalog))
         out.append(f"wrote {len(catalog)} systems to {args.jsonl}")
     _emit(args, "\n".join(out) + "\n")
     return EXIT_OK
@@ -339,6 +347,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.order_le and args.order_le > args.max_order:
+        # cyclic:N alone would exceed the cap, after every smaller site was built
+        raise UsageError(f"--order-le {args.order_le} exceeds --max-order {args.max_order}")
     sites: list[Site] = []
     if args.order_le:
         from .groups import small_group_descriptors

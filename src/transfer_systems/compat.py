@@ -33,9 +33,11 @@ Three independent computations of M(O) are provided:
 
 * ``max_compat_oracle`` keeps each edge e whose generated system T(e) forms a
   compatible pair with O (the definitional set expression).  T(e) is
-  action-closed, so T(p.e) = T(e): each site keeps a table of T(e) over
-  its strict pairs, one row per edge orbit filled on first use, and every
-  edge is decided by one product of the rows with ``blocked``;
+  action-closed, so T(p.e) = T(e): T(e) comes from the site's one cache
+  (``systems._edge_systems``, one relation per edge orbit, shared with the
+  disklike test and ``complexity``), read at the strict pairs once per
+  orbit in use, and every edge is decided by one product of those rows
+  with ``blocked``;
 * ``max_compat_recursive`` evaluates the recursion over the restriction
   poset (e is kept iff every strict restriction r < e is kept and
   annotates a success) in unrolled form: e is dropped iff some r <= e is
@@ -50,9 +52,9 @@ The first two are kernels over a (B, n, n) stack of systems, ``_oracle``
 and ``_recursive``; they share the stack's ``blocked`` and return the
 stack of M(O).  The public functions run them on a stack of one, and the
 catalog sweeps in ``enumeration`` on blocks of the catalog.  Every M(O)
-stack passes the axiom check ``systems._check_stack`` before its
-relations are used, whether as systems (``TransferSystem._from_stack``)
-or as catalog keys.  The third method stays per system: it is the
+passes the axiom check ``systems._check_stack`` before it is used: a
+public function's one result through the ``TransferSystem`` constructor,
+a sweep's stack directly.  The third method stays per system: it is the
 independent check, and its inspection count is the measured quantity.
 
 ``conjecture_formula`` evaluates the conjectured one-shot simplification
@@ -71,7 +73,7 @@ from .errors import DisklikeRequiredError
 from .sites import Site, _bmm
 from .systems import (
     TransferSystem,
-    _orbit_table,
+    _edge_systems,
     _require_same_site,
     is_disklike,
 )
@@ -117,19 +119,21 @@ def _blocked(site: Site, rels: np.ndarray) -> np.ndarray:
 def _oracle(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """The (B, n, n) stack of M(O) by the set expression, for a stack of O and their ``blocked``.
 
-    Edge e of O is kept iff T(e), read as its orbit's row of the site's
-    table over the strict pairs, meets no blocked pair of O.  Rows are
-    looked up only for the strict pairs that occur in the stack, and one
-    product of the (B, P) blocked pairs with those rows decides every edge.
+    Edge e of O is kept iff T(e) meets no blocked pair of O.  T(e) is read
+    from the site's cache once per edge orbit that occurs in the stack, at
+    the strict pairs only, and one product of those rows with the (B, P)
+    blocked pairs decides every edge.
     """
     b, n = len(rels), site.size
-    table = _orbit_table(site)
     strict = (rels & ~np.eye(n, dtype=bool)).reshape(b, n * n)
     occur = np.flatnonzero(strict.any(axis=0))  # flat indices of the strict pairs in use
-    found = table.lookup(site, occur)  # may grow table.rows
-    hit = _bmm(table.rows[found], blocked.reshape(b, n * n)[:, table.pair_flat].T)
+    reps = site.edge_rep.ravel()[occur]
+    orbits = sorted(set(reps.tolist()))  # np.unique imports numpy.ma: ~15 ms cold
+    pairs = np.flatnonzero(site.leq & ~np.eye(n, dtype=bool))
+    rows = _edge_systems(site, orbits).reshape(len(orbits), n * n)[:, pairs]
+    hit = _bmm(rows, blocked.reshape(b, n * n)[:, pairs].T)  # T(orbits[i]) meets blocked[b]
     out = np.zeros((b, n * n), dtype=bool)
-    out[:, occur] = strict[:, occur] & ~hit.T  # hit[i, b]: T(occur[i]) meets a blocked pair of b
+    out[:, occur] = strict[:, occur] & ~hit.T[:, np.searchsorted(orbits, reps)]
     return out.reshape(b, n, n) | np.eye(n, dtype=bool)
 
 
@@ -150,9 +154,9 @@ def _recursive(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
 
 
 def _maximal(o: TransferSystem, method) -> TransferSystem:
-    """M(O) by a stacked method, on a stack of one, checked as every M(O) stack is."""
+    """M(O) by a stacked method, on a stack of one, checked by the constructor."""
     rels = o.rel[None]
-    return TransferSystem._from_stack(o.site, method(o.site, rels, _blocked(o.site, rels)))[0]
+    return TransferSystem(o.site, method(o.site, rels, _blocked(o.site, rels))[0])
 
 
 def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
@@ -180,9 +184,9 @@ def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
 def max_compat_oracle(o: TransferSystem) -> TransferSystem:
     """M(O) via the set expression: e is kept iff (O, T(e)) is compatible.
 
-    ``blocked`` is computed once for O; e is kept iff T(e), read as its
-    orbit's row of the site's table over the strict pairs, meets no
-    blocked entry.  One product decides every edge of O.
+    ``blocked`` is computed once for O; e is kept iff T(e), read from the
+    site's cache at the strict pairs, meets no blocked entry.  One product
+    decides every edge of O.
     """
     return _maximal(o, _oracle)
 
@@ -249,7 +253,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
         kept[least[x]] = verdict
     rel = np.eye(n, dtype=bool)
     rel.ravel()[nodes] = kept[edge_rep[nodes]]
-    return DisklikeResult(TransferSystem._from_stack(site, rel[None])[0], steps)
+    return DisklikeResult(TransferSystem(site, rel), steps)
 
 
 def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:

@@ -12,13 +12,14 @@ at most k of the edges.
 
 A level runs on stacks.  Its candidates O | R_e, for every frontier system
 O and every edge e not in O, frontier-major and edge-minor, are closed in
-blocks of ``_STACK_ENTRIES`` bool entries: a step is one stacked closure
-per block.  Dedup happens on the canonical bit-string key before anything
-is built, in candidate order, so the cap fires at the same count as a
-per-candidate loop would.  The level's new systems then pass the full
-axiom check in stacked blocks, the check the constructor runs on one
-relation.  The catalog order is canonical (edge count, then key bytes),
-so runs are reproducible regardless of expansion order.
+blocks of ``_STACK_ENTRIES`` bool entries, cut by ``systems._block_slices``
+as every stack is: a step is one stacked closure per block.  Dedup
+happens on the canonical bit-string key before anything is built, in
+candidate order, so the cap fires at the same count as a per-candidate
+loop would.  The level's new systems then pass the full axiom check in
+stacked blocks, the check the constructor runs on one relation.  The
+catalog order is canonical (edge count, then key bytes), so runs are
+reproducible regardless of expansion order.
 
 The sweeps over a list of systems (``census``, ``cross_method_audit``,
 ``TransferSystemCatalog.m_pairing`` and ``verify_conjecture``) walk it in
@@ -49,11 +50,11 @@ from .compat import (
 from .errors import CapExceededError, InternalCheckError, UsageError
 from .sites import Site
 from .systems import (
-    _STACK_ENTRIES,
     TransferSystem,
+    _block_disklike,
+    _block_slices,
     _check_stack,
     _comp,
-    _disklike,
     _edge_closure,
     _stack_keys,
     _unsaturated,
@@ -149,7 +150,6 @@ def _bfs(
     n = site.size
     closures = np.array([_edge_closure(site, e) for e in edges], dtype=bool).reshape(-1, n, n)
     edge_flat = np.array([k * n + h for k, h in edges], dtype=np.intp)
-    step = max(1, _STACK_ENTRIES // (n * n))
     seen = {start.key}
     ranked = [(start.edge_count, start.key, start)]
     frontier = start.rel[None]
@@ -159,8 +159,8 @@ def _bfs(
         # (system, edge) pairs without the edge, frontier-major and edge-minor
         fi, ei = np.nonzero(~frontier.reshape(len(frontier), n * n)[:, edge_flat])
         found: list[bytes] = []
-        for lo in range(0, len(fi), step):
-            block = _comp(frontier[fi[lo : lo + step]] | closures[ei[lo : lo + step]])
+        for part in _block_slices(site, len(fi)):
+            block = _comp(frontier[fi[part]] | closures[ei[part]])
             keys = _stack_keys(block)
             # the block's new keys, each once, in candidate order
             new = dict.fromkeys(k for k in keys if k not in seen)
@@ -177,20 +177,9 @@ def _bfs(
 
 
 def _blocks(site: Site, systems: list[TransferSystem]) -> Iterator[tuple[int, np.ndarray]]:
-    """(index of its first system, (B, n, n) stack) per block of ``_STACK_ENTRIES`` entries."""
-    step = max(1, _STACK_ENTRIES // site.size**2)
-    for lo in range(0, len(systems), step):
-        yield lo, np.stack([ts.rel for ts in systems[lo : lo + step]])
-
-
-def _block_disklike(
-    site: Site, systems: list[TransferSystem], lo: int, rels: np.ndarray
-) -> np.ndarray:
-    """``systems._disklike`` of the block at ``lo``, also kept in each system's cache."""
-    disklike = _disklike(site, rels)
-    for ts, disk in zip(systems[lo : lo + len(rels)], disklike.tolist()):
-        ts._cache["disklike"] = disk
-    return disklike
+    """(index of its first system, (B, n, n) stack) per block of ``systems._block_slices``."""
+    for block in _block_slices(site, len(systems)):
+        yield block.start, np.stack([ts.rel for ts in systems[block]])
 
 
 def _none(stack: np.ndarray) -> np.ndarray:
@@ -208,7 +197,7 @@ def census(catalog: TransferSystemCatalog) -> CensusStats:
     saturated = disklike = both = selfc = 0
     for lo, rels in _blocks(site, catalog.systems):
         sat = _none(_unsaturated(site, rels))
-        disk = _block_disklike(site, catalog.systems, lo, rels)
+        disk = _block_disklike(site, catalog.systems[lo : lo + len(rels)], rels)
         saturated += int(sat.sum())
         disklike += int(disk.sum())
         both += int((sat & disk).sum())
@@ -270,7 +259,7 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
         _check_stack(site, oracle)
         _check_stack(site, recursive)
         differ = ~_none(oracle != recursive)
-        disklike = _block_disklike(site, catalog.systems, lo, rels)
+        disklike = _block_disklike(site, catalog.systems[lo : lo + len(rels)], rels)
         disklike_total += int(disklike.sum())
         for b in np.flatnonzero(differ | disklike).tolist():
             i, ts = lo + b, catalog.systems[lo + b]

@@ -94,9 +94,10 @@ class Site:
             None; ``lattice is not None`` is the test for a group site.
         descriptor: string that rebuilds this site, if available.
 
-    Derived data that depends on the site alone (such as the generated
-    systems T(e) the compatibility oracle reuses) is cached in ``_cache``;
-    it lives and dies with this object.
+    Derived data that depends on the site alone is cached in ``_cache``;
+    it lives and dies with this object.  One such entry is the T(e) cache
+    of ``systems._edge_systems``: one read-only relation per edge orbit,
+    which the disklike test, ``complexity`` and the M(O) oracle share.
     """
 
     def __init__(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,9 +81,9 @@ class TransferSystem:
     constructors; the constructor itself re-checks that the relation refines
     the order and satisfies all four axioms, and raises InternalCheckError
     on violation.  The check is ``_check_stack`` on a stack of one; the
-    enumerators and the M(O) kernels run the same check on whole stacks of
-    new systems and wrap their relations through ``_from_stack`` instead of
-    one constructor call per system.
+    enumerators' BFS runs the same check on each level's new systems in
+    blocks and wraps their relations through ``_from_stack`` instead of one
+    constructor call per system.
     """
 
     __slots__ = ("site", "rel", "key", "_cache")
@@ -99,21 +99,17 @@ class TransferSystem:
 
     @classmethod
     def _from_stack(
-        cls, site: Site, rels: np.ndarray, keys: Optional[list[bytes]] = None
+        cls, site: Site, rels: np.ndarray, keys: list[bytes]
     ) -> list["TransferSystem"]:
         """Systems for the relations of a (B, n, n) bool stack, checked in blocks.
 
-        ``keys[i]``, if given, must be ``rels[i].tobytes()`` (the BFS shares
-        its dedup keys this way); by default they are read off the stack.
-        The stack becomes read-only and each system's ``rel`` is a view
-        into it.
+        ``keys[i]`` must be ``rels[i].tobytes()``: the BFS shares its dedup
+        keys this way.  The stack becomes read-only and each system's
+        ``rel`` is a view into it.
         """
-        step = max(1, _STACK_ENTRIES // site.size**2)
-        for lo in range(0, len(rels), step):
-            _check_stack(site, rels[lo : lo + step])
+        for block in _block_slices(site, len(rels)):
+            _check_stack(site, rels[block])
         rels.flags.writeable = False
-        if keys is None:
-            keys = _stack_keys(rels)
         out = []
         for rel, key in zip(rels, keys):
             ts = cls.__new__(cls)
@@ -173,6 +169,15 @@ def _require_same_site(
 # on S5, whose float32 products then allocate 256 KB and more per call, and
 # raised the catalog pass's peak RSS by 0.5 and 2 MB.
 _STACK_ENTRIES = 1 << 15
+
+
+def _block_slices(site: Site, count: int) -> Iterator[slice]:
+    """Slices that cut ``count`` stacked n-by-n relations into blocks of ``_STACK_ENTRIES`` entries.
+
+    Every stacked loop, the BFS and the sweeps, blocks its stack this way.
+    """
+    step = max(1, _STACK_ENTRIES // site.size**2)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def _stack_keys(rels: np.ndarray) -> list[bytes]:
@@ -314,72 +319,44 @@ def close_comp(b: BinaryRelation) -> BinaryRelation:
     return BinaryRelation(b.site, _comp(b.rel))
 
 
+def _close(site: Site, rel: np.ndarray) -> np.ndarray:
+    """composition(restriction(conjugation(reflexive(rel)))): one pass closes rel."""
+    return _comp(_res(site, _conj(site, _refl(site, rel))))
+
+
 def generate(b: BinaryRelation) -> TransferSystem:
     """Minimal transfer system containing the relation.
 
-    Single pass of composition(restriction(conjugation(reflexive(B)))); the
-    constructor asserts the result satisfies all four axioms.  Conjugation
-    and restriction distribute over unions, so for a transfer system O and
-    an edge e, generate(O + e) = comp(O | R_e) with R_e = res(conj(refl({e})))
-    (see ``_edge_closure``); enumeration extends systems this way.
+    Single pass of ``_close``; the constructor asserts the result satisfies
+    all four axioms.  Conjugation and restriction distribute over unions,
+    so for a transfer system O and an edge e, generate(O + e) =
+    comp(O | R_e) with R_e = res(conj(refl({e}))) (see ``_edge_closure``);
+    enumeration extends systems this way.
     """
-    site = b.site
-    rel = _comp(_res(site, _conj(site, _refl(site, b.rel))))
-    return TransferSystem(site, rel)
+    return TransferSystem(b.site, _close(b.site, b.rel))
 
 
 def generate_from_edges(site: Site, edges: Iterable[tuple[int, int]]) -> TransferSystem:
     return generate(BinaryRelation.from_edges(site, edges))
 
 
-def _edge_system(site: Site, edge: tuple[int, int]) -> np.ndarray:
-    """The relation of T(edge), cached on the site once per edge orbit.
+def _edge_systems(site: Site, flat) -> np.ndarray:
+    """T(e) for the edges with flat indices ``flat``, as a (k, n, n) bool stack.
 
     T(e) is action-closed, so every edge of an orbit generates the same
-    system; it is built through ``generate_from_edges`` and so passes the
-    constructor's axiom check once per (site, orbit).
+    system.  The site caches one read-only relation per edge orbit, keyed
+    by the orbit's least flat index (``edge_rep``) and filled on first use
+    through ``generate_from_edges``, so each T(e) passes the constructor's
+    axiom check once per (site, orbit).  The disklike test, ``complexity``
+    and the M(O) oracle all read T(e) here.
     """
-    cache = site._cache.setdefault("edge_system", {})
-    rep = divmod(int(site.edge_rep[edge]), site.size)
-    rel = cache.get(rep)
-    if rel is None:
-        rel = cache[rep] = generate_from_edges(site, [rep]).rel  # read-only
-    return rel
-
-
-class _OrbitTable:
-    """T(e) over a site's strict pairs, one row per edge orbit seen so far.
-
-    ``rows[row_of[r]]`` is T(e) read at the pairs ``pair_flat`` (flat
-    indices, in ``site.pairs`` order) for any edge e whose orbit has the
-    representative r.  A row is filled from ``_edge_system`` the first time
-    its orbit is asked for, so the table holds only the orbits seen.
-    """
-
-    def __init__(self, site: Site):
-        n = site.size
-        self.pair_flat = np.flatnonzero(site.leq & ~np.eye(n, dtype=bool))
-        self.row_of = np.full(n * n, -1, dtype=np.intp)
-        self.rows = np.zeros((0, self.pair_flat.size), dtype=bool)
-
-    def lookup(self, site: Site, flat: np.ndarray) -> np.ndarray:
-        """Row indices for the edges with flat indices ``flat``."""
-        reps = site.edge_rep.ravel()[flat]
-        missing = self.row_of[reps] < 0
-        if missing.any():
-            new = sorted(set(reps[missing].tolist()))  # np.unique imports numpy.ma: ~15 ms cold
-            fresh = [_edge_system(site, divmod(r, site.size)).ravel()[self.pair_flat] for r in new]
-            self.row_of[new] = np.arange(len(self.rows), len(self.rows) + len(new))
-            self.rows = np.concatenate([self.rows, fresh])
-        return self.row_of[reps]
-
-
-def _orbit_table(site: Site) -> _OrbitTable:
-    """The site's (cached) table of T(e) rows."""
-    table = site._cache.get("orbit_table")
-    if table is None:
-        table = site._cache["orbit_table"] = _OrbitTable(site)
-    return table
+    n = site.size
+    cache = site._cache.setdefault("edge_systems", {})
+    reps = site.edge_rep.ravel()[flat].tolist()
+    for r in reps:
+        if r not in cache:
+            cache[r] = generate_from_edges(site, [divmod(r, n)]).rel
+    return np.array([cache[r] for r in reps], dtype=bool).reshape(-1, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +434,7 @@ def hull(ts: TransferSystem) -> TransferSystem:
             if not is_saturated(out).saturated:
                 raise InternalCheckError("hull fixpoint is not saturated")
             return out
-        rel = _comp(_res(site, _conj(site, _refl(site, rel | needed))))
+        rel = _close(site, rel | needed)
 
 
 def disklike_generators(ts: TransferSystem) -> list[tuple[int, int]]:
@@ -480,16 +457,25 @@ def _disklike(site: Site, rels: np.ndarray) -> np.ndarray:
     # the sources h != top held somewhere in the stack and least in their orbit
     held = rels[:, :, top].any(axis=0) & (site.edge_rep[:, top] == np.arange(n) * n + top)
     held[top] = False
-    for h in np.flatnonzero(held).tolist():
-        union |= rels[:, h, top, None, None] & _edge_system(site, (h, top))
+    hs = np.flatnonzero(held)
+    for h, t in zip(hs.tolist(), _edge_systems(site, hs * n + top)):
+        union |= rels[:, h, top, None, None] & t
     return (_comp(union) == rels).reshape(len(rels), n * n).all(axis=1)
+
+
+def _block_disklike(site: Site, systems: list[TransferSystem], rels: np.ndarray) -> np.ndarray:
+    """``_disklike`` of ``rels``, the stacked relations of ``systems``, kept in their caches."""
+    disklike = _disklike(site, rels)
+    for ts, disk in zip(systems, disklike.tolist()):
+        ts._cache["disklike"] = disk
+    return disklike
 
 
 def is_disklike(ts: TransferSystem) -> bool:
     """True iff ts is generated by its transfers into the top node (cached per system)."""
     disklike = ts._cache.get("disklike")
     if disklike is None:
-        disklike = ts._cache["disklike"] = bool(_disklike(ts.site, ts.rel[None])[0])
+        disklike = bool(_block_disklike(ts.site, [ts], ts.rel[None])[0])
     return disklike
 
 
@@ -504,9 +490,10 @@ def complexity(ts: TransferSystem, bound: int = 4) -> Optional[int]:
     """
     if bound < 0:
         raise UsageError("complexity bound must be >= 0")
+    site = ts.site
+    reps = site.orbit_representatives(ts.edges())
     classes: dict[bytes, tuple] = {}
-    for e in ts.site.orbit_representatives(ts.edges()):
-        t = _edge_system(ts.site, e)
+    for e, t in zip(reps, _edge_systems(site, [k * site.size + h for k, h in reps])):
         classes.setdefault(t.tobytes(), (e, t))
     if not classes:
         return 0

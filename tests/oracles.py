@@ -57,7 +57,7 @@ from transfer_systems.systems import (
     ViolationReport,
     _comp,
     _edge_closure,
-    _edge_system,
+    _edge_systems,
     count_cover_relations,
     disklike_generators,
     generate_from_edges,
@@ -656,8 +656,8 @@ def disklike_by_generators(ts) -> bool:
     """Disklike test of one system: its transfers into top, each T(e) ORed in, then closed."""
     site = ts.site
     rel = np.eye(site.size, dtype=bool)
-    for e in disklike_generators(ts):
-        rel |= _edge_system(site, e)
+    for t in _edge_systems(site, [k * site.size + h for k, h in disklike_generators(ts)]):
+        rel |= t
     return _comp(rel).tobytes() == ts.key
 
 

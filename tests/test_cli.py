@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P5_TEXT, m_poset_text
+from transfer_systems import cli
 from transfer_systems.cli import main
 
 
@@ -257,6 +258,7 @@ def test_non_associative_cayley_table_above_order_256(tmp_path, capsys):
 # "{f}" stands for the case's file, written with the text; a text of None
 # leaves "{f}" naming a directory.
 _EISDIR = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+_ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
 INPUT_ERRORS = [
     ("cayley-empty", ["lattice", "--group", "cayley:{f}"], "", "{f}: empty Cayley file"),
     ("cayley-token", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1 x\n",
@@ -305,6 +307,18 @@ INPUT_ERRORS = [
     ("check-negative-bound", ["check", "--group", "cyclic:6", "--edges", "1>C2",
                               "--complexity-bound", "-1"], None,
      "complexity bound must be >= 0"),
+    ("out-missing-directory", ["lattice", "--group", "cyclic:6", "--out", "{f}/no/x.txt"], None,
+     "cannot write {f}/no/x.txt: " + _ENOENT + ": '{f}/no/x.txt'"),
+    ("out-directory", ["lattice", "--group", "cyclic:6", "--out", "{f}"], None,
+     "cannot write {f}: " + _EISDIR + ": '{f}'"),
+    ("jsonl-missing-directory", ["enumerate", "--group", "cyclic:6", "--jsonl", "{f}/no/c.jsonl"],
+     None, "cannot write {f}/no/c.jsonl: " + _ENOENT + ": '{f}/no/c.jsonl'"),
+    ("jsonl-directory", ["enumerate", "--group", "cyclic:6", "--jsonl", "{f}"], None,
+     "cannot write {f}: " + _EISDIR + ": '{f}'"),
+    ("order-le-above-max-order", ["conjecture", "--order-le", "60", "--max-order", "50"], None,
+     "--order-le 60 exceeds --max-order 50"),
+    ("order-le-above-default-cap", ["conjecture", "--order-le", "1001"], None,
+     "--order-le 1001 exceeds --max-order 1000"),
 ]
 
 
@@ -318,6 +332,16 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, text, message
     code, out, err = run(capsys, *(arg.format(f=path) for arg in argv))
     assert (code, out) == (2, "")
     assert err == "error: " + message.format(f=path) + "\n"
+
+
+def test_order_le_above_max_order_builds_no_site(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a site was built")
+
+    monkeypatch.setattr(cli, "site_from_descriptor", build)
+    code, out, err = run(capsys, "conjecture", "--order-le", "60", "--max-order", "50",
+                         "--groups", "cyclic:2")
+    assert (code, out, err) == (2, "", "error: --order-le 60 exceeds --max-order 50\n")
 
 
 def test_lattice_of_a_poset_site(tmp_path, capsys):

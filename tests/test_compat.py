@@ -26,10 +26,11 @@ from transfer_systems.enumeration import disklike_systems
 from transfer_systems.errors import DisklikeRequiredError
 from transfer_systems.sites import parse_poset_text, site_from_descriptor
 from transfer_systems.systems import (
-    _edge_system,
+    _edge_systems,
     close_res,
     BinaryRelation,
     complete_ts,
+    complexity,
     count_cover_relations,
     generate_from_edges,
     hull,
@@ -386,36 +387,46 @@ def test_oracle_matches_the_definition(catalog_name, request):
         assert max_compat_oracle(ts).edges() == expected
 
 
-def test_edge_system_cache_is_scoped_to_one_site():
+def test_edge_systems_cache_is_scoped_to_one_site():
     a = site_from_descriptor("symmetric:4")
     b = site_from_descriptor("symmetric:4")
     assert a.key == b.key
     max_compat_oracle(complete_ts(a))
-    cached = a._cache["edge_system"]
-    assert "edge_system" not in b._cache
+    cached = a._cache["edge_systems"]
+    assert "edge_systems" not in b._cache
     # the complete system holds every edge: one cached T(e) per edge orbit
     assert len(cached) == len(a.orbit_representatives(a.pairs)) == 34
     max_compat_oracle(complete_ts(b))
-    assert b._cache["edge_system"].keys() == cached.keys()
+    assert b._cache["edge_systems"].keys() == cached.keys()
     for rep, rel in cached.items():
+        assert rep == a.edge_rep.ravel()[rep]
         assert not rel.flags.writeable
-        assert not np.shares_memory(rel, b._cache["edge_system"][rep])
-        assert rel.tobytes() == generate_from_edges(a, [rep]).key
+        with pytest.raises(ValueError):
+            rel[0, 0] = False
+        assert not np.shares_memory(rel, b._cache["edge_systems"][rep])
+        assert np.array_equal(rel, generate_from_edges(a, [divmod(rep, a.size)]).rel)
 
 
-def test_orbit_table_grows_with_the_orbits_seen():
+def test_edge_systems_cache_is_shared_and_grows_with_the_orbits_seen():
     site = site_from_descriptor("symmetric:4")
     o = generate_from_edges(site, [(site.bottom, site.top)])
     max_compat_oracle(o)
-    table = site._cache["orbit_table"]
-    assert [divmod(int(f), site.size) for f in table.pair_flat] == list(site.pairs)
-    reps = {int(site.edge_rep[e]) for e in o.edges()}
-    assert len(table.rows) == len(reps) == (table.row_of >= 0).sum()
-    for r in reps:
-        t = _edge_system(site, divmod(r, site.size))
-        assert np.array_equal(table.rows[table.row_of[r]], t.ravel()[table.pair_flat])
-    max_compat_oracle(complete_ts(site))
-    assert len(table.rows) == (table.row_of >= 0).sum() == 34
+    cached = site._cache["edge_systems"]
+    assert cached.keys() == {int(site.edge_rep[e]) for e in o.edges()}
+    complete = complete_ts(site)
+    complexity(complete)
+    assert len(cached) == 34
+    entries = dict(cached)
+    max_compat_oracle(complete)  # reads the entries complexity filled, adds none
+    assert cached.keys() == entries.keys()
+    assert all(cached[r] is entries[r] for r in entries)
+    # every edge reads its orbit's T(e), as a copy the caller may write
+    flat = [k * site.size + h for k, h in site.pairs]
+    stack = _edge_systems(site, flat)
+    assert stack.shape == (len(flat), site.size, site.size) and stack.flags.writeable
+    for e, t in zip(site.pairs, stack):
+        assert np.array_equal(t, generate_from_edges(site, [e]).rel)
+    assert len(cached) == 34
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ def _write(path: str, text: str) -> None:
         raise InputFileError(f"cannot write {path}: {exc}") from None
 
 
+def _probe(path: str) -> None:
+    """Fail now, as ``_write`` would later, if the output path is unwritable.
+
+    Opens the path for appending, which fails with the same error as a
+    write, and leaves no file behind that was not there before.
+    """
+    target = Path(path)
+    existed = target.exists()
+    try:
+        with target.open("a"):
+            pass
+    except OSError as exc:
+        raise InputFileError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        target.unlink()
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         _write(args.out, text)
@@ -419,6 +436,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --cap must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # an unwritable output fails before the computation, not after it
+        for path in (getattr(args, "out", None), getattr(args, "jsonl", None)):
+            if path:
+                _probe(path)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

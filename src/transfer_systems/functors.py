@@ -72,7 +72,7 @@ def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
     _require_interval_system(ctx, o_bar, "inflate input")
     parent = ctx.parent
     sub_of = np.searchsorted(ctx.to_parent, ctx.kn)  # interval index of KN
-    lifted = o_bar.rel[np.ix_(sub_of, sub_of)]  # KN -> HN is an interval transfer
+    lifted = o_bar.rel[sub_of[:, None], sub_of]  # KN -> HN is an interval transfer
     anchored = parent.meet[ctx.kn, :] == np.arange(parent.size)[:, None]  # K == KN /\ H
     rel = parent.leq & lifted & anchored
     return TransferSystem(parent, rel)  # constructor asserts validity
@@ -82,7 +82,7 @@ def fixed_points(ctx: QuotientContext, o: TransferSystem) -> TransferSystem:
     """Restrict a G-transfer system to the interval [N, G]."""
     _require_same_site(o.site, ctx.parent, "fixed_points input must live on the parent site")
     idx = ctx.to_parent
-    return TransferSystem(ctx.interval_site, o.rel[np.ix_(idx, idx)])
+    return TransferSystem(ctx.interval_site, o.rel[idx[:, None], idx])
 
 
 def minimal_transferring_subgroup(o: TransferSystem) -> int:

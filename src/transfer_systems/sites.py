@@ -95,9 +95,13 @@ class Site:
         descriptor: string that rebuilds this site, if available.
 
     Derived data that depends on the site alone is cached in ``_cache``;
-    it lives and dies with this object.  One such entry is the T(e) cache
-    of ``systems._edge_systems``: one read-only relation per edge orbit,
-    which the disklike test, ``complexity`` and the M(O) oracle share.
+    it lives and dies with this object, so a second site built from the
+    same descriptor starts empty.  One such entry is the T(e) cache of
+    ``systems._edge_systems``: one read-only relation per edge orbit, which
+    the disklike test, ``complexity`` and the M(O) oracle share.  Another
+    is ``"checked"``, the set of keys of the relations that passed the
+    ``TransferSystem`` constructor's axiom check on this site, so each
+    distinct relation is checked once.
     """
 
     def __init__(

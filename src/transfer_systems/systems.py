@@ -78,23 +78,32 @@ class TransferSystem:
     """An immutable transfer system on a site.
 
     Construct through :func:`validate`, :func:`generate`, or the named
-    constructors; the constructor itself re-checks that the relation refines
+    constructors; the constructor itself checks that the relation refines
     the order and satisfies all four axioms, and raises InternalCheckError
-    on violation.  The check is ``_check_stack`` on a stack of one; the
-    enumerators' BFS runs the same check on each level's new systems in
-    blocks and wraps their relations through ``_from_stack`` instead of one
-    constructor call per system.
+    on violation.  The check is ``_check_stack`` on a stack of one, run once
+    per distinct relation on each site object: the site keeps the keys of
+    the n-by-n relations that passed it in ``_cache["checked"]``, a key
+    joins only after its check passes, so a relation that fails raises on
+    every construction.  The enumerators' BFS runs the same check on each
+    level's new systems in blocks and wraps their relations through
+    ``_from_stack`` instead of one constructor call per system.
     """
 
     __slots__ = ("site", "rel", "key", "_cache")
 
     def __init__(self, site: Site, rel: np.ndarray):
         rel = rel.astype(bool)
-        _check_stack(site, rel[None])
+        key = rel.tobytes()
+        checked = site._cache.setdefault("checked", set())
+        square = rel.shape == (site.size, site.size)  # no other shape may match a key
+        if not (square and key in checked):
+            _check_stack(site, rel[None])
+            if square:
+                checked.add(key)
         rel.flags.writeable = False
         self.site = site
         self.rel = rel
-        self.key = rel.tobytes()
+        self.key = key
         self._cache: dict = {}
 
     @classmethod

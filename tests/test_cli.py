@@ -344,6 +344,26 @@ def test_order_le_above_max_order_builds_no_site(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: --order-le 60 exceeds --max-order 50\n")
 
 
+def test_unwritable_jsonl_fails_before_the_enumeration(tmp_path, capsys, monkeypatch):
+    def enumerate_all(*args):
+        raise AssertionError("the catalog was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_all", enumerate_all)
+    code, out, err = run(capsys, "enumerate", "--group", "symmetric:4", "--jsonl", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path}: {_EISDIR}: '{tmp_path}'\n"
+
+
+def test_the_output_probe_leaves_no_file_behind(tmp_path, capsys):
+    out = tmp_path / "lattice.txt"
+    code, _, err = run(capsys, "lattice", "--group", "bogus", "--out", str(out))
+    assert (code, err) == (2, "error: unsupported descriptor 'bogus'\n")
+    assert not out.exists()
+    out.write_text("kept")
+    code, _, _ = run(capsys, "lattice", "--group", "bogus", "--out", str(out))
+    assert code == 2 and out.read_text() == "kept"
+
+
 def test_lattice_of_a_poset_site(tmp_path, capsys):
     path = tmp_path / "p5.poset"
     path.write_text(P5_TEXT)

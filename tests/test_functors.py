@@ -10,7 +10,9 @@ from transfer_systems.errors import (
     GroupSiteRequiredError,
     MismatchedSitesError,
 )
+from transfer_systems import systems as systems_module
 from transfer_systems.functors import (
+    QuotientContext,
     check_preservation,
     fixed_points,
     inflate,
@@ -18,6 +20,7 @@ from transfer_systems.functors import (
     quotient_context,
     universal_reduction,
 )
+from transfer_systems.sites import interval_above
 from transfer_systems.systems import (
     complete_ts,
     generate_from_edges,
@@ -83,6 +86,28 @@ def test_interval_transparency(ctx_c12, interval_catalog_c12):
 def test_fixed_points_inflate_is_identity(ctx_c12, interval_catalog_c12):
     for x in interval_catalog_c12.systems:
         assert fixed_points(ctx_c12, inflate(ctx_c12, x)) == x
+
+
+def test_fixed_points_checks_each_interval_relation_once(ctx_c36, c36_catalog, monkeypatch):
+    # a fresh interval site, so that no other test has checked its relations yet
+    parent = ctx_c36.parent
+    ctx = QuotientContext(parent, interval_above(parent, parent.node("C6")),
+                          ctx_c36.to_parent, ctx_c36.kn)
+    checked = []
+    real = systems_module._check_stack
+
+    def counting(site, rels):
+        if site is ctx.interval_site:
+            checked.append(len(rels))
+        real(site, rels)
+
+    monkeypatch.setattr(systems_module, "_check_stack", counting)
+    results = [fixed_points(ctx, o) for o in c36_catalog.systems]
+    assert len(results) == 1396 and len({r.key for r in results}) == 10
+    assert checked == [1] * 10
+    idx = ctx.to_parent
+    for o, r in zip(c36_catalog.systems, results):
+        assert np.array_equal(r.rel, o.rel[np.ix_(idx, idx)])
 
 
 def test_fixed_points_of_named_systems(ctx_c12, c12_site):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import labeled, system_from_labels
+from transfer_systems import systems as systems_module
 from transfer_systems.errors import InternalCheckError, MismatchedSitesError, UsageError
 from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
@@ -302,6 +303,59 @@ def test_stacked_check_flags_the_corrupted_item(catalog_name, axiom, request):
             else:
                 _check_stack(site, stack[i : i + 1])
     _check_stack(site, np.array(valid))
+
+
+def _record_checks(monkeypatch):
+    """The relations every later ``_check_stack`` call receives, one list per call."""
+    calls = []
+    real = systems_module._check_stack
+
+    def recording(site, rels):
+        calls.append((site, [rel.tobytes() for rel in rels]))
+        real(site, rels)
+
+    monkeypatch.setattr(systems_module, "_check_stack", recording)
+    return calls
+
+
+def test_constructor_checks_each_relation_once_per_site(monkeypatch):
+    site = site_from_descriptor("cyclic:12")
+    calls = _record_checks(monkeypatch)
+    first = complete_ts(site)
+    assert calls == [(site, [first.key])]
+    assert site._cache["checked"] == {first.key}
+    second = complete_ts(site)  # the same relation on the same site: no new check
+    assert second == first and len(calls) == 1
+    trivial_ts(site)
+    assert len(calls) == 2 and len(site._cache["checked"]) == 2
+    # a second site built from the same descriptor has its own memo
+    again = site_from_descriptor("cyclic:12")
+    assert again.key == site.key and "checked" not in again._cache
+    assert complete_ts(again) == first
+    assert calls[-1] == (again, [first.key])
+    assert len(calls) == 3
+
+
+def test_an_invalid_relation_raises_on_every_construction(c12_catalog, monkeypatch):
+    site = site_from_descriptor("cyclic:12")
+    bad = _corrupted(c12_catalog, "composition")
+    calls = _record_checks(monkeypatch)
+    for attempt in (1, 2):
+        with pytest.raises(InternalCheckError, match="compose to missing edge"):
+            TransferSystem(site, bad)
+        assert len(calls) == attempt
+    assert bad.tobytes() not in site._cache.get("checked", set())
+
+
+def test_a_flattened_checked_relation_is_refused(monkeypatch):
+    site = site_from_descriptor("cyclic:12")
+    ts = complete_ts(site)
+    assert ts.rel.ravel().tobytes() == ts.key  # the same bytes as a checked key
+    calls = _record_checks(monkeypatch)
+    with pytest.raises(ValueError):
+        TransferSystem(site, ts.rel.ravel())
+    assert len(calls) == 1  # it took the check path
+    assert site._cache["checked"] == {ts.key}
 
 
 def test_generate_minimality_on_c6(c6_catalog, c6_site):

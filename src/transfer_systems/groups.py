@@ -10,16 +10,19 @@ dihedral and dicyclic groups come from one builder of C_m extended by an
 element x that inverts C_m and squares into it, and ``build_group`` checks
 every built-in family's order against one cap.
 
-Subgroups are enumerated as bool masks over the elements: the cyclic
-subgroups seed the search, every new subgroup brings in its whole conjugacy
-class, and one member per class is joined with the cyclic seeds it does not
-contain.  The order and conjugation tables are then whole-array
-operations on the membership matrix.  No meet or join table is built here:
-``sites.Site`` derives meets from the order, and ``functors`` reads each
-product KN off it.  The canonical subgroup order is (order, lexicographic
-member tuple); every downstream index refers to that order.  Labels read
-element orders as the row sums of the cyclic masks and find generators
-with the same mask closure as the search.
+Every table is built on arrays: the products of permutations are one
+gather per block and a lookup of the result rows.  Subgroups are
+enumerated as bool masks over the elements: the cyclic subgroups seed the
+search, every new subgroup brings in its whole conjugacy class, and one
+member per class is joined with all the cyclic seeds it does not contain
+in one batched orbit loop (``_close_under``).  The order and conjugation
+tables are then whole-array operations on the membership matrix.  No
+meet or join table is built here: ``sites.Site`` derives meets from the
+order, and ``functors`` reads each product KN off it.  The canonical
+subgroup order is (order, lexicographic member tuple); every downstream
+index refers to that order.  Labels read element orders as the row sums
+of the cyclic masks and find generators with the same mask closure as
+the search.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DescriptorError, InputFileError
+from .errors import CapExceededError, DescriptorError, InputFileError, InternalCheckError
 
 DEFAULT_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 5000
+# Entries per transient block of the table and lookup loops.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,12 @@ class Group:
 
 
 def _validate_table(mul: np.ndarray, what: str) -> None:
+    """Raise InputFileError naming ``what`` unless ``mul`` is a group table.
+
+    Checks the shape, the entries, the identity at index 0 and two-sided
+    inverses, then associativity by Light's test on a greedy generating
+    set, whose span ``_close_under`` grows after each generator passes.
+    """
     n = mul.shape[0]
     if mul.shape != (n, n) or n == 0:
         raise InputFileError(f"{what}: table must be square and non-empty")
@@ -82,11 +93,15 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
         raise InputFileError(f"{what}: left and right inverses disagree")
     # Light's test: (xg)y = x(gy) for all x, y and each g of a greedy
     # generating set.  The g that pass are closed under products, so once
-    # the generators' products span the table every element passes.
-    span = np.zeros(n, dtype=bool)
-    span[0] = True
+    # the generators' products span the table every element passes.  A g
+    # that passes has g^-1(gy) = y and (xg)g^-1 = x, so its powers return
+    # to the identity, and ``_close_under`` spans exactly the products of
+    # the generators.
+    span = np.zeros((1, n), dtype=bool)
+    span[0, 0] = True
+    gens: list[int] = []
     for g in range(n):
-        if span[g]:
+        if span[0, g]:
             continue
         left, right = mul[mul[:, g]], mul[:, mul[g]]  # (xg)y and x(gy)
         bad = np.argwhere(left != right)
@@ -96,8 +111,12 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
                 f"{what}: non-associative at ({x},{g},{y}): "
                 f"(xg)y={int(left[x, y])} != x(gy)={int(right[x, y])}"
             )
-        span[g] = True
-        span = _generated(mul, span)
+        gens.append(g)
+        power = g
+        while power:  # the powers g, g^2, ... seed the span
+            span[0, power] = True
+            power = mul[power, g]
+        span = _close_under(span, mul[inv[gens]])
 
 
 def _group_from_table(
@@ -110,16 +129,58 @@ def _group_from_table(
     return Group(n, mul, inv, descriptor, name, tuple(element_names))
 
 
-def _group_from_function(
-    elements: Sequence, op: Callable, descriptor: str, name: str, names: Sequence[str]
-) -> Group:
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mul[i, j] = index[op(a, b)]
-    return _group_from_table(mul, descriptor, name, names)
+def _close_under(
+    masks: np.ndarray, moves: np.ndarray, extra: np.ndarray | None = None
+) -> np.ndarray:
+    """Close each row of a (B, n) bool mask stack under left multiplication, in place.
+
+    Row b becomes the orbit of its set under the generators g whose gathers
+    ``moves[i] = mul[inv[g]]`` are shared by all rows, plus one more of its
+    own, ``extra[b]``, if given: (gS)[y] = S[g^-1 y].  Each round applies
+    every generator in turn; a row leaves the loop once a round adds
+    nothing.  In a group, the orbit of a set holding the identity is the
+    subgroup the set and the generators generate (Neubuser's cyclic
+    extension bookkeeping): a round costs |G| per generator, where
+    squaring the set would cost |K|^2.
+    """
+    rows = np.arange(len(masks))
+    while rows.size:
+        cur = masks[rows]
+        before = cur.sum(axis=1)
+        for move in moves:
+            cur |= cur[:, move]
+        if extra is not None:
+            cur |= np.take_along_axis(cur, extra[rows], axis=1)
+        masks[rows] = cur
+        rows = rows[cur.sum(axis=1) > before]
+    return masks
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per row of a 2-D array; equal rows have equal keys."""
+    return np.ascontiguousarray(rows).view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
+def _row_finder(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Lookup of query rows among the distinct rows of a 2-D array.
+
+    The returned function maps a (Q, k) array of the same dtype to the
+    index of the equal row of ``rows`` for each query, or -1 where none is
+    equal.  It searches the sorted keys from both sides: a query is found
+    iff its right insertion point lies past its left one.  (That checks
+    every hit for equality faster than ``==`` on void keys.)
+    """
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def find(queries: np.ndarray) -> np.ndarray:
+        q = _row_keys(queries)
+        lo = np.searchsorted(keys, q)
+        hit = np.searchsorted(keys, q, side="right") > lo
+        return np.where(hit, order[np.minimum(lo, len(keys) - 1)], -1)
+
+    return find
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +194,15 @@ def _cyclic(n: int) -> Group:
 
 
 def _product_of_cyclics(orders: Sequence[int]) -> Group:
-    import itertools
-
-    elements = list(itertools.product(*[range(m) for m in orders]))
-
-    def op(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, orders))
-
+    """The elements are the coordinate tuples, the last coordinate fastest."""
+    codes = np.indices(orders).reshape(len(orders), -1)
+    mul = np.zeros((codes.shape[1],) * 2, dtype=np.int64)
+    for col, m in zip(codes, orders):  # mixed-radix index of the coordinatewise sum
+        mul = mul * m + (col[:, None] + col) % m
     desc = "product:" + "x".join(str(m) for m in orders)
     name = "x".join(f"C{m}" for m in orders)
-    names = ["(" + ",".join(str(x) for x in e) + ")" for e in elements]
-    return _group_from_function(elements, op, desc, name, names)
+    names = ["(" + ",".join(map(str, e)) + ")" for e in codes.T.tolist()]
+    return _group_from_table(mul, desc, name, names)
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -195,16 +254,15 @@ def _cyclic_extension(
     The elements a^k x^e are listed with e major.  ``names`` lists their
     names, or is the two letters that stand for a and x.
     """
-    elements = [(k, e) for e in (0, 1) for k in range(m)]
-
-    def op(x, y):
-        (a, e), (b, f) = x, y
-        return ((a + (-b if e else b) + shift * (e & f)) % m, e ^ f)
-
+    k, e = np.tile(np.arange(m), 2), np.repeat([0, 1], m)
+    # a^k x^e a^l x^f = a^(k -+ l + shift*e*f) x^(e xor f), element index e*m + k
+    turned = np.where(e[:, None] == 1, -k, k)
+    mul = (e[:, None] ^ e) * m + (k[:, None] + turned + shift * (e[:, None] & e)) % m
     if isinstance(names, str):
         r, s = names
-        names = [((r if k == 1 else f"{r}{k}" if k else "") + s * e) or "1" for k, e in elements]
-    return _group_from_function(elements, op, descriptor, name, names)
+        names = [((r if a == 1 else f"{r}{a}" if a else "") + s * b) or "1"
+                 for a, b in zip(k.tolist(), e.tolist())]
+    return _group_from_table(mul, descriptor, name, names)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +388,15 @@ def group_from_permutations(
     gens = [parse(i, ln, k) for i, ln in raw]
     elements = _permutation_group(gens, k, order_cap, descriptor)
     names = [_cycle_string(p) for p in elements]
-    return _group_from_function(elements, _compose, descriptor, name, names)
+    perms = np.array(elements, dtype=np.int32)
+    n = len(perms)
+    find = _row_finder(perms)
+    step = max(1, _BLOCK_ENTRIES // perms.size)
+    mul = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, step):  # mul[i, j] is the index of p_i(p_j), a block of j at a time
+        block = np.take(perms, perms[lo : lo + step], axis=1)
+        mul[:, lo : lo + step] = find(block.reshape(-1, k)).reshape(n, -1)
+    return _group_from_table(mul, descriptor, name, names)
 
 
 def group_from_permutation_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -506,22 +572,6 @@ def _cyclic_masks(group: Group) -> np.ndarray:
         power = group.mul[power, elems]
 
 
-def _generated(mul: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mask of the closure under the product ``mul`` of a mask that contains the identity.
-
-    Squares the set until it stops growing: in a group, a finite set that
-    contains the identity and is closed under products is a subgroup.
-    """
-    idx = np.flatnonzero(mask)
-    while True:
-        mask = np.zeros(mul.shape[0], dtype=bool)
-        mask[mul[idx[:, None], idx]] = True
-        grown = np.flatnonzero(mask)
-        if grown.size == idx.size:
-            return mask
-        idx = grown
-
-
 def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
     """Enumerate all subgroups and assemble the lattice.
 
@@ -529,8 +579,13 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     seed the search; each new subgroup brings in its whole conjugacy class,
     and only the first member of a class is joined with the seeds it does
     not contain.  That suffices because the seeds are closed under
-    conjugation and <gHg^-1, c> = g<H, g^-1cg>g^-1.  ``max_subgroups``
-    bounds the total count, seeds included.
+    conjugation and <gHg^-1, c> = g<H, g^-1cg>g^-1.  Each class
+    representative H keeps a generator list, and all its joins <H, c> are
+    closed in one ``_close_under`` loop over the stack of masks H | c, under
+    gens(H) plus each seed's own generator.  ``max_subgroups`` bounds the
+    total count, seeds included.  ``conj_action`` looks up the conjugates of
+    all subgroups by one element at a time among the member masks; a
+    conjugate that is not found raises InternalCheckError.
     """
     mul, inv = group.mul, group.inv
     # pre[g, x] = g^-1 x g, so mask[pre] stacks the conjugates g H g^-1.
@@ -546,24 +601,24 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
             raise CapExceededError(f"{group.descriptor}: more than {max_subgroups} subgroups")
         return True
 
-    seeds = list({c.tobytes(): c for c in _cyclic_masks(group)}.values())
-    frontier = [c for c in seeds if add_class(c)]
+    cyclic = _cyclic_masks(group)
+    _, seed_gen = np.unique(_row_keys(cyclic), return_index=True)  # a generator per seed
+    seeds = cyclic[seed_gen]
+    frontier = [(c, [a]) for c, a in zip(seeds, seed_gen.tolist()) if add_class(c)]
     while frontier:
         nxt = []
-        for h in frontier:
-            for c in seeds:
-                if (c <= h).all():
-                    continue
-                j = _generated(mul, h | c)
+        for h, gens in frontier:
+            outside = seed_gen[(seeds & ~h).any(axis=1)]
+            joins = _close_under(cyclic[outside] | h, mul[inv[gens]], mul[inv[outside]])
+            for j, a in zip(joins, outside.tolist()):
                 if add_class(j):
-                    nxt.append(j)
+                    nxt.append((j, gens + [a]))
         frontier = nxt
 
     members = np.array(
         sorted(found.values(), key=lambda s: (int(s.sum()), np.flatnonzero(s).tolist()))
     )
     subs = tuple(Subgroup.from_set(np.flatnonzero(s).tolist()) for s in members)
-    index = {row.tobytes(): i for i, row in enumerate(members)}
     m = len(subs)
 
     # |i & j| == |i| iff i <= j.  A float32 product runs on BLAS (an int32
@@ -573,9 +628,12 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     sizes = counts.sum(axis=1)
     leq = (counts @ counts.T) == sizes[:, None]
 
+    find = _row_finder(members)
     conj = np.empty((group.order, m), dtype=np.int32)
-    for g in range(group.order):
-        conj[g] = [index[row.tobytes()] for row in members[:, pre[g]]]
+    for g in range(group.order):  # one element's conjugates per block
+        conj[g] = find(np.take(members, pre[g], axis=1))
+    if (conj < 0).any():
+        raise InternalCheckError(f"{group.descriptor}: a conjugate of a subgroup is missing")
     normal = (conj == np.arange(m)).all(axis=0)
 
     return SubgroupLattice(group, subs, leq, conj, normal)
@@ -616,7 +674,7 @@ def _abelian_type_name(elem_orders: Sequence[int]) -> str:
 
 
 def _minimal_generators(
-    mul: np.ndarray, cyclic: np.ndarray, orders: list[int], members: Sequence[int]
+    group: Group, cyclic: np.ndarray, orders: list[int], members: Sequence[int]
 ) -> list[int]:
     """One generator of a nontrivial cyclic subgroup, else a greedy generating list.
 
@@ -631,7 +689,7 @@ def _minimal_generators(
     for a in members:
         if not span[a]:
             gens.append(a)
-            span = _generated(mul, span | cyclic[a])
+            span = _close_under((span | cyclic[a])[None], group.mul[group.inv[gens]])[0]
             if span.sum() == len(members):
                 break
     return gens
@@ -641,16 +699,17 @@ def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
     group = latt.group
     cyclic = _cyclic_masks(group)
     orders = cyclic.sum(axis=1).tolist()
+    abelian = group.is_abelian
     raw: list[str] = []
     for sub in latt.subgroups:
         if sub.order == 1:
             raw.append("1")
         elif sub.order == group.order:
             raw.append(group.name)
-        elif group.is_abelian:
+        elif abelian:
             raw.append(_abelian_type_name([orders[a] for a in sub.members]))
         else:
-            gens = _minimal_generators(group.mul, cyclic, orders, sub.members)
+            gens = _minimal_generators(group, cyclic, orders, sub.members)
             raw.append("<" + ",".join(group.element_names[a] for a in gens) + ">")
     counts: dict[str, int] = {}
     labels = []

@@ -22,9 +22,11 @@ from .errors import (
     NotNormalError,
 )
 from .groups import (
+    _BLOCK_ENTRIES,
     DEFAULT_ORDER_CAP,
     SubgroupLattice,
     _permutation_group,
+    _row_finder,
     build_group,
     subgroup_lattice,
 )
@@ -81,7 +83,9 @@ class Site:
             allowed) in lexicographic order, so the identity is row 0.
             ``_check`` enforces that each row is a permutation, that the
             identity is present and that the rows are closed under
-            composition (hence under inverse, being finite).
+            composition (hence under inverse, being finite): the
+            compositions are looked up among the sorted row keys, a block
+            at a time.
         covers: read-only cover relation of ``leq``, computed on first
             use: ``covers[J, H]`` iff J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -166,15 +170,19 @@ class Site:
             raise InternalCheckError("action must consist of permutations of the nodes")
         if not len(acts) or not (acts[0] == np.arange(n)).all():  # the least row
             raise InternalCheckError("action must contain the identity")
-        known = {p.tobytes() for p in acts}
-        for p in acts:
-            if not all(q.tobytes() in known for q in p[acts]):
+        find = _row_finder(acts)
+        step = max(1, _BLOCK_ENTRIES // acts.size)
+        for lo in range(0, len(acts), step):  # the compositions p(q) for a block of q
+            if (find(np.take(acts, acts[lo : lo + step], axis=1).reshape(-1, n)) < 0).any():
                 raise InternalCheckError("action must be closed under composition")
         # a permutation maps the strict pairs injectively, so it preserves
         # the order iff every strict pair lands on a strict pair
         ks, hs = np.nonzero(leq & ~np.eye(n, dtype=bool))
-        if not leq.ravel()[acts[:, ks] * n + acts[:, hs]].all():
-            raise InputFileError("declared automorphism does not preserve the order")
+        step = max(1, _BLOCK_ENTRIES // max(1, ks.size))
+        for lo in range(0, len(acts), step):
+            block = acts[lo : lo + step]
+            if not leq.ravel()[block[:, ks] * n + block[:, hs]].all():
+                raise InputFileError("declared automorphism does not preserve the order")
 
     @cached_property
     def covers(self) -> np.ndarray:

@@ -80,9 +80,10 @@ class TransferSystem:
     Construct through :func:`validate`, :func:`generate`, or the named
     constructors; the constructor itself checks that the relation refines
     the order and satisfies all four axioms, and raises InternalCheckError
-    on violation.  The check is ``_check_stack`` on a stack of one, run once
+    on violation; a relation of any shape but n-by-n raises UsageError
+    first.  The check is ``_check_stack`` on a stack of one, run once
     per distinct relation on each site object: the site keeps the keys of
-    the n-by-n relations that passed it in ``_cache["checked"]``, a key
+    the relations that passed it in ``_cache["checked"]``, a key
     joins only after its check passes, so a relation that fails raises on
     every construction.  The enumerators' BFS runs the same check on each
     level's new systems in blocks and wraps their relations through
@@ -92,14 +93,14 @@ class TransferSystem:
     __slots__ = ("site", "rel", "key", "_cache")
 
     def __init__(self, site: Site, rel: np.ndarray):
+        if rel.shape != (site.size, site.size):  # no other shape may match a key
+            raise UsageError("relation matrix has the wrong shape")
         rel = rel.astype(bool)
         key = rel.tobytes()
         checked = site._cache.setdefault("checked", set())
-        square = rel.shape == (site.size, site.size)  # no other shape may match a key
-        if not (square and key in checked):
+        if key not in checked:
             _check_stack(site, rel[None])
-            if square:
-                checked.add(key)
+            checked.add(key)
         rel.flags.writeable = False
         self.site = site
         self.rel = rel

@@ -8,7 +8,8 @@ set of top edges, complexity tries every subset of a system's edges,
 setwise products KN are multiplied out, the hull
 intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups and element orders come from a breadth-first
-search over products instead of the library's element masks, subgroups
+search over products instead of the library's element masks, group
+tables are multiplied out one pair of elements at a time, subgroups
 are closed under joins one frozenset at a time with every lattice table
 filled pair by pair, meets are validated
 pair by pair, compatibility is scanned edge by edge, the m-by-m
@@ -293,6 +294,17 @@ def closure(group: Group, generators) -> frozenset[int]:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def table_by_pairs(elements, op) -> np.ndarray:
+    """The multiplication table of ``op`` on ``elements``, one product at a time."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    mul = np.empty((n, n), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            mul[i, j] = index[op(a, b)]
+    return mul
 
 
 def element_orders(group: Group) -> list[int]:

@@ -1,21 +1,29 @@
+import hashlib
 import re
 import time
-from itertools import combinations, permutations
+import tracemalloc
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 import oracles
+from transfer_systems import groups as groups_module
+from transfer_systems.cli import main
 from transfer_systems.errors import (
     CapExceededError,
     DescriptorError,
     InputFileError,
+    InternalCheckError,
     NotNormalError,
 )
 from oracles import product_with_normal
 from transfer_systems.functors import quotient_context
 from transfer_systems.groups import (
+    _compose,
     _parse_cycles,
+    _permutation_group,
+    _row_finder,
     _validate_table,
     build_group,
     small_group_descriptors,
@@ -461,3 +469,129 @@ def test_symmetric_and_alternating_are_sorted_permutations(desc):
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             assert g.mul[i, j] == index[tuple(p[x] for x in q)]
+
+
+# ---------------------------------------------------------------------------
+# The array set-up path against the per-pair forms it replaced
+
+
+def _coordinatewise(orders):
+    elements = list(product(*[range(m) for m in orders]))
+    return elements, lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, orders))
+
+
+def _extension(m, shift):
+    """C_m extended by x: (a^k x^e)(a^l x^f) = a^(k -+ l + shift*e*f) x^(e xor f)."""
+    elements = [(k, e) for e in (0, 1) for k in range(m)]
+
+    def op(x, y):
+        (a, e), (b, f) = x, y
+        return ((a + (-b if e else b) + shift * (e & f)) % m, e ^ f)
+
+    return elements, op
+
+
+def _sorted_permutations(cycles, degree):
+    gens = [_parse_cycles(c, degree) for c in cycles]
+    return _permutation_group(gens, degree, 1000, "t"), _compose
+
+
+TABLE_SOURCES = {
+    "product:2x2x2x2x2": _coordinatewise([2] * 5),
+    "product:12x2": _coordinatewise([12, 2]),
+    "product:3x3x3": _coordinatewise([3, 3, 3]),
+    "dihedral:1": _extension(1, 0),
+    "dihedral:6": _extension(6, 0),
+    "dicyclic:3": _extension(6, 3),
+    "q8": _extension(4, 2),
+}
+
+
+@pytest.mark.parametrize("desc", sorted(TABLE_SOURCES))
+def test_group_tables_match_the_per_pair_loop(desc):
+    elements, op = TABLE_SOURCES[desc]
+    group = build_group(desc)
+    assert group.mul.dtype == np.int32 and not group.mul.flags.writeable
+    assert np.array_equal(group.mul, oracles.table_by_pairs(elements, op))
+    if desc.startswith("product:"):
+        assert group.element_names == tuple(
+            "(" + ",".join(map(str, e)) + ")" for e in elements)
+
+
+def test_permutation_file_table_matches_the_per_pair_loop(tmp_path):
+    # degree 10 (spaced cycle names) and columns cut into several blocks
+    lines = ["(1 10)(2 3)", "(4 5 6)", "(7 8 9)"]
+    path = tmp_path / "gens.perms"
+    path.write_text("\n".join(lines) + "\n")
+    group = build_group(f"perms:{path}")
+    elements, op = _sorted_permutations(lines, 10)
+    assert group.order == 18
+    assert np.array_equal(group.mul, oracles.table_by_pairs(elements, op))
+
+
+def test_row_finder_finds_each_row_and_nothing_else():
+    rng = np.random.default_rng(3)
+    rows = np.unique(rng.integers(0, 4, size=(60, 5), dtype=np.int32), axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    find = _row_finder(rows)
+    assert np.array_equal(find(rows[::-1]), np.arange(len(rows))[::-1])
+    known = {tuple(r) for r in rows.tolist()}
+    absent = np.array([r for r in product(range(-1, 5), repeat=5) if r not in known][::97],
+                      dtype=np.int32)  # below, between and above the keys
+    assert len(absent) > 20 and (find(absent) == -1).all()
+
+
+def test_lattice_stdout_is_pinned(capsys):
+    # sha256 of `transys lattice --group D` stdout, taken before the lattice
+    # and the tables moved to arrays
+    pinned = {
+        "symmetric:4": "8e2ae05b8782e030fed21a9dcba2f489fe83a4caf9b0b902906e5a365c8cb96c",
+        "alternating:5": "13b4425b3db854eaab0921c469a343e460565f68eca412d678d70d9cbe077702",
+        "symmetric:5": "e0f516d1724a7dea2f337f035467d5b6049929cbd55ff28b6de10f8d8c486696",
+        "product:2x2x2x2x2": "88fcc3b4c18b71293d78b303036e0ef63702512ea7ab85773a4f517256524044",
+    }
+    for desc, digest in pinned.items():
+        assert main(["lattice", "--group", desc]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, desc
+
+
+def test_a_conjugate_missing_from_the_lookup_raises(monkeypatch):
+    group = build_group("symmetric:4")
+    real = groups_module._row_finder
+
+    def corrupted(rows):
+        rows = rows.copy()
+        rows[-2] = ~rows[-2]  # an index-2 subgroup drops out of the lookup
+        return real(rows)
+
+    monkeypatch.setattr(groups_module, "_row_finder", corrupted)
+    with pytest.raises(InternalCheckError, match="^symmetric:4: a conjugate of a subgroup"):
+        subgroup_lattice(group)
+
+
+def test_s5_conjugation_lookup_takes_one_element_at_a_time(monkeypatch):
+    group = build_group("symmetric:5")
+    subgroup_lattice(group)  # warm up
+    real = groups_module._row_finder
+    queries = []
+
+    def counting(rows):
+        find = real(rows)
+
+        def counted(q):
+            queries.append(q.shape)
+            return find(q)
+
+        return counted
+
+    monkeypatch.setattr(groups_module, "_row_finder", counting)
+    tracemalloc.start()
+    try:
+        latt = subgroup_lattice(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert queries == [(156, 120)] * 120  # one block of one element's conjugates
+    assert peak < 1 << 20
+    assert len(latt) == 156

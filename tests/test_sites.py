@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import GRID_TEXT, P5_TEXT, m_poset_text
 from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
+from transfer_systems import sites as sites_module
 from transfer_systems.functors import quotient_context
 from transfer_systems.groups import build_group, subgroup_lattice
 from transfer_systems.sites import (
@@ -64,6 +65,41 @@ def test_action_must_be_closed_under_composition():
         Site(leq, (identity, cycle), names)
     site = Site(leq, (identity, cycle, cycle[cycle]), names)
     assert site.orbit((0, 1)) == {(0, 1), (0, 2), (0, 3)}
+
+
+def test_a_composition_missing_from_a_later_block_is_found():
+    # S5's 120 conjugation rows on 156 subgroups are checked 3 at a time;
+    # without the row of any one non-identity element they are no group.
+    site = site_from_descriptor("symmetric:5")
+    for drop in (1, 60, 119):
+        rows = np.delete(site.action, drop, axis=0)
+        with pytest.raises(InternalCheckError, match="closed under composition$"):
+            Site(site.leq.copy(), rows, site.labels)
+
+
+def test_action_checks_read_every_block(monkeypatch):
+    # one row per block: a failure in the last block is still found
+    monkeypatch.setattr(sites_module, "_BLOCK_ENTRIES", 1)
+    with pytest.raises(InputFileError, match="does not preserve the order"):
+        parse_poset_text(GRID_TEXT + "auto: 00 10 20 01 11 21 02 12 22\n"
+                         "auto: 22 21 20 12 11 10 02 01 00\n")  # the reversal is no automorphism
+    s4 = site_from_descriptor("symmetric:4")
+    with pytest.raises(InternalCheckError, match="closed under composition"):
+        Site(s4.leq.copy(), s4.action[:-1], s4.labels)
+    assert Site(s4.leq.copy(), s4.action, s4.labels).key == s4.key
+
+
+# Site.key of group sites, taken before the set-up path moved to arrays.
+PINNED_SITE_KEYS = {
+    "symmetric:5": "be92105611905eaa69a9ef7d08e2471b799060b345b4d4b8cf0810b26db3ea49",
+    "alternating:5": "ea4198fd98145b1b3ed2fae16ad830ece1d24cf18ec7f9bb870bf844aa94f8a3",
+    "product:2x2x2x2x2": "2139de05678e6b4830166e844ae9f64a391ed280254ac0ab4d204faa6ebe3123",
+}
+
+
+@pytest.mark.parametrize("desc", sorted(PINNED_SITE_KEYS))
+def test_group_site_keys_are_pinned(desc):
+    assert site_from_descriptor(desc).key.hex() == PINNED_SITE_KEYS[desc]
 
 
 def test_action_must_consist_of_permutations():

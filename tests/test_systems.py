@@ -352,9 +352,10 @@ def test_a_flattened_checked_relation_is_refused(monkeypatch):
     ts = complete_ts(site)
     assert ts.rel.ravel().tobytes() == ts.key  # the same bytes as a checked key
     calls = _record_checks(monkeypatch)
-    with pytest.raises(ValueError):
-        TransferSystem(site, ts.rel.ravel())
-    assert len(calls) == 1  # it took the check path
+    for wrong in (ts.rel.ravel(), ts.rel[None]):  # (n*n,) and (1, n, n)
+        with pytest.raises(UsageError, match="^relation matrix has the wrong shape$"):
+            TransferSystem(site, wrong)
+    assert calls == []  # refused before the memo and the check
     assert site._cache["checked"] == {ts.key}
 
 

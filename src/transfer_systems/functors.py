@@ -32,7 +32,9 @@ class QuotientContext:
     """The one record of G -> G/N: the parent, the interval site [N, G], and
     two read-only arrays: ``to_parent``, the parent index of each interval
     node in increasing order, and int32 ``kn``, where ``kn[k]`` is the parent
-    index of the product KN (the join, N being normal).
+    index of the product KN (the join, N being normal).  The parent caches
+    the last three and never the record itself, which would refer back to
+    the parent and keep it alive until a full garbage collection.
     """
 
     parent: Site
@@ -44,22 +46,23 @@ class QuotientContext:
 def quotient_context(parent: Site, n: int) -> QuotientContext:
     """The context of G -> G/N for the normal subgroup at node n.
 
-    Cached on the parent site per normal subgroup, so repeated reductions
-    share one interval site.
+    The interval site and both arrays are cached on the parent per normal
+    subgroup, with no reference back to it, so repeated reductions share
+    one interval site and a parent no one holds is freed at once.
     """
     if parent.lattice is None:
         raise GroupSiteRequiredError("quotient contexts require a group subgroup lattice")
     cache = parent._cache.setdefault("quotient_context", {})
-    ctx = cache.get(n)
-    if ctx is None:
+    parts = cache.get(n)
+    if parts is None:
         to_parent = np.flatnonzero(parent.leq[n])
         to_parent.flags.writeable = False
         # KN is the join.  Subgroups are sorted by order, and every common
         # upper bound of K and N contains the join, so the first one is it.
         kn = (parent.leq & parent.leq[n]).argmax(axis=1).astype(np.int32)
         kn.flags.writeable = False
-        ctx = cache[n] = QuotientContext(parent, interval_above(parent, n), to_parent, kn)
-    return ctx
+        parts = cache[n] = (interval_above(parent, n), to_parent, kn)
+    return QuotientContext(parent, *parts)
 
 
 def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str) -> None:

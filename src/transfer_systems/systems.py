@@ -25,23 +25,25 @@ class BinaryRelation:
         if rel.shape != (site.size, site.size):
             raise UsageError("relation matrix has the wrong shape")
         if np.any(rel & ~site.leq):
-            k, h = map(int, np.argwhere(rel & ~site.leq)[0])
-            raise UsageError(
-                f"edge {site.labels[k]} -> {site.labels[h]} does not refine the order"
-            )
+            raise UsageError(_violation_text(site, rel))  # names the first such edge
         self.site = site
         self.rel = rel.astype(bool)
         self.rel.flags.writeable = False
 
     @staticmethod
     def from_edges(site: Site, edges: Iterable[tuple[int, int]]) -> "BinaryRelation":
-        rel = np.zeros((site.size, site.size), dtype=bool)
-        for k, h in edges:
-            rel[k, h] = True
-        return BinaryRelation(site, rel)
+        return BinaryRelation(site, _scatter(site, edges))
 
     def edges(self) -> list[tuple[int, int]]:
         return list(map(tuple, np.argwhere(self.rel).tolist()))
+
+
+def _scatter(site: Site, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """A writable n-by-n bool matrix with exactly the (k, h) entries of ``edges`` set."""
+    idx = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    rel = np.zeros((site.size, site.size), dtype=bool)
+    rel[idx[:, 0], idx[:, 1]] = True
+    return rel
 
 
 @dataclass(frozen=True)
@@ -308,9 +310,7 @@ def _comp(rel: np.ndarray) -> np.ndarray:
 
 def _edge_closure(site: Site, edge: tuple[int, int]) -> np.ndarray:
     """R_e = res(conj(refl({e}))): what adding e brings before composition."""
-    rel = np.zeros((site.size, site.size), dtype=bool)
-    rel[edge] = True
-    return _res(site, _conj(site, _refl(site, rel)))
+    return _res(site, _conj(site, _refl(site, _scatter(site, [edge]))))
 
 
 def close_refl(b: BinaryRelation) -> BinaryRelation:

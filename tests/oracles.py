@@ -22,7 +22,9 @@ worklist over the poset's covers, orbits, conjugation closure and the
 conjugation axiom loop over every permutation of the action instead of
 reading the site's orbit table, and the census, the cross-method audit, the
 M(O) pairing and the conjecture harness walk their systems one at a time
-through the public per-system functions instead of in stacked blocks.
+through the public per-system functions instead of in stacked blocks, and
+a system file is loaded by closing its listed edges and comparing the
+closure's edges with them instead of checking the listed relation.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ from transfer_systems.enumeration import (
     ConjectureReport,
     disklike_systems,
 )
-from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError
+from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError, UsageError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
-from transfer_systems.sites import Site
+from transfer_systems.sites import Site, site_from_descriptor
 from transfer_systems.systems import (
     TransferSystem,
     ViolationReport,
@@ -250,6 +252,28 @@ def complexity_by_subsets(ts, bound: int = 4):
             if generate_from_edges(ts.site, subset) == ts:
                 return k
     return None
+
+
+def system_from_dict_by_closure(data: dict, site: Site | None = None) -> TransferSystem:
+    """Load a system JSON object by generating the listed edges' closure and
+    refusing the file when the closure's edges differ from the listed ones."""
+
+    def is_label_pair(edge) -> bool:
+        return isinstance(edge, list) and len(edge) == 2 and all(isinstance(x, str) for x in edge)
+
+    if not isinstance(data, dict) or "edges" not in data:
+        raise InputFileError("system JSON must have an 'edges' field")
+    if not isinstance(data["edges"], list) or not all(map(is_label_pair, data["edges"])):
+        raise InputFileError("system JSON 'edges' must be a list of [source, target] labels")
+    if site is None:
+        if "site" not in data:
+            raise InputFileError("system JSON must have a 'site' field")
+        site = site_from_descriptor(data["site"])
+    edges = [(site.node(src), site.node(dst)) for src, dst in data["edges"]]
+    ts = generate_from_edges(site, edges)
+    if set(ts.edges()) != set(edges):
+        raise UsageError("edge list is not a transfer system (closure adds edges)")
+    return ts
 
 
 def product_with_normal(latt: SubgroupLattice, k: int, n: int) -> int:

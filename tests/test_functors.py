@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from transfer_systems.functors import (
     quotient_context,
     universal_reduction,
 )
-from transfer_systems.sites import interval_above
+from transfer_systems.sites import interval_above, site_from_descriptor
 from transfer_systems.systems import (
     complete_ts,
     generate_from_edges,
@@ -167,11 +170,33 @@ def test_reductions_with_one_normal_subgroup_share_a_context(c36_catalog):
         if is_disklike(o):
             by_normal.setdefault(minimal_transferring_subgroup(o), []).append(o)
     n, systems = next((n, s) for n, s in by_normal.items() if len(s) >= 2)
+    site._cache.pop("quotient_context", None)  # whatever earlier tests cached
     universal_reduction(systems[0])
-    ctx = site._cache["quotient_context"][n]
+    parts = site._cache["quotient_context"][n]  # filled by the reduction
     universal_reduction(systems[1])
-    assert site._cache["quotient_context"][n] is ctx
-    assert quotient_context(site, n) is ctx
+    assert site._cache["quotient_context"][n] is parts  # no new interval site
+    ctx = quotient_context(site, n)
+    assert ctx.parent is site
+    assert ctx.interval_site is parts[0] and ctx.to_parent is parts[1] and ctx.kn is parts[2]
+
+
+def test_a_parent_site_is_freed_by_reference_counting():
+    # the context cache must not refer back to its parent: a cycle would keep
+    # the site, its caches and its interval sites alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        site = site_from_descriptor("cyclic:36")
+        ctx = quotient_context(site, site.node("C6"))
+        o = inflate(ctx, complete_ts(ctx.interval_site))
+        assert minimal_transferring_subgroup(o) == site.node("C6")
+        assert fixed_points(ctx, universal_reduction(o)) == complete_ts(ctx.interval_site)
+        parent = weakref.ref(site)
+        del site, ctx, o
+        assert parent() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_universal_reduction_rejects_non_disklike(fig1):

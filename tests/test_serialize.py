@@ -1,11 +1,23 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import P5_TEXT
 from transfer_systems import serialize
-from transfer_systems.errors import UsageError
+from transfer_systems.errors import DescriptorError, InputFileError, UsageError
+from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import generate_from_edges
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+CLOSURE = "edge list is not a transfer system (closure adds edges)"
+SHAPE = "system JSON 'edges' must be a list of [source, target] labels"
+NOT_REFINING = "edge C6 -> C2 does not refine the order"
+UNKNOWN = "unknown node 'C7'; run the `lattice` subcommand to list labels"
 
 
 def test_round_trip_identity_on_c6_catalog(c6_catalog):
@@ -60,3 +72,97 @@ def test_interval_system_round_trip(c12_site):
     ctx = quotient_context(c12_site, c12_site.node("C2"))
     o_bar = fixed_points(ctx, complete_ts(c12_site))
     assert serialize.load_system(serialize.dump_system(o_bar)) == o_bar
+
+
+def outcome(load, data, site=None):
+    """The loaded system's (site key, key), or the exception's class and message."""
+    try:
+        ts = load(data, site)
+    except UsageError as exc:
+        return type(exc), str(exc)
+    return ts.site.key, ts.key
+
+
+REFUSED = [
+    ("cyclic:6", [["C2", "C2"]], UsageError, CLOSURE),
+    ("cyclic:6", [["1", "C2"], ["C2", "C2"]], UsageError, CLOSURE),
+    ("cyclic:6", [["C6", "C2"]], UsageError, NOT_REFINING),
+    ("cyclic:6", [["C2", "C2"], ["C6", "C2"]], UsageError, NOT_REFINING),
+    ("cyclic:6", [["1", "C6"], ["C6", "C2"]], UsageError, NOT_REFINING),
+    ("cyclic:6", [["1", "C6"]], UsageError, CLOSURE),
+    ("symmetric:3", [["1", "<(12)>"]], UsageError, CLOSURE),
+    ("symmetric:3", [["<(12)>", "S3"]], UsageError, CLOSURE),
+    ("cyclic:6", [["1", "C7"]], DescriptorError, UNKNOWN),
+    ("cyclic:6", [["1", 2]], InputFileError, SHAPE),
+    ("cyclic:6", [["1", "C2", "C6"]], InputFileError, SHAPE),
+    ("cyclic:6", ["11"], InputFileError, SHAPE),
+    ("cyclic:6", [["1", "C7"], ["1", 2]], InputFileError, SHAPE),  # the shape is checked first
+    ("cyclic:6", [["0", "1"]], UsageError, CLOSURE),  # "1" names node 0: a reflexive edge
+    ("cyclic:6", "1>C2", InputFileError, SHAPE),
+]
+
+
+@pytest.mark.parametrize("descriptor, edges, error, message", REFUSED)
+def test_loader_refusals_are_pinned(descriptor, edges, error, message):
+    data = {"site": descriptor, "edges": edges}
+    assert outcome(serialize.system_from_dict, data) == (error, message)
+    assert outcome(oracles.system_from_dict_by_closure, data) == (error, message)
+
+
+ACCEPTED = [
+    ([["1", "C2"], ["1", "C2"]], ["1>C2"]),
+    ([["1", "C3"], ["1", "C2"]], ["1>C2", "1>C3"]),
+    ([], []),
+    ([["0", "2"]], ["1>C3"]),  # bare node indices
+    ([["1", "C3"], ["C2", "C6"], ["1", "C6"], ["1", "C2"]], ["1>C2", "1>C3", "1>C6", "C2>C6"]),
+]
+
+
+@pytest.mark.parametrize("edges, expected", ACCEPTED)
+def test_loader_accepts_duplicated_unordered_and_numeric_edges(c6_site, edges, expected):
+    data = {"site": "cyclic:6", "edges": edges}
+    ts = serialize.system_from_dict(data)
+    lab = c6_site.labels
+    assert [f"{lab[a]}>{lab[b]}" for a, b in ts.edges()] == expected
+    assert outcome(oracles.system_from_dict_by_closure, data) == (ts.site.key, ts.key)
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({"edges": [["1", 2]]}, InputFileError, SHAPE),  # before the missing site
+    ({"site": "cyclic:-1", "edges": [[1, 2]]}, InputFileError, SHAPE),  # before the bad site
+    ({"edges": [["1", "C2"]]}, InputFileError, "system JSON must have a 'site' field"),
+    ({"site": "cyclic:6"}, InputFileError, "system JSON must have an 'edges' field"),
+    ({"site": "cyclic:-1", "edges": []}, DescriptorError, "cyclic:-1: parameters must be integers >= 1"),
+])
+def test_malformed_system_objects_match_the_oracle(data, error, message):
+    assert outcome(serialize.system_from_dict, data) == (error, message)
+    assert outcome(oracles.system_from_dict_by_closure, data) == (error, message)
+
+
+def test_loader_matches_closure_oracle_on_bench_catalogs():
+    for path in sorted(BENCH_DATA.glob("*.jsonl")):
+        lines = path.read_text().splitlines()
+        site = site_from_descriptor(json.loads(lines[0])["site"])
+        for line in lines:
+            data = json.loads(line)
+            got = outcome(serialize.system_from_dict, data, site)
+            assert got == outcome(oracles.system_from_dict_by_closure, data, site)
+            assert got[0] == site.key  # every stored line is a transfer system
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loader_matches_closure_oracle_on_drawn_edge_lists(c6_site, s3_site, d4_site, data):
+    site = data.draw(st.sampled_from([c6_site, s3_site, d4_site]))
+    edges = data.draw(st.lists(st.sampled_from(site.pairs), max_size=5))
+    if data.draw(st.booleans()):  # list a closed system, or just its generators
+        edges = generate_from_edges(site, edges).edges()
+    edges += data.draw(st.lists(st.sampled_from(range(site.size)).map(lambda k: (k, k)), max_size=1))
+    outside = list(map(tuple, np.argwhere(~site.leq).tolist()))
+    edges += data.draw(st.lists(st.sampled_from(outside), max_size=1))
+    edges = data.draw(st.permutations(edges))
+    lab = site.labels
+    listed = {"site": site.descriptor, "edges": [[lab[k], lab[h]] for k, h in edges]}
+    for given_site in (None, site):
+        expected = outcome(oracles.system_from_dict_by_closure, listed, given_site)
+        assert outcome(serialize.system_from_dict, listed, given_site) == expected

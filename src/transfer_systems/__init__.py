@@ -51,7 +51,6 @@ from .systems import (
     complete_ts,
     complexity,
     count_cover_relations,
-    disklike_generators,
     generate,
     generate_from_edges,
     hull,

@@ -44,7 +44,6 @@ from .systems import (
     complexity,
     count_cover_relations,
     generate,
-    generate_from_edges,
     is_disklike,
     is_saturated,
     validate,
@@ -55,46 +54,33 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 
 
-def _split_edge_tokens(text: str) -> list[str]:
-    """Split an edge list on separators outside <...> label brackets."""
-    tokens, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "<":
-            depth += 1
-        elif ch == ">" and depth > 0:
-            depth -= 1
-            cur.append(ch)
-            continue
-        if depth == 0 and (ch in ",;" or ch.isspace()):
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            continue
-        cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
-
-
 def parse_edges(site: Site, text: str) -> list[tuple[int, int]]:
-    """Parse ``SRC>DST`` edge tokens using node labels (see `lattice`)."""
+    """Parse ``SRC>DST`` edge tokens using node labels (see `lattice`).
+
+    One pass: a comma, semicolon or whitespace outside ``<...>`` label
+    brackets ends a token, and a token splits at its first ``>`` outside
+    brackets.
+    """
+    tokens, depth, start, split = [], 0, 0, -1
+    for i, ch in enumerate(text):
+        if depth == 0 and (ch in ",;" or ch.isspace()):
+            if i > start:
+                tokens.append((start, split, i))
+            start, split = i + 1, -1
+        elif ch == "<":
+            depth += 1
+        elif ch == ">":
+            if depth:
+                depth -= 1
+            elif split < 0:
+                split = i
+    if start < len(text):
+        tokens.append((start, split, len(text)))
     edges = []
-    for token in _split_edge_tokens(text):
-        depth = 0
-        split_at = -1
-        for i, ch in enumerate(token):
-            if ch == "<":
-                depth += 1
-            elif ch == ">":
-                if depth > 0:
-                    depth -= 1
-                else:
-                    split_at = i
-                    break
-        if split_at < 0:
-            raise UsageError(f"edge {token!r} must look like SRC>DST")
-        src, dst = token[:split_at], token[split_at + 1 :]
-        edges.append((site.node(src), site.node(dst)))
+    for start, split, end in tokens:
+        if split < 0:
+            raise UsageError(f"edge {text[start:end]!r} must look like SRC>DST")
+        edges.append((site.node(text[start:split]), site.node(text[split + 1 : end])))
     return edges
 
 
@@ -108,22 +94,30 @@ def _emit_edges(args, ts: TransferSystem) -> None:
 
 
 def _load_site(args) -> Site:
-    if getattr(args, "group", None) and getattr(args, "site", None):
+    if args.group and args.site:
         raise UsageError("--group and --site exclude each other")
-    if getattr(args, "group", None):
+    if args.group:
         desc = args.group
-    elif getattr(args, "site", None):
+    elif args.site:
         desc = args.site if ":" in args.site or "|" in args.site else f"poset:{args.site}"
     else:
         raise UsageError("provide --group DESCRIPTOR or --site POSET-FILE")
-    return site_from_descriptor(desc, getattr(args, "max_order", DEFAULT_ORDER_CAP))
+    return site_from_descriptor(desc, args.max_order)
 
 
-def _load_system(args, site: Site) -> TransferSystem:
-    if getattr(args, "input", None):
-        return serialize.read_system(args.input, site)
-    if getattr(args, "edges", None) is not None:
-        return generate_from_edges(site, parse_edges(site, args.edges))
+def _load_system(args, site: Site) -> tuple[TransferSystem, BinaryRelation | None]:
+    """The system that ``--edges`` or ``--input`` gives on the site.
+
+    An edge list is closed, and the relation it lists comes second; a file
+    is checked (see ``serialize.system_from_dict``), and None comes second.
+    """
+    if args.edges is not None and args.input:
+        raise UsageError("--edges and --input exclude each other")
+    if args.input:
+        return serialize.read_system(args.input, site), None
+    if args.edges is not None:
+        listed = BinaryRelation.from_edges(site, parse_edges(site, args.edges))
+        return generate(listed), listed
     raise UsageError("provide --edges \"SRC>DST ...\" or --input FILE.json")
 
 
@@ -153,7 +147,7 @@ def _probe(path: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -265,27 +259,23 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _emit_edges(args, _load_system(args, _load_site(args)))
+    _emit_edges(args, _load_system(args, _load_site(args))[0])
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     site = _load_site(args)
-    if getattr(args, "edges", None) is not None:
-        relation = BinaryRelation.from_edges(site, parse_edges(site, args.edges))
-        closed = generate(relation)
+    ts, listed = _load_system(args, site)
+    if listed is None:
+        lines = ["input file: valid transfer system"]
+    else:
         # reflexive edges are implicit in edge lists; diagnose the rest
-        raw = validate(close_refl(relation))
-        raw_line = (
+        raw = validate(close_refl(listed))
+        lines = [
             "input relation: already a transfer system"
             if isinstance(raw, TransferSystem)
             else f"input relation: not closed ({raw.axiom}: {raw.describe(site)})"
-        )
-        ts = closed
-    else:
-        ts = _load_system(args, site)
-        raw_line = "input file: valid transfer system"
-    lines = [raw_line]
+        ]
     sat = is_saturated(ts)
     if sat.saturated:
         lines.append("saturated: yes")
@@ -305,7 +295,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_maximal(args) -> int:
     site = _load_site(args)
-    ts = _load_system(args, site)
+    ts, _ = _load_system(args, site)
     results = {}
     if args.method in ("oracle", "all"):
         results["oracle"] = max_compat_oracle(ts)
@@ -348,18 +338,18 @@ def _quotient_from_args(args):
 
 def _cmd_inflate(args) -> int:
     ctx = _quotient_from_args(args)
-    _emit_edges(args, inflate(ctx, _load_system(args, ctx.interval_site)))
+    _emit_edges(args, inflate(ctx, _load_system(args, ctx.interval_site)[0]))
     return EXIT_OK
 
 
 def _cmd_fixed_points(args) -> int:
     ctx = _quotient_from_args(args)
-    _emit_edges(args, fixed_points(ctx, _load_system(args, ctx.parent)))
+    _emit_edges(args, fixed_points(ctx, _load_system(args, ctx.parent)[0]))
     return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
-    _emit_edges(args, universal_reduction(_load_system(args, _load_site(args))))
+    _emit_edges(args, universal_reduction(_load_system(args, _load_site(args))[0]))
     return EXIT_OK
 
 
@@ -389,7 +379,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_render(args) -> int:
     site = _load_site(args)
-    ts = _load_system(args, site)
+    ts, _ = _load_system(args, site)
     highlight = max_compat_recursive(ts) if args.highlight == "maximal" else None
     cluster = None
     if args.interval_above:
@@ -429,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "cap", 0) < 0:
@@ -437,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         # an unwritable output fails before the computation, not after it
-        for path in (getattr(args, "out", None), getattr(args, "jsonl", None)):
+        for path in (args.out, getattr(args, "jsonl", None)):
             if path:
                 _probe(path)
         return _COMMANDS[args.command](args)

@@ -74,15 +74,15 @@ class Group:
 def _validate_table(mul: np.ndarray, what: str) -> None:
     """Raise InputFileError naming ``what`` unless ``mul`` is a group table.
 
-    Checks the shape, the entries, the identity at index 0 and two-sided
-    inverses, then associativity by Light's test on a greedy generating
-    set, whose span ``_close_under`` grows after each generator passes.
+    The entries must already be indices in 0..n-1; ``group_from_cayley_file``
+    checks a file's before casting them.  Checks the shape, the identity at
+    index 0 and two-sided inverses, then associativity by Light's test on a
+    greedy generating set, whose span ``_close_under`` grows after each
+    generator passes.
     """
     n = mul.shape[0]
     if mul.shape != (n, n) or n == 0:
         raise InputFileError(f"{what}: table must be square and non-empty")
-    if mul.min() < 0 or mul.max() >= n:
-        raise InputFileError(f"{what}: entries must be indices in 0..{n - 1}")
     if not (np.array_equal(mul[0], np.arange(n)) and np.array_equal(mul[:, 0], np.arange(n))):
         raise InputFileError(f"{what}: index 0 must be the identity element")
     # Inverses: each row must contain the identity.
@@ -298,13 +298,18 @@ def group_from_cayley_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP)
         raise CapExceededError(f"{path}: order {n} exceeds cap {order_cap}")
     if len(entries) != n * n:
         raise InputFileError(f"{path}: expected {n * n} entries, got {len(entries)}")
+    if min(entries) < 0 or max(entries) >= n:  # before the int32 cast can overflow
+        raise InputFileError(f"cayley:{path}: entries must be indices in 0..{n - 1}")
     mul = np.array(entries, dtype=np.int32).reshape(n, n)
     names = ["e"] + [f"g{k}" for k in range(1, n)]
     return _group_from_table(mul, f"cayley:{path}", path.stem, names)
 
 
-def _parse_cycles(text: str, npoints: int | None = None) -> tuple:
-    """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` or ``(123)``."""
+def _parse_cycles(text: str, npoints: int | None = None, cap: int | None = None) -> tuple:
+    """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` or ``(123)``.
+
+    A point above ``cap`` is refused before the permutation is allocated.
+    """
     text = text.strip()
     cycles: list[list[int]] = []
     i = 0
@@ -332,6 +337,8 @@ def _parse_cycles(text: str, npoints: int | None = None) -> tuple:
         cycles.append(pts)
         maxpoint = max(maxpoint, max(pts))
         i = j + 1
+    if cap is not None and maxpoint > cap:
+        raise InputFileError(f"point {maxpoint} exceeds cap {cap}")
     k = npoints if npoints is not None else maxpoint
     if k < maxpoint:
         raise InputFileError(f"cycle uses point {maxpoint} beyond degree {k}")
@@ -380,7 +387,7 @@ def group_from_permutations(
 
     def parse(i: int, line: str, npoints: int | None = None) -> tuple:
         try:
-            return _parse_cycles(line, npoints)
+            return _parse_cycles(line, npoints, order_cap)
         except InputFileError as exc:
             raise InputFileError(f"{descriptor}: line {i}: {exc}") from None
 

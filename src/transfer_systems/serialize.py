@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .enumeration import TransferSystemCatalog
-from .errors import InputFileError, InternalCheckError, UsageError
+from .errors import InputFileError, InternalCheckError, MismatchedSitesError, UsageError
 from .sites import Site, site_from_descriptor
 from .systems import BinaryRelation, TransferSystem, _refl, _scatter
 
@@ -39,6 +39,12 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
     labels are looked up with ``Site.node`` once the site is known, so a
     malformed entry anywhere wins over an unknown label.
 
+    The ``site`` field must be a descriptor string.  Without a given site
+    it names the site; with one, an absent field means that site, the given
+    site's own descriptor is taken as is, and any other descriptor is
+    rebuilt and must have the same ``Site.key`` (MismatchedSitesError
+    otherwise), so ``poset:./p.poset`` still matches ``poset:p.poset``.
+
     The listed edges plus the identity must already be a transfer system,
     as the constructor's axiom check (run once per distinct relation and
     site) decides; no closure runs.  When that check fails, or a reflexive
@@ -54,20 +60,24 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
         for e in data["edges"]
     ):
         raise InputFileError("system JSON 'edges' must be a list of [source, target] labels")
-    if site is None:
-        if "site" not in data:
-            raise InputFileError("system JSON must have a 'site' field")
-        site = site_from_descriptor(data["site"])
+    if "site" in data:
+        desc = data["site"]
+        if not isinstance(desc, str):
+            raise InputFileError("system JSON 'site' must be a descriptor string")
+        if site is None:
+            site = site_from_descriptor(desc)
+        elif desc != site.descriptor and site_from_descriptor(desc).key != site.key:
+            raise MismatchedSitesError(
+                f"system JSON site {desc!r} is not the site {site.descriptor!r}"
+            )
+    elif site is None:
+        raise InputFileError("system JSON must have a 'site' field")
     rel = _scatter(site, [(site.node(src), site.node(dst)) for src, dst in data["edges"]])
     with suppress(InternalCheckError):
         if not rel.diagonal().any():
             return TransferSystem(site, _refl(site, rel))
     BinaryRelation(site, rel)  # a non-refining edge is named first
     raise UsageError("edge list is not a transfer system (closure adds edges)")
-
-
-def dump_system(ts: TransferSystem) -> str:
-    return json.dumps(system_to_dict(ts), indent=2, sort_keys=True) + "\n"
 
 
 def load_system(text: str, site: Optional[Site] = None) -> TransferSystem:

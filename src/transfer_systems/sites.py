@@ -192,10 +192,10 @@ class Site:
         return covers
 
     def node(self, label: str) -> int:
-        """Node index for a display label (or a bare numeric index)."""
+        """Node index for a display label (or a bare index in ASCII digits)."""
         if label in self._label_index:
             return self._label_index[label]
-        if label.isdigit():
+        if label.isascii() and label.isdigit():  # "²" and "١" are digits too
             i = int(label)
             if 0 <= i < self.size:
                 return i

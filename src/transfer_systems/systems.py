@@ -447,12 +447,6 @@ def hull(ts: TransferSystem) -> TransferSystem:
         rel = _close(site, rel | needed)
 
 
-def disklike_generators(ts: TransferSystem) -> list[tuple[int, int]]:
-    """The maximal candidate generator set: all non-reflexive edges into top."""
-    top = ts.site.top
-    return [(int(h), top) for h in np.flatnonzero(ts.rel[:, top]) if h != top]
-
-
 def _disklike(site: Site, rels: np.ndarray) -> np.ndarray:
     """disklike[b]: system b of a (B, n, n) stack is generated by its transfers into top.
 

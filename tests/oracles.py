@@ -24,11 +24,14 @@ reading the site's orbit table, and the census, the cross-method audit, the
 M(O) pairing and the conjecture harness walk their systems one at a time
 through the public per-system functions instead of in stacked blocks, and
 a system file is loaded by closing its listed edges and comparing the
-closure's edges with them instead of checking the listed relation.
+closure's edges with them instead of checking the listed relation, and an
+edge list is split into tokens before each token is scanned for its
+``>`` instead of in one pass.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -54,6 +57,7 @@ from transfer_systems.enumeration import (
 from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError, UsageError
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
 from transfer_systems.groups import _group_from_table
+from transfer_systems.serialize import system_to_dict
 from transfer_systems.sites import Site, site_from_descriptor
 from transfer_systems.systems import (
     TransferSystem,
@@ -62,7 +66,6 @@ from transfer_systems.systems import (
     _edge_closure,
     _edge_systems,
     count_cover_relations,
-    disklike_generators,
     generate_from_edges,
     is_saturated,
 )
@@ -274,6 +277,55 @@ def system_from_dict_by_closure(data: dict, site: Site | None = None) -> Transfe
     if set(ts.edges()) != set(edges):
         raise UsageError("edge list is not a transfer system (closure adds edges)")
     return ts
+
+
+def dump_system(ts: TransferSystem) -> str:
+    """One system as an indented JSON file, as ``--input`` reads it."""
+    return json.dumps(system_to_dict(ts), indent=2, sort_keys=True) + "\n"
+
+
+def split_edge_tokens(text: str) -> list[str]:
+    """Split an edge list on separators outside <...> label brackets."""
+    tokens, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth > 0:
+            depth -= 1
+            cur.append(ch)
+            continue
+        if depth == 0 and (ch in ",;" or ch.isspace()):
+            if cur:
+                tokens.append("".join(cur))
+                cur = []
+            continue
+        cur.append(ch)
+    if cur:
+        tokens.append("".join(cur))
+    return tokens
+
+
+def parse_edges_in_two_passes(site: Site, text: str) -> list[tuple[int, int]]:
+    """Split the tokens first, then rescan each token for its first ``>``
+    outside brackets."""
+    edges = []
+    for token in split_edge_tokens(text):
+        depth = 0
+        split_at = -1
+        for i, ch in enumerate(token):
+            if ch == "<":
+                depth += 1
+            elif ch == ">":
+                if depth > 0:
+                    depth -= 1
+                else:
+                    split_at = i
+                    break
+        if split_at < 0:
+            raise UsageError(f"edge {token!r} must look like SRC>DST")
+        src, dst = token[:split_at], token[split_at + 1 :]
+        edges.append((site.node(src), site.node(dst)))
+    return edges
 
 
 def product_with_normal(latt: SubgroupLattice, k: int, n: int) -> int:
@@ -686,6 +738,12 @@ def first_violation_by_loop(site: Site, rel: np.ndarray):
         k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
         return ViolationReport("composition", ((l, k), (k, h), (l, h)))
     return None
+
+
+def disklike_generators(ts: TransferSystem) -> list[tuple[int, int]]:
+    """The maximal candidate generator set: all non-reflexive edges into top."""
+    top = ts.site.top
+    return [(int(h), top) for h in np.flatnonzero(ts.rel[:, top]) if h != top]
 
 
 def disklike_by_generators(ts) -> bool:

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import P5_TEXT, m_poset_text
 from transfer_systems import cli
 from transfer_systems.cli import main
+from transfer_systems.errors import UsageError
 
 
 def run(capsys, *argv):
@@ -209,6 +211,17 @@ def test_group_and_site_exclude_each_other(tmp_path, capsys, argv):
     assert err == "error: --group and --site exclude each other\n"
 
 
+@pytest.mark.parametrize("argv", [["generate"], ["check"], ["maximal"], ["reduce"], ["render"],
+                                  ["inflate", "--normal", "C2"], ["fixed-points", "--normal", "C2"]])
+def test_edges_and_input_exclude_each_other(tmp_path, capsys, argv):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"site": "cyclic:6", "edges": [["1", "C2"]]}))
+    code, out, err = run(capsys, *argv, "--group", "cyclic:6", "--edges", "1>C3",
+                         "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: --edges and --input exclude each other\n"
+
+
 def test_malformed_poset_file_names_line(tmp_path, capsys):
     path = tmp_path / "bad.poset"
     path.write_text("nodes: a b\ncover: a\n")
@@ -319,6 +332,28 @@ INPUT_ERRORS = [
      "--order-le 60 exceeds --max-order 50"),
     ("order-le-above-default-cap", ["conjecture", "--order-le", "1001"], None,
      "--order-le 1001 exceeds --max-order 1000"),
+    # int("²") raises and int("١") is 1: only ASCII digits index nodes
+    ("edges-superscript-digit", ["generate", "--group", "cyclic:6", "--edges", "²>C2"], None,
+     "unknown node '²'; run the `lattice` subcommand to list labels"),
+    ("normal-superscript-digit", ["inflate", "--group", "cyclic:6", "--normal", "²",
+                                  "--edges", "C2>C6"], None,
+     "unknown node '²'; run the `lattice` subcommand to list labels"),
+    ("input-superscript-digit", ["generate", "--group", "cyclic:6", "--input", "{f}"],
+     '{"site": "cyclic:6", "edges": [["²", "C2"]]}',
+     "unknown node '²'; run the `lattice` subcommand to list labels"),
+    ("edges-arabic-indic-digit", ["generate", "--group", "cyclic:6", "--edges", "١>C2"], None,
+     "unknown node '١'; run the `lattice` subcommand to list labels"),
+    ("cayley-entry-past-int32", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1 99999999999\n",
+     "cayley:{f}: entries must be indices in 0..1"),
+    ("perms-point-over-cap", ["lattice", "--group", "perms:{f}"], "(1 200000)\n",
+     "perms:{f}: line 1: point 200000 exceeds cap 1000"),
+    ("perms-point-over-max-order", ["lattice", "--group", "perms:{f}", "--max-order", "10"],
+     "(1 2)\n(3 11)\n", "perms:{f}: line 2: point 11 exceeds cap 10"),
+    ("input-on-another-site", ["check", "--group", "cyclic:6", "--input", "{f}"],
+     '{"site": "symmetric:3", "edges": [["1", "C2"]]}',
+     "system JSON site 'symmetric:3' is not the site 'cyclic:6'"),
+    ("input-site-not-a-string", ["check", "--group", "cyclic:6", "--input", "{f}"],
+     '{"site": 6, "edges": []}', "system JSON 'site' must be a descriptor string"),
 ]
 
 
@@ -495,3 +530,95 @@ def test_cli_fuzz_never_tracebacks(fuzz_files, data):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# the one-pass edge scanner against the two-pass oracle
+
+
+class _EchoSite:
+    """Stands in for a site: every label names itself, so a parse shows its split."""
+
+    @staticmethod
+    def node(label):
+        return label
+
+
+def _parsed(parse, site, text):
+    try:
+        return parse(site, text)
+    except UsageError as exc:
+        return type(exc), str(exc)
+
+
+SCANNER_PIECES = ["<", ">", ",", ";", " ", "\t", "1", "C2", "S4", "(12)", "(12)(34)", "²"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SCANNER_PIECES), max_size=12).map("".join))
+def test_edge_scanner_matches_the_two_pass_oracle(text):
+    assert _parsed(cli.parse_edges, _EchoSite, text) == _parsed(
+        oracles.parse_edges_in_two_passes, _EchoSite, text)
+
+
+@pytest.mark.parametrize("text", [
+    "<(12)(34),(13)(24)>>S4",
+    "1><(12)(34),(13)(24)>; <(12)(34),(13)(24)>>S4",
+    "<(12)>><(12)(34),(12)>  1>S4,",
+    "<(12)(34),(13)(24)>",
+    "1>S4 <(12)>>",
+    "<(12)(34),(13)(24)>>S4>",
+])
+def test_edge_scanner_reads_bracketed_labels_like_the_oracle(s4_site, text):
+    expected = _parsed(oracles.parse_edges_in_two_passes, s4_site, text)
+    assert _parsed(cli.parse_edges, s4_site, text) == expected
+    if text == "<(12)(34),(13)(24)>>S4":
+        assert expected == [(s4_site.node("<(12)(34),(13)(24)>"), s4_site.top)]
+
+
+# ---------------------------------------------------------------------------
+# fuzz the system-input boundary: drawn labels in --edges and --normal, drawn
+# JSON in --input; every run exits 0, 1 or 2 without raising, and exit 2
+# prints exactly one "error: " line
+
+FUZZ_LABELS = ["²", "1", "١", "0", "3", "6", "C2", "C3", "C6", "S3", "<(12)>", "<(123)>",
+               "<", ">", "<>", "x", " ", ",", ";"]
+_label = st.sampled_from(FUZZ_LABELS)
+_labels = _label | st.lists(_label, max_size=6).map("".join)
+_edge_list = st.lists(st.tuples(_label, _label).map(">".join) | _labels, max_size=3).map(",".join)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _label,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_site_field = st.sampled_from(["cyclic:6", "symmetric:3", "cyclic:3", " cyclic:6 ", "nope",
+                               "cyclic:-1", "cyclic:6|above:C2"]) | _json
+_edges_field = st.lists(st.lists(_label | _json, max_size=3), max_size=4) | _json
+_system_json = st.fixed_dictionaries({}, optional={"site": _site_field, "edges": _edges_field}) | _json
+
+
+@pytest.fixture(scope="module")
+def system_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("system") / "system.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_system_input_fuzz_exits_cleanly(system_path, data):
+    command = data.draw(st.sampled_from(["generate", "check", "maximal", "inflate",
+                                         "fixed-points", "reduce", "render"]))
+    argv = [command, "--group", data.draw(st.sampled_from(["cyclic:6", "symmetric:3"]))]
+    if command in ("inflate", "fixed-points"):
+        argv.append("--normal=" + data.draw(_labels))
+    if data.draw(st.booleans()):
+        argv.append("--edges=" + data.draw(_edge_list))
+    if data.draw(st.booleans()):
+        system_path.write_text(json.dumps(data.draw(_system_json)))
+        argv += ["--input", str(system_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), argv

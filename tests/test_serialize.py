@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from conftest import P5_TEXT
 from transfer_systems import serialize
-from transfer_systems.errors import DescriptorError, InputFileError, UsageError
+from transfer_systems.errors import (
+    DescriptorError,
+    InputFileError,
+    MismatchedSitesError,
+    UsageError,
+)
 from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import generate_from_edges
 
@@ -22,7 +27,7 @@ UNKNOWN = "unknown node 'C7'; run the `lattice` subcommand to list labels"
 
 def test_round_trip_identity_on_c6_catalog(c6_catalog):
     for ts in c6_catalog.systems:
-        assert serialize.load_system(serialize.dump_system(ts)) == ts
+        assert serialize.load_system(oracles.dump_system(ts)) == ts
 
 
 def test_edges_written_in_canonical_order(fig1):
@@ -51,7 +56,7 @@ def test_poset_site_round_trip(tmp_path, p5_site):
 
     site = site_from_descriptor(f"poset:{path}")
     o = generate_from_edges(site, [(site.node("A"), site.node("top"))])
-    again = serialize.load_system(serialize.dump_system(o))
+    again = serialize.load_system(oracles.dump_system(o))
     assert again.key == o.key
 
 
@@ -71,7 +76,7 @@ def test_interval_system_round_trip(c12_site):
 
     ctx = quotient_context(c12_site, c12_site.node("C2"))
     o_bar = fixed_points(ctx, complete_ts(c12_site))
-    assert serialize.load_system(serialize.dump_system(o_bar)) == o_bar
+    assert serialize.load_system(oracles.dump_system(o_bar)) == o_bar
 
 
 def outcome(load, data, site=None):
@@ -107,6 +112,49 @@ def test_loader_refusals_are_pinned(descriptor, edges, error, message):
     data = {"site": descriptor, "edges": edges}
     assert outcome(serialize.system_from_dict, data) == (error, message)
     assert outcome(oracles.system_from_dict_by_closure, data) == (error, message)
+
+
+NOT_A_STRING = "system JSON 'site' must be a descriptor string"
+
+
+@pytest.mark.parametrize("data, given, error, message", [
+    ({"site": 6, "edges": []}, None, InputFileError, NOT_A_STRING),
+    ({"site": None, "edges": [["1", "C2"]]}, None, InputFileError, NOT_A_STRING),
+    ({"site": 6, "edges": []}, "cyclic:6", InputFileError, NOT_A_STRING),
+    ({"site": ["cyclic:6"], "edges": []}, "cyclic:6", InputFileError, NOT_A_STRING),
+    ({"site": 6, "edges": [["1", 2]]}, None, InputFileError, SHAPE),  # the shape is checked first
+    ({"site": "symmetric:3", "edges": [["1", "C2"]]}, "cyclic:6", MismatchedSitesError,
+     "system JSON site 'symmetric:3' is not the site 'cyclic:6'"),
+    ({"site": "cyclic:3", "edges": []}, "cyclic:6", MismatchedSitesError,
+     "system JSON site 'cyclic:3' is not the site 'cyclic:6'"),
+    ({"site": "nope", "edges": []}, "cyclic:6", DescriptorError, "unsupported descriptor 'nope'"),
+])
+def test_loader_refuses_a_bad_site_field(data, given, error, message):
+    site = given and site_from_descriptor(given)
+    assert outcome(serialize.system_from_dict, data, site) == (error, message)
+
+
+@pytest.mark.parametrize("field", [{}, {"site": "cyclic:6"}, {"site": " cyclic:6 "}])
+def test_loader_reads_the_given_site_from_an_equal_or_absent_field(c6_site, field):
+    ts = serialize.system_from_dict({**field, "edges": [["1", "C2"]]}, c6_site)
+    assert ts.site is c6_site and ts.edges() == [(0, 1)]
+
+
+def test_the_given_sites_own_descriptor_builds_no_site(c6_site, monkeypatch):
+    def build(*args):
+        raise AssertionError("a site was built")
+
+    monkeypatch.setattr(serialize, "site_from_descriptor", build)
+    ts = serialize.system_from_dict({"site": "cyclic:6", "edges": [["1", "C2"]]}, c6_site)
+    assert ts.site is c6_site
+
+
+def test_a_poset_site_matches_its_descriptor_spelled_otherwise(tmp_path, monkeypatch):
+    (tmp_path / "p5.poset").write_text(P5_TEXT)
+    monkeypatch.chdir(tmp_path)
+    site = site_from_descriptor("poset:p5.poset")
+    ts = serialize.system_from_dict({"site": "poset:./p5.poset", "edges": [["bot", "A"]]}, site)
+    assert ts.site is site
 
 
 ACCEPTED = [

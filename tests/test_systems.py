@@ -21,7 +21,6 @@ from transfer_systems.systems import (
     complete_ts,
     complexity,
     count_cover_relations,
-    disklike_generators,
     generate,
     generate_from_edges,
     hull,
@@ -516,7 +515,7 @@ def test_c6_disklike_census_and_names(fig1):
 
 def test_s3_maximal_disklike_generators(s3_site):
     ts = generate_from_edges(s3_site, by_label(s3_site, [("<(12)>", "S3")]))
-    got = {(s3_site.labels[a], s3_site.labels[b]) for a, b in disklike_generators(ts)}
+    got = {(s3_site.labels[a], s3_site.labels[b]) for a, b in oracles.disklike_generators(ts)}
     assert got == {("1", "S3"), ("<(12)>", "S3"), ("<(13)>", "S3"), ("<(23)>", "S3")}
 
 
@@ -585,7 +584,7 @@ def test_disklike_sources_closed_under_intersection(c12_catalog):
     # H -> G and K -> G transfers force H cap K -> G
     site = c12_catalog.site
     for ts in c12_catalog.systems:
-        tops = [h for h, _ in disklike_generators(ts)]
+        tops = [h for h, _ in oracles.disklike_generators(ts)]
         for a in tops:
             for b in tops:
                 assert ts.rel[site.meet[a, b], site.top]

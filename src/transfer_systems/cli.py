@@ -20,8 +20,6 @@ import numpy as np
 
 from . import serialize
 from .compat import (
-    conjecture_formula,
-    is_compatible,
     max_compat_disklike,
     max_compat_oracle,
     max_compat_recursive,

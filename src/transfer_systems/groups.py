@@ -10,25 +10,28 @@ dihedral and dicyclic groups come from one builder of C_m extended by an
 element x that inverts C_m and squares into it, and ``build_group`` checks
 every built-in family's order against one cap.
 
-Every table is built on arrays: the products of permutations are one
-gather per block and a lookup of the result rows.  Subgroups are
-enumerated as bool masks over the elements: the cyclic subgroups seed the
-search, every new subgroup brings in its whole conjugacy class, and one
-member per class is joined with all the cyclic seeds it does not contain
-in one batched orbit loop (``_close_under``).  The order and conjugation
-tables are then whole-array operations on the membership matrix.  No
-meet or join table is built here: ``sites.Site`` derives meets from the
-order, and ``functors`` reads each product KN off it.  The canonical
-subgroup order is (order, lexicographic member tuple); every downstream
-index refers to that order.  Labels read element orders as the row sums
-of the cyclic masks and find generators with the same mask closure as
-the search.
+Every table is built on arrays.  One product table, ``_product_table``,
+serves the permutation groups and a site's check that its action is closed
+under composition: one gather per block and a lookup of the result rows.
+Subgroups are enumerated as bool masks over the elements: the cyclic
+subgroups seed the search, every new subgroup brings in its whole
+conjugacy class, and one member per class is joined with all the cyclic
+seeds it does not contain in one batched orbit loop (``_close_under``).
+The order and conjugation tables are then whole-array operations on the
+membership matrix.  No meet or join table is built here: ``sites.Site``
+derives meets from the order, and ``functors`` reads each product KN off
+it.  The canonical subgroup order is (order, lexicographic member tuple);
+every downstream index refers to that order.  Each group builds its
+cyclic-subgroup masks once (``Group.cyclic``): they seed the search, and
+labels read element orders as their row sums and find generators with the
+same mask closure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -69,6 +72,13 @@ class Group:
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
+
+    @cached_property
+    def cyclic(self) -> np.ndarray:
+        """Read-only ``_cyclic_masks`` table, built on first use: row a is <a>."""
+        masks = _cyclic_masks(self)
+        masks.flags.writeable = False
+        return masks
 
 
 def _validate_table(mul: np.ndarray, what: str) -> None:
@@ -181,6 +191,23 @@ def _row_finder(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return np.where(hit, order[np.minimum(lo, len(keys) - 1)], -1)
 
     return find
+
+
+def _product_table(rows: np.ndarray) -> np.ndarray:
+    """Products of the permutations that are the rows of a (n, k) int array.
+
+    ``t[i, j]`` is the row index of p_i(p_j), or -1 where that composition
+    is not a row.  Each block of columns j is one gather plus one
+    ``_row_finder`` lookup.
+    """
+    n, k = rows.shape
+    find = _row_finder(rows)
+    step = max(1, _BLOCK_ENTRIES // rows.size)
+    table = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, step):
+        block = np.take(rows, rows[lo : lo + step], axis=1)
+        table[:, lo : lo + step] = find(block.reshape(-1, k)).reshape(n, -1)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +332,11 @@ def group_from_cayley_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP)
     return _group_from_table(mul, f"cayley:{path}", path.stem, names)
 
 
-def _parse_cycles(text: str, npoints: int | None = None, cap: int | None = None) -> tuple:
+def _parse_cycles(text: str, cap: int | None = None) -> tuple:
     """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` or ``(123)``.
 
-    A point above ``cap`` is refused before the permutation is allocated.
+    The permutation moves the points 1..m, m the largest point named.  A
+    point above ``cap`` is refused before the permutation is allocated.
     """
     text = text.strip()
     cycles: list[list[int]] = []
@@ -339,10 +367,7 @@ def _parse_cycles(text: str, npoints: int | None = None, cap: int | None = None)
         i = j + 1
     if cap is not None and maxpoint > cap:
         raise InputFileError(f"point {maxpoint} exceeds cap {cap}")
-    k = npoints if npoints is not None else maxpoint
-    if k < maxpoint:
-        raise InputFileError(f"cycle uses point {maxpoint} beyond degree {k}")
-    perm = list(range(k))
+    perm = list(range(maxpoint))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             perm[a - 1] = b - 1
@@ -377,32 +402,26 @@ def group_from_permutations(
 ) -> Group:
     """Group generated by permutations given in cycle notation on points 1..k.
 
-    A line that does not parse is named by the descriptor and its 1-based
-    line number.
+    Each line is parsed once and padded to the largest degree.  A line that
+    does not parse is named by the descriptor and its 1-based line number.
     """
     raw = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(lines, 1)]
     raw = [(i, ln) for i, ln in raw if ln]
     if not raw:
         raise InputFileError(f"{descriptor}: no generators")
 
-    def parse(i: int, line: str, npoints: int | None = None) -> tuple:
+    def parse(i: int, line: str) -> tuple:
         try:
-            return _parse_cycles(line, npoints, order_cap)
+            return _parse_cycles(line, order_cap)
         except InputFileError as exc:
             raise InputFileError(f"{descriptor}: line {i}: {exc}") from None
 
-    k = max(len(parse(i, ln)) for i, ln in raw)
-    gens = [parse(i, ln, k) for i, ln in raw]
+    parsed = [parse(i, ln) for i, ln in raw]
+    k = max(map(len, parsed))
+    gens = [p + tuple(range(len(p), k)) for p in parsed]
     elements = _permutation_group(gens, k, order_cap, descriptor)
     names = [_cycle_string(p) for p in elements]
-    perms = np.array(elements, dtype=np.int32)
-    n = len(perms)
-    find = _row_finder(perms)
-    step = max(1, _BLOCK_ENTRIES // perms.size)
-    mul = np.empty((n, n), dtype=np.int32)
-    for lo in range(0, n, step):  # mul[i, j] is the index of p_i(p_j), a block of j at a time
-        block = np.take(perms, perms[lo : lo + step], axis=1)
-        mul[:, lo : lo + step] = find(block.reshape(-1, k)).reshape(n, -1)
+    mul = _product_table(np.array(elements, dtype=np.int32))
     return _group_from_table(mul, descriptor, name, names)
 
 
@@ -552,14 +571,6 @@ class SubgroupLattice:
         return len(self.subgroups)
 
     @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.subgroups) - 1
-
-    @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
             self._labels = _subgroup_labels(self)
@@ -608,7 +619,7 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
             raise CapExceededError(f"{group.descriptor}: more than {max_subgroups} subgroups")
         return True
 
-    cyclic = _cyclic_masks(group)
+    cyclic = group.cyclic
     _, seed_gen = np.unique(_row_keys(cyclic), return_index=True)  # a generator per seed
     seeds = cyclic[seed_gen]
     frontier = [(c, [a]) for c, a in zip(seeds, seed_gen.tolist()) if add_class(c)]
@@ -680,23 +691,20 @@ def _abelian_type_name(elem_orders: Sequence[int]) -> str:
     return "x".join(f"C{d}" for d in invariant) or "1"
 
 
-def _minimal_generators(
-    group: Group, cyclic: np.ndarray, orders: list[int], members: Sequence[int]
-) -> list[int]:
+def _minimal_generators(group: Group, orders: list[int], members: Sequence[int]) -> list[int]:
     """One generator of a nontrivial cyclic subgroup, else a greedy generating list.
 
-    ``cyclic`` is the group's ``_cyclic_masks`` and ``orders`` its row sums,
-    the element orders.
+    ``orders`` holds the element orders, the row sums of ``group.cyclic``.
     """
     for a in members:
         if orders[a] == len(members):
             return [a]
     gens: list[int] = []
-    span = cyclic[0]
+    span = group.cyclic[0]
     for a in members:
         if not span[a]:
             gens.append(a)
-            span = _close_under((span | cyclic[a])[None], group.mul[group.inv[gens]])[0]
+            span = _close_under((span | group.cyclic[a])[None], group.mul[group.inv[gens]])[0]
             if span.sum() == len(members):
                 break
     return gens
@@ -704,8 +712,7 @@ def _minimal_generators(
 
 def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
     group = latt.group
-    cyclic = _cyclic_masks(group)
-    orders = cyclic.sum(axis=1).tolist()
+    orders = group.cyclic.sum(axis=1).tolist()
     abelian = group.is_abelian
     raw: list[str] = []
     for sub in latt.subgroups:
@@ -716,7 +723,7 @@ def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
         elif abelian:
             raw.append(_abelian_type_name([orders[a] for a in sub.members]))
         else:
-            gens = _minimal_generators(group, cyclic, orders, sub.members)
+            gens = _minimal_generators(group, orders, sub.members)
             raw.append("<" + ",".join(group.element_names[a] for a in gens) + ">")
     counts: dict[str, int] = {}
     labels = []

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     DescriptorError,
     InputFileError,
     InternalCheckError,
@@ -24,9 +25,10 @@ from .errors import (
 from .groups import (
     _BLOCK_ENTRIES,
     DEFAULT_ORDER_CAP,
+    DEFAULT_SUBGROUP_CAP,
     SubgroupLattice,
     _permutation_group,
-    _row_finder,
+    _product_table,
     build_group,
     subgroup_lattice,
 )
@@ -83,9 +85,9 @@ class Site:
             allowed) in lexicographic order, so the identity is row 0.
             ``_check`` enforces that each row is a permutation, that the
             identity is present and that the rows are closed under
-            composition (hence under inverse, being finite): the
-            compositions are looked up among the sorted row keys, a block
-            at a time.
+            composition (hence under inverse, being finite): the rows'
+            ``groups._product_table``, the one that builds permutation
+            groups, must have no -1.
         covers: read-only cover relation of ``leq``, computed on first
             use: ``covers[J, H]`` iff J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -170,11 +172,8 @@ class Site:
             raise InternalCheckError("action must consist of permutations of the nodes")
         if not len(acts) or not (acts[0] == np.arange(n)).all():  # the least row
             raise InternalCheckError("action must contain the identity")
-        find = _row_finder(acts)
-        step = max(1, _BLOCK_ENTRIES // acts.size)
-        for lo in range(0, len(acts), step):  # the compositions p(q) for a block of q
-            if (find(np.take(acts, acts[lo : lo + step], axis=1).reshape(-1, n)) < 0).any():
-                raise InternalCheckError("action must be closed under composition")
+        if (_product_table(acts) < 0).any():
+            raise InternalCheckError("action must be closed under composition")
         # a permutation maps the strict pairs injectively, so it preserves
         # the order iff every strict pair lands on a strict pair
         ks, hs = np.nonzero(leq & ~np.eye(n, dtype=bool))
@@ -202,11 +201,6 @@ class Site:
         raise DescriptorError(
             f"unknown node {label!r}; run the `lattice` subcommand to list labels"
         )
-
-    def orbit(self, edge: tuple[int, int]) -> frozenset[tuple[int, int]]:
-        """Orbit of an edge under the action."""
-        ks, hs = np.nonzero(self.edge_rep == self.edge_rep[edge])
-        return frozenset(zip(ks.tolist(), hs.tolist()))
 
     def orbit_representatives(self, edges) -> list[tuple[int, int]]:
         """Lexicographically least member of each edge orbit, in order.
@@ -266,7 +260,7 @@ def _derive_meet(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
 def site_from_lattice(latt: SubgroupLattice) -> Site:
     """The site of a subgroup lattice with its conjugation action."""
     return Site(
-        leq=latt.leq.copy(),
+        leq=latt.leq,
         action=latt.conj_action,
         labels=latt.labels,
         lattice=latt,
@@ -294,19 +288,12 @@ def interval_above(parent: Site, n: int) -> Site:
 # ---------------------------------------------------------------------------
 # Poset files
 
-POSET_FORMAT = """\
-Poset file format: one `nodes:` line then `cover:` lines, e.g.
-
-    nodes: bot a b top
-    cover: bot a
-    cover: bot b
-    cover: a top
-    cover: b top
-    auto: bot b a top    # optional automorphism (images in `nodes:` order)
-"""
-
-
 def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
+    """The site of a poset file's text: one ``nodes:`` line, ``cover:`` and ``auto:`` lines.
+
+    More than ``DEFAULT_SUBGROUP_CAP`` nodes, the bound on every group
+    site, is refused before any n-by-n array is allocated.
+    """
     names: list[str] = []
     covers: list[tuple[str, str]] = []
     autos: list[list[str]] = []
@@ -331,6 +318,8 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
             raise InputFileError(f"line {lineno}: unknown directive {key!r}")
     if not names:
         raise InputFileError("missing nodes: line")
+    if len(names) > DEFAULT_SUBGROUP_CAP:
+        raise CapExceededError(f"{len(names)} nodes exceed cap {DEFAULT_SUBGROUP_CAP}")
     if len(set(names)) != len(names):
         raise InputFileError("duplicate node names")
     index = {nm: i for i, nm in enumerate(names)}
@@ -356,7 +345,7 @@ def site_from_poset_file(path: str | Path) -> Site:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read poset file {path}: {exc}") from None
     return parse_poset_text(text, descriptor=f"poset:{path}")
 

@@ -354,6 +354,8 @@ INPUT_ERRORS = [
      "system JSON site 'symmetric:3' is not the site 'cyclic:6'"),
     ("input-site-not-a-string", ["check", "--group", "cyclic:6", "--input", "{f}"],
      '{"site": 6, "edges": []}', "system JSON 'site' must be a descriptor string"),
+    ("poset-over-node-cap", ["lattice", "--site", "{f}"],
+     "nodes: " + " ".join(f"n{i}" for i in range(5001)) + "\n", "5001 nodes exceed cap 5000"),
 ]
 
 
@@ -367,6 +369,15 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, text, message
     code, out, err = run(capsys, *(arg.format(f=path) for arg in argv))
     assert (code, out) == (2, "")
     assert err == "error: " + message.format(f=path) + "\n"
+
+
+def test_a_poset_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.poset"
+    path.write_bytes(b"\xff\xfe\x00nodes: a")
+    code, out, err = run(capsys, "lattice", "--site", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read poset file {path}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
 
 
 def test_order_le_above_max_order_builds_no_site(capsys, monkeypatch):

@@ -23,13 +23,14 @@ from transfer_systems.groups import (
     _compose,
     _parse_cycles,
     _permutation_group,
+    _product_table,
     _row_finder,
     _validate_table,
     build_group,
     small_group_descriptors,
     subgroup_lattice,
 )
-from transfer_systems.sites import site_from_lattice
+from transfer_systems.sites import site_from_descriptor, site_from_lattice
 
 # Exhaustive lattice-law checks run on these (every group of order <= 24 we use).
 CATALOG = ["cyclic:6", "cyclic:12", "cyclic:24", "symmetric:3", "symmetric:4",
@@ -130,11 +131,11 @@ def test_product_with_normal_examples():
     latt = subgroup_lattice(build_group("cyclic:12"))
     labels = latt.labels
     c4, c3 = labels.index("C4"), labels.index("C3")
-    assert product_with_normal(latt, latt.bottom, c3) == c3
-    assert product_with_normal(latt, latt.top, c3) == latt.top
+    assert product_with_normal(latt, 0, c3) == c3
+    assert product_with_normal(latt, len(latt) - 1, c3) == len(latt) - 1
     assert labels[product_with_normal(latt, c4, c3)] == "C12"
     kn = oracles.setwise_product(latt.group, latt.subgroups[c4].members, latt.subgroups[c3].members)
-    assert oracles.index_of(latt, kn) == latt.top
+    assert oracles.index_of(latt, kn) == len(latt) - 1
 
 
 def test_product_with_normal_rejects_non_normal():
@@ -463,8 +464,8 @@ def test_symmetric_and_alternating_are_sorted_permutations(desc):
     perms = [p for p in permutations(range(n)) if fam == "symmetric" or even(p)]
     g = build_group(desc)
     assert g.order == len(perms)
-    identity = tuple(range(n))
-    assert [identity if nm == "e" else _parse_cycles(nm, n) for nm in g.element_names] == perms
+    parsed = [() if nm == "e" else _parse_cycles(nm) for nm in g.element_names]
+    assert [p + tuple(range(len(p), n)) for p in parsed] == perms
     index = {p: i for i, p in enumerate(perms)}
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
@@ -492,7 +493,7 @@ def _extension(m, shift):
 
 
 def _sorted_permutations(cycles, degree):
-    gens = [_parse_cycles(c, degree) for c in cycles]
+    gens = [p + tuple(range(len(p), degree)) for p in map(_parse_cycles, cycles)]
     return _permutation_group(gens, degree, 1000, "t"), _compose
 
 
@@ -527,6 +528,32 @@ def test_permutation_file_table_matches_the_per_pair_loop(tmp_path):
     elements, op = _sorted_permutations(lines, 10)
     assert group.order == 18
     assert np.array_equal(group.mul, oracles.table_by_pairs(elements, op))
+
+
+def test_product_table_marks_the_missing_products():
+    # M3's {id, (a b c)}: every product is a row but the square of the 3-cycle
+    identity, cycle = [0, 1, 2, 3, 4], [0, 2, 3, 1, 4]
+    table = _product_table(np.array([identity, cycle], dtype=np.int32))
+    assert table.tolist() == [[0, 1], [1, -1]]
+    square = [cycle[i] for i in cycle]
+    table = _product_table(np.array([identity, cycle, square], dtype=np.int32))
+    assert table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def test_a_group_site_parses_each_line_and_builds_the_cyclic_table_once(monkeypatch):
+    calls = {"_cyclic_masks": 0, "_parse_cycles": 0}
+    for name in calls:
+        real = getattr(groups_module, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(groups_module, name, counted)
+    site = site_from_descriptor("symmetric:5")
+    assert site.size == 156
+    # S5 comes from the two generator lines (1 2) and (1 2 3 4 5)
+    assert calls == {"_cyclic_masks": 1, "_parse_cycles": 2}
 
 
 def test_row_finder_finds_each_row_and_nothing_else():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import GRID_TEXT, P5_TEXT, m_poset_text
 from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
+from transfer_systems import groups as groups_module
 from transfer_systems import sites as sites_module
 from transfer_systems.functors import quotient_context
 from transfer_systems.groups import build_group, subgroup_lattice
@@ -53,6 +54,12 @@ def test_action_closed_under_composition(s3_site, d4_site):
                 assert tuple(int(p[i]) for i in q) in perms
 
 
+def _edge_rep_orbit(site, edge):
+    """The pairs that share ``edge``'s entry of ``site.edge_rep``."""
+    ks, hs = np.nonzero(site.edge_rep == site.edge_rep[edge])
+    return set(zip(ks.tolist(), hs.tolist()))
+
+
 def test_action_must_be_closed_under_composition():
     # M3: bot < a, b, c < top.  {id, (a b c)} preserves the order but
     # leaves out the square of the 3-cycle, so it is not a group.
@@ -64,7 +71,8 @@ def test_action_must_be_closed_under_composition():
     with pytest.raises(InternalCheckError, match="closed under composition"):
         Site(leq, (identity, cycle), names)
     site = Site(leq, (identity, cycle, cycle[cycle]), names)
-    assert site.orbit((0, 1)) == {(0, 1), (0, 2), (0, 3)}
+    assert _edge_rep_orbit(site, (0, 1)) == oracles.orbit_by_loop(site, (0, 1)) == {
+        (0, 1), (0, 2), (0, 3)}
 
 
 def test_a_composition_missing_from_a_later_block_is_found():
@@ -80,6 +88,7 @@ def test_a_composition_missing_from_a_later_block_is_found():
 def test_action_checks_read_every_block(monkeypatch):
     # one row per block: a failure in the last block is still found
     monkeypatch.setattr(sites_module, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(groups_module, "_BLOCK_ENTRIES", 1)
     with pytest.raises(InputFileError, match="does not preserve the order"):
         parse_poset_text(GRID_TEXT + "auto: 00 10 20 01 11 21 02 12 22\n"
                          "auto: 22 21 20 12 11 10 02 01 00\n")  # the reversal is no automorphism
@@ -179,7 +188,7 @@ def test_orbit_table_matches_loop_oracles(
     edges = data.draw(st.lists(st.sampled_from(site.pairs), max_size=8))
     assert site.orbit_representatives(edges) == oracles.orbit_representatives_by_loop(site, edges)
     for e in edges[:2]:
-        assert site.orbit(e) == oracles.orbit_by_loop(site, e)
+        assert _edge_rep_orbit(site, e) == oracles.orbit_by_loop(site, e)
     top_edges = [(h, site.top) for h in range(site.size) if h != site.top]
     subset = data.draw(st.lists(st.sampled_from(top_edges), unique=True, max_size=4))
     assert site.subset_orbit_key(subset) == oracles.subset_orbit_key_by_loop(site, subset)

@@ -257,7 +257,7 @@ def _corrupted(catalog, axiom):
     site = catalog.site
     for ts in catalog.systems:
         drops = [[(v, v)] for v in range(site.size)]
-        drops += [[e] for e in ts.edges()] + [sorted(site.orbit(e)) for e in ts.edges()]
+        drops += [[e] for e in ts.edges()] + [sorted(oracles.orbit_by_loop(site, e)) for e in ts.edges()]
         for edges in drops:
             rel = ts.rel.copy()
             rel[tuple(np.array(edges).T)] = False

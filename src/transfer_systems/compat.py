@@ -35,9 +35,10 @@ Three independent computations of M(O) are provided:
   compatible pair with O (the definitional set expression).  T(e) is
   action-closed, so T(p.e) = T(e): T(e) comes from the site's one cache
   (``systems._edge_systems``, one relation per edge orbit, shared with the
-  disklike test and ``complexity``), read at the strict pairs once per
-  orbit in use, and every edge is decided by one product of those rows
-  with ``blocked``;
+  disklike test and ``complexity``; the orbits it lacks are filled as one
+  stacked closure of their ``_edge_closures``, checked in blocks), read
+  at the strict pairs once per orbit in use, and every edge is decided by
+  one product of those rows with ``blocked``;
 * ``max_compat_recursive`` evaluates the recursion over the restriction
   poset (e is kept iff every strict restriction r < e is kept and
   annotates a success) in unrolled form: e is dropped iff some r <= e is
@@ -74,6 +75,7 @@ from .sites import Site, _bmm
 from .systems import (
     TransferSystem,
     _edge_systems,
+    _first_witness,
     _require_same_site,
     is_disklike,
 )
@@ -165,20 +167,16 @@ def is_compatible(o_a: TransferSystem, o_m: TransferSystem) -> CompatReport:
     Condition (2) for every multiplicative edge at once: the pair is
     compatible iff ``o_m.rel & blocked`` is empty (see the module
     docstring).  The containment o_m <= o_a is subsumed (take J = K).  The
-    witness is the first flagged K -> H in row-major order and the least
-    J <= H that breaks it, as an edge-by-edge scan would find.
+    witness is ``systems._first_witness`` of hyp @ gap under o_m: the first
+    flagged K -> H in row-major order and the least J <= H that breaks it,
+    as an edge-by-edge scan would find.
     """
     _require_same_site(o_a.site, o_m.site)
     site = o_a.site
     rel = o_a.rel
-    flat = np.flatnonzero(o_m.rel & _blocked(site, rel[None])[0])
-    if flat.size == 0:
-        return CompatReport(True)
-    k, h = divmod(int(flat[0]), site.size)
-    hyp = rel[site.meet[k], k]
-    gap = site.leq[:, h] & ~rel[:, h]
-    j = int(np.flatnonzero(hyp & gap)[0])
-    return CompatReport(False, (k, j, h))
+    # hyp[K, J] = K /\ J -> K, the gather _blocked makes, and gap = leq & ~rel
+    witness = _first_witness(np.take(rel.ravel(), site.meet_flat.T), site.leq & ~rel, o_m.rel)
+    return CompatReport(witness is None, witness)
 
 
 def max_compat_oracle(o: TransferSystem) -> TransferSystem:

@@ -2,9 +2,10 @@
 
 Both enumerators run one level-by-level BFS over single-edge additions:
 every transfer system is reachable from the trivial one because generation
-is monotone and idempotent.  The closure R_e of each added edge e is
-precomputed once, so extending a system O by e is one composition closure,
-comp(O | R_e), which equals generate(O + e) for a transfer system O.
+is monotone and idempotent.  The closures R_e of the added edges are
+precomputed once per call, as one stack from ``systems._edge_closures``, so
+extending a system O by e is one composition closure, comp(O | R_e), which
+equals generate(O + e) for a transfer system O.
 Generators count only up to their orbit (T(g.e) = T(e) contains e, so
 generate(S + g.e) = generate(S + e)), so each level adds orbit
 representatives only, and k levels reach exactly the systems generated by
@@ -17,7 +18,8 @@ as every stack is: a step is one stacked closure per block.  Dedup
 happens on the canonical bit-string key before anything is built, in
 candidate order, so the cap fires at the same count as a per-candidate
 loop would.  The level's new systems then pass the full axiom check in
-stacked blocks, the check the constructor runs on one relation.  The
+stacked blocks, the check the constructor runs on one relation, and join
+the site's memo of checked relations.  The
 catalog order is canonical (edge count, then key bytes), so runs are
 reproducible regardless of expansion order.
 
@@ -55,7 +57,7 @@ from .systems import (
     _block_slices,
     _check_stack,
     _comp,
-    _edge_closure,
+    _edge_closures,
     _stack_keys,
     _unsaturated,
     count_cover_relations,
@@ -148,8 +150,8 @@ def _bfs(
     turn up.
     """
     n = site.size
-    closures = np.array([_edge_closure(site, e) for e in edges], dtype=bool).reshape(-1, n, n)
     edge_flat = np.array([k * n + h for k, h in edges], dtype=np.intp)
+    closures = _edge_closures(site, edge_flat)
     seen = {start.key}
     ranked = [(start.edge_count, start.key, start)]
     frontier = start.rel[None]

@@ -106,8 +106,9 @@ class Site:
     ``systems._edge_systems``: one read-only relation per edge orbit, which
     the disklike test, ``complexity`` and the M(O) oracle share.  Another
     is ``"checked"``, the set of keys of the relations that passed the
-    ``TransferSystem`` constructor's axiom check on this site, so each
-    distinct relation is checked once.
+    axiom check on this site (``systems._check_blocks``, run by the
+    ``TransferSystem`` constructor, the enumerators' BFS and the T(e)
+    cache), so each distinct relation is checked once.
     """
 
     def __init__(
@@ -145,7 +146,6 @@ class Site:
         self.edge_rep.flags.writeable = False
         self.bottom = int(np.flatnonzero(leq[:, :].all(axis=1))[0])
         self.top = int(np.flatnonzero(leq[:, :].all(axis=0))[0])
-        self.pairs = tuple(map(tuple, np.argwhere(leq & ~np.eye(n, dtype=bool)).tolist()))
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         raw = leq.tobytes() + b"|" + b",".join(p.tobytes() for p in self.action)
         self.key = hashlib.sha256(raw).digest()
@@ -182,6 +182,11 @@ class Site:
             block = acts[lo : lo + step]
             if not leq.ravel()[block[:, ks] * n + block[:, hs]].all():
                 raise InputFileError("declared automorphism does not preserve the order")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every strict pair (K, H), K < H, in row-major order, built on first use."""
+        return tuple(map(tuple, np.argwhere(self.leq & ~np.eye(self.size, dtype=bool)).tolist()))
 
     @cached_property
     def covers(self) -> np.ndarray:

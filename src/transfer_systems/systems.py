@@ -3,7 +3,9 @@
 A transfer system on a site is a reflexive, action-closed, restriction-closed,
 transitive relation refining the site's order.  Relations and systems are bit
 matrices; the canonical row-major byte string doubles as dedup key, so
-equality checks stay cheap during enumeration.
+equality checks stay cheap during enumeration.  Each site remembers the keys
+of the relations that passed the axiom check on it, whichever path checked
+them: the constructor, the enumerators' BFS or the T(e) cache.
 """
 
 from __future__ import annotations
@@ -83,13 +85,15 @@ class TransferSystem:
     constructors; the constructor itself checks that the relation refines
     the order and satisfies all four axioms, and raises InternalCheckError
     on violation; a relation of any shape but n-by-n raises UsageError
-    first.  The check is ``_check_stack`` on a stack of one, run once
+    first.  The check is ``_check_blocks`` on a stack of one, run once
     per distinct relation on each site object: the site keeps the keys of
     the relations that passed it in ``_cache["checked"]``, a key
     joins only after its check passes, so a relation that fails raises on
     every construction.  The enumerators' BFS runs the same check on each
     level's new systems in blocks and wraps their relations through
-    ``_from_stack`` instead of one constructor call per system.
+    ``_from_stack`` instead of one constructor call per system; the T(e)
+    cache checks its stack the same way.  Both add their keys to the memo,
+    so constructing a system either of them found checks nothing again.
     """
 
     __slots__ = ("site", "rel", "key", "_cache")
@@ -99,10 +103,8 @@ class TransferSystem:
             raise UsageError("relation matrix has the wrong shape")
         rel = rel.astype(bool)
         key = rel.tobytes()
-        checked = site._cache.setdefault("checked", set())
-        if key not in checked:
-            _check_stack(site, rel[None])
-            checked.add(key)
+        if key not in site._cache.setdefault("checked", set()):
+            _check_blocks(site, rel[None], [key])
         rel.flags.writeable = False
         self.site = site
         self.rel = rel
@@ -116,12 +118,10 @@ class TransferSystem:
         """Systems for the relations of a (B, n, n) bool stack, checked in blocks.
 
         ``keys[i]`` must be ``rels[i].tobytes()``: the BFS shares its dedup
-        keys this way.  The stack becomes read-only and each system's
-        ``rel`` is a view into it.
+        keys this way.  ``_check_blocks`` makes the stack read-only, and
+        each system's ``rel`` is a view into it.
         """
-        for block in _block_slices(site, len(rels)):
-            _check_stack(site, rels[block])
-        rels.flags.writeable = False
+        _check_blocks(site, rels, keys)
         out = []
         for rel, key in zip(rels, keys):
             ts = cls.__new__(cls)
@@ -220,6 +220,34 @@ def _check_stack(site: Site, rels: np.ndarray) -> None:
         raise InternalCheckError(f"relation is not a transfer system: {reason}")
 
 
+def _check_blocks(site: Site, rels: np.ndarray, keys: list[bytes]) -> None:
+    """``_check_stack`` per ``_block_slices`` block of a (B, n, n) stack, then remember it passed.
+
+    ``keys[i]`` must be ``rels[i].tobytes()``.  Once every block has
+    passed, the stack becomes read-only, so no remembered relation can
+    change, and the keys join the site's memo ``_cache["checked"]``.
+    """
+    for block in _block_slices(site, len(rels)):
+        _check_stack(site, rels[block])
+    rels.flags.writeable = False
+    site._cache.setdefault("checked", set()).update(keys)
+
+
+def _first_witness(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The witness (i, k, j) of the first flagged entry of ``mask & (a @ b)``, or None.
+
+    (i, j) is the first flagged entry in row-major order and k the least
+    index with ``a[i, k] & b[k, j]``, as an edge-by-edge scan finds them.
+    The restriction and composition witnesses of ``_first_violation``,
+    ``is_saturated`` and ``compat.is_compatible`` all follow this rule.
+    """
+    flat = np.flatnonzero(mask & _bmm(a, b))
+    if not flat.size:
+        return None
+    i, j = divmod(int(flat[0]), mask.shape[-1])
+    return i, int(np.argmax(a[i] & b[:, j])), j
+
+
 def _violation_text(site: Site, rel: np.ndarray) -> str:
     outside = rel & ~site.leq
     if np.any(outside):
@@ -241,16 +269,13 @@ def _first_violation(site: Site, rel: np.ndarray) -> Optional[ViolationReport]:
                 k, h = map(int, np.argwhere(bad)[0])
                 return ViolationReport("conjugation", ((k, h), (int(p[k]), int(p[h]))))
     # lost[K, L]: K /\ L -> L is missing, so no edge K -> H with L <= H may stay
-    lost = ~rel.ravel()[site.meet_flat]
-    bad = rel & _bmm(lost, site.leq)
-    if np.any(bad):
-        k, h = map(int, np.argwhere(bad)[0])
-        l = int(np.flatnonzero(lost[k] & site.leq[:, h])[0])
+    witness = _first_witness(~rel.ravel()[site.meet_flat], site.leq, rel)  # lost @ leq
+    if witness is not None:
+        k, l, h = witness
         return ViolationReport("restriction", ((k, h), l, (int(site.meet[k, l]), l)))
-    bad = _bmm(rel, rel) & ~rel
-    if np.any(bad):
-        l, h = map(int, np.argwhere(bad)[0])
-        k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
+    witness = _first_witness(rel, rel, ~rel)
+    if witness is not None:
+        l, k, h = witness
         return ViolationReport("composition", ((l, k), (k, h), (l, h)))
     return None
 
@@ -283,10 +308,11 @@ def _conj(site: Site, rel: np.ndarray) -> np.ndarray:
 
 
 def _res(site: Site, rel: np.ndarray) -> np.ndarray:
+    """Restriction closure of an n-by-n relation, or of each one of a (B, n, n) stack."""
     out = rel.copy()
     # restricting some edge K -> H of rel along L <= H gives K /\ L -> L
-    k, l = np.nonzero(_bmm(rel, site.leq.T))
-    out[site.meet[k, l], l] = True
+    *b, k, l = np.nonzero(_bmm(rel, site.leq.T))
+    out[(*b, site.meet[k, l], l)] = True
     return out
 
 
@@ -308,9 +334,18 @@ def _comp(rel: np.ndarray) -> np.ndarray:
     return _comp(new)
 
 
-def _edge_closure(site: Site, edge: tuple[int, int]) -> np.ndarray:
-    """R_e = res(conj(refl({e}))): what adding e brings before composition."""
-    return _res(site, _conj(site, _refl(site, _scatter(site, [edge]))))
+def _edge_closures(site: Site, flat) -> np.ndarray:
+    """R_e = res(conj(refl({e}))), what adding e brings before composition, as a (k, n, n) stack.
+
+    One relation per edge with flat index in ``flat``.  conj(refl({e})) is
+    e's orbit, read off ``edge_rep``, plus the diagonal, so the orbit masks
+    are built at once; ``_res`` closes them per ``_block_slices`` block.
+    """
+    out = site.edge_rep == site.edge_rep.ravel()[flat][:, None, None]
+    out |= np.eye(site.size, dtype=bool)
+    for block in _block_slices(site, len(out)):
+        out[block] = _res(site, out[block])
+    return out
 
 
 def close_refl(b: BinaryRelation) -> BinaryRelation:
@@ -340,7 +375,7 @@ def generate(b: BinaryRelation) -> TransferSystem:
     Single pass of ``_close``; the constructor asserts the result satisfies
     all four axioms.  Conjugation and restriction distribute over unions,
     so for a transfer system O and an edge e, generate(O + e) =
-    comp(O | R_e) with R_e = res(conj(refl({e}))) (see ``_edge_closure``);
+    comp(O | R_e) with R_e = res(conj(refl({e}))) (see ``_edge_closures``);
     enumeration extends systems this way.
     """
     return TransferSystem(b.site, _close(b.site, b.rel))
@@ -355,18 +390,23 @@ def _edge_systems(site: Site, flat) -> np.ndarray:
 
     T(e) is action-closed, so every edge of an orbit generates the same
     system.  The site caches one read-only relation per edge orbit, keyed
-    by the orbit's least flat index (``edge_rep``) and filled on first use
-    through ``generate_from_edges``, so each T(e) passes the constructor's
-    axiom check once per (site, orbit).  The disklike test, ``complexity``
-    and the M(O) oracle all read T(e) here.
+    by the orbit's least flat index (``edge_rep``) and filled on first use:
+    the orbits a call is missing are closed together as ``_comp`` of their
+    ``_edge_closures`` stack, per ``_block_slices`` block, and pass
+    ``_check_blocks``, so each T(e) is checked once per (site, orbit) and
+    joins the site's memo of checked relations.  The disklike test,
+    ``complexity`` and the M(O) oracle all read T(e) here.
     """
-    n = site.size
     cache = site._cache.setdefault("edge_systems", {})
     reps = site.edge_rep.ravel()[flat].tolist()
-    for r in reps:
-        if r not in cache:
-            cache[r] = generate_from_edges(site, [divmod(r, n)]).rel
-    return np.array([cache[r] for r in reps], dtype=bool).reshape(-1, n, n)
+    missing = [r for r in dict.fromkeys(reps) if r not in cache]
+    if missing:
+        rels = _edge_closures(site, missing)
+        for block in _block_slices(site, len(missing)):
+            rels[block] = _comp(rels[block])
+        _check_blocks(site, rels, _stack_keys(rels))  # which makes them read-only
+        cache.update(zip(missing, rels))
+    return np.array([cache[r] for r in reps], dtype=bool).reshape(-1, site.size, site.size)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +461,9 @@ def _unsaturated(site: Site, rels: np.ndarray) -> np.ndarray:
 
 def is_saturated(ts: TransferSystem) -> SaturationResult:
     """Check for triples L <= K <= H with L->H present but K->H missing."""
-    site = ts.site
-    bad = _unsaturated(site, ts.rel[None])[0]
-    if not np.any(bad):
-        return SaturationResult(True, None)
-    l, h = map(int, np.argwhere(bad)[0])  # the first flagged pair, so such a K exists
-    gap = site.leq[:, h] & ~ts.rel[:, h]  # K -> H missing
-    return SaturationResult(False, (l, int(np.argmax(site.leq[l] & gap)), h))
+    # the first flagged L -> H, then the least K
+    witness = _first_witness(ts.site.leq, ts.site.leq & ~ts.rel, ts.rel)
+    return SaturationResult(witness is None, witness)
 
 
 def hull(ts: TransferSystem) -> TransferSystem:
@@ -453,17 +489,17 @@ def _disklike(site: Site, rels: np.ndarray) -> np.ndarray:
     The system those transfers generate is comp of the union of their
     T(h -> top), as in ``complexity``.  A system holds whole edge orbits
     and T(g.e) = T(e), so only the least source h of each orbit of top
-    edges is read: the union ORs each such T(h -> top) into the relations
-    holding h -> top, and one stacked ``_comp`` closes every union.
+    edges is read: one boolean product of the stack's columns at those
+    h -> top with their T(h -> top) ORs each T into the relations holding
+    h -> top, and one stacked ``_comp`` closes every union.
     """
     n, top = site.size, site.top
-    union = np.broadcast_to(np.eye(n, dtype=bool), rels.shape).copy()
     # the sources h != top held somewhere in the stack and least in their orbit
     held = rels[:, :, top].any(axis=0) & (site.edge_rep[:, top] == np.arange(n) * n + top)
     held[top] = False
     hs = np.flatnonzero(held)
-    for h, t in zip(hs.tolist(), _edge_systems(site, hs * n + top)):
-        union |= rels[:, h, top, None, None] & t
+    t = _edge_systems(site, hs * n + top).reshape(len(hs), n * n)
+    union = _bmm(rels[:, hs, top], t).reshape(rels.shape) | np.eye(n, dtype=bool)
     return (_comp(union) == rels).reshape(len(rels), n * n).all(axis=1)
 
 

@@ -60,10 +60,10 @@ from transfer_systems.groups import _group_from_table
 from transfer_systems.serialize import system_to_dict
 from transfer_systems.sites import Site, site_from_descriptor
 from transfer_systems.systems import (
+    SaturationResult,
     TransferSystem,
     ViolationReport,
     _comp,
-    _edge_closure,
     _edge_systems,
     count_cover_relations,
     generate_from_edges,
@@ -188,7 +188,7 @@ def bfs_by_loop(site: Site, start, edges, cap: int, message: str, depth=None):
     """The enumerators' BFS one candidate at a time: each frontier system
     plus each edge it lacks is closed by its own ``_comp`` call, deduped,
     and built through the constructor, which checks it."""
-    closures = [(e, _edge_closure(site, e)) for e in edges]
+    closures = [(e, edge_closure_by_loop(site, e)) for e in edges]
     seen = {start.key: start}
     frontier = [start.rel]
     level = 0
@@ -707,6 +707,19 @@ def subset_orbit_key_by_loop(site: Site, edges) -> tuple:
     return min(tuple(sorted((int(p[a]), int(p[b])) for a, b in edges)) for p in site.action)
 
 
+def edge_closure_by_loop(site: Site, edge) -> np.ndarray:
+    """R_e = res(conj(refl({e}))) of one edge: the diagonal and the images of e
+    under every permutation, then every restriction K /\\ L -> L of those edges."""
+    rel = np.eye(site.size, dtype=bool)
+    rel[edge] = True
+    rel = conj_by_loop(site, rel)
+    out = rel.copy()
+    for k, h in np.argwhere(rel).tolist():
+        ls = np.flatnonzero(site.leq[:, h])
+        out[site.meet[k, ls], ls] = True
+    return out
+
+
 def conj_by_loop(site: Site, rel: np.ndarray) -> np.ndarray:
     """Conjugation closure as the union of rel's images under the action."""
     out = rel.copy()
@@ -738,6 +751,17 @@ def first_violation_by_loop(site: Site, rel: np.ndarray):
         k = int(np.flatnonzero(rel[l] & rel[:, h])[0])
         return ViolationReport("composition", ((l, k), (k, h), (l, h)))
     return None
+
+
+def saturation_by_scan(ts) -> SaturationResult:
+    """Saturation scanned over the pairs L -> H of ts in row-major order,
+    then over K from the least: the first L <= K <= H with K -> H missing."""
+    site, rel = ts.site, ts.rel
+    for l, h in np.argwhere(rel).tolist():
+        for k in range(site.size):
+            if site.leq[l, k] and site.leq[k, h] and not rel[k, h]:
+                return SaturationResult(False, (l, k, h))
+    return SaturationResult(True, None)
 
 
 def disklike_generators(ts: TransferSystem) -> list[tuple[int, int]]:

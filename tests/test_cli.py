@@ -61,6 +61,28 @@ def test_check_subcommand(capsys):
     assert "complexity: 1" in out
 
 
+@pytest.mark.parametrize("group, edges, expected", [
+    ("symmetric:3", "<(12)>>S3", [
+        "input relation: not closed (conjugation: edge <(12)> -> S3 present but conjugate "
+        "<(13)> -> S3 missing)",
+        "saturated: no (witness L=1 K=<(123)> H=S3)",
+        "disklike: yes", "complexity: 1", "edges: 8", "cover relations: 13"]),
+    ("cyclic:12", "1>C4,C2>C6", [
+        "input relation: not closed (restriction: edge 1 -> C4 restricted along C2 needs "
+        "missing edge 1 -> C2)",
+        "saturated: no (witness L=1 K=C2 H=C4)",
+        "disklike: no", "complexity: 2", "edges: 5", "cover relations: 4"]),
+    ("cyclic:4", "1>C2,C2>C4", [
+        "input relation: not closed (composition: edges 1 -> C2 and C2 -> C4 compose to "
+        "missing edge 1 -> C4)",
+        "saturated: yes", "disklike: yes", "complexity: 2", "edges: 3", "cover relations: 1"]),
+])
+def test_check_names_each_witness_kind(capsys, group, edges, expected):
+    code, out, _ = run(capsys, "check", "--group", group, "--edges", edges)
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_check_reports_unclosed_input(capsys):
     code, out, _ = run(capsys, "check", "--group", "cyclic:6", "--edges", "1>C6")
     assert code == 0

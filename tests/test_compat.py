@@ -16,6 +16,7 @@ from oracles import (
     restriction_poset_by_loop,
 )
 from test_restriction import ALG_EXAMPLE_BOLD, ALG_EXAMPLE_EDGES
+from transfer_systems import systems
 from transfer_systems.compat import (
     conjecture_formula,
     is_compatible,
@@ -428,6 +429,32 @@ def test_edge_systems_cache_is_shared_and_grows_with_the_orbits_seen():
     for e, t in zip(site.pairs, stack):
         assert np.array_equal(t, generate_from_edges(site, [e]).rel)
     assert len(cached) == 34
+
+
+def test_edge_systems_fill_checks_in_blocks_without_the_constructor(monkeypatch):
+    site = site_from_descriptor("symmetric:4")
+    monkeypatch.setattr(systems, "_STACK_ENTRIES", 10 * site.size**2)  # 34 orbits: 10+10+10+4
+    checked = []
+    real = systems._check_stack
+
+    def counting(site, rels):
+        checked.append(len(rels))
+        return real(site, rels)
+
+    def constructor(*args):
+        raise AssertionError("the T(e) fill built a system through the constructor")
+
+    monkeypatch.setattr(systems, "_check_stack", counting)
+    monkeypatch.setattr(systems.TransferSystem, "__init__", constructor)
+    stack = _edge_systems(site, [k * site.size + h for k, h in site.pairs])
+    assert checked == [10, 10, 10, 4]
+    cached = site._cache["edge_systems"]
+    assert len(cached) == 34
+    # every T(e) that passed the check is in the site's memo of checked relations
+    assert {t.tobytes() for t in cached.values()} <= site._cache["checked"]
+    monkeypatch.undo()
+    for e, t in zip(site.pairs, stack):
+        assert np.array_equal(t, generate_from_edges(site, [e]).rel)
 
 
 # ---------------------------------------------------------------------------

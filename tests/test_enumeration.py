@@ -28,6 +28,17 @@ from transfer_systems.systems import (
 import oracles
 
 
+def test_enumeration_remembers_every_system_it_checked(monkeypatch):
+    site = site_from_descriptor("dihedral:4")
+    catalog = enumerate_all(site)
+    assert {ts.key for ts in catalog.systems} <= site._cache["checked"]
+    calls = []
+    monkeypatch.setattr(systems, "_check_stack", lambda site, rels: calls.append(len(rels)))
+    for ts in catalog.systems:
+        assert generate_from_edges(site, ts.edges()) == ts
+    assert calls == []
+
+
 def test_two_node_site_has_two_systems():
     cp = site_from_descriptor("cyclic:3")
     catalog = enumerate_all(cp)

@@ -33,7 +33,7 @@ from transfer_systems.systems import (
     _check_stack,
     _comp,
     _conj,
-    _edge_closure,
+    _edge_closures,
     _first_violation,
     validate,
 )
@@ -207,8 +207,33 @@ def test_incremental_step_equals_generate(
     e = data.draw(st.sampled_from(missing))
     rel = o.rel.copy()
     rel[e] = True
-    step = _comp(o.rel | _edge_closure(site, e))
+    step = _comp(o.rel | _edge_closures(site, [e[0] * site.size + e[1]])[0])
     assert np.array_equal(step, generate(BinaryRelation(site, rel)).rel)
+
+
+def _assert_edge_closures_match_loop(site, edges):
+    stack = _edge_closures(site, [k * site.size + h for k, h in edges])
+    assert stack.shape == (len(edges), site.size, site.size)
+    for e, r_e in zip(edges, stack):
+        assert np.array_equal(r_e, oracles.edge_closure_by_loop(site, e))
+
+
+@pytest.mark.parametrize("site_name", ["c6_site", "c12_site", "c36_site", "s3_site", "q8_site",
+                                       "d4_site", "s4_site", "p5_site", "grid_site"])
+def test_stacked_edge_closures_match_the_loop(site_name, request, monkeypatch):
+    # blocks of three relations, so that block boundaries fall inside the stack
+    site = request.getfixturevalue(site_name)
+    assert len(site.pairs) > 3
+    monkeypatch.setattr(systems_module, "_STACK_ENTRIES", 3 * site.size**2)
+    _assert_edge_closures_match_loop(site, list(site.pairs))
+
+
+def test_stacked_edge_closures_match_the_loop_on_s5_top_edges(monkeypatch):
+    site = site_from_descriptor("symmetric:5")
+    top = site.orbit_representatives((h, site.top) for h in range(site.size) if h != site.top)
+    assert len(top) == 18
+    monkeypatch.setattr(systems_module, "_STACK_ENTRIES", 4 * site.size**2)  # 4+4+4+4+2
+    _assert_edge_closures_match_loop(site, top)
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,6 +483,16 @@ def test_s3_saturation_witness(s3_site):
     assert not result.saturated
     l, k, h = result.witness
     assert (s3_site.labels[l], s3_site.labels[k], s3_site.labels[h]) == ("1", "<(123)>", "S3")
+
+
+@pytest.mark.parametrize(
+    "catalog_name",
+    ["c6_catalog", "c12_catalog", "s3_catalog", "d4_catalog", "q8_catalog", "grid_catalog"],
+)
+def test_saturation_matches_the_scan(catalog_name, request):
+    # the whole result, witness included
+    for ts in request.getfixturevalue(catalog_name).systems:
+        assert is_saturated(ts) == oracles.saturation_by_scan(ts)
 
 
 def test_c6_saturation_census(c6_catalog):

@@ -51,8 +51,10 @@ Three independent computations of M(O) are provided:
 
 The first two are kernels over a (B, n, n) stack of systems, ``_oracle``
 and ``_recursive``; they share the stack's ``blocked`` and return the
-stack of M(O).  The public functions run them on a stack of one, and the
-catalog sweeps in ``enumeration`` on blocks of the catalog.  Every M(O)
+stack of M(O).  The public functions run them on a stack of one, with
+their own ``_blocked``, and the sweeps in ``enumeration`` on blocks of
+a list of systems, with the ``blocked`` that the sweeps' one walk,
+``enumeration._blocks``, computes once per block.  Every M(O)
 passes the axiom check ``systems._check_stack`` before it is used: a
 public function's one result through the ``TransferSystem`` constructor,
 a sweep's stack directly.  The third method stays per system: it is the
@@ -61,6 +63,10 @@ independent check, and its inspection count is the measured quantity.
 ``conjecture_formula`` evaluates the conjectured one-shot simplification
 (keep e iff all strict restrictions are successes, i.e. e is not blocked)
 and deliberately returns a raw edge set rather than a validated system.
+Its stacked kernel, ``_formula``, is ``rels & ~blocked``: it keeps the
+diagonal, since ``blocked`` is never reflexive, so a sweep compares it
+with the stack of M(O) as it is, and only ``conjecture_formula`` drops
+the diagonal from its edge set.
 """
 
 from __future__ import annotations
@@ -263,13 +269,14 @@ def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     transfer-system axioms, so no validation is attempted.
     """
     rels = o.rel[None]
-    return _edge_set(_formula(o.site, rels, _blocked(o.site, rels))[0])
+    kept = _formula(o.site, rels, _blocked(o.site, rels))[0] & ~np.eye(o.site.size, dtype=bool)
+    return frozenset(map(tuple, np.argwhere(kept).tolist()))
 
 
 def _formula(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-    """The conjectured formula's edges, as a (B, n, n) stack without the diagonal."""
-    return rels & ~blocked & ~np.eye(site.size, dtype=bool)
+    """The conjectured formula's relations, as a (B, n, n) stack with the diagonal.
 
-
-def _edge_set(rel: np.ndarray) -> frozenset[tuple[int, int]]:
-    return frozenset(map(tuple, np.argwhere(rel).tolist()))
+    ``blocked`` is never reflexive, so the stack compares with the stack of
+    M(O) as it is.
+    """
+    return rels & ~blocked

@@ -24,26 +24,31 @@ catalog order is canonical (edge count, then key bytes), so runs are
 reproducible regardless of expansion order.
 
 The sweeps over a list of systems (``census``, ``cross_method_audit``,
-``TransferSystemCatalog.m_pairing`` and ``verify_conjecture``) walk it in
-blocks of ``_STACK_ENTRIES`` bool entries too, in catalog order: each
-block is one (B, n, n) stack, and saturation, self-compatibility, the
-disklike test, ``blocked`` and the oracle and recursive M(O) are each one
+``TransferSystemCatalog.m_pairing`` and ``verify_conjecture``) read it
+through one walk, ``_blocks``, in blocks of ``_STACK_ENTRIES`` bool
+entries too, in catalog order.  Per block it yields the index of the
+block's first system, the block's systems, their (B, n, n) stack and the
+stack's ``blocked``, computed once and shared by every kernel of the
+sweep.  Saturation, self-compatibility, the disklike test, the
+conjectured formula and the oracle and recursive M(O) are each one
 stacked kernel per block.  Every M(O) stack passes the stacked axiom
 check.  Only the cover-relation algorithm, the independent third method,
 runs per disklike system, and every disagreement is still reported at
-its catalog index.
+its catalog index.  Every edge list in a report is ``_labeled_edges``
+of a relation: its non-reflexive pairs as labels, in node order (sorted
+by label in the conjecture report).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .compat import (
     _blocked,
-    _edge_set,
     _formula,
     _oracle,
     _recursive,
@@ -89,34 +94,28 @@ class TransferSystemCatalog:
 
     site: Site
     systems: list[TransferSystem]
-    _stats: Optional[CensusStats] = field(default=None, repr=False)
-    _m_pairing: Optional[list[int]] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.systems)
 
-    @property
+    @cached_property
     def stats(self) -> CensusStats:
-        if self._stats is None:
-            self._stats = census(self)
-        return self._stats
+        return census(self)
 
-    @property
+    @cached_property
     def m_pairing(self) -> list[int]:
         """For each catalog index i, the catalog index of M(systems[i])."""
-        if self._m_pairing is None:
-            site = self.site
-            by_key = {s.key: i for i, s in enumerate(self.systems)}
-            pairing = []
-            for _, rels in _blocks(site, self.systems):
-                maximal = _recursive(site, rels, _blocked(site, rels))
-                _check_stack(site, maximal)
-                for key in _stack_keys(maximal):
-                    if key not in by_key:
-                        raise InternalCheckError("M(O) escaped the catalog")
-                    pairing.append(by_key[key])
-            self._m_pairing = pairing
-        return self._m_pairing
+        site = self.site
+        by_key = {s.key: i for i, s in enumerate(self.systems)}
+        pairing = []
+        for _, _, rels, blocked in _blocks(site, self.systems):
+            maximal = _recursive(site, rels, blocked)
+            _check_stack(site, maximal)
+            for key in _stack_keys(maximal):
+                if key not in by_key:
+                    raise InternalCheckError("M(O) escaped the catalog")
+                pairing.append(by_key[key])
+        return pairing
 
 
 def enumerate_all(site: Site, cap: int = DEFAULT_ENUMERATION_CAP) -> TransferSystemCatalog:
@@ -153,6 +152,8 @@ def _bfs(
     edge_flat = np.array([k * n + h for k, h in edges], dtype=np.intp)
     closures = _edge_closures(site, edge_flat)
     seen = {start.key}
+    if len(seen) > cap:  # the start system counts against the cap too
+        raise CapExceededError(message.format(cap=cap, count=len(seen)))
     ranked = [(start.edge_count, start.key, start)]
     frontier = start.rel[None]
     level = 0
@@ -178,10 +179,18 @@ def _bfs(
     return [ts for _, _, ts in sorted(ranked)]
 
 
-def _blocks(site: Site, systems: list[TransferSystem]) -> Iterator[tuple[int, np.ndarray]]:
-    """(index of its first system, (B, n, n) stack) per block of ``systems._block_slices``."""
-    for block in _block_slices(site, len(systems)):
-        yield block.start, np.stack([ts.rel for ts in systems[block]])
+def _blocks(
+    site: Site, systems: list[TransferSystem]
+) -> Iterator[tuple[int, list[TransferSystem], np.ndarray, np.ndarray]]:
+    """The one walk of the sweeps, per block of ``systems._block_slices``.
+
+    Yields (index of the block's first system, the block's systems, their
+    (B, n, n) stack, the stack's ``compat._blocked``).
+    """
+    for part in _block_slices(site, len(systems)):
+        block = systems[part]
+        rels = np.stack([ts.rel for ts in block])
+        yield part.start, block, rels, _blocked(site, rels)
 
 
 def _none(stack: np.ndarray) -> np.ndarray:
@@ -197,13 +206,13 @@ def census(catalog: TransferSystemCatalog) -> CensusStats:
     """
     site = catalog.site
     saturated = disklike = both = selfc = 0
-    for lo, rels in _blocks(site, catalog.systems):
+    for _, block, rels, blocked in _blocks(site, catalog.systems):
         sat = _none(_unsaturated(site, rels))
-        disk = _block_disklike(site, catalog.systems[lo : lo + len(rels)], rels)
+        disk = _block_disklike(site, block, rels)
         saturated += int(sat.sum())
         disklike += int(disk.sum())
         both += int((sat & disk).sum())
-        selfc += int(_none(rels & _blocked(site, rels)).sum())  # (O, O) compatible
+        selfc += int(_none(rels & blocked).sum())  # (O, O) compatible
     if selfc != saturated:
         raise InternalCheckError(
             f"self-compatible count {selfc} != saturated count {saturated}"
@@ -254,17 +263,16 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
     disagreements: list[AuditEntry] = []
     max_ratio = 0.0
     disklike_total = 0
-    for lo, rels in _blocks(site, catalog.systems):
-        blocked = _blocked(site, rels)
+    for lo, block, rels, blocked in _blocks(site, catalog.systems):
         oracle = _oracle(site, rels, blocked)
         recursive = _recursive(site, rels, blocked)
         _check_stack(site, oracle)
         _check_stack(site, recursive)
         differ = ~_none(oracle != recursive)
-        disklike = _block_disklike(site, catalog.systems[lo : lo + len(rels)], rels)
+        disklike = _block_disklike(site, block, rels)
         disklike_total += int(disklike.sum())
         for b in np.flatnonzero(differ | disklike).tolist():
-            i, ts = lo + b, catalog.systems[lo + b]
+            i, ts = lo + b, block[b]
             edges = _labeled_edges(site, ts.rel)
             if differ[b]:
                 disagreements.append(
@@ -380,27 +388,19 @@ def verify_conjecture(
     for site in sites:
         desc = site.descriptor or f"<site size {site.size}>"
         scopes.append(desc)
-        lab = site.labels
-
-        def named(edges: Iterable[tuple[int, int]]) -> list[tuple[str, str]]:
-            return sorted((lab[a], lab[b]) for a, b in edges)
-
         systems = disklike_systems(site, complexity_bound, require_bottom_to_top, cap)
-        for lo, rels in _blocks(site, systems):
+        for _, _, rels, blocked in _blocks(site, systems):
             checked += len(rels)
-            blocked = _blocked(site, rels)  # shared by the formula and the recursion
             formula = _formula(site, rels, blocked)
             truth = _recursive(site, rels, blocked)
             _check_stack(site, truth)
-            truth &= ~np.eye(site.size, dtype=bool)
             for b in np.flatnonzero(~_none(formula != truth)).tolist():
-                kept, true = _edge_set(formula[b]), _edge_set(truth[b])
                 cases.append(
                     ConjectureCase(
                         desc,
-                        named(systems[lo + b].edges()),
-                        named(kept - true),
-                        named(true - kept),
+                        sorted(_labeled_edges(site, rels[b])),
+                        sorted(_labeled_edges(site, formula[b] & ~truth[b])),
+                        sorted(_labeled_edges(site, truth[b] & ~formula[b])),
                     )
                 )
     return ConjectureReport(scopes, checked, cases)

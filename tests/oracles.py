@@ -190,6 +190,8 @@ def bfs_by_loop(site: Site, start, edges, cap: int, message: str, depth=None):
     and built through the constructor, which checks it."""
     closures = [(e, edge_closure_by_loop(site, e)) for e in edges]
     seen = {start.key: start}
+    if len(seen) > cap:
+        raise CapExceededError(message.format(cap=cap, count=len(seen)))
     frontier = [start.rel]
     level = 0
     while frontier and (depth is None or level < depth):

@@ -378,6 +378,9 @@ INPUT_ERRORS = [
      '{"site": 6, "edges": []}', "system JSON 'site' must be a descriptor string"),
     ("poset-over-node-cap", ["lattice", "--site", "{f}"],
      "nodes: " + " ".join(f"n{i}" for i in range(5001)) + "\n", "5001 nodes exceed cap 5000"),
+    # the start system alone is over a cap of 0, with no level to run
+    ("enumerate-cap-0-one-system", ["enumerate", "--group", "cyclic:1", "--cap", "0"], None,
+     "enumeration cap 0 exceeded (partial count 1)"),
 ]
 
 

@@ -158,6 +158,21 @@ def test_cap_message_matches_the_loop(c36_site, cap, count):
     assert len(enumerate_all(c36_site, cap=1396)) == 1396
 
 
+def test_start_system_counts_against_the_cap():
+    # the trivial site's only system is the start: no level runs
+    site = site_from_descriptor("cyclic:1")
+    message = "enumeration cap 0 exceeded (partial count 1)"
+    with pytest.raises(CapExceededError) as loop:
+        oracles.bfs_by_loop(site, trivial_ts(site), [], 0, ENUMERATION_MESSAGE)
+    assert str(loop.value) == message
+    with pytest.raises(CapExceededError) as stacked:
+        enumerate_all(site, cap=0)
+    assert str(stacked.value) == message
+    with pytest.raises(CapExceededError, match="disklike enumeration cap 0 exceeded"):
+        disklike_systems(site, cap=0)
+    assert len(enumerate_all(site, cap=1)) == 1
+
+
 def test_enumeration_cap(c6_site):
     with pytest.raises(CapExceededError, match="partial count"):
         enumerate_all(c6_site, cap=4)
@@ -286,6 +301,40 @@ def test_verify_conjecture_computes_blocked_once_per_block(s4_site, monkeypatch)
     assert len({key for keys in calls for key in keys}) == 48
 
 
+@pytest.mark.parametrize("sweep", ["census", "cross_method_audit", "m_pairing"])
+def test_catalog_sweeps_compute_blocked_once_per_block(sweep, c36_catalog, monkeypatch):
+    calls = []
+    real = compat._blocked
+
+    def counting(site, rels):
+        calls.append(systems._stack_keys(rels))
+        return real(site, rels)
+
+    monkeypatch.setattr(compat, "_blocked", counting)
+    monkeypatch.setattr(enumeration, "_blocked", counting)
+    catalog = TransferSystemCatalog(c36_catalog.site, c36_catalog.systems)
+    {"census": census, "cross_method_audit": cross_method_audit,
+     "m_pairing": lambda c: c.m_pairing}[sweep](catalog)
+    step = _STACK_ENTRIES // catalog.site.size**2  # C36: 9 nodes, blocks of 404
+    assert [len(keys) for keys in calls] == [step, step, step, len(catalog) - 3 * step]
+    assert [key for keys in calls for key in keys] == [ts.key for ts in catalog.systems]
+
+
+def test_stats_and_m_pairing_run_their_sweep_once(d4_catalog, monkeypatch):
+    walks = []
+    real = enumeration._blocks
+
+    def counting(site, systems):
+        walks.append(len(systems))
+        return real(site, systems)
+
+    monkeypatch.setattr(enumeration, "_blocks", counting)
+    catalog = TransferSystemCatalog(d4_catalog.site, d4_catalog.systems)
+    assert catalog.stats is catalog.stats
+    assert catalog.m_pairing is catalog.m_pairing
+    assert walks == [len(catalog), len(catalog)]
+
+
 def test_verify_conjecture_categorical_counterexample(p5_site):
     report = verify_conjecture([p5_site])
     assert not report.ok
@@ -293,7 +342,8 @@ def test_verify_conjecture_categorical_counterexample(p5_site):
     case = report.counterexamples[0]
     assert case.formula_only == [("A", "top")]
     assert case.missing == []
-    assert sorted(case.system) == [("A", "top"), ("bot", "B"), ("bot", "C")]
+    assert case.system == [("A", "top"), ("bot", "B"), ("bot", "C")]  # by label, not by node
+    assert _json_bytes(report) == _json_bytes(oracles.verify_conjecture_by_loop([p5_site]))
 
 
 def test_verify_conjecture_json_round_trip(p5_site):

@@ -38,6 +38,7 @@ from .sites import Site, site_from_descriptor
 from .systems import (
     BinaryRelation,
     TransferSystem,
+    _labeled_edges,
     close_refl,
     complexity,
     count_cover_relations,
@@ -82,13 +83,14 @@ def parse_edges(site: Site, text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _edge_str(site: Site, e: tuple[int, int]) -> str:
-    return f"{site.labels[e[0]]}>{site.labels[e[1]]}"
+def _arrows(ts: TransferSystem) -> list[str]:
+    """``SRC>DST`` per non-reflexive edge, in node order, in the labels of the system's site."""
+    return [f"{a}>{b}" for a, b in _labeled_edges(ts.site, ts.rel)]
 
 
 def _emit_edges(args, ts: TransferSystem) -> None:
-    """One ``SRC>DST`` line per non-reflexive edge, in the labels of the system's site."""
-    _emit(args, "".join(_edge_str(ts.site, e) + "\n" for e in ts.edges()))
+    """One ``SRC>DST`` line per non-reflexive edge."""
+    _emit(args, "".join(e + "\n" for e in _arrows(ts)))
 
 
 def _load_site(args) -> Site:
@@ -304,12 +306,12 @@ def _cmd_maximal(args) -> int:
             results["algorithm"] = max_compat_disklike(ts).system
     values = list(results.values())
     agree = all(v == values[0] for v in values)
-    lines = ["M(O) edges: " + (", ".join(_edge_str(site, e) for e in values[0].edges()) or "(none)")]
+    lines = ["M(O) edges: " + (", ".join(_arrows(values[0])) or "(none)")]
     if args.method == "all":
         lines.append("methods agree" if agree else "METHODS DISAGREE")
         for name, v in results.items():
             if v != values[0]:
-                lines.append(f"  {name}: " + ", ".join(_edge_str(site, e) for e in v.edges()))
+                lines.append(f"  {name}: " + ", ".join(_arrows(v)))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if agree else EXIT_INCONSISTENT
 

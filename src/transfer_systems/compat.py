@@ -37,8 +37,11 @@ Three independent computations of M(O) are provided:
   (``systems._edge_systems``, one relation per edge orbit, shared with the
   disklike test and ``complexity``; the orbits it lacks are filled as one
   stacked closure of their ``_edge_closures``, checked in blocks), read
-  at the strict pairs once per orbit in use, and every edge is decided by
-  one product of those rows with ``blocked``;
+  at the strict pairs once per orbit in use, and every orbit is decided by
+  one product of those rows with ``blocked``.  Every O is action-closed,
+  so the orbits a stack uses are the least edges (``Site.orbit_reps``)
+  that some O of it holds, and each edge takes its orbit's verdict
+  through ``edge_rep``;
 * ``max_compat_recursive`` evaluates the recursion over the restriction
   poset (e is kept iff every strict restriction r < e is kept and
   annotates a success) in unrolled form: e is dropped iff some r <= e is
@@ -46,8 +49,10 @@ Three independent computations of M(O) are provided:
 * ``max_compat_disklike`` is the cover-relation algorithm for disklike
   systems: one pass over the poset nodes in order of the site's |down(H)|
   at each node's target (covers come first), deciding each conjugacy class
-  of edges at its least edge and counting cover inspections.  It reads
-  each node's covers from the site's cover relation.
+  of edges at its least edge (the edges of O in ``Site.orbit_reps``) and
+  counting cover inspections.  It reads each node's covers from the
+  site's cover relation, and each edge of O takes its class's verdict
+  through ``edge_rep``.
 
 The first two are kernels over a (B, n, n) stack of systems, ``_oracle``
 and ``_recursive``; they share the stack's ``blocked`` and return the
@@ -127,22 +132,21 @@ def _blocked(site: Site, rels: np.ndarray) -> np.ndarray:
 def _oracle(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """The (B, n, n) stack of M(O) by the set expression, for a stack of O and their ``blocked``.
 
-    Edge e of O is kept iff T(e) meets no blocked pair of O.  T(e) is read
-    from the site's cache once per edge orbit that occurs in the stack, at
-    the strict pairs only, and one product of those rows with the (B, P)
-    blocked pairs decides every edge.
+    Edge e of O is kept iff T(e) meets no blocked pair of O.  Every O is
+    action-closed, so the orbits in use are the least edges
+    (``Site.orbit_reps``) that some O of the stack holds.  T(e) is read
+    from the site's cache once per such orbit, at the strict pairs only,
+    one product of those rows with the (B, P) blocked pairs decides every
+    orbit, and each edge takes its orbit's verdict through ``edge_rep``.
     """
     b, n = len(rels), site.size
-    strict = (rels & ~np.eye(n, dtype=bool)).reshape(b, n * n)
-    occur = np.flatnonzero(strict.any(axis=0))  # flat indices of the strict pairs in use
-    reps = site.edge_rep.ravel()[occur]
-    orbits = sorted(set(reps.tolist()))  # np.unique imports numpy.ma: ~15 ms cold
+    orbits = np.flatnonzero(rels.any(axis=0) & site.orbit_reps)  # least edges in use
     pairs = np.flatnonzero(site.leq & ~np.eye(n, dtype=bool))
     rows = _edge_systems(site, orbits).reshape(len(orbits), n * n)[:, pairs]
     hit = _bmm(rows, blocked.reshape(b, n * n)[:, pairs].T)  # T(orbits[i]) meets blocked[b]
-    out = np.zeros((b, n * n), dtype=bool)
-    out[:, occur] = strict[:, occur] & ~hit.T[:, np.searchsorted(orbits, reps)]
-    return out.reshape(b, n, n) | np.eye(n, dtype=bool)
+    dropped = np.zeros((b, n * n), dtype=bool)
+    dropped[:, orbits] = hit.T
+    return rels & ~dropped[:, site.edge_rep]
 
 
 def _recursive(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -233,9 +237,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     site = o.site
     n = site.size
     rel = o.rel
-    edge_rep = site.edge_rep.ravel()
-    nodes = np.flatnonzero(rel & ~np.eye(n, dtype=bool))  # flat indices, node order
-    least = nodes[edge_rep[nodes] == nodes]  # the least edge of each class
+    least = np.flatnonzero(rel & site.orbit_reps)  # the least edge of each class, node order
     ks, hs = np.divmod(least, n)
     outside = ~site.leq[:, ks]  # outside[J, i]: J not <= K
     down = site.leq.sum(axis=0)[hs]  # |down(H)| in the site
@@ -245,7 +247,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     order = np.lexsort((cover, i))
     i, j, cover = i[order], j[order], cover[order]
     success = ~(rel.ravel()[site.meet_flat[j, ks[i]]] & ~rel[j, hs[i]])
-    cover_class = edge_rep[cover]
+    cover_class = site.edge_rep.ravel()[cover]
     bounds = np.searchsorted(i, np.arange(len(least) + 1)).tolist()
     kept = np.zeros(n * n, dtype=bool)  # by class, at the flat index of its least edge
     steps = 0
@@ -255,8 +257,7 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
         verdict = bool(ok.all())
         steps += hi - lo if verdict else int(ok.argmin()) + 1
         kept[least[x]] = verdict
-    rel = np.eye(n, dtype=bool)
-    rel.ravel()[nodes] = kept[edge_rep[nodes]]
+    rel = rel & kept[site.edge_rep] | np.eye(n, dtype=bool)
     return DisklikeResult(TransferSystem(site, rel), steps)
 
 

@@ -9,7 +9,13 @@ equals generate(O + e) for a transfer system O.
 Generators count only up to their orbit (T(g.e) = T(e) contains e, so
 generate(S + g.e) = generate(S + e)), so each level adds orbit
 representatives only, and k levels reach exactly the systems generated by
-at most k of the edges.
+at most k of the edges.  The BFS takes its edges as flat indices
+``k * n + h``, and the representatives are the least edges of their
+orbits, read from the site's one table ``Site.orbit_reps`` in row-major
+order: ``np.flatnonzero(site.orbit_reps)`` for the catalog, and the
+table's column at top for the disklike scope.  A row-major scan meets
+each orbit first at its least edge, so this is the order in which a scan
+of the pairs would first meet the orbits.
 
 A level runs on stacks.  Its candidates O | R_e, for every frontier system
 O and every edge e not in O, frontier-major and edge-minor, are closed in
@@ -34,9 +40,9 @@ conjectured formula and the oracle and recursive M(O) are each one
 stacked kernel per block.  Every M(O) stack passes the stacked axiom
 check.  Only the cover-relation algorithm, the independent third method,
 runs per disklike system, and every disagreement is still reported at
-its catalog index.  Every edge list in a report is ``_labeled_edges``
-of a relation: its non-reflexive pairs as labels, in node order (sorted
-by label in the conjecture report).
+its catalog index.  Every edge list in a report is
+``systems._labeled_edges`` of a relation: its non-reflexive pairs as
+labels, in node order (sorted by label in the conjecture report).
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .systems import (
     _check_stack,
     _comp,
     _edge_closures,
+    _labeled_edges,
     _stack_keys,
     _unsaturated,
     count_cover_relations,
@@ -127,7 +134,7 @@ def enumerate_all(site: Site, cap: int = DEFAULT_ENUMERATION_CAP) -> TransferSys
     systems = _bfs(
         site,
         trivial_ts(site),
-        site.orbit_representatives(site.pairs),
+        np.flatnonzero(site.orbit_reps),
         cap,
         "enumeration cap {cap} exceeded (partial count {count})",
     )
@@ -137,19 +144,19 @@ def enumerate_all(site: Site, cap: int = DEFAULT_ENUMERATION_CAP) -> TransferSys
 def _bfs(
     site: Site,
     start: TransferSystem,
-    edges: list[tuple[int, int]],
+    edge_flat: np.ndarray,
     cap: int,
     message: str,
     depth: Optional[int] = None,
 ) -> list[TransferSystem]:
     """Systems reachable from ``start`` by adding edges, in canonical order.
 
-    With ``depth`` set, at most that many edges are added.  ``message`` is
-    formatted with ``cap`` and ``count`` when more than ``cap`` systems
-    turn up.
+    ``edge_flat`` holds the flat indices ``k * n + h`` of the edges to add,
+    in the order the candidates try them.  With ``depth`` set, at most that
+    many edges are added.  ``message`` is formatted with ``cap`` and
+    ``count`` when more than ``cap`` systems turn up.
     """
     n = site.size
-    edge_flat = np.array([k * n + h for k, h in edges], dtype=np.intp)
     closures = _edge_closures(site, edge_flat)
     seen = {start.key}
     if len(seen) > cap:  # the start system counts against the cap too
@@ -248,11 +255,6 @@ class AuditReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _labeled_edges(site: Site, rel: np.ndarray) -> list[tuple[str, str]]:
-    lab = site.labels
-    return [(lab[a], lab[b]) for a, b in np.argwhere(rel & ~np.eye(site.size, dtype=bool)).tolist()]
-
-
 def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
     """Agreement of oracle, recursive, and (where disklike) worklist M(O).
 
@@ -330,14 +332,13 @@ def disklike_systems(
     """
     if max_generators is not None and max_generators < 0:
         raise UsageError("complexity bound must be >= 0")
-    top = site.top
-    top_edges = [(int(h), top) for h in range(site.size) if h != top]
+    n, top = site.size, site.top
     universal = (site.bottom, top)
     seed = [universal] if require_bottom_to_top and max_generators is None else []
     systems = _bfs(
         site,
         generate_from_edges(site, seed),
-        site.orbit_representatives(top_edges),
+        np.flatnonzero(site.orbit_reps[:, top]) * n + top,
         cap,
         "disklike enumeration cap {cap} exceeded",
         max_generators,

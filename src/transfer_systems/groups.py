@@ -296,10 +296,14 @@ def _cyclic_extension(
 # File-backed groups
 
 
-def _read_group_file(path: Path, what: str) -> str:
-    """File contents; an unreadable file raises InputFileError naming its path."""
+def _read_file(path: str | Path, what: str) -> str:
+    """The text of a ``what`` file: Cayley, permutation, poset or system.
+
+    An unreadable file, or one that is not valid text, raises
+    InputFileError naming ``path`` as given.
+    """
     try:
-        return path.read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {what} file {path}: {exc}") from None
 
@@ -308,7 +312,7 @@ def group_from_cayley_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP)
     """Read a Cayley table: line 1 is the order n, then n rows of n indices."""
     path = Path(path)
     tokens: list[str] = []
-    for line in _read_group_file(path, "Cayley").splitlines():
+    for line in _read_file(path, "Cayley").splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             tokens.extend(line.split())
@@ -427,7 +431,7 @@ def group_from_permutations(
 
 def group_from_permutation_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     path = Path(path)
-    lines = _read_group_file(path, "permutation").splitlines()
+    lines = _read_file(path, "permutation").splitlines()
     return group_from_permutations(lines, f"perms:{path}", path.stem, order_cap)
 
 

@@ -18,17 +18,17 @@ from typing import Optional
 
 from .enumeration import TransferSystemCatalog
 from .errors import InputFileError, InternalCheckError, MismatchedSitesError, UsageError
+from .groups import _read_file, build_group
 from .sites import Site, site_from_descriptor
-from .systems import BinaryRelation, TransferSystem, _refl, _scatter
+from .systems import BinaryRelation, TransferSystem, _labeled_edges, _refl, _scatter
 
 
 def system_to_dict(ts: TransferSystem) -> dict:
     if ts.site.descriptor is None:
         raise UsageError("cannot serialize a system on a descriptor-less site")
-    lab = ts.site.labels
     return {
         "site": ts.site.descriptor,
-        "edges": [[lab[a], lab[b]] for a, b in ts.edges()],
+        "edges": [[a, b] for a, b in _labeled_edges(ts.site, ts.rel)],
     }
 
 
@@ -41,9 +41,9 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
 
     The ``site`` field must be a descriptor string.  Without a given site
     it names the site; with one, an absent field means that site, the given
-    site's own descriptor is taken as is, and any other descriptor is
-    rebuilt and must have the same ``Site.key`` (MismatchedSitesError
-    otherwise), so ``poset:./p.poset`` still matches ``poset:p.poset``.
+    site's own descriptor is taken as is, and any other descriptor must
+    rebuild it (``_rebuilds``; MismatchedSitesError otherwise), so
+    ``poset:./p.poset`` still matches ``poset:p.poset``.
 
     The listed edges plus the identity must already be a transfer system,
     as the constructor's axiom check (run once per distinct relation and
@@ -66,7 +66,7 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
             raise InputFileError("system JSON 'site' must be a descriptor string")
         if site is None:
             site = site_from_descriptor(desc)
-        elif desc != site.descriptor and site_from_descriptor(desc).key != site.key:
+        elif desc != site.descriptor and not _rebuilds(desc, site):
             raise MismatchedSitesError(
                 f"system JSON site {desc!r} is not the site {site.descriptor!r}"
             )
@@ -80,6 +80,21 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
     raise UsageError("edge list is not a transfer system (closure adds edges)")
 
 
+def _rebuilds(desc: str, site: Site) -> bool:
+    """Whether the descriptor rebuilds the site, with the same ``Site.key``.
+
+    Against a group site, a plain group descriptor (no ``poset:``, no
+    ``|above:``) first builds its group alone, and a group of another
+    order is refused before its subgroup lattice is built: S6's takes
+    seconds.  A poset or interval site can share a group site's key, so
+    every other descriptor is rebuilt in full.
+    """
+    plain = "|above:" not in desc and not desc.strip().startswith("poset:")
+    if site.lattice is not None and plain and build_group(desc).order != site.lattice.group.order:
+        return False
+    return site_from_descriptor(desc).key == site.key
+
+
 def load_system(text: str, site: Optional[Site] = None) -> TransferSystem:
     try:
         data = json.loads(text)
@@ -90,11 +105,7 @@ def load_system(text: str, site: Optional[Site] = None) -> TransferSystem:
 
 def read_system(path: str | Path, site: Optional[Site] = None) -> TransferSystem:
     """Load a system JSON file; unreadable or malformed files raise InputFileError."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFileError(f"cannot read system file {path}: {exc}") from None
-    return load_system(text, site)
+    return load_system(_read_file(path, "system"), site)
 
 
 def dump_catalog(catalog: TransferSystemCatalog) -> str:

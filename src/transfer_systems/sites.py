@@ -29,6 +29,7 @@ from .groups import (
     SubgroupLattice,
     _permutation_group,
     _product_table,
+    _read_file,
     build_group,
     subgroup_lattice,
 )
@@ -95,6 +96,14 @@ class Site:
             action orbit of (K, H).  Orbit questions read this table instead
             of looping over the action; it is exact because the action is a
             group, so orbits partition the pairs.
+        orbit_reps: read-only n-by-n bool table, computed on first use:
+            ``orbit_reps[K, H]`` iff K < H and (K, H) is the least edge of
+            its orbit (``edge_rep[K, H] == K * n + H``).  Transfer systems
+            are action-closed, so T(g.e) = T(e), and every selection of
+            one edge per orbit in the library reads this table by flat
+            edge index: ``np.flatnonzero(rel & orbit_reps)`` lists the
+            orbits a relation holds, each at its least edge, in row-major
+            order, which is the order a row-major scan meets the orbits.
         labels: display names, unique per node.
         lattice: the source SubgroupLattice for plain group sites, else
             None; ``lattice is not None`` is the test for a group site.
@@ -195,6 +204,14 @@ class Site:
         covers.flags.writeable = False
         return covers
 
+    @cached_property
+    def orbit_reps(self) -> np.ndarray:
+        n = self.size
+        least = self.leq & (self.edge_rep == np.arange(n * n).reshape(n, n))
+        np.fill_diagonal(least, False)
+        least.flags.writeable = False
+        return least
+
     def node(self, label: str) -> int:
         """Node index for a display label (or a bare index in ASCII digits)."""
         if label in self._label_index:
@@ -208,17 +225,15 @@ class Site:
         )
 
     def orbit_representatives(self, edges) -> list[tuple[int, int]]:
-        """Lexicographically least member of each edge orbit, in order.
+        """Lexicographically least member of each edge orbit, in order of first appearance.
 
-        Generated transfer systems depend on a generator edge only through
-        its orbit, so enumerations may expand representatives only.
+        The library selects orbit representatives from the ``orbit_reps``
+        table by flat index and does not call this; it takes any edges as
+        (k, h) pairs, and the tests and the bench's tracing use it.
         """
-        edges = list(edges)
-        if not edges:
-            return []
-        reps = self.edge_rep[tuple(np.array(edges).T)]
-        _, first = np.unique(reps, return_index=True)
-        return [divmod(int(r), self.size) for r in reps[np.sort(first)]]
+        n = self.size
+        reps = self.edge_rep.ravel()[[k * n + h for k, h in edges]].tolist()
+        return [divmod(r, n) for r in dict.fromkeys(reps)]
 
     def subset_orbit_key(self, edges) -> tuple:
         """Canonical key of an edge set under the simultaneous action.
@@ -348,11 +363,7 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
 
 def site_from_poset_file(path: str | Path) -> Site:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFileError(f"cannot read poset file {path}: {exc}") from None
-    return parse_poset_text(text, descriptor=f"poset:{path}")
+    return parse_poset_text(_read_file(path, "poset"), descriptor=f"poset:{path}")
 
 
 def site_from_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Site:

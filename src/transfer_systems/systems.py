@@ -48,6 +48,16 @@ def _scatter(site: Site, edges: Iterable[tuple[int, int]]) -> np.ndarray:
     return rel
 
 
+def _labeled_edges(site: Site, rel: np.ndarray) -> list[tuple[str, str]]:
+    """The non-reflexive pairs of an n-by-n relation as (source, target) labels, in node order.
+
+    Every printed edge list reads this: the CLI's, a system file's, a
+    system's ``repr`` and every report's.
+    """
+    lab = site.labels
+    return [(lab[a], lab[b]) for a, b in np.argwhere(rel & ~np.eye(site.size, dtype=bool)).tolist()]
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """First violated transfer-system axiom plus witness edges.
@@ -140,9 +150,7 @@ class TransferSystem:
         return hash((self.site.key, self.key))
 
     def __repr__(self) -> str:
-        names = ", ".join(
-            f"{self.site.labels[a]}>{self.site.labels[b]}" for a, b in self.edges()
-        )
+        names = ", ".join(f"{a}>{b}" for a, b in _labeled_edges(self.site, self.rel))
         return f"TransferSystem({names or 'trivial'})"
 
     def edges(self) -> list[tuple[int, int]]:
@@ -489,15 +497,14 @@ def _disklike(site: Site, rels: np.ndarray) -> np.ndarray:
     The system those transfers generate is comp of the union of their
     T(h -> top), as in ``complexity``.  A system holds whole edge orbits
     and T(g.e) = T(e), so only the least source h of each orbit of top
-    edges is read: one boolean product of the stack's columns at those
-    h -> top with their T(h -> top) ORs each T into the relations holding
-    h -> top, and one stacked ``_comp`` closes every union.
+    edges, the column ``site.orbit_reps[:, top]``, is read: one boolean
+    product of the stack's columns at those h -> top with their
+    T(h -> top) ORs each T into the relations holding h -> top, and one
+    stacked ``_comp`` closes every union.
     """
     n, top = site.size, site.top
-    # the sources h != top held somewhere in the stack and least in their orbit
-    held = rels[:, :, top].any(axis=0) & (site.edge_rep[:, top] == np.arange(n) * n + top)
-    held[top] = False
-    hs = np.flatnonzero(held)
+    # the sources h < top held somewhere in the stack and least in their orbit
+    hs = np.flatnonzero(rels[:, :, top].any(axis=0) & site.orbit_reps[:, top])
     t = _edge_systems(site, hs * n + top).reshape(len(hs), n * n)
     union = _bmm(rels[:, hs, top], t).reshape(rels.shape) | np.eye(n, dtype=bool)
     return (_comp(union) == rels).reshape(len(rels), n * n).all(axis=1)
@@ -527,19 +534,21 @@ def complexity(ts: TransferSystem, bound: int = 4) -> Optional[int]:
     ts.  So only edges with maximal T(e) are tried, one per class of equal
     T(e) (T(g.e) = T(e), so one edge per orbit is read), in subsets of
     increasing cardinality, each closed as comp of the union of its T(e).
+    The edges read are the least of each orbit of ts (``Site.orbit_reps``),
+    by flat index.
     """
     if bound < 0:
         raise UsageError("complexity bound must be >= 0")
     site = ts.site
-    reps = site.orbit_representatives(ts.edges())
+    flat = np.flatnonzero(ts.rel & site.orbit_reps)
     classes: dict[bytes, tuple] = {}
-    for e, t in zip(reps, _edge_systems(site, [k * site.size + h for k, h in reps])):
+    for e, t in zip(flat.tolist(), _edge_systems(site, flat)):
         classes.setdefault(t.tobytes(), (e, t))
     if not classes:
         return 0
     edges, systems = zip(*classes.values())
     # T(e_i) <= T(e_j) iff e_i lies in T(e_j): T(e_i) is maximal iff no other T holds e_i
-    holders = sum(t[tuple(np.array(edges).T)] for t in systems)
+    holders = sum(t.ravel()[list(edges)] for t in systems)
     maximal = [t for t, n in zip(systems, holders) if n == 1]
     for k in range(1, bound + 1):
         for subset in combinations(maximal, k):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import P5_TEXT, m_poset_text
-from transfer_systems import cli
+from transfer_systems import cli, sites
 from transfer_systems.cli import main
 from transfer_systems.errors import UsageError
 
@@ -381,6 +381,11 @@ INPUT_ERRORS = [
     # the start system alone is over a cap of 0, with no level to run
     ("enumerate-cap-0-one-system", ["enumerate", "--group", "cyclic:1", "--cap", "0"], None,
      "enumeration cap 0 exceeded (partial count 1)"),
+    # one file-read rule: Cayley, permutation, poset and system files
+    ("input-directory", ["check", "--group", "cyclic:6", "--input", "{f}"], None,
+     "cannot read system file {f}: " + _EISDIR + ": '{f}'"),
+    ("cayley-directory", ["lattice", "--group", "cayley:{f}"], None,
+     "cannot read Cayley file {f}: " + _EISDIR + ": '{f}'"),
 ]
 
 
@@ -394,6 +399,22 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, text, message
     code, out, err = run(capsys, *(arg.format(f=path) for arg in argv))
     assert (code, out) == (2, "")
     assert err == "error: " + message.format(f=path) + "\n"
+
+
+def test_a_file_on_a_larger_group_builds_no_lattice_of_it(tmp_path, capsys, monkeypatch):
+    # S6's lattice takes seconds: its order alone refuses the file
+    real = sites.subgroup_lattice
+
+    def lattice(group):
+        assert group.descriptor == "cyclic:6", f"built the lattice of {group.descriptor}"
+        return real(group)
+
+    monkeypatch.setattr(sites, "subgroup_lattice", lattice)
+    path = tmp_path / "s6.json"
+    path.write_text('{"site": "symmetric:6", "edges": []}')
+    code, out, err = run(capsys, "check", "--group", "cyclic:6", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: system JSON site 'symmetric:6' is not the site 'cyclic:6'\n"
 
 
 def test_a_poset_file_that_is_not_utf8_exits_2(tmp_path, capsys):

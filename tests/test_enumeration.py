@@ -209,6 +209,24 @@ def test_disklike_systems_bfs_matches_catalog_filter(
         assert disklike_systems(catalog.site) == expected
 
 
+@pytest.mark.parametrize("catalog_name", ["s3_catalog", "d4_catalog", "q8_catalog", "grid_catalog"])
+def test_bfs_over_orbit_representatives_matches_the_bfs_over_every_edge(catalog_name, request):
+    # T(g.e) = T(e): adding one edge per orbit reaches every system, in the same order
+    catalog = request.getfixturevalue(catalog_name)
+    site = catalog.site
+    strict = site.leq & ~np.eye(site.size, dtype=bool)
+    every = enumeration._bfs(
+        site, trivial_ts(site), np.flatnonzero(strict), 200_000, ENUMERATION_MESSAGE
+    )
+    assert [ts.key for ts in every] == [ts.key for ts in catalog.systems]
+    top = site.top
+    every_top = enumeration._bfs(
+        site, trivial_ts(site), np.flatnonzero(strict[:, top]) * site.size + top, 200_000,
+        "disklike enumeration cap {cap} exceeded",
+    )
+    assert [ts.key for ts in every_top] == [ts.key for ts in disklike_systems(site)]
+
+
 @pytest.mark.parametrize(
     "descriptor, count",
     [

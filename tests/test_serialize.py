@@ -128,6 +128,9 @@ NOT_A_STRING = "system JSON 'site' must be a descriptor string"
     ({"site": "cyclic:3", "edges": []}, "cyclic:6", MismatchedSitesError,
      "system JSON site 'cyclic:3' is not the site 'cyclic:6'"),
     ({"site": "nope", "edges": []}, "cyclic:6", DescriptorError, "unsupported descriptor 'nope'"),
+    # C3's site has C2's key (a two-node chain, trivial action); the orders differ
+    ({"site": "cyclic:3", "edges": []}, "cyclic:2", MismatchedSitesError,
+     "system JSON site 'cyclic:3' is not the site 'cyclic:2'"),
 ])
 def test_loader_refuses_a_bad_site_field(data, given, error, message):
     site = given and site_from_descriptor(given)
@@ -155,6 +158,16 @@ def test_a_poset_site_matches_its_descriptor_spelled_otherwise(tmp_path, monkeyp
     site = site_from_descriptor("poset:p5.poset")
     ts = serialize.system_from_dict({"site": "poset:./p5.poset", "edges": [["bot", "A"]]}, site)
     assert ts.site is site
+
+
+def test_a_poset_descriptor_may_name_a_group_site(tmp_path):
+    # a poset site with a group site's key is rebuilt and compared, never refused by order
+    path = tmp_path / "c2.poset"
+    path.write_text("nodes: 1 C2\ncover: 1 C2\n")
+    site = site_from_descriptor("cyclic:2")
+    assert site_from_descriptor(f"poset:{path}").key == site.key
+    ts = serialize.system_from_dict({"site": f"poset:{path}", "edges": [["1", "C2"]]}, site)
+    assert ts.site is site and ts.edges() == [(0, 1)]
 
 
 ACCEPTED = [

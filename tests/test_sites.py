@@ -194,6 +194,20 @@ def test_orbit_table_matches_loop_oracles(
     assert site.subset_orbit_key(subset) == oracles.subset_orbit_key_by_loop(site, subset)
 
 
+@pytest.mark.parametrize("name", ["grid", "symmetric:4", "symmetric:5"])
+def test_orbit_reps_marks_the_least_edge_of_each_orbit(grid_site, s4_site, name):
+    # the 3x3 grid with its swap, S4 and S5: every strict pair's orbit, by loop
+    site = {"grid": grid_site, "symmetric:4": s4_site}.get(name) or site_from_descriptor(name)
+    expected = np.zeros((site.size, site.size), dtype=bool)
+    for k, h in oracles.orbit_representatives_by_loop(site, site.pairs):
+        expected[k, h] = True
+    assert site.orbit_reps.dtype == bool
+    assert np.array_equal(site.orbit_reps, expected)
+    assert site.orbit_reps is site.orbit_reps  # built once
+    with pytest.raises(ValueError):
+        site.orbit_reps[tuple(np.argwhere(expected)[0])] = False
+
+
 @st.composite
 def bool_operands(draw):
     """A pair of random bool operands of one of eight shapes, sized on both

@@ -623,3 +623,9 @@ def test_disklike_sources_closed_under_intersection(c12_catalog):
         for a in tops:
             for b in tops:
                 assert ts.rel[site.meet[a, b], site.top]
+
+
+def test_repr_lists_the_labeled_edges_in_node_order(c6_site):
+    ts = system_from_labels(c6_site, [("C2", "C6"), ("1", "C3"), ("1", "C2"), ("1", "C6")])
+    assert repr(ts) == "TransferSystem(1>C2, 1>C3, 1>C6, C2>C6)"
+    assert repr(trivial_ts(c6_site)) == "TransferSystem(trivial)"

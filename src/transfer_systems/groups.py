@@ -11,8 +11,10 @@ element x that inverts C_m and squares into it, and ``build_group`` checks
 every built-in family's order against one cap.
 
 Every table is built on arrays.  One product table, ``_product_table``,
-serves the permutation groups and a site's check that its action is closed
-under composition: one gather per block and a lookup of the result rows.
+serves the permutation groups: one gather per block and a lookup of the
+result rows by ``_row_finder``.  A site checks that its action is closed
+under composition with the same lookup, over a generating set only
+(``sites._generators``).
 Subgroups are enumerated as bool masks over the elements: the cyclic
 subgroups seed the search, every new subgroup brings in its whole
 conjugacy class, and one member per class is joined with all the cyclic

@@ -28,7 +28,7 @@ from .groups import (
     DEFAULT_SUBGROUP_CAP,
     SubgroupLattice,
     _permutation_group,
-    _product_table,
+    _row_finder,
     _read_file,
     build_group,
     subgroup_lattice,
@@ -85,12 +85,12 @@ class Site:
             the distinct rows of the ``action`` given (any stack, repeats
             allowed) in lexicographic order, so the identity is row 0.
             ``_check`` enforces that each row is a permutation, that the
-            identity is present and that the rows are closed under
-            composition (hence under inverse, being finite): the rows'
-            ``groups._product_table``, the one that builds permutation
-            groups, must have no -1.
-        covers: read-only cover relation of ``leq``, computed on first
-            use: ``covers[J, H]`` iff J < H with nothing strictly between.
+            identity is present, that the rows are closed under
+            composition (hence under inverse, being finite), checked over
+            a generating set (``_generators``), and that the generators
+            preserve the order, so every row does.
+        covers: read-only cover relation of ``leq``: ``covers[J, H]`` iff
+            J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
             ``k * n + h`` of the lexicographically least edge (k, h) in the
             action orbit of (K, H).  Orbit questions read this table instead
@@ -141,39 +141,45 @@ class Site:
         self.labels = labels
         self.lattice = lattice
         self.descriptor = descriptor
-        self._check()
-        self.leq.flags.writeable = False
-        self.meet.flags.writeable = False
-        self.action.flags.writeable = False
+        gens = self._check()
+        for a in (self.leq, self.meet, self.covers, self.action):
+            a.flags.writeable = False
         n = self.size
         self.meet_flat = self.meet.astype(np.intp) * n + np.arange(n)
         self.meet_flat.flags.writeable = False
-        rep = np.arange(n * n).reshape(n, n)
-        for p in self.action:
-            np.minimum(rep, p[:, None] * n + p[None, :], out=rep)
-        self.edge_rep = rep
+        self.edge_rep = _edge_rep(gens, n)
         self.edge_rep.flags.writeable = False
         self.bottom = int(np.flatnonzero(leq[:, :].all(axis=1))[0])
         self.top = int(np.flatnonzero(leq[:, :].all(axis=0))[0])
         self._label_index = {lab: i for i, lab in enumerate(labels)}
-        raw = leq.tobytes() + b"|" + b",".join(p.tobytes() for p in self.action)
-        self.key = hashlib.sha256(raw).digest()
+        # leq, "|" and the action rows joined by ",", fed piece by piece
+        key = hashlib.sha256(np.ascontiguousarray(leq))
+        for i, p in enumerate(self.action):
+            key.update(b"," if i else b"|")
+            key.update(p)
+        self.key = key.digest()
         self._cache: dict = {}
 
-    def _check(self) -> None:
+    def _check(self) -> np.ndarray:
+        """Set ``covers`` and ``meet``; return the action's generator rows."""
         n = self.size
         leq = self.leq
         if not np.all(np.diag(leq)):
             raise InputFileError("order is not reflexive")
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise InputFileError("cycle detected: order is not antisymmetric")
-        if np.any(_bmm(leq, leq) & ~leq):
+        f = leq.astype(np.float32)
+        chains = f @ f  # |{J : K <= J <= H}|: 2 exactly for a cover
+        del f
+        if np.any((chains > 0) & ~leq):
             raise InputFileError("order is not transitive")
+        self.covers = chains == 2
+        del chains
         if int(leq.all(axis=1).sum()) != 1:
             raise InputFileError("no unique bottom element")
         if int(leq.all(axis=0).sum()) != 1:
             raise InputFileError("no unique top element")
-        self.meet = _derive_meet(leq, self.labels)
+        self.meet = _derive_meet(leq, self.covers, self.labels)
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise InternalCheckError("labels must be unique, one per node")
         acts = self.action
@@ -181,28 +187,21 @@ class Site:
             raise InternalCheckError("action must consist of permutations of the nodes")
         if not len(acts) or not (acts[0] == np.arange(n)).all():  # the least row
             raise InternalCheckError("action must contain the identity")
-        if (_product_table(acts) < 0).any():
-            raise InternalCheckError("action must be closed under composition")
+        gens = acts[_generators(acts)]
         # a permutation maps the strict pairs injectively, so it preserves
         # the order iff every strict pair lands on a strict pair
         ks, hs = np.nonzero(leq & ~np.eye(n, dtype=bool))
         step = max(1, _BLOCK_ENTRIES // max(1, ks.size))
-        for lo in range(0, len(acts), step):
-            block = acts[lo : lo + step]
+        for lo in range(0, len(gens), step):
+            block = gens[lo : lo + step]
             if not leq.ravel()[block[:, ks] * n + block[:, hs]].all():
                 raise InputFileError("declared automorphism does not preserve the order")
+        return gens
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Every strict pair (K, H), K < H, in row-major order, built on first use."""
         return tuple(map(tuple, np.argwhere(self.leq & ~np.eye(self.size, dtype=bool)).tolist()))
-
-    @cached_property
-    def covers(self) -> np.ndarray:
-        strict = self.leq & ~np.eye(self.size, dtype=bool)
-        covers = strict & ~_bmm(strict, strict)
-        covers.flags.writeable = False
-        return covers
 
     @cached_property
     def orbit_reps(self) -> np.ndarray:
@@ -252,25 +251,99 @@ class Site:
         return tuple(divmod(int(f), self.size) for f in least)
 
 
-def _derive_meet(leq: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+def _generators(acts: np.ndarray) -> list[int]:
+    """Indices of a generating set of the distinct rows, the identity first.
+
+    While some row is not reached from the identity by right multiplication
+    with the generators, the first such row becomes the next generator g:
+    every row times g is looked up among the rows (``groups._row_finder``)
+    and a breadth-first search over the lookups extends the reached rows.
+    Then every row is a product of generators and every row times a
+    generator is a row, so the rows are closed under composition:
+    p(g1...gk) = (...(p g1)...) gk.  A product that is not a row raises.
+    """
+    m, n = acts.shape
+    find = _row_finder(acts)
+    step = max(1, _BLOCK_ENTRIES // n)
+    gens: list[int] = []
+    columns = []  # columns[i][r]: the row r g_i
+    reached = np.zeros(m, dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        g = int(np.argmin(reached))
+        column = np.concatenate([find(np.take(acts[lo : lo + step], acts[g], axis=1))
+                                 for lo in range(0, m, step)])
+        if (column < 0).any():
+            raise InternalCheckError("action must be closed under composition")
+        gens.append(g)
+        columns.append(column)
+        size = 0
+        while size < np.count_nonzero(reached):  # until a round reaches no row
+            size = np.count_nonzero(reached)
+            for column in columns:
+                reached[column[reached]] = True
+    return gens
+
+
+def _edge_rep(gens: np.ndarray, n: int) -> np.ndarray:
+    """``Site.edge_rep`` of the group the rows ``gens`` generate.
+
+    Each entry starts as its own flat index and takes the minimum with
+    ``rep[g(K), g(H)]`` for each generator g until a round changes
+    nothing.  Then rep is constant on each orbit (an inverse is a power),
+    so it holds the orbit's least index.  Rows are updated in place, a
+    block at a time, with no copy of the table.
+    """
+    rep = np.arange(n * n).reshape(n, n)
+    step = max(1, _BLOCK_ENTRIES // n)
+    gens = gens.astype(np.intp)  # gathers by intp skip a cast
+    total = rep.sum()  # entries only fall: a round changed one iff the sum fell
+    while len(gens):
+        for p in gens:
+            for lo in range(0, n, step):
+                block = rep[lo : lo + step]
+                np.minimum(block, rep[p[lo : lo + step]].take(p, axis=1), out=block)
+        total, last = rep.sum(), total
+        if total == last:
+            break
+    return rep
+
+
+def _derive_meet(leq: np.ndarray, covers: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
     """The meet table of a bounded order, or an error naming a pair without one.
 
     A common lower bound m of a and b is their meet iff down(m) equals
-    down(a) & down(b), i.e. iff the two sets have the same size.  The common
-    lower bound with the largest down-set is the only candidate, so each row
-    takes the first one in that order; the first pair a <= b (by index)
-    whose candidate fails the count is named.
+    down(a) & down(b), i.e. iff the two sets have the same size.  Nodes b
+    are visited by |down(b)|, all of one size together.  The candidate for
+    a and b is b where b <= a, else the one with the largest down-set among
+    the candidates for a and b's lower covers.  It is a common lower bound,
+    and the meet wherever one exists: the meet m of a and b lies below a
+    lower cover c of b, and is then the meet of a and c too.  So the pairs
+    that fail the count are exactly those without a meet, and the first
+    (by index, so a <= b) is named.  ``best[j, a]`` holds the candidate for
+    a and the node of rank j, as a rank in the visiting order.
     """
     n = leq.shape[0]
-    f = leq.astype(np.float32)
-    down = f.sum(axis=0)  # |down(x)|
-    common = f.T @ f  # |down(a) & down(b)|, exact below 2**24 nodes
-    rank = np.argsort(-down, kind="stable")
-    below = leq.T[:, rank]  # row a is down(a), largest down-sets first
-    meet = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        meet[a] = rank[(below & below[a]).argmax(axis=1)]
-    bad = np.triu(down[meet] != common)
+    down = leq.sum(axis=0, dtype=np.float32)  # |down(x)|
+    order = np.argsort(down, kind="stable")
+    ranks = np.arange(n, dtype=np.int32)
+    best = np.where(leq[order], ranks[:, None], np.int32(-1))
+    upper, lower = np.nonzero(covers[order][:, order].T)  # by upper rank
+    first = np.searchsorted(upper, np.arange(n + 1)).tolist()
+    sizes = down[order]
+    starts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()  # the bottom is rank 0
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        cuts = np.subtract(first[lo:hi], first[lo])
+        from_covers = np.maximum.reduceat(best[lower[first[lo] : first[hi]]], cuts, axis=0)
+        np.maximum(best[lo:hi], from_covers, out=best[lo:hi])
+    best = best[np.argsort(order)]  # row b, column a
+    meet = order.astype(np.int32)[best]
+    del best
+    # |down(a) & down(b)|, exact below 2**24 nodes.  Two buffers: on one,
+    # NumPy runs f.T @ f as a symmetric update, which took 8 ms instead of
+    # 0.07 ms on S5's 156 nodes with OpenBLAS's two threads (2-vCPU VM).
+    common = leq.T.astype(np.float32) @ leq.astype(np.float32)
+    bad = down[meet] != common  # symmetric
     if bad.any():
         a, b = np.argwhere(bad)[0]
         raise InputFileError(f"not a lattice: {labels[a]} and {labels[b]} have no meet")

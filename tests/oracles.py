@@ -11,8 +11,11 @@ coset Cayley table, subgroups and element orders come from a breadth-first
 search over products instead of the library's element masks, group
 tables are multiplied out one pair of elements at a time, subgroups
 are closed under joins one frozenset at a time with every lattice table
-filled pair by pair, meets are validated
-pair by pair, compatibility is scanned edge by edge, the m-by-m
+filled pair by pair, meets are validated pair by pair and derived row
+by row instead of over the cover relation, covers come from a product
+instead of counting chains, edge representatives come from each pair's
+orbit instead of generator moves, the site key hashes one joined byte
+string, compatibility is scanned edge by edge, the m-by-m
 restriction poset (whose order the library reads off the site's matrices)
 is built in whole arrays and again by a per-edge loop, with its covers
 from an m-cubed product, M(O) runs the literal recursion, the unrolled
@@ -31,6 +34,7 @@ edge list is split into tokens before each token is scanned for its
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -543,6 +547,54 @@ def meet_table_by_pairs(leq: np.ndarray, labels) -> np.ndarray:
                 raise InputFileError(f"not a lattice: {labels[a]} and {labels[b]} have no meet")
             meet[a, b] = meet[b, a] = maximal[0]
     return meet
+
+
+def meet_by_rows(leq: np.ndarray, labels) -> np.ndarray:
+    """All binary meets one row at a time; Site's "no meet" error for the first bad pair a <= b.
+
+    Row a takes, for every b, the common lower bound of a and b with the
+    largest down-set, first in index order among equals; it is the meet
+    iff its down-set has |down(a) & down(b)| members.
+    """
+    n = leq.shape[0]
+    f = leq.astype(np.float32)
+    down = f.sum(axis=0)
+    common = np.ascontiguousarray(f.T) @ f
+    rank = np.argsort(-down, kind="stable")
+    below = leq.T[:, rank]  # row a is down(a), largest down-sets first
+    meet = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        meet[a] = rank[(below & below[a]).argmax(axis=1)]
+    bad = np.triu(down[meet] != common)
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        raise InputFileError(f"not a lattice: {labels[a]} and {labels[b]} have no meet")
+    return meet
+
+
+def covers_by_product(leq: np.ndarray) -> np.ndarray:
+    """The cover relation: strict pairs that are not a product of two strict pairs."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return strict & ~(strict @ strict)
+
+
+def edge_rep_by_loop(site: Site) -> np.ndarray:
+    """``Site.edge_rep`` from ``orbit_by_loop``: each pair's orbit, and its least member."""
+    n = site.size
+    rep = np.full((n, n), -1, dtype=np.intp)
+    for k in range(n):
+        for h in range(n):
+            if rep[k, h] < 0:
+                orbit = orbit_by_loop(site, (k, h))
+                a, b = min(orbit)
+                for x, y in orbit:
+                    rep[x, y] = a * n + b
+    return rep
+
+
+def site_key_by_join(leq: np.ndarray, action) -> bytes:
+    """``Site.key``: sha256 of the order's bytes, "|" and the action rows joined by ","."""
+    return hashlib.sha256(leq.tobytes() + b"|" + b",".join(p.tobytes() for p in action)).digest()
 
 
 def meet_by_intersection(latt: SubgroupLattice) -> np.ndarray:

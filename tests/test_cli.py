@@ -401,20 +401,32 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, text, message
     assert err == "error: " + message.format(f=path) + "\n"
 
 
-def test_a_file_on_a_larger_group_builds_no_lattice_of_it(tmp_path, capsys, monkeypatch):
-    # S6's lattice takes seconds: its order alone refuses the file
+def _s6_file_refused_before_its_lattice(tmp_path, capsys, monkeypatch, group):
     real = sites.subgroup_lattice
 
-    def lattice(group):
-        assert group.descriptor == "cyclic:6", f"built the lattice of {group.descriptor}"
-        return real(group)
+    def lattice(g):
+        assert g.descriptor == group, f"built the lattice of {g.descriptor}"
+        return real(g)
 
     monkeypatch.setattr(sites, "subgroup_lattice", lattice)
     path = tmp_path / "s6.json"
     path.write_text('{"site": "symmetric:6", "edges": []}')
-    code, out, err = run(capsys, "check", "--group", "cyclic:6", "--input", str(path))
+    code, out, err = run(capsys, "check", "--group", group, "--input", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: system JSON site 'symmetric:6' is not the site 'cyclic:6'\n"
+    assert err == f"error: system JSON site 'symmetric:6' is not the site '{group}'\n"
+
+
+def test_a_file_on_a_larger_group_builds_no_lattice_of_it(tmp_path, capsys, monkeypatch):
+    # S6's lattice takes seconds: its order alone refuses the file
+    _s6_file_refused_before_its_lattice(tmp_path, capsys, monkeypatch, "cyclic:6")
+
+
+def test_a_file_on_a_group_of_the_same_order_builds_no_lattice_of_it(
+    tmp_path, capsys, monkeypatch
+):
+    # C720 and S6 both have order 720, but only C720 has an element of
+    # order 720: the sorted element orders refuse the file
+    _s6_file_refused_before_its_lattice(tmp_path, capsys, monkeypatch, "cyclic:720")
 
 
 def test_a_poset_file_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -131,6 +131,9 @@ NOT_A_STRING = "system JSON 'site' must be a descriptor string"
     # C3's site has C2's key (a two-node chain, trivial action); the orders differ
     ({"site": "cyclic:3", "edges": []}, "cyclic:2", MismatchedSitesError,
      "system JSON site 'cyclic:3' is not the site 'cyclic:2'"),
+    # one order, 8; C8 has an element of order 8 and C4xC2 none
+    ({"site": "cyclic:8", "edges": []}, "product:4x2", MismatchedSitesError,
+     "system JSON site 'cyclic:8' is not the site 'product:4x2'"),
 ])
 def test_loader_refuses_a_bad_site_field(data, given, error, message):
     site = given and site_from_descriptor(given)
@@ -168,6 +171,13 @@ def test_a_poset_descriptor_may_name_a_group_site(tmp_path):
     assert site_from_descriptor(f"poset:{path}").key == site.key
     ts = serialize.system_from_dict({"site": f"poset:{path}", "edges": [["1", "C2"]]}, site)
     assert ts.site is site and ts.edges() == [(0, 1)]
+
+
+def test_a_group_with_the_same_element_orders_is_rebuilt_and_compared():
+    # dicyclic:2 is Q8 under another descriptor: not refused by its element orders
+    site = site_from_descriptor("q8")
+    ts = serialize.system_from_dict({"site": "dicyclic:2", "edges": []}, site)
+    assert ts.site is site and ts.edges() == []
 
 
 ACCEPTED = [

@@ -12,7 +12,7 @@ from transfer_systems.errors import InputFileError, InternalCheckError, NotNorma
 from transfer_systems import groups as groups_module
 from transfer_systems import sites as sites_module
 from transfer_systems.functors import quotient_context
-from transfer_systems.groups import build_group, subgroup_lattice
+from transfer_systems.groups import build_group, small_group_descriptors, subgroup_lattice
 from transfer_systems.sites import (
     _BMM_BLAS_WORK,
     Site,
@@ -83,6 +83,27 @@ def test_a_composition_missing_from_a_later_block_is_found():
         rows = np.delete(site.action, drop, axis=0)
         with pytest.raises(InternalCheckError, match="closed under composition$"):
             Site(site.leq.copy(), rows, site.labels)
+
+
+def test_a_composition_of_two_generators_missing_is_found():
+    # M3 with the transpositions (a0 a1) and (a1 a2): each is its own
+    # inverse, so only their products, the 3-cycles, are missing
+    names = ("bot", "a0", "a1", "a2", "top")
+    leq = np.eye(5, dtype=bool)
+    leq[0, :] = leq[:, 4] = True
+    rows = [np.array(p, dtype=np.int32) for p in ([0, 2, 1, 3, 4], [0, 1, 3, 2, 4])]
+    assert len(oracles.close_permutations_by_pairs(rows, 5)) == 6
+    with pytest.raises(InternalCheckError, match="closed under composition$"):
+        Site(leq, [np.arange(5, dtype=np.int32)] + rows, names)
+    # S4 on M4's atoms without (a0 a1)(a2 a3), the product of the two
+    # transpositions (a0 a1) and (a2 a3), which stay
+    m4 = parse_poset_text(m_poset_text(4))
+    rows = {tuple(p) for p in m4.action.tolist()}
+    drop, left, right = (0, 2, 1, 4, 3, 5), (0, 2, 1, 3, 4, 5), (0, 1, 2, 4, 3, 5)
+    assert {drop, left, right} <= rows and tuple(left[i] for i in right) == drop
+    kept = [np.array(p, dtype=np.int32) for p in sorted(rows - {drop})]
+    with pytest.raises(InternalCheckError, match="closed under composition$"):
+        Site(m4.leq.copy(), kept, m4.labels)
 
 
 def test_action_checks_read_every_block(monkeypatch):
@@ -206,6 +227,68 @@ def test_orbit_reps_marks_the_least_edge_of_each_orbit(grid_site, s4_site, name)
     assert site.orbit_reps is site.orbit_reps  # built once
     with pytest.raises(ValueError):
         site.orbit_reps[tuple(np.argwhere(expected)[0])] = False
+
+
+def _sites_with_intervals(site):
+    """The site and its intervals above every node its action fixes."""
+    fixed = np.flatnonzero((site.action == np.arange(site.size)).all(axis=0))
+    return [site] + [interval_above(site, int(v)) for v in fixed if v != site.bottom]
+
+
+@pytest.mark.parametrize("source", small_group_descriptors(24) + ["grid", "M4", "pentagon"])
+def test_site_tables_match_the_loop_oracles(source):
+    # every group of order <= 24 with its intervals above normal subgroups,
+    # and three posets: the key, the meet, the covers and edge_rep
+    texts = {"grid": GRID_TEXT, "M4": m_poset_text(4), "pentagon": P5_TEXT}
+    if source in texts:
+        site = parse_poset_text(texts[source])
+    else:
+        site = site_from_descriptor(source)
+    for s in _sites_with_intervals(site):
+        n = s.size
+        assert s.key == oracles.site_key_by_join(s.leq, s.action)
+        assert s.meet.dtype == np.int32
+        assert np.array_equal(s.meet, oracles.meet_by_rows(s.leq, s.labels))
+        assert np.array_equal(s.meet_flat, s.meet.astype(np.intp) * n + np.arange(n))
+        assert np.array_equal(s.covers, oracles.covers_by_product(s.leq))
+        assert not s.covers.flags.writeable
+        assert s.edge_rep.dtype == np.intp
+        assert np.array_equal(s.edge_rep, oracles.edge_rep_by_loop(s))
+
+
+# Orders without meets: (names, covers, the pair named).  Each names the
+# first pair a <= b by index with no meet, whatever pair has the smaller
+# down-sets.
+NON_LATTICES = {
+    "bowtie": ("bot x y c d top", "bot x, bot y, x c, x d, y c, y d, c top, d top", "c d"),
+    "bowtie-reversed": ("top d c y x bot", "bot x, bot y, x c, x d, y c, y d, c top, d top",
+                        "d c"),
+    # c, d have no meet, and so have e, f above them; e and f come first
+    "stacked": ("bot e f x y c d top",
+                "bot x, bot y, x c, x d, y c, y d, c e, c f, d e, d f, e top, f top", "e f"),
+    # two bowties side by side; the listing puts the second one's pair first
+    "two-bowties": ("bot r s p q x y c d top",
+                    "bot x, bot y, x c, x d, y c, y d, c top, d top, "
+                    "bot p, bot q, p r, p s, q r, q s, r top, s top", "r s"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_LATTICES))
+def test_non_lattice_names_the_oracles_pair(name):
+    nodes, covers, pair = NON_LATTICES[name]
+    text = f"nodes: {nodes}\n" + "".join(f"cover: {c.strip()}\n" for c in covers.split(","))
+    labels = tuple(nodes.split())
+    leq = np.eye(len(labels), dtype=bool)
+    for c in covers.split(","):
+        a, b = c.split()
+        leq[labels.index(a), labels.index(b)] = True
+    for k in range(len(labels)):
+        leq |= np.outer(leq[:, k], leq[k, :])
+    a, b = pair.split()
+    want = (InputFileError, f"not a lattice: {a} and {b} have no meet")
+    assert _raised(lambda: oracles.meet_table_by_pairs(leq, labels)) == want
+    assert _raised(lambda: oracles.meet_by_rows(leq, labels)) == want
+    assert _raised(lambda: parse_poset_text(text)) == want
 
 
 @st.composite

@@ -104,18 +104,6 @@ class CompatReport:
     compatible: bool
     witness: Optional[tuple[int, int, int]] = None
 
-    def to_json(self, site: Site) -> dict:
-        out: dict = {"compatible": self.compatible}
-        if self.witness is not None:
-            k, j, h = self.witness
-            out["witness"] = {
-                "K": site.labels[k],
-                "J": site.labels[j],
-                "H": site.labels[h],
-                "missing": [site.labels[j], site.labels[h]],
-            }
-        return out
-
 
 def _blocked(site: Site, rels: np.ndarray) -> np.ndarray:
     """blocked[b, K, H]: a multiplicative K -> H would break condition (2) against system b.

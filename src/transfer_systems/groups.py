@@ -20,13 +20,15 @@ subgroups seed the search, every new subgroup brings in its whole
 conjugacy class, and one member per class is joined with all the cyclic
 seeds it does not contain in one batched orbit loop (``_close_under``).
 The order and conjugation tables are then whole-array operations on the
-membership matrix.  No meet or join table is built here: ``sites.Site``
-derives meets from the order, and ``functors`` reads each product KN off
-it.  The canonical subgroup order is (order, lexicographic member tuple);
-every downstream index refers to that order.  Each group builds its
-cyclic-subgroup masks once (``Group.cyclic``): they seed the search, and
-labels read element orders as their row sums and find generators with the
-same mask closure.
+membership matrix.  Every exact count of a bool product in the package is
+one ``_count``: the containment here, a site's chain and meet counts, the
+per-site table of C_O, and the BLAS branch of ``sites._bmm``.  No meet or
+join table is built here: ``sites.Site`` derives meets from the order, and
+``functors`` reads each product KN off it.  The canonical subgroup order
+is (order, lexicographic member tuple); every downstream index refers to
+that order.  Each group builds its cyclic-subgroup masks once
+(``Group.cyclic``): they seed the search, and labels read element orders
+as their row sums and find generators with the same mask closure.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,6 +197,27 @@ def _row_finder(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return find
 
 
+def _count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The counts ``a @ b`` of two bool arrays, exact, as a float32 array.
+
+    Entry (i, j) is the number of k with ``a[i, k]`` and ``b[k, j]``; stacks
+    broadcast as in ``np.matmul``.  Both operands are cast to float32
+    copies, so the product runs on BLAS (an integer one does not).  It is
+    exact: each entry sums ``a.shape[-1]`` terms equal to 0 or 1, and with
+    fewer than 2**24 of them float32 holds every partial sum exactly,
+    whatever the summation order or thread count, so the result does not
+    depend on the BLAS build.  (Casting first is as fast as
+    ``np.matmul(..., dtype=np.float32)`` on contiguous operands and 1.8 to
+    2.8x faster on transposed views at n = 156.)  ``_count(a, a)`` casts
+    ``a`` once.  Any other ``b`` gets its own copy, a transposed view of
+    ``a`` too: on one buffer NumPy runs ``f.T @ f`` as a symmetric update,
+    which took 8 ms instead of 0.07 ms on S5's 156 nodes with OpenBLAS's
+    two threads (2-vCPU VM).
+    """
+    fa = a.astype(np.float32)
+    return np.matmul(fa, fa if b is a else b.astype(np.float32))
+
+
 def _product_table(rows: np.ndarray) -> np.ndarray:
     """Products of the permutations that are the rows of a (n, k) int array.
 
@@ -310,14 +333,22 @@ def _read_file(path: str | Path, what: str) -> str:
         raise InputFileError(f"cannot read {what} file {path}: {exc}") from None
 
 
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, text before any ``#``, stripped) of each line with text left.
+
+    The one comment rule of the Cayley, permutation and poset readers.
+    """
+    for i, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield i, line
+
+
 def group_from_cayley_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Read a Cayley table: line 1 is the order n, then n rows of n indices."""
     path = Path(path)
-    tokens: list[str] = []
-    for line in _read_file(path, "Cayley").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    lines = _content_lines(_read_file(path, "Cayley").splitlines())
+    tokens = [token for _, line in lines for token in line.split()]
     if not tokens:
         raise InputFileError(f"{path}: empty Cayley file")
     try:
@@ -342,12 +373,13 @@ def _parse_cycles(text: str, cap: int | None = None) -> tuple:
     """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` or ``(123)``.
 
     The permutation moves the points 1..m, m the largest point named.  A
-    point above ``cap`` is refused before the permutation is allocated.
+    point above ``cap`` is refused before the permutation is allocated,
+    and so is a point in two cycles, whose map would be no permutation.
     """
     text = text.strip()
     cycles: list[list[int]] = []
     i = 0
-    maxpoint = 0
+    seen: set[int] = set()
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -368,9 +400,12 @@ def _parse_cycles(text: str, cap: int | None = None) -> tuple:
             raise InputFileError(f"bad cycle {text[i:j + 1]!r}") from None
         if not pts or len(set(pts)) != len(pts) or min(pts) < 1:
             raise InputFileError(f"bad cycle {text[i:j + 1]!r}")
+        if not seen.isdisjoint(pts):
+            raise InputFileError(f"point {min(seen.intersection(pts))} appears in two cycles")
+        seen.update(pts)
         cycles.append(pts)
-        maxpoint = max(maxpoint, max(pts))
         i = j + 1
+    maxpoint = max(seen, default=0)
     if cap is not None and maxpoint > cap:
         raise InputFileError(f"point {maxpoint} exceeds cap {cap}")
     perm = list(range(maxpoint))
@@ -411,8 +446,7 @@ def group_from_permutations(
     Each line is parsed once and padded to the largest degree.  A line that
     does not parse is named by the descriptor and its 1-based line number.
     """
-    raw = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(lines, 1)]
-    raw = [(i, ln) for i, ln in raw if ln]
+    raw = list(_content_lines(lines))
     if not raw:
         raise InputFileError(f"{descriptor}: no generators")
 
@@ -645,12 +679,8 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     subs = tuple(Subgroup.from_set(np.flatnonzero(s).tolist()) for s in members)
     m = len(subs)
 
-    # |i & j| == |i| iff i <= j.  A float32 product runs on BLAS (an int32
-    # one does not) and is exact: every count is at most |G|, far below 2**24
-    # (the default order cap is 1000).
-    counts = members.astype(np.float32)
-    sizes = counts.sum(axis=1)
-    leq = (counts @ counts.T) == sizes[:, None]
+    sizes = members.sum(axis=1, dtype=np.float32)
+    leq = _count(members, members.T) == sizes[:, None]  # |i & j| == |i| iff i <= j
 
     find = _row_finder(members)
     conj = np.empty((group.order, m), dtype=np.int32)

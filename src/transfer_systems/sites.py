@@ -27,6 +27,8 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     DEFAULT_SUBGROUP_CAP,
     SubgroupLattice,
+    _content_lines,
+    _count,
     _permutation_group,
     _row_finder,
     _read_file,
@@ -51,23 +53,16 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` (``np.matmul`` broadcasting).  NumPy's bool ``@`` does not use
     BLAS, and on stacks its cost grows much faster than the work.  So from
     ``_BMM_BLAS_WORK`` multiply-adds up (``a.size * b.shape[-1]``, times B
-    for a stack ``b`` under a matrix ``a``), both operands are cast to
-    float32 copies, multiplied, and compared with 0.  (Casting first is as
-    fast as ``np.matmul(..., dtype=np.float32)`` on contiguous operands and
-    1.8 to 2.8x faster on transposed views at n = 156.)  A vector ``b``, or
+    for a stack ``b`` under a matrix ``a``), the product is the exact
+    float32 count of ``groups._count`` compared with 0.  A vector ``b``, or
     a ``b`` of one column, always takes bool ``@``: a bool matrix-vector
     product outruns the cast (6 us against 440 us at 1000 x 1000, and
-    3.7 against 7.9 ms at 1500 x 2500).  The float32 product is exact:
-    each entry is a sum of ``a.shape[-1]`` terms equal to 0 or 1, which
-    float32 holds exactly below 2**24 whatever the summation order or
-    thread count, so the result does not depend on the BLAS build.  A
-    square ``_bmm(a, a)`` casts ``a`` once.
+    3.7 against 7.9 ms at 1500 x 2500).
     """
     work = a.size * b.shape[-1] * (len(b) if b.ndim > a.ndim == 2 else 1)
     if b.ndim == 1 or b.shape[-1] == 1 or work < _BMM_BLAS_WORK:
         return a @ b
-    fa = a.astype(np.float32)
-    return np.matmul(fa, fa if b is a else b.astype(np.float32)) > 0
+    return _count(a, b) > 0
 
 
 class Site:
@@ -168,9 +163,7 @@ class Site:
             raise InputFileError("order is not reflexive")
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise InputFileError("cycle detected: order is not antisymmetric")
-        f = leq.astype(np.float32)
-        chains = f @ f  # |{J : K <= J <= H}|: 2 exactly for a cover
-        del f
+        chains = _count(leq, leq)  # |{J : K <= J <= H}|: 2 exactly for a cover
         if np.any((chains > 0) & ~leq):
             raise InputFileError("order is not transitive")
         self.covers = chains == 2
@@ -197,11 +190,6 @@ class Site:
             if not leq.ravel()[block[:, ks] * n + block[:, hs]].all():
                 raise InputFileError("declared automorphism does not preserve the order")
         return gens
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Every strict pair (K, H), K < H, in row-major order, built on first use."""
-        return tuple(map(tuple, np.argwhere(self.leq & ~np.eye(self.size, dtype=bool)).tolist()))
 
     @cached_property
     def orbit_reps(self) -> np.ndarray:
@@ -339,10 +327,7 @@ def _derive_meet(leq: np.ndarray, covers: np.ndarray, labels: tuple[str, ...]) -
     best = best[np.argsort(order)]  # row b, column a
     meet = order.astype(np.int32)[best]
     del best
-    # |down(a) & down(b)|, exact below 2**24 nodes.  Two buffers: on one,
-    # NumPy runs f.T @ f as a symmetric update, which took 8 ms instead of
-    # 0.07 ms on S5's 156 nodes with OpenBLAS's two threads (2-vCPU VM).
-    common = leq.T.astype(np.float32) @ leq.astype(np.float32)
+    common = _count(leq.T, leq)  # |down(a) & down(b)|
     bad = down[meet] != common  # symmetric
     if bad.any():
         a, b = np.argwhere(bad)[0]
@@ -390,10 +375,7 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
     names: list[str] = []
     covers: list[tuple[str, str]] = []
     autos: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text.splitlines()):
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         parts = rest.split()

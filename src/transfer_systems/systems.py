@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import InternalCheckError, MismatchedSitesError, UsageError
+from .groups import _count
 from .sites import Site, _bmm
 
 
@@ -564,13 +565,12 @@ def count_cover_relations(ts: TransferSystem) -> int:
     ordered like the J's, so the covers of e are the K /\\ J -> J with J
     covered by H in the site and J not <= K.  C_O is thus the sum over the
     edges of ts of ``count[K, H] = #{J covered by H : J not <= K}`` (zero on
-    the diagonal), a per-site table from one product.  The product runs in
-    float32, which holds every count exactly.
+    the diagonal), a per-site table from one exact count, ``groups._count``.
     """
     site = ts.site
     count = site._cache.get("cover_count")
     if count is None:
-        count = np.matmul(~site.leq.T, site.covers, dtype=np.float32).astype(np.intp)
+        count = _count(~site.leq.T, site.covers).astype(np.intp)
         count.flags.writeable = False
         site._cache["cover_count"] = count
     return int(count[ts.rel].sum())

@@ -148,6 +148,11 @@ def restriction_poset(ts: TransferSystem) -> RestrictionPoset:
     return poset
 
 
+def pairs(site: Site) -> tuple[tuple[int, int], ...]:
+    """Every strict pair (K, H), K < H, of the site, in row-major order."""
+    return tuple(map(tuple, np.argwhere(site.leq & ~np.eye(site.size, dtype=bool)).tolist()))
+
+
 def closure_fixpoint(site: Site, edges) -> np.ndarray:
     """Transfer-system closure as a naive fixpoint over single inference steps."""
     n = site.size
@@ -219,10 +224,10 @@ def bfs_by_loop(site: Site, start, edges, cap: int, message: str, depth=None):
 
 def enumerate_subset_closure(site: Site) -> set[bytes]:
     """Keys of the closures of every subset of comparable pairs."""
-    pairs = site.pairs
+    strict = pairs(site)
     out = set()
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+    for mask in range(1 << len(strict)):
+        edges = [strict[i] for i in range(len(strict)) if mask >> i & 1]
         out.add(closure_fixpoint(site, edges).tobytes())
     return out
 

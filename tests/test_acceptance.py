@@ -7,7 +7,7 @@ lines and timings.  The S5 conjecture scope is the longest criterion.
 import time
 
 from conftest import labeled, system_from_labels
-from oracles import restriction_poset
+from oracles import pairs, restriction_poset
 from transfer_systems.cli import main as cli_main
 from transfer_systems.compat import (
     conjecture_formula,
@@ -76,7 +76,7 @@ def test_criterion_3_s3_generation():
     site = site_from_descriptor("symmetric:3")
     ts = generate_from_edges(site, [(site.node("<(12)>"), site.node("S3"))])
     missing = {(site.node("<(123)>"), site.node("S3"))}
-    assert set(ts.edges()) == set(site.pairs) - missing
+    assert set(ts.edges()) == set(pairs(site)) - missing
     _report(3, "T({<(12)> -> S3}) is every inclusion except <(123)> -> S3", started)
 
 

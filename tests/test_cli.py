@@ -15,6 +15,7 @@ from conftest import P5_TEXT, m_poset_text
 from transfer_systems import cli, sites
 from transfer_systems.cli import main
 from transfer_systems.errors import UsageError
+from transfer_systems.groups import build_group, small_group_descriptors
 
 
 def run(capsys, *argv):
@@ -386,6 +387,9 @@ INPUT_ERRORS = [
      "cannot read system file {f}: " + _EISDIR + ": '{f}'"),
     ("cayley-directory", ["lattice", "--group", "cayley:{f}"], None,
      "cannot read Cayley file {f}: " + _EISDIR + ": '{f}'"),
+    # the map of overlapping cycles is no permutation: refused at the line, naming the point
+    ("perms-overlapping-cycles", ["lattice", "--group", "perms:{f}"], "(1 2)(2 3)\n",
+     "perms:{f}: line 1: point 2 appears in two cycles"),
 ]
 
 
@@ -684,6 +688,11 @@ def test_system_input_fuzz_exits_cleanly(system_path, data):
     if data.draw(st.booleans()):
         system_path.write_text(json.dumps(data.draw(_system_json)))
         argv += ["--input", str(system_path)]
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv):
+    """main(argv) exits 0, 1 or 2, and on exit 2 writes exactly one "error: " line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -691,3 +700,69 @@ def test_system_input_fuzz_exits_cleanly(system_path, data):
     if code == 2:
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), argv
+
+
+# ---------------------------------------------------------------------------
+# fuzz the group and site readers: drawn perms: files, Cayley tables, poset
+# files and descriptors through `lattice`; the same exit and stderr rule
+
+_FUZZ_TABLES = [build_group(d).mul for d in small_group_descriptors(6)]
+_cycle = st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
+    lambda pts: "(" + " ".join(map(str, pts)) + ")")
+_perms_line = st.lists(_cycle, max_size=3).map("".join) | st.sampled_from(
+    ["", "# comment", "()", "(0 1)", "(1 2)(2 3)", "(12)(34)", "(1 2", "x(1 2)", "(1 2) # note"])
+_descriptor = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["cyclic", "product", "symmetric", "alternating", "dihedral", "dicyclic",
+                     "q8", "Q8", "nope", ""]),
+    st.sampled_from([":", "", "::"]),
+    st.sampled_from(["", "0", "-1", "1", "2", "3", "4", "5", "x", "2x3", "2x2x2", "1.5", " 3"]),
+)
+
+
+@st.composite
+def _cayley_text(draw):
+    """A group table of order <= 6, relabeled with 0 kept, with up to two entries changed."""
+    table = draw(st.sampled_from(_FUZZ_TABLES))
+    n = len(table)
+    relabel = np.array([0] + draw(st.permutations(range(1, n))))  # new index -> old
+    mul = np.argsort(relabel)[table[np.ix_(relabel, relabel)]]
+    for i, j, v in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=2)):
+        mul[i, j] = v
+    header = draw(st.sampled_from([str(n)] * 4 + [str(n + 1), "0", "-1", "x"]))
+    return "\n".join([header, *(" ".join(map(str, row)) for row in mul.tolist())]) + "\n"
+
+
+@st.composite
+def _poset_text(draw):
+    """nodes: n0..n{k-1} (k <= 8), drawn covers (the bounds linked or not), auto: lines."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
+    node = st.sampled_from(names)
+    covers = draw(st.lists(st.tuples(node, node), max_size=8))
+    if draw(st.booleans()):
+        covers += [(names[0], v) for v in names[1:-1]] + [(v, names[-1]) for v in names[1:-1]]
+    autos = draw(st.lists(st.permutations(names) | st.lists(node, max_size=3), max_size=2))
+    lines = ["nodes: " + " ".join(names)] + [f"cover: {a} {b}" for a, b in covers]
+    lines += ["auto: " + " ".join(a) for a in autos]
+    lines += draw(st.lists(st.sampled_from(
+        ["# comment", "", "cover: n0 zz", "cover: n0", "foo: n0", "nodes: n0"]), max_size=1))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_group_and_site_reader_fuzz_exits_cleanly(system_path, data):
+    kind = data.draw(st.sampled_from(["perms", "cayley", "poset", "descriptor"]))
+    path = system_path.with_name("reader-input")
+    if kind == "perms":
+        path.write_text("\n".join(data.draw(st.lists(_perms_line, max_size=3))) + "\n")
+        argv = ["lattice", "--group", f"perms:{path}"]
+    elif kind == "cayley":
+        path.write_text(data.draw(_cayley_text()))
+        argv = ["lattice", "--group", f"cayley:{path}"]
+    elif kind == "poset":
+        path.write_text(data.draw(_poset_text()))
+        argv = ["lattice", "--site", str(path)]
+    else:
+        argv = ["lattice", "--group", data.draw(_descriptor)]
+    _assert_exits_cleanly(argv + ["--max-order", "60"])  # S5 and S6 refused at the cap, not built

@@ -225,7 +225,7 @@ def test_loader_matches_closure_oracle_on_bench_catalogs():
 @given(data=st.data())
 def test_loader_matches_closure_oracle_on_drawn_edge_lists(c6_site, s3_site, d4_site, data):
     site = data.draw(st.sampled_from([c6_site, s3_site, d4_site]))
-    edges = data.draw(st.lists(st.sampled_from(site.pairs), max_size=5))
+    edges = data.draw(st.lists(st.sampled_from(oracles.pairs(site)), max_size=5))
     if data.draw(st.booleans()):  # list a closed system, or just its generators
         edges = generate_from_edges(site, edges).edges()
     edges += data.draw(st.lists(st.sampled_from(range(site.size)).map(lambda k: (k, k)), max_size=1))

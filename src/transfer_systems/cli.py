@@ -419,13 +419,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "cap", 0) < 0:
-        print("error: --cap must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if args.threads < 1:
+            raise UsageError("--threads must be >= 1")
+        if getattr(args, "cap", 0) < 0:
+            raise UsageError("--cap must be >= 0")
         # an unwritable output fails before the computation, not after it
         for path in (args.out, getattr(args, "jsonl", None)):
             if path:

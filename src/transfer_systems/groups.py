@@ -14,11 +14,14 @@ Every table is built on arrays.  One product table, ``_product_table``,
 serves the permutation groups: one gather per block and a lookup of the
 result rows by ``_row_finder``.  A site checks that its action is closed
 under composition with the same lookup, over a generating set only
-(``sites._generators``).
+(``sites._generators``).  Every generating set the package finds is one
+greedy span, ``_greedy_generators``: the table check's, the site's action
+check's and the generators of the non-abelian subgroup labels.
 Subgroups are enumerated as bool masks over the elements: the cyclic
 subgroups seed the search, every new subgroup brings in its whole
 conjugacy class, and one member per class is joined with all the cyclic
-seeds it does not contain in one batched orbit loop (``_close_under``).
+seeds it does not contain in one batched orbit loop (``_close_under``,
+also the span closure of ``_greedy_generators``).
 The order and conjugation tables are then whole-array operations on the
 membership matrix.  Every exact count of a bool product in the package is
 one ``_count``: the containment here, a site's chain and meet counts, the
@@ -28,7 +31,7 @@ join table is built here: ``sites.Site`` derives meets from the order, and
 is (order, lexicographic member tuple); every downstream index refers to
 that order.  Each group builds its cyclic-subgroup masks once
 (``Group.cyclic``): they seed the search, and labels read element orders
-as their row sums and find generators with the same mask closure.
+as their row sums and find generators by ``_greedy_generators``.
 """
 
 from __future__ import annotations
@@ -90,9 +93,9 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
 
     The entries must already be indices in 0..n-1; ``group_from_cayley_file``
     checks a file's before casting them.  Checks the shape, the identity at
-    index 0 and two-sided inverses, then associativity by Light's test on a
-    greedy generating set, whose span ``_close_under`` grows after each
-    generator passes.
+    index 0 and two-sided inverses, then associativity by Light's test on
+    the greedy generating set of ``_greedy_generators``: each candidate
+    outside the span runs the test, and the span grows once it passes.
     """
     n = mul.shape[0]
     if mul.shape != (n, n) or n == 0:
@@ -108,15 +111,11 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
     # Light's test: (xg)y = x(gy) for all x, y and each g of a greedy
     # generating set.  The g that pass are closed under products, so once
     # the generators' products span the table every element passes.  A g
-    # that passes has g^-1(gy) = y and (xg)g^-1 = x, so its powers return
-    # to the identity, and ``_close_under`` spans exactly the products of
-    # the generators.
-    span = np.zeros((1, n), dtype=bool)
-    span[0, 0] = True
-    gens: list[int] = []
-    for g in range(n):
-        if span[0, g]:
-            continue
+    # that passes has g^-1(gy) = y, so its move y -> g^-1 y is a
+    # permutation (its walk from 0 returns to 0), and the span holds
+    # exactly the products of the generators.
+
+    def move(g: int) -> np.ndarray:
         left, right = mul[mul[:, g]], mul[:, mul[g]]  # (xg)y and x(gy)
         bad = np.argwhere(left != right)
         if bad.size:
@@ -125,12 +124,9 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
                 f"{what}: non-associative at ({x},{g},{y}): "
                 f"(xg)y={int(left[x, y])} != x(gy)={int(right[x, y])}"
             )
-        gens.append(g)
-        power = g
-        while power:  # the powers g, g^2, ... seed the span
-            span[0, power] = True
-            power = mul[power, g]
-        span = _close_under(span, mul[inv[gens]])
+        return mul[inv[g]]
+
+    _greedy_generators(n, range(n), move)
 
 
 def _group_from_table(
@@ -155,7 +151,8 @@ def _close_under(
     nothing.  In a group, the orbit of a set holding the identity is the
     subgroup the set and the generators generate (Neubuser's cyclic
     extension bookkeeping): a round costs |G| per generator, where
-    squaring the set would cost |K|^2.
+    squaring the set would cost |K|^2.  It is the one span closure of
+    ``_greedy_generators``.
     """
     rows = np.arange(len(masks))
     while rows.size:
@@ -168,6 +165,38 @@ def _close_under(
         masks[rows] = cur
         rows = rows[cur.sum(axis=1) > before]
     return masks
+
+
+def _greedy_generators(
+    n: int, candidates: Iterable[int], move: Callable[[int], np.ndarray]
+) -> list[int]:
+    """A greedy generating list: each candidate outside the span of those before it.
+
+    The span is a bool mask over 0..n-1 that starts as {0}, the identity.
+    For each candidate g outside it, ``move(g)`` is g's gather for
+    ``_close_under`` (``mul[inv[g]]`` in a group table); it may raise to
+    refuse g.  The powers of g, met by walking the move from 0, seed the
+    span, which ``_close_under`` then closes under the moves taken so far.
+    (Without the seed a cyclic span grows by one element per round.)  The
+    table check, a site's action check and the subgroup labels take their
+    generators from here.
+    """
+    span = np.zeros((1, n), dtype=bool)
+    span[0, 0] = True
+    gens: list[int] = []
+    moves: list[np.ndarray] = []
+    for g in candidates:
+        if span[0, g]:
+            continue
+        gather = move(g)
+        gens.append(g)
+        moves.append(gather)
+        power = gather[0]
+        while power:
+            span[0, power] = True
+            power = gather[power]
+        _close_under(span, moves)
+    return gens
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -347,26 +376,27 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 def group_from_cayley_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Read a Cayley table: line 1 is the order n, then n rows of n indices."""
     path = Path(path)
+    desc = f"cayley:{path}"
     lines = _content_lines(_read_file(path, "Cayley").splitlines())
     tokens = [token for _, line in lines for token in line.split()]
     if not tokens:
-        raise InputFileError(f"{path}: empty Cayley file")
+        raise InputFileError(f"{desc}: empty Cayley file")
     try:
         n = int(tokens[0])
         entries = [int(t) for t in tokens[1:]]
     except ValueError as exc:
-        raise InputFileError(f"{path}: non-integer token: {exc}") from None
+        raise InputFileError(f"{desc}: non-integer token: {exc}") from None
     if n <= 0:
-        raise InputFileError(f"{path}: order must be positive")
+        raise InputFileError(f"{desc}: order must be positive")
     if n > order_cap:
-        raise CapExceededError(f"{path}: order {n} exceeds cap {order_cap}")
+        raise CapExceededError(f"{desc}: order {n} exceeds cap {order_cap}")
     if len(entries) != n * n:
-        raise InputFileError(f"{path}: expected {n * n} entries, got {len(entries)}")
+        raise InputFileError(f"{desc}: expected {n * n} entries, got {len(entries)}")
     if min(entries) < 0 or max(entries) >= n:  # before the int32 cast can overflow
-        raise InputFileError(f"cayley:{path}: entries must be indices in 0..{n - 1}")
+        raise InputFileError(f"{desc}: entries must be indices in 0..{n - 1}")
     mul = np.array(entries, dtype=np.int32).reshape(n, n)
     names = ["e"] + [f"g{k}" for k in range(1, n)]
-    return _group_from_table(mul, f"cayley:{path}", path.stem, names)
+    return _group_from_table(mul, desc, path.stem, names)
 
 
 def _parse_cycles(text: str, cap: int | None = None) -> tuple:
@@ -730,20 +760,13 @@ def _abelian_type_name(elem_orders: Sequence[int]) -> str:
 def _minimal_generators(group: Group, orders: list[int], members: Sequence[int]) -> list[int]:
     """One generator of a nontrivial cyclic subgroup, else a greedy generating list.
 
+    The list is ``_greedy_generators`` over the members in order.
     ``orders`` holds the element orders, the row sums of ``group.cyclic``.
     """
     for a in members:
         if orders[a] == len(members):
             return [a]
-    gens: list[int] = []
-    span = group.cyclic[0]
-    for a in members:
-        if not span[a]:
-            gens.append(a)
-            span = _close_under((span | group.cyclic[a])[None], group.mul[group.inv[gens]])[0]
-            if span.sum() == len(members):
-                break
-    return gens
+    return _greedy_generators(group.order, members, lambda a: group.mul[group.inv[a]])
 
 
 def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:

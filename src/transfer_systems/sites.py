@@ -29,6 +29,7 @@ from .groups import (
     SubgroupLattice,
     _content_lines,
     _count,
+    _greedy_generators,
     _permutation_group,
     _row_finder,
     _read_file,
@@ -82,8 +83,9 @@ class Site:
             ``_check`` enforces that each row is a permutation, that the
             identity is present, that the rows are closed under
             composition (hence under inverse, being finite), checked over
-            a generating set (``_generators``), and that the generators
-            preserve the order, so every row does.
+            the greedy generating set of ``groups._greedy_generators``
+            (``_generators``), and that the generators preserve the order,
+            so every row does.
         covers: read-only cover relation of ``leq``: ``covers[J, H]`` iff
             J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -242,35 +244,29 @@ class Site:
 def _generators(acts: np.ndarray) -> list[int]:
     """Indices of a generating set of the distinct rows, the identity first.
 
-    While some row is not reached from the identity by right multiplication
-    with the generators, the first such row becomes the next generator g:
-    every row times g is looked up among the rows (``groups._row_finder``)
-    and a breadth-first search over the lookups extends the reached rows.
-    Then every row is a product of generators and every row times a
-    generator is a row, so the rows are closed under composition:
-    p(g1...gk) = (...(p g1)...) gk.  A product that is not a row raises.
+    The greedy span of ``groups._greedy_generators`` over the rows, with
+    right multiplication as the move.  For a candidate g, every row times g
+    is looked up among the rows (``groups._row_finder``); a product that is
+    not a row raises.  The column r -> rg is a permutation of the rows, and
+    its inverse is g's gather, since (span g)[y] = span[y g^-1].  Then every
+    row is a product of generators and every row times a generator is a
+    row, so the rows are closed under composition:
+    p(g1...gk) = (...(p g1)...) gk.
     """
     m, n = acts.shape
     find = _row_finder(acts)
     step = max(1, _BLOCK_ENTRIES // n)
-    gens: list[int] = []
-    columns = []  # columns[i][r]: the row r g_i
-    reached = np.zeros(m, dtype=bool)
-    reached[0] = True
-    while not reached.all():
-        g = int(np.argmin(reached))
+
+    def move(g: int) -> np.ndarray:
         column = np.concatenate([find(np.take(acts[lo : lo + step], acts[g], axis=1))
                                  for lo in range(0, m, step)])
         if (column < 0).any():
             raise InternalCheckError("action must be closed under composition")
-        gens.append(g)
-        columns.append(column)
-        size = 0
-        while size < np.count_nonzero(reached):  # until a round reaches no row
-            size = np.count_nonzero(reached)
-            for column in columns:
-                reached[column[reached]] = True
-    return gens
+        gather = np.empty_like(column)
+        gather[column] = np.arange(m)
+        return gather
+
+    return _greedy_generators(m, range(m), move)
 
 
 def _edge_rep(gens: np.ndarray, n: int) -> np.ndarray:
@@ -373,7 +369,7 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
     site, is refused before any n-by-n array is allocated.
     """
     names: list[str] = []
-    covers: list[tuple[str, str]] = []
+    covers: list[tuple[int, str, str]] = []
     autos: list[list[str]] = []
     for lineno, line in _content_lines(text.splitlines()):
         key, _, rest = line.partition(":")
@@ -386,7 +382,7 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
         elif key == "cover":
             if len(parts) != 2:
                 raise InputFileError(f"line {lineno}: cover needs exactly two node names")
-            covers.append((parts[0], parts[1]))
+            covers.append((lineno, parts[0], parts[1]))
         elif key == "auto":
             autos.append(parts)
         else:
@@ -400,9 +396,10 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
     index = {nm: i for i, nm in enumerate(names)}
     n = len(names)
     leq = np.eye(n, dtype=bool)
-    for a, b in covers:
-        if a not in index or b not in index:
-            raise InputFileError(f"cover references unknown node in {a!r} {b!r}")
+    for lineno, a, b in covers:
+        for name in (a, b):
+            if name not in index:
+                raise InputFileError(f"line {lineno}: cover references unknown node {name!r}")
         leq[index[a], index[b]] = True
     # transitive closure
     for k in range(n):

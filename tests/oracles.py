@@ -29,7 +29,9 @@ through the public per-system functions instead of in stacked blocks, and
 a system file is loaded by closing its listed edges and comparing the
 closure's edges with them instead of checking the listed relation, and an
 edge list is split into tokens before each token is scanned for its
-``>`` instead of in one pass.
+``>`` instead of in one pass, and the greedy generating sets of the table
+check, the site's action check and the subgroup labels grow their spans
+by their own loops instead of one shared helper.
 """
 
 from __future__ import annotations
@@ -58,9 +60,15 @@ from transfer_systems.enumeration import (
     ConjectureReport,
     disklike_systems,
 )
-from transfer_systems.errors import CapExceededError, InputFileError, NotNormalError, UsageError
+from transfer_systems.errors import (
+    CapExceededError,
+    InputFileError,
+    InternalCheckError,
+    NotNormalError,
+    UsageError,
+)
 from transfer_systems.groups import DEFAULT_SUBGROUP_CAP, Group, Subgroup, SubgroupLattice
-from transfer_systems.groups import _group_from_table
+from transfer_systems.groups import _close_under, _group_from_table, _row_finder
 from transfer_systems.serialize import system_to_dict
 from transfer_systems.sites import Site, site_from_descriptor
 from transfer_systems.systems import (
@@ -414,6 +422,83 @@ def associative_by_triples(mul: np.ndarray) -> bool:
     """(ab)c = a(bc) for every triple of the table."""
     n = len(mul)
     return bool(np.array_equal(mul[mul], mul[np.arange(n)[:, None, None], mul[None]]))
+
+
+def validate_table_by_loop(mul: np.ndarray, what: str) -> None:
+    """``groups._validate_table`` with its own span loop: Light's test per
+    generator, the right powers g, g^2, ... seeding the span."""
+    n = mul.shape[0]
+    if mul.shape != (n, n) or n == 0:
+        raise InputFileError(f"{what}: table must be square and non-empty")
+    if not (np.array_equal(mul[0], np.arange(n)) and np.array_equal(mul[:, 0], np.arange(n))):
+        raise InputFileError(f"{what}: index 0 must be the identity element")
+    inv = np.argmin(mul, axis=1)
+    if not np.array_equal(mul[np.arange(n), inv], np.zeros(n, dtype=mul.dtype)):
+        raise InputFileError(f"{what}: some element has no inverse")
+    if not np.array_equal(mul[inv, np.arange(n)], np.zeros(n, dtype=mul.dtype)):
+        raise InputFileError(f"{what}: left and right inverses disagree")
+    span = np.zeros((1, n), dtype=bool)
+    span[0, 0] = True
+    gens: list[int] = []
+    for g in range(n):
+        if span[0, g]:
+            continue
+        left, right = mul[mul[:, g]], mul[:, mul[g]]
+        bad = np.argwhere(left != right)
+        if bad.size:
+            x, y = int(bad[0, 0]), int(bad[0, 1])
+            raise InputFileError(
+                f"{what}: non-associative at ({x},{g},{y}): "
+                f"(xg)y={int(left[x, y])} != x(gy)={int(right[x, y])}"
+            )
+        gens.append(g)
+        power = g
+        while power:
+            span[0, power] = True
+            power = mul[power, g]
+        span = _close_under(span, mul[inv[gens]])
+
+
+def minimal_generators_by_loop(group: Group, orders: list[int], members) -> list[int]:
+    """``groups._minimal_generators`` with its own span loop, which stops once
+    the span holds every member."""
+    for a in members:
+        if orders[a] == len(members):
+            return [a]
+    gens: list[int] = []
+    span = group.cyclic[0]
+    for a in members:
+        if not span[a]:
+            gens.append(a)
+            span = _close_under((span | group.cyclic[a])[None], group.mul[group.inv[gens]])[0]
+            if span.sum() == len(members):
+                break
+    return gens
+
+
+def generators_by_loop(acts: np.ndarray) -> list[int]:
+    """``sites._generators`` by reachability rounds: the rows reached from the
+    identity by right multiplication with the generators, each new
+    generator the first row not reached."""
+    m = len(acts)
+    find = _row_finder(acts)
+    gens: list[int] = []
+    columns = []  # columns[i][r]: the row r g_i
+    reached = np.zeros(m, dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        g = int(np.argmin(reached))
+        column = find(acts[:, acts[g]])
+        if (column < 0).any():
+            raise InternalCheckError("action must be closed under composition")
+        gens.append(g)
+        columns.append(column)
+        size = 0
+        while size < np.count_nonzero(reached):
+            size = np.count_nonzero(reached)
+            for column in columns:
+                reached[column[reached]] = True
+    return gens
 
 
 @dataclass

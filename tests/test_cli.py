@@ -181,6 +181,7 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "maximal", "--group", "cyclic:6", "--edges", "1>C6",
                        "--threads", "0")
     assert code == 2
+    assert err == "error: --threads must be >= 1\n"
 
 
 @pytest.mark.parametrize("content", [None, "{not json", '{"edges": [["1"]]}'])
@@ -296,15 +297,15 @@ def test_non_associative_cayley_table_above_order_256(tmp_path, capsys):
 _EISDIR = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
 _ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
 INPUT_ERRORS = [
-    ("cayley-empty", ["lattice", "--group", "cayley:{f}"], "", "{f}: empty Cayley file"),
+    ("cayley-empty", ["lattice", "--group", "cayley:{f}"], "", "cayley:{f}: empty Cayley file"),
     ("cayley-token", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1 x\n",
-     "{f}: non-integer token: invalid literal for int() with base 10: 'x'"),
+     "cayley:{f}: non-integer token: invalid literal for int() with base 10: 'x'"),
     ("cayley-order-0", ["lattice", "--group", "cayley:{f}"], "0\n",
-     "{f}: order must be positive"),
+     "cayley:{f}: order must be positive"),
     ("cayley-over-cap", ["lattice", "--group", "cayley:{f}"], "1001\n",
-     "{f}: order 1001 exceeds cap 1000"),
+     "cayley:{f}: order 1001 exceeds cap 1000"),
     ("cayley-entry-count", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1\n",
-     "{f}: expected 4 entries, got 3"),
+     "cayley:{f}: expected 4 entries, got 3"),
     ("cayley-entry-range", ["lattice", "--group", "cayley:{f}"], "2\n0 1\n1 2\n",
      "cayley:{f}: entries must be indices in 0..1"),
     ("cayley-identity", ["lattice", "--group", "cayley:{f}"], "2\n1 0\n0 1\n",
@@ -329,7 +330,7 @@ INPUT_ERRORS = [
     ("poset-duplicate-names", ["lattice", "--site", "{f}"], "nodes: a a\n",
      "duplicate node names"),
     ("poset-unknown-cover", ["lattice", "--site", "{f}"], "nodes: a b\ncover: a c\n",
-     "cover references unknown node in 'a' 'c'"),
+     "line 2: cover references unknown node 'c'"),
     ("poset-auto", ["lattice", "--site", "{f}"], "nodes: a b\ncover: a b\nauto: a a\n",
      "auto: line must permute all node names: ['a', 'a']"),
     ("poset-no-top", ["lattice", "--site", "{f}"], "nodes: a b c\ncover: a b\ncover: a c\n",

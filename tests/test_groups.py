@@ -21,6 +21,7 @@ from oracles import product_with_normal
 from transfer_systems.functors import quotient_context
 from transfer_systems.groups import (
     _compose,
+    _minimal_generators,
     _parse_cycles,
     _permutation_group,
     _product_table,
@@ -30,7 +31,7 @@ from transfer_systems.groups import (
     small_group_descriptors,
     subgroup_lattice,
 )
-from transfer_systems.sites import site_from_descriptor, site_from_lattice
+from transfer_systems.sites import _generators, site_from_descriptor, site_from_lattice
 
 # Exhaustive lattice-law checks run on these (every group of order <= 24 we use).
 CATALOG = ["cyclic:6", "cyclic:12", "cyclic:24", "symmetric:3", "symmetric:4",
@@ -237,6 +238,9 @@ def test_associativity_check_matches_the_full_scan():
             _validate_table(bad, "t")
         except InputFileError as exc:
             message = str(exc)
+            with pytest.raises(InputFileError) as by_loop:
+                oracles.validate_table_by_loop(bad, "t")
+            assert str(by_loop.value) == message
             if "non-associative" not in message:
                 continue  # an earlier check (identity, inverses) fired
             x, g, y = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", message).groups())
@@ -246,6 +250,19 @@ def test_associativity_check_matches_the_full_scan():
         else:
             assert oracles.associative_by_triples(bad)
     assert caught > 200
+
+
+@pytest.mark.parametrize("desc", small_group_descriptors(24) + ["symmetric:5", "alternating:5"])
+def test_generating_sets_match_the_loop_oracles(desc):
+    # the action check's generator rows and every subgroup label's generators
+    latt = subgroup_lattice(build_group(desc))
+    group = latt.group
+    action = site_from_lattice(latt).action
+    assert _generators(action) == oracles.generators_by_loop(action)
+    orders = group.cyclic.sum(axis=1).tolist()
+    for sub in latt.subgroups:
+        assert (_minimal_generators(group, orders, sub.members)
+                == oracles.minimal_generators_by_loop(group, orders, sub.members))
 
 
 def test_associativity_check_accepts_groups():

@@ -17,9 +17,10 @@ from pathlib import Path
 from typing import Optional
 
 from .enumeration import TransferSystemCatalog
-from .errors import InputFileError, InternalCheckError, MismatchedSitesError, UsageError
-from .groups import Group, _read_file, build_group
-from .sites import Site, site_from_descriptor
+from .errors import (CapExceededError, InputFileError, InternalCheckError,
+                     MismatchedSitesError, UsageError)
+from .groups import DEFAULT_ORDER_CAP, Group, _read_file, build_group, subgroup_lattice
+from .sites import Site, site_from_descriptor, site_from_lattice
 from .systems import BinaryRelation, TransferSystem, _labeled_edges, _refl, _scatter
 
 
@@ -84,19 +85,23 @@ def _rebuilds(desc: str, site: Site) -> bool:
     """Whether the descriptor rebuilds the site, with the same ``Site.key``.
 
     Against a group site, a plain group descriptor (no ``poset:``, no
-    ``|above:``) first builds its group alone, and a group whose sorted
-    element orders (the row sums of ``Group.cyclic``) differ from the
-    site's group's is refused before its subgroup lattice is built: S6's
-    takes seconds, against C720's as well as C6's.  A poset or interval
-    site can share a group site's key, so every other descriptor is
-    rebuilt in full.
+    ``|above:``) first builds its group alone, under a cap of the site's
+    group order (or the default cap, if larger), so that a site built past
+    the default cap can be named.  A group over that cap, or one whose
+    sorted element orders (the row sums of ``Group.cyclic``) differ from
+    the site's group's, cannot rebuild the site and is refused before its
+    subgroup lattice is built: S6's takes seconds, against C720's as well
+    as C6's.  A poset or interval site can share a group site's key, so
+    every other descriptor is rebuilt in full under the default cap.
     """
-    plain = "|above:" not in desc and not desc.strip().startswith("poset:")
-    if site.lattice is not None and plain and (
-        _element_orders(build_group(desc)) != _element_orders(site.lattice.group)
-    ):
+    if site.lattice is None or "|above:" in desc or desc.strip().startswith("poset:"):
+        return site_from_descriptor(desc).key == site.key
+    try:
+        other = build_group(desc, max(site.lattice.group.order, DEFAULT_ORDER_CAP))
+    except CapExceededError:
         return False
-    return site_from_descriptor(desc).key == site.key
+    return _element_orders(other) == _element_orders(site.lattice.group) and (
+        site_from_lattice(subgroup_lattice(other)).key == site.key)
 
 
 def _element_orders(group: Group) -> list[int]:

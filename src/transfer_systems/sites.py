@@ -21,6 +21,7 @@ from .errors import (
     InputFileError,
     InternalCheckError,
     NotNormalError,
+    UsageError,
 )
 from .groups import (
     _BLOCK_ENTRIES,
@@ -72,6 +73,7 @@ class Site:
     Attributes:
         size: number of nodes.
         leq: boolean partial-order matrix with unique bottom and top.
+        bottom, top: the indices of the least and the greatest node.
         meet: greatest-lower-bound table, an int32 array derived from
             ``leq``; deriving it is also the lattice check.
         meet_flat: intp table ``meet_flat[K, L] = meet[K, L] * n + L``, so
@@ -84,8 +86,8 @@ class Site:
             identity is present, that the rows are closed under
             composition (hence under inverse, being finite), checked over
             the greedy generating set of ``groups._greedy_generators``
-            (``_generators``), and that the generators preserve the order,
-            so every row does.
+            (``_generators``), and that every row preserves the order,
+            read off ``edge_rep``: ``leq`` must be a union of its orbits.
         covers: read-only cover relation of ``leq``: ``covers[J, H]`` iff
             J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -138,16 +140,10 @@ class Site:
         self.labels = labels
         self.lattice = lattice
         self.descriptor = descriptor
-        gens = self._check()
-        for a in (self.leq, self.meet, self.covers, self.action):
+        self._check()
+        self.meet_flat = self.meet.astype(np.intp) * self.size + np.arange(self.size)
+        for a in (self.leq, self.meet, self.meet_flat, self.covers, self.action, self.edge_rep):
             a.flags.writeable = False
-        n = self.size
-        self.meet_flat = self.meet.astype(np.intp) * n + np.arange(n)
-        self.meet_flat.flags.writeable = False
-        self.edge_rep = _edge_rep(gens, n)
-        self.edge_rep.flags.writeable = False
-        self.bottom = int(np.flatnonzero(leq[:, :].all(axis=1))[0])
-        self.top = int(np.flatnonzero(leq[:, :].all(axis=0))[0])
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         # leq, "|" and the action rows joined by ",", fed piece by piece
         key = hashlib.sha256(np.ascontiguousarray(leq))
@@ -157,41 +153,49 @@ class Site:
         self.key = key.digest()
         self._cache: dict = {}
 
-    def _check(self) -> np.ndarray:
-        """Set ``covers`` and ``meet``; return the action's generator rows."""
+    def _check(self) -> None:
+        """Set ``covers``, ``bottom``, ``top``, ``meet`` and ``edge_rep``, or raise.
+
+        The rules are checked in this order, and the first one broken
+        raises: unique labels, reflexive, antisymmetric, transitive, a
+        unique bottom and top, meets, an action of permutations holding
+        the identity and closed under composition, and order preservation.
+        Each check reads a table the site keeps or builds anyway.  The
+        chain counts ``c[K, H] = |{J : K <= J <= H}|`` give antisymmetry
+        (``c[K, K] > 1`` iff some J != K has K <= J <= K), transitivity
+        (``c > 0`` only where ``leq``) and the covers (``c == 2``).  Order
+        preservation reads ``edge_rep``: the order is a union of edge
+        orbits iff ``leq.ravel()[edge_rep] == leq``, iff every generator,
+        and so every row, maps the order onto itself.
+        """
         n = self.size
         leq = self.leq
+        if len(self.labels) != n or len(set(self.labels)) != n:
+            raise InternalCheckError("labels must be unique, one per node")
         if not np.all(np.diag(leq)):
             raise InputFileError("order is not reflexive")
-        if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
+        chains = _count(leq, leq)
+        if (np.diag(chains) > 1).any():
             raise InputFileError("cycle detected: order is not antisymmetric")
-        chains = _count(leq, leq)  # |{J : K <= J <= H}|: 2 exactly for a cover
         if np.any((chains > 0) & ~leq):
             raise InputFileError("order is not transitive")
         self.covers = chains == 2
         del chains
-        if int(leq.all(axis=1).sum()) != 1:
+        bottoms, tops = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
+        if len(bottoms) != 1:
             raise InputFileError("no unique bottom element")
-        if int(leq.all(axis=0).sum()) != 1:
+        if len(tops) != 1:
             raise InputFileError("no unique top element")
+        self.bottom, self.top = int(bottoms[0]), int(tops[0])
         self.meet = _derive_meet(leq, self.covers, self.labels)
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise InternalCheckError("labels must be unique, one per node")
         acts = self.action
         if acts.shape[1:] != (n,) or not (np.sort(acts, axis=1) == np.arange(n)).all():
             raise InternalCheckError("action must consist of permutations of the nodes")
         if not len(acts) or not (acts[0] == np.arange(n)).all():  # the least row
             raise InternalCheckError("action must contain the identity")
-        gens = acts[_generators(acts)]
-        # a permutation maps the strict pairs injectively, so it preserves
-        # the order iff every strict pair lands on a strict pair
-        ks, hs = np.nonzero(leq & ~np.eye(n, dtype=bool))
-        step = max(1, _BLOCK_ENTRIES // max(1, ks.size))
-        for lo in range(0, len(gens), step):
-            block = gens[lo : lo + step]
-            if not leq.ravel()[block[:, ks] * n + block[:, hs]].all():
-                raise InputFileError("declared automorphism does not preserve the order")
-        return gens
+        self.edge_rep = _edge_rep(acts[_generators(acts)], n)
+        if not (leq.ravel()[self.edge_rep] == leq).all():
+            raise InputFileError("declared automorphism does not preserve the order")
 
     @cached_property
     def orbit_reps(self) -> np.ndarray:
@@ -414,8 +418,17 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
 
 
 def site_from_poset_file(path: str | Path) -> Site:
-    path = Path(path)
-    return parse_poset_text(_read_file(path, "poset"), descriptor=f"poset:{path}")
+    """The site of a poset file; every error past the read names the file.
+
+    A read error says ``cannot read poset file F: ...``; any other says
+    ``poset:F: ...``, the file's descriptor, like a Cayley file's errors.
+    """
+    desc = f"poset:{Path(path)}"
+    text = _read_file(Path(path), "poset")
+    try:
+        return parse_poset_text(text, descriptor=desc)
+    except UsageError as exc:
+        raise type(exc)(f"{desc}: {exc}") from None
 
 
 def site_from_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Site:

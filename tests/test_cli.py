@@ -262,7 +262,7 @@ def test_poset_automorphisms_are_capped(tmp_path, capsys):
     code, out, err = run(capsys, "lattice", "--site", str(path))
     assert time.perf_counter() - start < 2.0
     assert code == 2 and out == ""
-    assert err == "error: auto: lines: generated more than 1000 elements\n"
+    assert err == f"error: poset:{path}: auto: lines: generated more than 1000 elements\n"
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -323,18 +323,19 @@ INPUT_ERRORS = [
     ("cayley-no-path", ["lattice", "--group", "cayley:"], None,
      "cayley: requires a file path"),
     ("poset-second-nodes", ["lattice", "--site", "{f}"], "nodes: a b\nnodes: a b\n",
-     "line 2: duplicate nodes: line"),
+     "poset:{f}: line 2: duplicate nodes: line"),
     ("poset-directive", ["lattice", "--site", "{f}"], "nodes: a b\nfoo: a\n",
-     "line 2: unknown directive 'foo'"),
-    ("poset-no-nodes", ["lattice", "--site", "{f}"], "cover: a b\n", "missing nodes: line"),
+     "poset:{f}: line 2: unknown directive 'foo'"),
+    ("poset-no-nodes", ["lattice", "--site", "{f}"], "cover: a b\n",
+     "poset:{f}: missing nodes: line"),
     ("poset-duplicate-names", ["lattice", "--site", "{f}"], "nodes: a a\n",
-     "duplicate node names"),
+     "poset:{f}: duplicate node names"),
     ("poset-unknown-cover", ["lattice", "--site", "{f}"], "nodes: a b\ncover: a c\n",
-     "line 2: cover references unknown node 'c'"),
+     "poset:{f}: line 2: cover references unknown node 'c'"),
     ("poset-auto", ["lattice", "--site", "{f}"], "nodes: a b\ncover: a b\nauto: a a\n",
-     "auto: line must permute all node names: ['a', 'a']"),
+     "poset:{f}: auto: line must permute all node names: ['a', 'a']"),
     ("poset-no-top", ["lattice", "--site", "{f}"], "nodes: a b c\ncover: a b\ncover: a c\n",
-     "no unique top element"),
+     "poset:{f}: no unique top element"),
     ("poset-directory", ["lattice", "--site", "{f}"], None,
      "cannot read poset file {f}: " + _EISDIR + ": '{f}'"),
     ("input-without-edges", ["check", "--group", "cyclic:6", "--input", "{f}"],
@@ -379,7 +380,8 @@ INPUT_ERRORS = [
     ("input-site-not-a-string", ["check", "--group", "cyclic:6", "--input", "{f}"],
      '{"site": 6, "edges": []}', "system JSON 'site' must be a descriptor string"),
     ("poset-over-node-cap", ["lattice", "--site", "{f}"],
-     "nodes: " + " ".join(f"n{i}" for i in range(5001)) + "\n", "5001 nodes exceed cap 5000"),
+     "nodes: " + " ".join(f"n{i}" for i in range(5001)) + "\n",
+     "poset:{f}: 5001 nodes exceed cap 5000"),
     # the start system alone is over a cap of 0, with no level to run
     ("enumerate-cap-0-one-system", ["enumerate", "--group", "cyclic:1", "--cap", "0"], None,
      "enumeration cap 0 exceeded (partial count 1)"),
@@ -432,6 +434,30 @@ def test_a_file_on_a_group_of_the_same_order_builds_no_lattice_of_it(
     # C720 and S6 both have order 720, but only C720 has an element of
     # order 720: the sorted element orders refuse the file
     _s6_file_refused_before_its_lattice(tmp_path, capsys, monkeypatch, "cyclic:720")
+
+
+@pytest.mark.parametrize("named", ["cyclic:1024", "Cyclic:1024"])
+def test_a_file_past_the_default_cap_is_read_under_max_order(tmp_path, capsys, named):
+    # a descriptor spelled unlike the site's is rebuilt under the site's
+    # group order, not the default cap of 1000
+    path = tmp_path / "c1024.json"
+    path.write_text(json.dumps({"site": named, "edges": [["1", "C2"]]}))
+    code, out, err = run(capsys, "check", "--group", "cyclic:1024", "--max-order", "2000",
+                         "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("input file: valid transfer system\n")
+
+
+@pytest.mark.parametrize("group, named", [("cyclic:1024", "cyclic:1500"),
+                                          ("cyclic:6", "symmetric:7")])
+def test_a_file_on_a_group_over_the_cap_is_on_another_site(tmp_path, capsys, group, named):
+    # a group larger than the site's cannot rebuild it: its cap error is a mismatch
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"site": named, "edges": []}))
+    code, out, err = run(capsys, "check", "--group", group, "--max-order", "2000",
+                         "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: system JSON site {named!r} is not the site {group!r}\n"
 
 
 def test_a_poset_file_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -178,26 +178,149 @@ def test_interval_action_matches_the_loop_form(s4_site):
         assert ctx.interval_site.lattice is None
 
 
+# every permutation of the nodes, added as an auto: line: (text, accepted).
+# M4 is given without its auto: lines, so that each permutation generates
+# a cyclic group: beside S4's lines, one that breaks the order generates
+# up to 720 elements in pure Python.
+AUTOMORPHISM_CASES = {
+    "M3": (m_poset_text(3), 6),  # the permutations of the three atoms
+    "P5": (P5_TEXT, 1),  # the pentagon has no automorphism but the identity
+    "M4": (m_poset_text(4).split("auto:")[0], 24),
+}
+
+
 def test_declared_automorphism_must_preserve_the_order():
     # swapping A and C in P5 sends C < B to A, B, which are incomparable
     with pytest.raises(InputFileError, match="does not preserve the order"):
         parse_poset_text(P5_TEXT + "auto: bot C B A top\n")
-    # every permutation of M3's nodes: accepted iff leq[p, p] == leq
-    m3 = m_poset_text(3)
-    names = ["bot", "a0", "a1", "a2", "top"]
-    leq = parse_poset_text(m3).leq
-    accepted = 0
-    for p in itertools.permutations(range(5)):
-        preserves = np.array_equal(leq[np.ix_(p, p)], leq)
-        text = m3 + "auto: " + " ".join(names[i] for i in p) + "\n"
-        try:
-            parse_poset_text(text)
-        except InputFileError as exc:
-            assert "does not preserve the order" in str(exc) and not preserves
-        else:
-            assert preserves
-            accepted += 1
-    assert accepted == 6  # the permutations of the three atoms
+    # accepted iff leq[p, p] == leq
+    for text, want in AUTOMORPHISM_CASES.values():
+        site = parse_poset_text(text)
+        leq, names = site.leq, site.labels
+        accepted = 0
+        for p in itertools.permutations(range(site.size)):
+            preserves = np.array_equal(leq[np.ix_(p, p)], leq)
+            try:
+                parse_poset_text(text + "auto: " + " ".join(names[i] for i in p) + "\n")
+            except InputFileError as exc:
+                assert "does not preserve the order" in str(exc) and not preserves
+            else:
+                assert preserves
+                accepted += 1
+        assert accepted == want
+
+
+# Site's rules in the order _check tests them, each with an input that
+# breaks it and no earlier rule: (rule, message, exception, input).  An
+# input is given as keywords of _site_input; the default is M3,
+# bot < a, b, c < top, with the identity action.
+M3_NODES = "bot a b c top"
+M3_PAIRS = "bot a, bot b, bot c, bot top, a top, b top, c top"
+BOWTIE_NODES = "bot x y c d top"
+BOWTIE_PAIRS = ("bot x, bot y, bot c, bot d, bot top, x c, x d, y c, y d, "
+                "x top, y top, c top, d top")
+SITE_RULES = [
+    ("labels", "labels must be unique, one per node", InternalCheckError,
+     dict(labels="bot a a c top")),
+    ("reflexive", "order is not reflexive", InputFileError, dict(irreflexive="a")),
+    ("antisymmetric", "cycle detected: order is not antisymmetric", InputFileError,
+     dict(pairs=M3_PAIRS + ", a b, b a")),
+    ("transitive", "order is not transitive", InputFileError,
+     dict(pairs=M3_PAIRS + ", a b, b c")),
+    ("bottom", "no unique bottom element", InputFileError,
+     dict(nodes="x y top", pairs="x top, y top")),
+    ("top", "no unique top element", InputFileError, dict(nodes="bot x y", pairs="bot x, bot y")),
+    ("meet", "not a lattice: c and d have no meet", InputFileError,
+     dict(nodes=BOWTIE_NODES, pairs=BOWTIE_PAIRS)),
+    ("permutations", "action must consist of permutations of the nodes", InternalCheckError,
+     dict(rows=[M3_NODES, "bot a a a top"])),
+    ("identity", "action must contain the identity", InternalCheckError, dict(rows=[])),
+    ("composition", "action must be closed under composition", InternalCheckError,
+     dict(rows=[M3_NODES, "bot b c a top"])),
+    ("preserves", "declared automorphism does not preserve the order", InputFileError,
+     dict(rows=[M3_NODES, "top a b c bot"])),
+]
+
+# Inputs that break two adjacent rules, keyed by the first, which is the
+# one raised.
+SITE_RULE_PAIRS = {
+    "labels": dict(labels="bot a a c top", irreflexive="a"),
+    "reflexive": dict(irreflexive="a", pairs=M3_PAIRS + ", b c, c b"),
+    "antisymmetric": dict(pairs=M3_PAIRS + ", a b, b a, b c"),
+    "transitive": dict(nodes="x y z top", pairs="x y, y z, x top, y top, z top"),
+    "bottom": dict(nodes="x y", pairs=""),
+    "top": dict(nodes="bot x y c d", pairs="bot x, bot y, bot c, bot d, x c, x d, y c, y d"),
+    "meet": dict(nodes=BOWTIE_NODES, pairs=BOWTIE_PAIRS, rows=[BOWTIE_NODES, "bot x x c d top"]),
+    "permutations": dict(rows=["bot a a a top"]),
+    "identity": dict(rows=["bot b a c top"]),  # no identity, and its square is missing
+    "composition": dict(rows=[M3_NODES, "top b c a bot"]),  # order 6, and swaps bot and top
+}
+
+
+def _site_input(nodes=M3_NODES, pairs=M3_PAIRS, rows=None, labels=None, irreflexive=""):
+    """(leq, action, labels) of the named nodes: leq holds exactly the
+    given pairs, plus the diagonal but at the ``irreflexive`` nodes, and
+    each action row lists the images of the nodes in order."""
+    names = nodes.split()
+    leq = np.eye(len(names), dtype=bool)
+    for pair in filter(None, pairs.split(",")):
+        a, b = pair.split()
+        leq[names.index(a), names.index(b)] = True
+    for name in irreflexive.split():
+        leq[names.index(name), names.index(name)] = False
+    rows = [nodes] if rows is None else rows
+    action = np.array([[names.index(x) for x in row.split()] for row in rows],
+                      dtype=np.int32).reshape(-1, len(names))
+    return leq, action, tuple((labels or nodes).split())
+
+
+def _broken_rules(leq, action, labels):
+    """The indices into SITE_RULES of the rules an input breaks, read off
+    the definitions with no use of Site."""
+    n = len(leq)
+    rows = {tuple(r) for r in action.tolist()}
+    perms = all(sorted(r) == list(range(n)) for r in rows)
+    lower = [leq[:, a] & leq[:, b] for a in range(n) for b in range(n)]
+    broken = {
+        "labels": len(labels) != n or len(set(labels)) != n,
+        "reflexive": not leq.diagonal().all(),
+        "antisymmetric": (leq & leq.T & ~np.eye(n, dtype=bool)).any(),
+        "transitive": ((leq.astype(int) @ leq.astype(int) > 0) & ~leq).any(),
+        "bottom": leq.all(axis=1).sum() != 1,
+        "top": leq.all(axis=0).sum() != 1,
+        "meet": not all(any((low <= leq[:, m]).all() for m in np.flatnonzero(low))
+                        for low in lower),
+        "permutations": not perms,
+        "identity": tuple(range(n)) not in rows,
+        "composition": any(tuple(p[i] for i in q) not in rows for p in rows for q in rows),
+        "preserves": perms and any(not np.array_equal(leq[np.ix_(p, p)], leq) for p in rows),
+    }
+    return [i for i, rule in enumerate(SITE_RULES) if broken[rule[0]]]
+
+
+@pytest.mark.parametrize("i", range(len(SITE_RULES)), ids=[rule[0] for rule in SITE_RULES])
+def test_each_site_rule_has_its_message(i):
+    rule, message, error, given_input = SITE_RULES[i]
+    site_input = _site_input(**given_input)
+    assert _broken_rules(*site_input)[0] == i  # no earlier rule is broken
+    assert _raised(lambda: Site(*site_input)) == (error, message)
+
+
+@pytest.mark.parametrize("first", list(SITE_RULE_PAIRS))
+def test_the_earlier_of_two_site_rules_fires(first):
+    i = [rule[0] for rule in SITE_RULES].index(first)
+    site_input = _site_input(**SITE_RULE_PAIRS[first])
+    assert _broken_rules(*site_input)[:2] == [i, i + 1]
+    _, message, error, _ = SITE_RULES[i]
+    assert _raised(lambda: Site(*site_input)) == (error, message)
+
+
+def test_labels_are_checked_before_the_meet_names_a_pair():
+    # a six-node order without a meet and one label: the meet error's
+    # message would index past the labels
+    leq, _, _ = _site_input(nodes=BOWTIE_NODES, pairs=BOWTIE_PAIRS)
+    with pytest.raises(InternalCheckError, match="^labels must be unique, one per node$"):
+        Site(leq, [list(range(6))], ("a",))
 
 
 @settings(max_examples=200, deadline=None)

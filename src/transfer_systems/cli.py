@@ -114,7 +114,7 @@ def _load_system(args, site: Site) -> tuple[TransferSystem, BinaryRelation | Non
     if args.edges is not None and args.input:
         raise UsageError("--edges and --input exclude each other")
     if args.input:
-        return serialize.read_system(args.input, site), None
+        return serialize.read_system(args.input, site, args.max_order), None
     if args.edges is not None:
         listed = BinaryRelation.from_edges(site, parse_edges(site, args.edges))
         return generate(listed), listed

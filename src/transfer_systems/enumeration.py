@@ -17,15 +17,18 @@ table's column at top for the disklike scope.  A row-major scan meets
 each orbit first at its least edge, so this is the order in which a scan
 of the pairs would first meet the orbits.
 
-A level runs on stacks.  Its candidates O | R_e, for every frontier system
-O and every edge e not in O, frontier-major and edge-minor, are closed in
+The levels come from the package's one breadth-first search,
+``groups._levels``, which also closes permutation groups; the BFS here
+supplies the candidate blocks and ranks what the levels bring.  A level
+runs on stacks.  Its candidates O | R_e, for every frontier system O and
+every edge e not in O, frontier-major and edge-minor, are closed in
 blocks of ``_STACK_ENTRIES`` bool entries, cut by ``systems._block_slices``
 as every stack is: a step is one stacked closure per block.  Dedup
-happens on the canonical bit-string key before anything is built, in
-candidate order, so the cap fires at the same count as a per-candidate
-loop would.  The level's new systems then pass the full axiom check in
-stacked blocks, the check the constructor runs on one relation, and join
-the site's memo of checked relations.  The
+happens on the canonical bit-string key (``groups._row_keys``) before
+anything is built, in candidate order, so the cap fires at the same count
+as a per-candidate loop would.  The level's new systems then pass the
+full axiom check in stacked blocks, the check the constructor runs on one
+relation, and join the site's memo of checked relations.  The
 catalog order is canonical (edge count, then key bytes), so runs are
 reproducible regardless of expansion order.
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -61,6 +65,7 @@ from .compat import (
     max_compat_disklike,
 )
 from .errors import CapExceededError, InternalCheckError, UsageError
+from .groups import _levels, _row_keys
 from .sites import Site
 from .systems import (
     TransferSystem,
@@ -70,7 +75,6 @@ from .systems import (
     _comp,
     _edge_closures,
     _labeled_edges,
-    _stack_keys,
     _unsaturated,
     count_cover_relations,
     generate_from_edges,
@@ -118,7 +122,7 @@ class TransferSystemCatalog:
         for _, _, rels, blocked in _blocks(site, self.systems):
             maximal = _recursive(site, rels, blocked)
             _check_stack(site, maximal)
-            for key in _stack_keys(maximal):
+            for key in _row_keys(maximal).tolist():
                 if key not in by_key:
                     raise InternalCheckError("M(O) escaped the catalog")
                 pairing.append(by_key[key])
@@ -152,36 +156,29 @@ def _bfs(
     """Systems reachable from ``start`` by adding edges, in canonical order.
 
     ``edge_flat`` holds the flat indices ``k * n + h`` of the edges to add,
-    in the order the candidates try them.  With ``depth`` set, at most that
-    many edges are added.  ``message`` is formatted with ``cap`` and
-    ``count`` when more than ``cap`` systems turn up.
+    in the order the candidates try them.  The levels are those of
+    ``groups._levels`` from ``start``: each frontier's candidate blocks
+    are the stacked closures comp(O | R_e), and each level's systems are
+    built from its stack and keys (``TransferSystem._from_stack``) and
+    ranked.  With ``depth`` set, only the first ``depth`` levels run, so
+    at most that many edges are added.  ``message`` is formatted with
+    ``cap`` and ``count`` when more than ``cap`` systems turn up.
     """
     n = site.size
     closures = _edge_closures(site, edge_flat)
-    seen = {start.key}
-    if len(seen) > cap:  # the start system counts against the cap too
-        raise CapExceededError(message.format(cap=cap, count=len(seen)))
-    ranked = [(start.edge_count, start.key, start)]
-    frontier = start.rel[None]
-    level = 0
-    while len(frontier) and (depth is None or level < depth):
-        level += 1
+
+    def expand(frontier: np.ndarray) -> Iterator[np.ndarray]:
         # (system, edge) pairs without the edge, frontier-major and edge-minor
         fi, ei = np.nonzero(~frontier.reshape(len(frontier), n * n)[:, edge_flat])
-        found: list[bytes] = []
         for part in _block_slices(site, len(fi)):
-            block = _comp(frontier[fi[part]] | closures[ei[part]])
-            keys = _stack_keys(block)
-            # the block's new keys, each once, in candidate order
-            new = dict.fromkeys(k for k in keys if k not in seen)
-            if len(seen) + len(new) > cap:
-                raise CapExceededError(message.format(cap=cap, count=max(cap, len(seen))))
-            seen.update(new)
-            found += new
-        # rows copied out of the keys: no candidate block outlives its step
-        frontier = np.frombuffer(b"".join(found), dtype=bool).reshape(-1, n, n)
+            yield _comp(frontier[fi[part]] | closures[ei[part]])
+
+    levels = _levels(start.rel[None], expand, cap,
+                     lambda count: CapExceededError(message.format(cap=cap, count=count)))
+    ranked = [(start.edge_count, start.key, start)]
+    for frontier, keys in islice(levels, depth):
         counts = np.count_nonzero(frontier.reshape(len(frontier), n * n), axis=1) - n
-        ranked += zip(counts.tolist(), found, TransferSystem._from_stack(site, frontier, found))
+        ranked += zip(counts.tolist(), keys, TransferSystem._from_stack(site, frontier, keys))
     # the canonical order: edge count, then key bytes (keys are distinct)
     return [ts for _, _, ts in sorted(ranked)]
 

@@ -5,16 +5,28 @@ index 0 the identity.  Built-in families cover the cyclic groups, products
 of cyclics, symmetric and alternating groups, dihedral and dicyclic groups
 (``Q8 == dicyclic:2``); arbitrary groups can be read from Cayley-table or
 permutation-generator files.  Each job has one path: S_n and A_n are
-generated from permutations by the search that reads ``perms:`` files,
-dihedral and dicyclic groups come from one builder of C_m extended by an
-element x that inverts C_m and squares into it, and ``build_group`` checks
-every built-in family's order against one cap.
+generated from permutations by the search that reads ``perms:`` files
+(``_permutation_group``), dihedral and dicyclic groups come from one
+builder of C_m extended by an element x that inverts C_m and squares into
+it, and ``build_group`` checks every built-in family's order against one
+cap.
+
+One breadth-first search, ``_levels``, serves both closures the package
+enumerates: a group from its generating permutations, a block of
+frontier rows times every generator at a time, and Tr(site) in
+``enumeration._bfs``.  It tells rows apart by one key rule,
+``_row_keys`` (one void key per row of any stack, also the key of a
+transfer system's relation), and keeps each new row once, in candidate
+order, under a cap checked per block.  A permutation group's elements
+come out in lexicographic order through ``_sorted_rows``, the rule by
+which a site lists its action too.
 
 Every table is built on arrays.  One product table, ``_product_table``,
-serves the permutation groups: one gather per block and a lookup of the
-result rows by ``_row_finder``.  A site checks that its action is closed
-under composition with the same lookup, over a generating set only
-(``sites._generators``).  Every generating set the package finds is one
+serves the permutation groups: one gather per block of left rows and a
+lookup of the result rows by ``_row_finder``.  A site checks that its
+action is closed under composition with the same table, one generator's
+column at a time, over a generating set only (``sites._generators``).
+Every generating set the package finds is one
 greedy span, ``_greedy_generators``: the table check's, the site's action
 check's and the generators of the non-abelian subgroup labels.
 Subgroups are enumerated as bool masks over the elements: the cyclic
@@ -200,8 +212,62 @@ def _greedy_generators(
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One void key per row of a 2-D array; equal rows have equal keys."""
-    return np.ascontiguousarray(rows).view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+    """One void key per row of a stack (its first axis); equal rows have equal keys.
+
+    A row is everything past the first axis, so a (B, n, n) stack of
+    relations has one key per relation, ``rels[i].tobytes()`` as bytes
+    under ``.tolist()``.  The empty stack has no keys.
+    """
+    flat = np.ascontiguousarray(rows).reshape(len(rows), math.prod(rows.shape[1:]))
+    return flat.view(f"V{flat.shape[1] * flat.itemsize}").ravel()
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order.
+
+    Any other array is returned as it is, for ``sites.Site``'s checks to
+    refuse.  (Not ``np.unique(axis=0)``: it lazily imports numpy.ma, and
+    its row sort has a transient peak of ~1 MB on S5.)
+    """
+    if rows.ndim == 2 and len(rows) > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return rows
+
+
+def _levels(frontier: np.ndarray, expand: Callable[[np.ndarray], Iterable[np.ndarray]], cap: int,
+            too_many: Callable[[int], Exception]) -> Iterator[tuple[np.ndarray, list[bytes]]]:
+    """The breadth-first levels of new rows reached from a stack of start rows.
+
+    ``frontier`` holds the start rows, and each level becomes the next
+    frontier.  ``expand(frontier)`` yields the candidate rows of the next
+    level in blocks, stacks shaped like the start.  A level is the stack of
+    the candidates not met before, each once, in the order of its first
+    candidate, and it is yielded with its keys: the bytes of its
+    ``_row_keys``, the very objects the search remembers.  The search ends
+    after the first empty level.  More than ``cap`` rows in all, the start
+    counted, raises ``too_many(count)``; it is checked per block, and the
+    count is the number a loop over the candidates would have reached:
+    ``cap``, or the start's own size if that is over the cap.  Both
+    closures the package enumerates run on it: Tr(site) in
+    ``enumeration._bfs`` and a group from its generating permutations in
+    ``_permutation_group``.
+    """
+    seen = set(_row_keys(frontier).tolist())
+    if len(seen) > cap:
+        raise too_many(len(seen))
+    while len(frontier):
+        found: list[bytes] = []
+        for block in expand(frontier):
+            # the block's new keys, each once, in candidate order
+            new = dict.fromkeys(k for k in _row_keys(block).tolist() if k not in seen)
+            if len(seen) + len(new) > cap:
+                raise too_many(max(cap, len(seen)))
+            seen.update(new)
+            found += new
+        # rows copied out of the keys: no candidate block outlives its step
+        frontier = np.frombuffer(b"".join(found), frontier.dtype).reshape(-1, *frontier.shape[1:])
+        yield frontier, found
 
 
 def _row_finder(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -247,20 +313,24 @@ def _count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(fa, fa if b is a else b.astype(np.float32))
 
 
-def _product_table(rows: np.ndarray) -> np.ndarray:
-    """Products of the permutations that are the rows of a (n, k) int array.
+def _product_table(rows: np.ndarray, right: np.ndarray | None = None,
+                   find: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """Products of the permutations that are the rows of (n, k) int arrays.
 
-    ``t[i, j]`` is the row index of p_i(p_j), or -1 where that composition
-    is not a row.  Each block of columns j is one gather plus one
-    ``_row_finder`` lookup.
+    ``t[i, j]`` is the index of p_i(r_j), p_i row i of ``rows`` and r_j
+    row j of ``right`` (``rows`` if None), among the rows that ``find``
+    (``_row_finder(rows)`` if None) searches, or -1 where the composition
+    is not one of them.  Each block of left rows is one gather plus one
+    ``find`` lookup.
     """
+    right = rows if right is None else right
+    find = find or _row_finder(rows)
     n, k = rows.shape
-    find = _row_finder(rows)
-    step = max(1, _BLOCK_ENTRIES // rows.size)
-    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_ENTRIES // right.size)
+    table = np.empty((n, len(right)), dtype=np.int32)
     for lo in range(0, n, step):
-        block = np.take(rows, rows[lo : lo + step], axis=1)
-        table[:, lo : lo + step] = find(block.reshape(-1, k)).reshape(n, -1)
+        products = rows[lo : lo + step][:, right].reshape(-1, k)
+        table[lo : lo + step] = find(products).reshape(-1, len(right))
     return table
 
 
@@ -286,11 +356,7 @@ def _product_of_cyclics(orders: Sequence[int]) -> Group:
     return _group_from_table(mul, desc, name, names)
 
 
-def _compose(p: tuple, q: tuple) -> tuple:
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _cycle_string(p: tuple) -> str:
+def _cycle_string(p: Sequence[int]) -> str:
     """1-based cycle notation; compact for <=9 points, spaced otherwise."""
     k = len(p)
     seen = [False] * k
@@ -445,27 +511,24 @@ def _parse_cycles(text: str, cap: int | None = None) -> tuple:
     return tuple(perm)
 
 
-def _permutation_group(gens: Sequence[tuple], degree: int, cap: int, what: str) -> list[tuple]:
-    """Sorted elements of the group the permutations generate on 0..degree-1.
+def _permutation_group(gens: np.ndarray, cap: int, what: str) -> np.ndarray:
+    """Sorted rows of the group the rows of a (g, k) int32 array generate on 0..k-1.
 
-    A breadth-first search from the identity by right multiplication with
-    each generator; more than ``cap`` elements raises CapExceededError.
+    The levels of ``_levels`` from the identity, by right multiplication
+    with each generator: a block of frontier rows p gives p(g) for every
+    generator g, frontier-major.  More than ``cap`` elements raises
+    CapExceededError.
     """
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"{what}: generated more than {cap} elements")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(seen)
+    step = max(1, _BLOCK_ENTRIES // max(gens.size, 1))
+
+    def expand(frontier: np.ndarray) -> Iterator[np.ndarray]:
+        for lo in range(0, len(frontier), step):
+            yield frontier[lo : lo + step][:, gens].reshape(-1, frontier.shape[1])
+
+    identity = np.arange(gens.shape[1], dtype=np.int32)[None]
+    levels = _levels(identity, expand, cap,
+                     lambda _: CapExceededError(f"{what}: generated more than {cap} elements"))
+    return _sorted_rows(np.concatenate([identity, *(level for level, _ in levels)]))
 
 
 def group_from_permutations(
@@ -488,10 +551,10 @@ def group_from_permutations(
 
     parsed = [parse(i, ln) for i, ln in raw]
     k = max(map(len, parsed))
-    gens = [p + tuple(range(len(p), k)) for p in parsed]
-    elements = _permutation_group(gens, k, order_cap, descriptor)
-    names = [_cycle_string(p) for p in elements]
-    mul = _product_table(np.array(elements, dtype=np.int32))
+    gens = np.array([p + tuple(range(len(p), k)) for p in parsed], dtype=np.int32)
+    elements = _permutation_group(gens, order_cap, descriptor)
+    names = [_cycle_string(p) for p in elements.tolist()]
+    mul = _product_table(elements)
     return _group_from_table(mul, descriptor, name, names)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 from .enumeration import TransferSystemCatalog
 from .errors import (CapExceededError, InputFileError, InternalCheckError,
                      MismatchedSitesError, UsageError)
-from .groups import DEFAULT_ORDER_CAP, Group, _read_file, build_group, subgroup_lattice
+from .groups import DEFAULT_ORDER_CAP, _read_file, build_group, subgroup_lattice
 from .sites import Site, site_from_descriptor, site_from_lattice
 from .systems import BinaryRelation, TransferSystem, _labeled_edges, _refl, _scatter
 
@@ -33,7 +33,8 @@ def system_to_dict(ts: TransferSystem) -> dict:
     }
 
 
-def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
+def system_from_dict(data: dict, site: Optional[Site] = None,
+                     order_cap: int = DEFAULT_ORDER_CAP) -> TransferSystem:
     """The transfer system a JSON object lists; the edges are checked, never completed.
 
     Every entry must be a pair of strings (InputFileError otherwise); the
@@ -41,10 +42,11 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
     malformed entry anywhere wins over an unknown label.
 
     The ``site`` field must be a descriptor string.  Without a given site
-    it names the site; with one, an absent field means that site, the given
-    site's own descriptor is taken as is, and any other descriptor must
-    rebuild it (``_rebuilds``; MismatchedSitesError otherwise), so
-    ``poset:./p.poset`` still matches ``poset:p.poset``.
+    it names the site, built under ``order_cap``; with one, an absent field
+    means that site, the given site's own descriptor is taken as is, and
+    any other descriptor must rebuild it (``_rebuilds``;
+    MismatchedSitesError otherwise), so ``poset:./p.poset`` still matches
+    ``poset:p.poset``.
 
     The listed edges plus the identity must already be a transfer system,
     as the constructor's axiom check (run once per distinct relation and
@@ -66,8 +68,8 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
         if not isinstance(desc, str):
             raise InputFileError("system JSON 'site' must be a descriptor string")
         if site is None:
-            site = site_from_descriptor(desc)
-        elif desc != site.descriptor and not _rebuilds(desc, site):
+            site = site_from_descriptor(desc, order_cap)
+        elif desc != site.descriptor and not _rebuilds(desc, site, order_cap):
             raise MismatchedSitesError(
                 f"system JSON site {desc!r} is not the site {site.descriptor!r}"
             )
@@ -81,44 +83,47 @@ def system_from_dict(data: dict, site: Optional[Site] = None) -> TransferSystem:
     raise UsageError("edge list is not a transfer system (closure adds edges)")
 
 
-def _rebuilds(desc: str, site: Site) -> bool:
+def _rebuilds(desc: str, site: Site, order_cap: int = DEFAULT_ORDER_CAP) -> bool:
     """Whether the descriptor rebuilds the site, with the same ``Site.key``.
 
-    Against a group site, a plain group descriptor (no ``poset:``, no
-    ``|above:``) first builds its group alone, under a cap of the site's
-    group order (or the default cap, if larger), so that a site built past
-    the default cap can be named.  A group over that cap, or one whose
-    sorted element orders (the row sums of ``Group.cyclic``) differ from
-    the site's group's, cannot rebuild the site and is refused before its
-    subgroup lattice is built: S6's takes seconds, against C720's as well
-    as C6's.  A poset or interval site can share a group site's key, so
-    every other descriptor is rebuilt in full under the default cap.
+    Every descriptor is rebuilt under one cap: ``order_cap`` (the CLI's
+    ``--max-order``), raised to the default cap and, on a group site, to
+    the site's group order, so that a site built past the default cap can
+    be named.  The cap never falls below the default, because a ``perms:``
+    file may use points above its group's order.  A cap error from the
+    rebuild means the descriptor names another site.  Against a group
+    site, a plain group descriptor (no ``poset:``, no ``|above:``) first
+    builds its group alone: one whose sorted element orders (the row sums
+    of ``Group.cyclic``) differ from the site's group's cannot rebuild the
+    site and is refused before its subgroup lattice is built: S6's takes
+    seconds, against C720's as well as C6's.  A poset or interval site can
+    share a group site's key, so every other descriptor is rebuilt in full.
     """
-    if site.lattice is None or "|above:" in desc or desc.strip().startswith("poset:"):
-        return site_from_descriptor(desc).key == site.key
+    group = site.lattice.group if site.lattice is not None else None
+    cap = max(order_cap, DEFAULT_ORDER_CAP, group.order if group is not None else 0)
     try:
-        other = build_group(desc, max(site.lattice.group.order, DEFAULT_ORDER_CAP))
+        if group is None or "|above:" in desc or desc.strip().startswith("poset:"):
+            return site_from_descriptor(desc, cap).key == site.key
+        other = build_group(desc, cap)
     except CapExceededError:
         return False
-    return _element_orders(other) == _element_orders(site.lattice.group) and (
-        site_from_lattice(subgroup_lattice(other)).key == site.key)
+    orders = [sorted(g.cyclic.sum(axis=1).tolist()) for g in (other, group)]
+    return orders[0] == orders[1] and site_from_lattice(subgroup_lattice(other)).key == site.key
 
 
-def _element_orders(group: Group) -> list[int]:
-    return sorted(group.cyclic.sum(axis=1).tolist())
-
-
-def load_system(text: str, site: Optional[Site] = None) -> TransferSystem:
+def load_system(text: str, site: Optional[Site] = None,
+                order_cap: int = DEFAULT_ORDER_CAP) -> TransferSystem:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFileError(f"malformed system JSON: {exc}") from None
-    return system_from_dict(data, site)
+    return system_from_dict(data, site, order_cap)
 
 
-def read_system(path: str | Path, site: Optional[Site] = None) -> TransferSystem:
+def read_system(path: str | Path, site: Optional[Site] = None,
+                order_cap: int = DEFAULT_ORDER_CAP) -> TransferSystem:
     """Load a system JSON file; unreadable or malformed files raise InputFileError."""
-    return load_system(_read_file(path, "system"), site)
+    return load_system(_read_file(path, "system"), site, order_cap)
 
 
 def dump_catalog(catalog: TransferSystemCatalog) -> str:

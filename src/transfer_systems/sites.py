@@ -32,8 +32,10 @@ from .groups import (
     _count,
     _greedy_generators,
     _permutation_group,
-    _row_finder,
+    _product_table,
     _read_file,
+    _row_finder,
+    _sorted_rows,
     build_group,
     subgroup_lattice,
 )
@@ -81,13 +83,15 @@ class Site:
             n-by-n ``rel`` in one flat take (its ``.T`` is ``rel[K /\\ L, K]``).
         action: read-only int32 array of node permutations, one per row:
             the distinct rows of the ``action`` given (any stack, repeats
-            allowed) in lexicographic order, so the identity is row 0.
-            ``_check`` enforces that each row is a permutation, that the
-            identity is present, that the rows are closed under
+            allowed) in lexicographic order (``groups._sorted_rows``, the
+            order of a permutation group's elements too), so the identity
+            is row 0.  ``_check`` enforces that each row is a permutation,
+            that the identity is present, that the rows are closed under
             composition (hence under inverse, being finite), checked over
             the greedy generating set of ``groups._greedy_generators``
-            (``_generators``), and that every row preserves the order,
-            read off ``edge_rep``: ``leq`` must be a union of its orbits.
+            (``_generators``, one ``groups._product_table`` column per
+            generator), and that every row preserves the order, read off
+            ``edge_rep``: ``leq`` must be a union of its orbits.
         covers: read-only cover relation of ``leq``: ``covers[J, H]`` iff
             J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -129,14 +133,7 @@ class Site:
     ):
         self.size = int(leq.shape[0])
         self.leq = leq
-        # The distinct rows in lexicographic order.  (Not np.unique(axis=0):
-        # it lazily imports numpy.ma, and its row sort has a transient peak
-        # of ~1 MB on S5.)
-        rows = np.asarray(action, dtype=np.int32)
-        if rows.ndim == 2 and len(rows) > 1:
-            rows = rows[np.lexsort(rows.T[::-1])]
-            rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-        self.action = rows
+        self.action = _sorted_rows(np.asarray(action, dtype=np.int32))
         self.labels = labels
         self.lattice = lattice
         self.descriptor = descriptor
@@ -250,27 +247,23 @@ def _generators(acts: np.ndarray) -> list[int]:
 
     The greedy span of ``groups._greedy_generators`` over the rows, with
     right multiplication as the move.  For a candidate g, every row times g
-    is looked up among the rows (``groups._row_finder``); a product that is
-    not a row raises.  The column r -> rg is a permutation of the rows, and
-    its inverse is g's gather, since (span g)[y] = span[y g^-1].  Then every
-    row is a product of generators and every row times a generator is a
-    row, so the rows are closed under composition:
-    p(g1...gk) = (...(p g1)...) gk.
+    is looked up among the rows: g's column of ``groups._product_table``,
+    with one ``groups._row_finder`` shared by all candidates.  A product
+    that is not a row raises.  The column r -> rg is a permutation of the
+    rows, and its inverse (its argsort) is g's gather, since
+    (span g)[y] = span[y g^-1].  Then every row is a product of generators
+    and every row times a generator is a row, so the rows are closed under
+    composition: p(g1...gk) = (...(p g1)...) gk.
     """
-    m, n = acts.shape
     find = _row_finder(acts)
-    step = max(1, _BLOCK_ENTRIES // n)
 
     def move(g: int) -> np.ndarray:
-        column = np.concatenate([find(np.take(acts[lo : lo + step], acts[g], axis=1))
-                                 for lo in range(0, m, step)])
+        column = _product_table(acts, acts[g][None], find)[:, 0]
         if (column < 0).any():
             raise InternalCheckError("action must be closed under composition")
-        gather = np.empty_like(column)
-        gather[column] = np.arange(m)
-        return gather
+        return np.argsort(column)
 
-    return _greedy_generators(m, range(m), move)
+    return _greedy_generators(len(acts), range(len(acts)), move)
 
 
 def _edge_rep(gens: np.ndarray, n: int) -> np.ndarray:
@@ -369,6 +362,9 @@ def interval_above(parent: Site, n: int) -> Site:
 def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
     """The site of a poset file's text: one ``nodes:`` line, ``cover:`` and ``auto:`` lines.
 
+    The action is the group the ``auto:`` lines generate, closed by
+    ``groups._permutation_group`` under the default order cap.
+
     More than ``DEFAULT_SUBGROUP_CAP`` nodes, the bound on every group
     site, is refused before any n-by-n array is allocated.
     """
@@ -412,8 +408,9 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
     for parts in autos:
         if sorted(parts) != sorted(names):
             raise InputFileError(f"auto: line must permute all node names: {parts}")
-        perms.append(tuple(index[p] for p in parts))
-    closed = _permutation_group(perms, n, DEFAULT_ORDER_CAP, "auto: lines")
+        perms.append([index[p] for p in parts])
+    gens = np.array(perms, dtype=np.int32).reshape(-1, n)
+    closed = _permutation_group(gens, DEFAULT_ORDER_CAP, "auto: lines")
     return Site(leq, closed, tuple(names), descriptor=descriptor)
 
 

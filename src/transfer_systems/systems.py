@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import InternalCheckError, MismatchedSitesError, UsageError
-from .groups import _count
+from .groups import _count, _row_keys
 from .sites import Site, _bmm
 
 
@@ -199,12 +199,6 @@ def _block_slices(site: Site, count: int) -> Iterator[slice]:
     """
     step = max(1, _STACK_ENTRIES // site.size**2)
     return (slice(lo, lo + step) for lo in range(0, count, step))
-
-
-def _stack_keys(rels: np.ndarray) -> list[bytes]:
-    """``rels[i].tobytes()`` for every relation of a (B, n, n) bool stack, in one pass."""
-    b, n = len(rels), rels.shape[-1]
-    return rels.reshape(b, n * n).view(f"V{n * n}").ravel().tolist()  # one void row per relation
 
 
 def _check_stack(site: Site, rels: np.ndarray) -> None:
@@ -413,7 +407,7 @@ def _edge_systems(site: Site, flat) -> np.ndarray:
         rels = _edge_closures(site, missing)
         for block in _block_slices(site, len(missing)):
             rels[block] = _comp(rels[block])
-        _check_blocks(site, rels, _stack_keys(rels))  # which makes them read-only
+        _check_blocks(site, rels, _row_keys(rels).tolist())  # which makes them read-only
         cache.update(zip(missing, rels))
     return np.array([cache[r] for r in reps], dtype=bool).reshape(-1, site.size, site.size)
 

@@ -391,6 +391,35 @@ def closure(group: Group, generators) -> frozenset[int]:
     return frozenset(seen)
 
 
+def compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p(q), as tuples: i -> p[q[i]]."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def permutation_group(gens, degree: int, cap: int, what: str) -> list[tuple]:
+    """Sorted elements of the group the tuples generate on 0..degree-1.
+
+    ``groups._permutation_group`` one element at a time, as tuples: a
+    breadth-first search from the identity by right multiplication with
+    each generator; more than ``cap`` elements raises CapExceededError.
+    """
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceededError(f"{what}: generated more than {cap} elements")
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
+
+
 def table_by_pairs(elements, op) -> np.ndarray:
     """The multiplication table of ``op`` on ``elements``, one product at a time."""
     index = {e: i for i, e in enumerate(elements)}

@@ -460,6 +460,38 @@ def test_a_file_on_a_group_over_the_cap_is_on_another_site(tmp_path, capsys, gro
     assert err == f"error: system JSON site {named!r} is not the site {group!r}\n"
 
 
+def test_an_interval_file_past_the_default_cap_is_read_under_max_order(tmp_path, capsys):
+    # every descriptor kind is rebuilt under --max-order, not the default cap
+    path = tmp_path / "interval.json"
+    path.write_text(json.dumps({"site": "Cyclic:1024|above:C2", "edges": [["C2", "C4"]]}))
+    code, out, err = run(capsys, "check", "--group", "cyclic:1024|above:C2",
+                         "--max-order", "2000", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("input file: valid transfer system\n")
+
+
+def test_an_interval_file_is_not_the_site_of_its_group(tmp_path, capsys):
+    path = tmp_path / "interval.json"
+    path.write_text(json.dumps({"site": "cyclic:1024|above:C2", "edges": []}))
+    code, out, err = run(capsys, "check", "--group", "cyclic:1024", "--max-order", "2000",
+                         "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: system JSON site 'cyclic:1024|above:C2' is not the site 'cyclic:1024'\n"
+
+
+@pytest.mark.parametrize("cap", [24, 23])
+def test_a_perms_group_of_exactly_the_cap_builds(tmp_path, capsys, cap):
+    path = tmp_path / "s4.perms"
+    path.write_text("(1 2)\n(1 2 3 4)\n")
+    code, out, err = run(capsys, "lattice", "--group", f"perms:{path}", "--max-order", str(cap))
+    if cap == 24:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"# perms:{path}: 30 subgroups\n")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: perms:{path}: generated more than 23 elements\n"
+
+
 def test_a_poset_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.poset"
     path.write_bytes(b"\xff\xfe\x00nodes: a")

@@ -14,6 +14,7 @@ from transfer_systems.enumeration import (
     verify_conjecture,
 )
 from transfer_systems.errors import CapExceededError, InternalCheckError, UsageError
+from transfer_systems.groups import _row_keys
 from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
     _STACK_ENTRIES,
@@ -307,7 +308,7 @@ def test_verify_conjecture_computes_blocked_once_per_block(s4_site, monkeypatch)
     real = compat._blocked
 
     def counting(site, rels):
-        calls.append(systems._stack_keys(rels))
+        calls.append(_row_keys(rels).tolist())
         return real(site, rels)
 
     monkeypatch.setattr(compat, "_blocked", counting)
@@ -325,7 +326,7 @@ def test_catalog_sweeps_compute_blocked_once_per_block(sweep, c36_catalog, monke
     real = compat._blocked
 
     def counting(site, rels):
-        calls.append(systems._stack_keys(rels))
+        calls.append(_row_keys(rels).tolist())
         return real(site, rels)
 
     monkeypatch.setattr(compat, "_blocked", counting)

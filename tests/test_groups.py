@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import m_poset_text
 from transfer_systems import groups as groups_module
+from transfer_systems import sites as sites_module
 from transfer_systems.cli import main
 from transfer_systems.errors import (
     CapExceededError,
@@ -17,13 +19,13 @@ from transfer_systems.errors import (
     InternalCheckError,
     NotNormalError,
 )
+from oracles import compose as _compose
+from oracles import permutation_group as _permutation_group
 from oracles import product_with_normal
 from transfer_systems.functors import quotient_context
 from transfer_systems.groups import (
-    _compose,
     _minimal_generators,
     _parse_cycles,
-    _permutation_group,
     _product_table,
     _row_finder,
     _validate_table,
@@ -31,7 +33,12 @@ from transfer_systems.groups import (
     small_group_descriptors,
     subgroup_lattice,
 )
-from transfer_systems.sites import _generators, site_from_descriptor, site_from_lattice
+from transfer_systems.sites import (
+    _generators,
+    parse_poset_text,
+    site_from_descriptor,
+    site_from_lattice,
+)
 
 # Exhaustive lattice-law checks run on these (every group of order <= 24 we use).
 CATALOG = ["cyclic:6", "cyclic:12", "cyclic:24", "symmetric:3", "symmetric:4",
@@ -545,6 +552,55 @@ def test_permutation_file_table_matches_the_per_pair_loop(tmp_path):
     elements, op = _sorted_permutations(lines, 10)
     assert group.order == 18
     assert np.array_equal(group.mul, oracles.table_by_pairs(elements, op))
+
+
+# Every permutation group the package closes: the built-in S_n and A_n up to
+# S6, and M4's and M6's auto: lines, which generate S4 and S6 on the atoms.
+PERMUTATION_SOURCES = [f"{fam}:{n}" for fam in ("symmetric", "alternating")
+                       for n in range(1, 7)] + ["M4", "M6"]
+
+
+@pytest.mark.parametrize("source", PERMUTATION_SOURCES)
+def test_permutation_group_matches_the_tuple_search(source, monkeypatch):
+    calls = []
+    real = groups_module._permutation_group
+
+    def spy(gens, cap, what):
+        calls.append((gens, real(gens, cap, what)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(groups_module, "_permutation_group", spy)
+    monkeypatch.setattr(sites_module, "_permutation_group", spy)
+    if source.startswith("M"):
+        parse_poset_text(m_poset_text(int(source[1:])))
+    else:
+        build_group(source)
+    [(gens, got)] = calls
+    want = _permutation_group([tuple(g) for g in gens.tolist()], gens.shape[1], 1000, "t")
+    assert got.dtype == np.int32
+    assert [tuple(p) for p in got.tolist()] == want
+
+
+@pytest.mark.parametrize("block_entries", [None, 24])
+def test_permutation_cap_matches_the_tuple_search(block_entries, monkeypatch):
+    # S4 from (1 2) and (1 2 3 4), under every cap around its order.  With
+    # 24 entries a block holds 3 frontier rows (6 candidates), so the caps
+    # fall inside blocks and at their ends; by default a level is one block.
+    if block_entries:
+        monkeypatch.setattr(groups_module, "_BLOCK_ENTRIES", block_entries)
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    for cap in range(1, 27):
+        try:
+            want = _permutation_group(gens, 4, cap, "t")
+        except CapExceededError as exc:
+            assert cap < 24
+            with pytest.raises(CapExceededError) as got:
+                groups_module._permutation_group(np.array(gens, dtype=np.int32), cap, "t")
+            assert str(got.value) == str(exc) == f"t: generated more than {cap} elements"
+        else:
+            assert cap >= 24
+            got = groups_module._permutation_group(np.array(gens, dtype=np.int32), cap, "t")
+            assert [tuple(p) for p in got.tolist()] == want
 
 
 def test_product_table_marks_the_missing_products():

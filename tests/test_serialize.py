@@ -10,6 +10,7 @@ import oracles
 from conftest import P5_TEXT
 from transfer_systems import serialize
 from transfer_systems.errors import (
+    CapExceededError,
     DescriptorError,
     InputFileError,
     MismatchedSitesError,
@@ -237,3 +238,12 @@ def test_loader_matches_closure_oracle_on_drawn_edge_lists(c6_site, s3_site, d4_
     for given_site in (None, site):
         expected = outcome(oracles.system_from_dict_by_closure, listed, given_site)
         assert outcome(serialize.system_from_dict, listed, given_site) == expected
+
+
+def test_the_system_readers_take_an_order_cap():
+    # without a site, the file's descriptor is built under order_cap
+    text = json.dumps({"site": "cyclic:1024|above:C2", "edges": [["C2", "C4"]]})
+    with pytest.raises(CapExceededError, match="order exceeds cap 1000"):
+        serialize.load_system(text)
+    ts = serialize.load_system(text, order_cap=2000)
+    assert ts.site.descriptor == "cyclic:1024|above:C2" and ts.edge_count == 1

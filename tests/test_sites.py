@@ -180,8 +180,9 @@ def test_interval_action_matches_the_loop_form(s4_site):
 
 # every permutation of the nodes, added as an auto: line: (text, accepted).
 # M4 is given without its auto: lines, so that each permutation generates
-# a cyclic group: beside S4's lines, one that breaks the order generates
-# up to 720 elements in pure Python.
+# a cyclic group: beside S4's lines, one that breaks the order makes
+# groups._permutation_group close up to 720 elements, and the 720 parses
+# take about 1.1 s instead of 0.2 s on a 2-vCPU VM.
 AUTOMORPHISM_CASES = {
     "M3": (m_poset_text(3), 6),  # the permutations of the three atoms
     "P5": (P5_TEXT, 1),  # the pentagon has no automorphism but the identity

@@ -26,24 +26,28 @@ serves the permutation groups: one gather per block of left rows and a
 lookup of the result rows by ``_row_finder``.  A site checks that its
 action is closed under composition with the same table, one generator's
 column at a time, over a generating set only (``sites._generators``).
-Every generating set the package finds is one
-greedy span, ``_greedy_generators``: the table check's, the site's action
-check's and the generators of the non-abelian subgroup labels.
+Every generating set the package finds follows one greedy rule, each
+candidate outside the span of those before it.  ``_greedy_generators``
+grows the span for the table check, whose generators every group keeps
+(``Group.generators``), and for the site's action check; the
+non-abelian subgroup labels read each span off the lattice instead.
 Subgroups are enumerated as bool masks over the elements: the cyclic
 subgroups seed the search, every new subgroup brings in its whole
 conjugacy class, and one member per class is joined with all the cyclic
 seeds it does not contain in one batched orbit loop (``_close_under``,
 also the span closure of ``_greedy_generators``).
-The order and conjugation tables are then whole-array operations on the
-membership matrix.  Every exact count of a bool product in the package is
-one ``_count``: the containment here, a site's chain and meet counts, the
-per-site table of C_O, and the BLAS branch of ``sites._bmm``.  No meet or
-join table is built here: ``sites.Site`` derives meets from the order, and
-``functors`` reads each product KN off it.  The canonical subgroup order
-is (order, lexicographic member tuple); every downstream index refers to
-that order.  Each group builds its cyclic-subgroup masks once
-(``Group.cyclic``): they seed the search, and labels read element orders
-as their row sums and find generators by ``_greedy_generators``.
+The order table is then one count over the membership matrix.  The
+conjugation table looks up the conjugates under the group's generators
+only, and composes every other element's row from them,
+conj[ab] = conj[a][conj[b]].  Every exact count of a bool product in the
+package is one ``_count``: the containment here, a site's chain and meet
+counts, the per-site table of C_O, and the BLAS branch of ``sites._bmm``.
+No meet or join table is built here: ``sites.Site`` derives meets from
+the order, and ``functors`` reads each product KN off it.  The canonical
+subgroup order is (order, lexicographic member tuple); every downstream
+index refers to that order.  Each group builds its cyclic-subgroup masks
+once (``Group.cyclic``): they seed the search, and labels read element
+orders as their row sums.
 """
 
 from __future__ import annotations
@@ -75,6 +79,9 @@ class Group:
         descriptor: canonical descriptor string this group was built from.
         name: short display name (used as the label of the full subgroup).
         element_names: per-element display names.
+        generators: the greedy generating set the table check found
+            (``_validate_table``), each element the first outside the span
+            of those before it; empty for the trivial group.
     """
 
     order: int
@@ -83,6 +90,7 @@ class Group:
     descriptor: str
     name: str
     element_names: tuple[str, ...]
+    generators: tuple[int, ...]
 
     def __post_init__(self):
         self.mul.flags.writeable = False
@@ -100,14 +108,15 @@ class Group:
         return masks
 
 
-def _validate_table(mul: np.ndarray, what: str) -> None:
-    """Raise InputFileError naming ``what`` unless ``mul`` is a group table.
+def _validate_table(mul: np.ndarray, what: str) -> list[int]:
+    """The greedy generators of a group table; InputFileError naming ``what`` if it is none.
 
     The entries must already be indices in 0..n-1; ``group_from_cayley_file``
     checks a file's before casting them.  Checks the shape, the identity at
     index 0 and two-sided inverses, then associativity by Light's test on
     the greedy generating set of ``_greedy_generators``: each candidate
     outside the span runs the test, and the span grows once it passes.
+    The generators are the candidates that passed.
     """
     n = mul.shape[0]
     if mul.shape != (n, n) or n == 0:
@@ -138,17 +147,17 @@ def _validate_table(mul: np.ndarray, what: str) -> None:
             )
         return mul[inv[g]]
 
-    _greedy_generators(n, range(n), move)
+    return _greedy_generators(n, range(n), move)
 
 
 def _group_from_table(
     mul: np.ndarray, descriptor: str, name: str, element_names: Sequence[str]
 ) -> Group:
     mul = np.ascontiguousarray(mul, dtype=np.int32)
-    _validate_table(mul, descriptor)
+    gens = _validate_table(mul, descriptor)
     n = mul.shape[0]
     inv = np.argmin(mul, axis=1).astype(np.int32)
-    return Group(n, mul, inv, descriptor, name, tuple(element_names))
+    return Group(n, mul, inv, descriptor, name, tuple(element_names), tuple(gens))
 
 
 def _close_under(
@@ -163,9 +172,11 @@ def _close_under(
     nothing.  In a group, the orbit of a set holding the identity is the
     subgroup the set and the generators generate (Neubuser's cyclic
     extension bookkeeping): a round costs |G| per generator, where
-    squaring the set would cost |K|^2.  It is the one span closure of
-    ``_greedy_generators``.
+    squaring the set would cost |K|^2.  The rows' own gathers are one flat
+    take over the round's copy, with row i's offset added to its indices.
+    It is the one span closure of ``_greedy_generators``.
     """
+    n = masks.shape[1]
     rows = np.arange(len(masks))
     while rows.size:
         cur = masks[rows]
@@ -173,7 +184,7 @@ def _close_under(
         for move in moves:
             cur |= cur[:, move]
         if extra is not None:
-            cur |= np.take_along_axis(cur, extra[rows], axis=1)
+            cur |= np.take(cur, extra[rows] + n * np.arange(len(rows))[:, None])
         masks[rows] = cur
         rows = rows[cur.sum(axis=1) > before]
     return masks
@@ -703,6 +714,16 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """Read-only (m, order) bool table, built on first use: row i is subgroup i's members."""
+        masks = np.zeros((len(self.subgroups), self.group.order), dtype=bool)
+        sizes = [s.order for s in self.subgroups]
+        masks[np.repeat(np.arange(len(sizes)), sizes),
+              np.concatenate([s.members for s in self.subgroups])] = True
+        masks.flags.writeable = False
+        return masks
+
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
@@ -734,9 +755,16 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     representative H keeps a generator list, and all its joins <H, c> are
     closed in one ``_close_under`` loop over the stack of masks H | c, under
     gens(H) plus each seed's own generator.  ``max_subgroups`` bounds the
-    total count, seeds included.  ``conj_action`` looks up the conjugates of
-    all subgroups by one element at a time among the member masks; a
-    conjugate that is not found raises InternalCheckError.
+    total count, seeds included.
+
+    ``conj_action`` looks up the conjugates of all subgroups under each of
+    ``group.generators`` among the member masks, one lookup per generator;
+    a conjugate that is not found raises InternalCheckError.  Conjugation
+    is a homomorphism, conj[ab] = conj[a][conj[b]], so every other row is
+    composed: each round takes the products of all the elements met so
+    far, which doubles the word length it reaches, and composes the row
+    of each new product from its first (a, b).  (One generator at a time,
+    a Cayley-graph search, would take |G| - 1 rounds on a cyclic group.)
     """
     mul, inv = group.mul, group.inv
     # pre[g, x] = g^-1 x g, so mask[pre] stacks the conjugates g H g^-1.
@@ -776,11 +804,23 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     leq = _count(members, members.T) == sizes[:, None]  # |i & j| == |i| iff i <= j
 
     find = _row_finder(members)
+    gens = list(group.generators)
     conj = np.empty((group.order, m), dtype=np.int32)
-    for g in range(group.order):  # one element's conjugates per block
+    conj[0] = np.arange(m)
+    for g in gens:  # one generator's conjugates per block
         conj[g] = find(np.take(members, pre[g], axis=1))
-    if (conj < 0).any():
+    if (conj[gens] < 0).any():
         raise InternalCheckError(f"{group.descriptor}: a conjugate of a subgroup is missing")
+    met = np.zeros(group.order, dtype=bool)
+    met[[0, *gens]] = True
+    while not met.all():
+        known = np.flatnonzero(met)
+        products = mul[np.ix_(known, known)].ravel()
+        at = np.flatnonzero(~met[products])
+        new, first = np.unique(products[at], return_index=True)
+        a, b = np.divmod(at[first], len(known))
+        conj[new] = np.take(conj, m * known[a][:, None] + conj[known[b]])
+        met[new] = True
     normal = (conj == np.arange(m)).all(axis=0)
 
     return SubgroupLattice(group, subs, leq, conj, normal)
@@ -820,21 +860,34 @@ def _abelian_type_name(elem_orders: Sequence[int]) -> str:
     return "x".join(f"C{d}" for d in invariant) or "1"
 
 
-def _minimal_generators(group: Group, orders: list[int], members: Sequence[int]) -> list[int]:
+def _minimal_generators(masks: np.ndarray, orders: np.ndarray,
+                        members: Sequence[int]) -> list[int]:
     """One generator of a nontrivial cyclic subgroup, else a greedy generating list.
 
-    The list is ``_greedy_generators`` over the members in order.
-    ``orders`` holds the element orders, the row sums of ``group.cyclic``.
+    The list is ``_greedy_generators``'s rule over the members in order:
+    each member outside the span of those before it.  The span is read off
+    the lattice's member masks (``SubgroupLattice.masks``): it is the first
+    subgroup in lattice order, smallest first, that holds every generator
+    so far, since it lies in each one that does.  ``orders`` holds the
+    element orders, the row sums of ``group.cyclic``, as an array.
     """
-    for a in members:
-        if orders[a] == len(members):
-            return [a]
-    return _greedy_generators(group.order, members, lambda a: group.mul[group.inv[a]])
+    members = np.asarray(members)
+    cyclic = members[orders[members] == len(members)]
+    if cyclic.size:
+        return [int(cyclic[0])]
+    gens: list[int] = []
+    holds = np.ones(len(masks), dtype=bool)  # the subgroups that hold every generator
+    span = 0
+    while not (inside := masks[span, members]).all():
+        gens.append(int(members[inside.argmin()]))  # the first member outside the span
+        holds &= masks[:, gens[-1]]
+        span = int(holds.argmax())
+    return gens
 
 
 def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
     group = latt.group
-    orders = group.cyclic.sum(axis=1).tolist()
+    orders = group.cyclic.sum(axis=1)
     abelian = group.is_abelian
     raw: list[str] = []
     for sub in latt.subgroups:
@@ -843,9 +896,9 @@ def _subgroup_labels(latt: SubgroupLattice) -> tuple[str, ...]:
         elif sub.order == group.order:
             raw.append(group.name)
         elif abelian:
-            raw.append(_abelian_type_name([orders[a] for a in sub.members]))
+            raw.append(_abelian_type_name(orders[list(sub.members)].tolist()))
         else:
-            gens = _minimal_generators(group, orders, sub.members)
+            gens = _minimal_generators(latt.masks, orders, sub.members)
             raw.append("<" + ",".join(group.element_names[a] for a in gens) + ">")
     counts: dict[str, int] = {}
     labels = []

@@ -359,11 +359,13 @@ def interval_above(parent: Site, n: int) -> Site:
 # ---------------------------------------------------------------------------
 # Poset files
 
-def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
+def parse_poset_text(text: str, descriptor: str | None = None,
+                     order_cap: int = DEFAULT_ORDER_CAP) -> Site:
     """The site of a poset file's text: one ``nodes:`` line, ``cover:`` and ``auto:`` lines.
 
     The action is the group the ``auto:`` lines generate, closed by
-    ``groups._permutation_group`` under the default order cap.
+    ``groups._permutation_group`` under ``order_cap`` (the CLI's
+    ``--max-order``).
 
     More than ``DEFAULT_SUBGROUP_CAP`` nodes, the bound on every group
     site, is refused before any n-by-n array is allocated.
@@ -410,20 +412,21 @@ def parse_poset_text(text: str, descriptor: str | None = None) -> Site:
             raise InputFileError(f"auto: line must permute all node names: {parts}")
         perms.append([index[p] for p in parts])
     gens = np.array(perms, dtype=np.int32).reshape(-1, n)
-    closed = _permutation_group(gens, DEFAULT_ORDER_CAP, "auto: lines")
+    closed = _permutation_group(gens, order_cap, "auto: lines")
     return Site(leq, closed, tuple(names), descriptor=descriptor)
 
 
-def site_from_poset_file(path: str | Path) -> Site:
-    """The site of a poset file; every error past the read names the file.
+def site_from_poset_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -> Site:
+    """The site of a poset file, its ``auto:`` lines closed under ``order_cap``.
 
-    A read error says ``cannot read poset file F: ...``; any other says
-    ``poset:F: ...``, the file's descriptor, like a Cayley file's errors.
+    Every error past the read names the file.  A read error says ``cannot
+    read poset file F: ...``; any other says ``poset:F: ...``, the file's
+    descriptor, like a Cayley file's errors.
     """
     desc = f"poset:{Path(path)}"
     text = _read_file(Path(path), "poset")
     try:
-        return parse_poset_text(text, descriptor=desc)
+        return parse_poset_text(text, desc, order_cap)
     except UsageError as exc:
         raise type(exc)(f"{desc}: {exc}") from None
 
@@ -440,5 +443,5 @@ def site_from_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) ->
         parent = site_from_descriptor(parent_desc, order_cap)
         return interval_above(parent, parent.node(label))
     if descriptor.startswith("poset:"):
-        return site_from_poset_file(descriptor[len("poset:") :])
+        return site_from_poset_file(descriptor[len("poset:") :], order_cap)
     return site_from_lattice(subgroup_lattice(build_group(descriptor, order_cap)))

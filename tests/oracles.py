@@ -31,7 +31,9 @@ closure's edges with them instead of checking the listed relation, and an
 edge list is split into tokens before each token is scanned for its
 ``>`` instead of in one pass, and the greedy generating sets of the table
 check, the site's action check and the subgroup labels grow their spans
-by their own loops instead of one shared helper.
+by their own loops instead of one shared helper and the lattice, and the
+conjugation table of a lattice looks up every element's conjugates
+instead of composing the generators' rows.
 """
 
 from __future__ import annotations
@@ -503,6 +505,24 @@ def minimal_generators_by_loop(group: Group, orders: list[int], members) -> list
             if span.sum() == len(members):
                 break
     return gens
+
+
+def conj_action_by_lookup(latt: SubgroupLattice) -> tuple[np.ndarray, np.ndarray]:
+    """``conj_action`` and ``normal`` of a lattice with one lookup per element:
+    the conjugates gHg^-1 of every member mask, found among the masks."""
+    group = latt.group
+    mul, inv = group.mul, group.inv
+    members = np.zeros((len(latt), group.order), dtype=bool)
+    for i, sub in enumerate(latt.subgroups):
+        members[i, list(sub.members)] = True
+    pre = mul[mul, inv[:, None]][inv]  # pre[g, x] = g^-1 x g
+    find = _row_finder(members)
+    conj = np.empty((group.order, len(members)), dtype=np.int32)
+    for g in range(group.order):
+        conj[g] = find(np.take(members, pre[g], axis=1))
+    if (conj < 0).any():
+        raise InternalCheckError(f"{group.descriptor}: a conjugate of a subgroup is missing")
+    return conj, (conj == np.arange(len(members))).all(axis=0)
 
 
 def generators_by_loop(acts: np.ndarray) -> list[int]:

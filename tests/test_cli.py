@@ -265,6 +265,20 @@ def test_poset_automorphisms_are_capped(tmp_path, capsys):
     assert err == f"error: poset:{path}: auto: lines: generated more than 1000 elements\n"
 
 
+@pytest.mark.parametrize("cap", [6000, 5040, 5039])
+def test_max_order_reaches_a_posets_auto_lines(tmp_path, capsys, cap):
+    # S7 from M7's auto: lines builds under --max-order 5040 and above
+    path = tmp_path / "m7.poset"
+    path.write_text(m_poset_text(7))
+    code, out, err = run(capsys, "lattice", "--site", str(path), "--max-order", str(cap))
+    if cap >= 5040:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"# poset:{path}: 9 nodes\n")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: poset:{path}: auto: lines: generated more than 5039 elements\n"
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("family", ["cayley", "perms"])
 def test_unreadable_group_file_is_a_usage_error(tmp_path, capsys, family, kind):

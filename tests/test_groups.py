@@ -266,10 +266,36 @@ def test_generating_sets_match_the_loop_oracles(desc):
     group = latt.group
     action = site_from_lattice(latt).action
     assert _generators(action) == oracles.generators_by_loop(action)
-    orders = group.cyclic.sum(axis=1).tolist()
+    orders = group.cyclic.sum(axis=1)
     for sub in latt.subgroups:
-        assert (_minimal_generators(group, orders, sub.members)
-                == oracles.minimal_generators_by_loop(group, orders, sub.members))
+        assert (_minimal_generators(latt.masks, orders, sub.members)
+                == oracles.minimal_generators_by_loop(group, orders.tolist(), sub.members))
+
+
+# D4 x C2 on six points: its lexicographic greedy generators are three.
+D4XC2_PERMS = "(1 2 3 4)\n(1 3)\n(5 6)\n"
+
+
+@pytest.mark.parametrize("desc, count", [
+    ("symmetric:5", 4), ("alternating:5", 3), ("product:2x2x2x2x2", 5), ("cyclic:1", 0),
+    ("perms", 3),
+])
+def test_composed_conjugation_matches_the_lookup(tmp_path, desc, count):
+    # conj_action is composed from the generators' rows; the oracle looks
+    # up every element's conjugates
+    if desc == "perms":
+        path = tmp_path / "d4xc2.perms"
+        path.write_text(D4XC2_PERMS)
+        desc = f"perms:{path}"
+    group = build_group(desc)
+    assert len(group.generators) == count
+    assert list(group.generators) == _validate_table(np.array(group.mul), desc)
+    assert oracles.closure(group, group.generators) == frozenset(range(group.order))
+    latt = subgroup_lattice(group)
+    conj, normal = oracles.conj_action_by_lookup(latt)
+    assert latt.conj_action.dtype == conj.dtype
+    assert np.array_equal(latt.conj_action, conj)
+    assert np.array_equal(latt.normal, normal)
 
 
 def test_associativity_check_accepts_groups():
@@ -692,6 +718,7 @@ def test_s5_conjugation_lookup_takes_one_element_at_a_time(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert queries == [(156, 120)] * 120  # one block of one element's conjugates
+    # one block of one element's conjugates, for each generator only
+    assert queries == [(156, 120)] * len(group.generators)
     assert peak < 1 << 20
     assert len(latt) == 156

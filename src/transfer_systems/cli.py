@@ -424,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--threads must be >= 1")
         if getattr(args, "cap", 0) < 0:
             raise UsageError("--cap must be >= 0")
+        if getattr(args, "order_le", None) is not None and args.order_le < 1:
+            raise UsageError("--order-le must be >= 1")
         # an unwritable output fails before the computation, not after it
         for path in (args.out, getattr(args, "jsonl", None)):
             if path:

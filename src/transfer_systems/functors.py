@@ -27,7 +27,7 @@ from .sites import Site, interval_above
 from .systems import TransferSystem, _require_same_site, is_disklike, is_saturated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientContext:
     """The one record of G -> G/N: the parent, the interval site [N, G], and
     two read-only arrays: ``to_parent``, the parent index of each interval
@@ -35,6 +35,7 @@ class QuotientContext:
     index of the product KN (the join, N being normal).  The parent caches
     the last three and never the record itself, which would refer back to
     the parent and keep it alive until a full garbage collection.
+    Equality and hashing are by identity, as a ``Site``'s.
     """
 
     parent: Site

@@ -53,7 +53,7 @@ orders as their row sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -68,7 +68,7 @@ DEFAULT_SUBGROUP_CAP = 5000
 _BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
     """A finite group as an explicit multiplication table.
 
@@ -82,6 +82,8 @@ class Group:
         generators: the greedy generating set the table check found
             (``_validate_table``), each element the first outside the span
             of those before it; empty for the trivial group.
+
+    Equality and hashing are by identity, as a ``Site``'s.
     """
 
     order: int
@@ -689,46 +691,38 @@ class Subgroup:
         return Subgroup(len(t), t)
 
 
-@dataclass
+@dataclass(eq=False)
 class SubgroupLattice:
-    """All subgroups of a group with their order table and conjugation.
+    """All subgroups of a group with their member masks, order table and conjugation.
 
     Meets are not stored here: ``site_from_lattice(latt).meet`` derives them
     from ``leq`` like every other site's.
 
+    ``masks`` is the read-only (m, order) bool table of members that
+    ``subgroup_lattice`` enumerates, row i subgroup i's.
     ``conj_action[g]`` is the permutation of subgroup indices realizing
     H -> gHg^-1; ``normal[i]`` is True iff every such permutation fixes i.
+    ``labels`` are built on first use.  Equality and hashing are by
+    identity, as a ``Site``'s.
     """
 
     group: Group
     subgroups: tuple[Subgroup, ...]
+    masks: np.ndarray
     leq: np.ndarray
     conj_action: np.ndarray
     normal: np.ndarray
-    _labels: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for a in (self.leq, self.conj_action, self.normal):
+        for a in (self.masks, self.leq, self.conj_action, self.normal):
             a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
     @cached_property
-    def masks(self) -> np.ndarray:
-        """Read-only (m, order) bool table, built on first use: row i is subgroup i's members."""
-        masks = np.zeros((len(self.subgroups), self.group.order), dtype=bool)
-        sizes = [s.order for s in self.subgroups]
-        masks[np.repeat(np.arange(len(sizes)), sizes),
-              np.concatenate([s.members for s in self.subgroups])] = True
-        masks.flags.writeable = False
-        return masks
-
-    @property
     def labels(self) -> tuple[str, ...]:
-        if self._labels is None:
-            self._labels = _subgroup_labels(self)
-        return self._labels
+        return _subgroup_labels(self)
 
 
 def _cyclic_masks(group: Group) -> np.ndarray:
@@ -755,7 +749,8 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
     representative H keeps a generator list, and all its joins <H, c> are
     closed in one ``_close_under`` loop over the stack of masks H | c, under
     gens(H) plus each seed's own generator.  ``max_subgroups`` bounds the
-    total count, seeds included.
+    total count, seeds included.  The masks, sorted in lattice order, are
+    kept as ``SubgroupLattice.masks``.
 
     ``conj_action`` looks up the conjugates of all subgroups under each of
     ``group.generators`` among the member masks, one lookup per generator;
@@ -823,7 +818,7 @@ def subgroup_lattice(group: Group, max_subgroups: int = DEFAULT_SUBGROUP_CAP) ->
         met[new] = True
     normal = (conj == np.arange(m)).all(axis=0)
 
-    return SubgroupLattice(group, subs, leq, conj, normal)
+    return SubgroupLattice(group, subs, members, leq, conj, normal)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,8 @@ class Site:
         leq: boolean partial-order matrix with unique bottom and top.
         bottom, top: the indices of the least and the greatest node.
         meet: greatest-lower-bound table, an int32 array derived from
-            ``leq``; deriving it is also the lattice check.
+            ``leq`` and ``covers`` in one pass over the nodes by down-set
+            size (``_derive_meet``); deriving it is also the lattice check.
         meet_flat: intp table ``meet_flat[K, L] = meet[K, L] * n + L``, so
             that ``rel.ravel()[meet_flat]`` gathers ``rel[K /\\ L, L]`` of an
             n-by-n ``rel`` in one flat take (its ``.T`` is ``rel[K /\\ L, K]``).
@@ -295,29 +296,27 @@ def _derive_meet(leq: np.ndarray, covers: np.ndarray, labels: tuple[str, ...]) -
 
     A common lower bound m of a and b is their meet iff down(m) equals
     down(a) & down(b), i.e. iff the two sets have the same size.  Nodes b
-    are visited by |down(b)|, all of one size together.  The candidate for
-    a and b is b where b <= a, else the one with the largest down-set among
-    the candidates for a and b's lower covers.  It is a common lower bound,
-    and the meet wherever one exists: the meet m of a and b lies below a
-    lower cover c of b, and is then the meet of a and c too.  So the pairs
-    that fail the count are exactly those without a meet, and the first
-    (by index, so a <= b) is named.  ``best[j, a]`` holds the candidate for
-    a and the node of rank j, as a rank in the visiting order.
+    are visited one at a time by |down(b)|, so each after its lower covers.
+    The candidate for a and b is b where b <= a, else the one with the
+    largest down-set among the candidates for a and b's lower covers.  It
+    is a common lower bound, and the meet wherever one exists: the meet m
+    of a and b lies below a lower cover c of b, and is then the meet of a
+    and c too.  So the pairs that fail the count are exactly those without
+    a meet, and the first (by index, so a <= b) is named.  ``best[b, a]``
+    holds the candidate for a and b as a rank in the visiting order, so
+    row b is the elementwise maximum of b's own rank where b <= a (else
+    -1) and its lower covers' rows: b's rank exceeds every candidate
+    below b, and among the covers' candidates the largest rank has the
+    largest down-set.
     """
-    n = leq.shape[0]
     down = leq.sum(axis=0, dtype=np.float32)  # |down(x)|
     order = np.argsort(down, kind="stable")
-    ranks = np.arange(n, dtype=np.int32)
-    best = np.where(leq[order], ranks[:, None], np.int32(-1))
-    upper, lower = np.nonzero(covers[order][:, order].T)  # by upper rank
-    first = np.searchsorted(upper, np.arange(n + 1)).tolist()
-    sizes = down[order]
-    starts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()  # the bottom is rank 0
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        cuts = np.subtract(first[lo:hi], first[lo])
-        from_covers = np.maximum.reduceat(best[lower[first[lo] : first[hi]]], cuts, axis=0)
-        np.maximum(best[lo:hi], from_covers, out=best[lo:hi])
-    best = best[np.argsort(order)]  # row b, column a
+    rank = np.argsort(order).astype(np.int32)
+    best = np.where(leq, rank[:, None], np.int32(-1))
+    lower = covers.T.copy()  # row b: b and its lower covers
+    np.fill_diagonal(lower, True)
+    for b in order.tolist():
+        best[b] = best[lower[b]].max(axis=0)
     meet = order.astype(np.int32)[best]
     del best
     common = _count(leq.T, leq)  # |down(a) & down(b)|

@@ -550,7 +550,7 @@ def generators_by_loop(acts: np.ndarray) -> list[int]:
     return gens
 
 
-@dataclass
+@dataclass(eq=False)
 class JoinedLattice(SubgroupLattice):
     """A subgroup lattice that also tables every join, pair by pair."""
 
@@ -618,8 +618,11 @@ def subgroup_lattice_by_joins(
             conj[g, i] = index[tuple(sorted(image))]
     normal = np.array([bool(np.all(conj[:, i] == i)) for i in range(m)])
 
+    masks = np.zeros((m, group.order), dtype=bool)
+    for i in range(m):
+        masks[i, list(member_sets[i])] = True
     join = join_by_orders(leq, [s.order for s in subs])
-    return JoinedLattice(group, subs, leq, conj, normal, join=join)
+    return JoinedLattice(group, subs, masks, leq, conj, normal, join=join)
 
 
 def setwise_product(group: Group, a_members, b_members) -> frozenset[int]:

@@ -371,6 +371,10 @@ INPUT_ERRORS = [
      "--order-le 60 exceeds --max-order 50"),
     ("order-le-above-default-cap", ["conjecture", "--order-le", "1001"], None,
      "--order-le 1001 exceeds --max-order 1000"),
+    # no group has order 0: refused, not ignored beside --groups
+    ("order-le-0", ["conjecture", "--order-le", "0", "--groups", "cyclic:2"], None,
+     "--order-le must be >= 1"),
+    ("order-le-negative", ["conjecture", "--order-le", "-3"], None, "--order-le must be >= 1"),
     # int("²") raises and int("١") is 1: only ASCII digits index nodes
     ("edges-superscript-digit", ["generate", "--group", "cyclic:6", "--edges", "²>C2"], None,
      "unknown node '²'; run the `lattice` subcommand to list labels"),

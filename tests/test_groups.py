@@ -347,14 +347,16 @@ def test_lattice_matches_join_closure_oracle(desc):
     assert latt.subgroups == ref.subgroups
     site = site_from_lattice(latt)
     tables = [(name, getattr(latt, name), getattr(ref, name))
-              for name in ("leq", "conj_action", "normal")]
+              for name in ("masks", "leq", "conj_action", "normal")]
     tables.append(("meet", site.meet, oracles.meet_by_intersection(ref)))
     for name, got, want in tables:
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
     assert not site.meet.flags.writeable
+    assert not latt.masks.flags.writeable
     assert latt.labels == ref.labels
+    assert latt.labels is latt.labels
     action = [tuple(p.tolist()) for p in site.action]
     assert action == sorted({tuple(row) for row in ref.conj_action.tolist()})
     for n in np.flatnonzero(ref.normal):
@@ -364,9 +366,28 @@ def test_lattice_matches_join_closure_oracle(desc):
 
 
 def test_s5_site_meets_are_intersections():
-    # S5 is too large for the join-closure oracle, not for this one.
-    latt = subgroup_lattice(build_group("symmetric:5"))
-    assert np.array_equal(site_from_lattice(latt).meet, oracles.meet_by_intersection(latt))
+    # S5 is too large for the join-closure oracle, not for this one.  C2^5
+    # has 374 nodes, many of them of each down-set size.
+    for desc in ("symmetric:5", "product:2x2x2x2x2"):
+        latt = subgroup_lattice(build_group(desc))
+        assert np.array_equal(site_from_lattice(latt).meet, oracles.meet_by_intersection(latt))
+
+
+def test_groups_lattices_and_contexts_compare_by_identity():
+    # Their fields hold arrays, so a field-wise == would be ambiguous and
+    # hash() would fail: each compares and hashes like a Site, by identity.
+    group = build_group("cyclic:4")
+    latt = subgroup_lattice(group)
+    site = site_from_lattice(latt)
+    pairs = [
+        (group, build_group("cyclic:4")),
+        (latt, subgroup_lattice(group)),
+        (oracles.subgroup_lattice_by_joins(group), oracles.subgroup_lattice_by_joins(group)),
+        (quotient_context(site, site.node("C2")), quotient_context(site, site.node("C2"))),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 # Subgroup counts: OEIS A005432 (symmetric), A000638 (classes of S_n); for

@@ -119,9 +119,10 @@ class Site:
     ``systems._edge_systems``: one read-only relation per edge orbit, which
     the disklike test, ``complexity`` and the M(O) oracle share.  Another
     is ``"checked"``, the set of keys of the relations that passed the
-    axiom check on this site (``systems._check_blocks``, run by the
-    ``TransferSystem`` constructor, the enumerators' BFS and the T(e)
-    cache), so each distinct relation is checked once.
+    axiom check on this site (``systems._check_stack``, run by the
+    ``TransferSystem`` constructor, and through ``_check_blocks`` by the
+    enumerators' BFS and the T(e) cache), so each distinct relation is
+    checked once.
     """
 
     def __init__(

@@ -96,15 +96,16 @@ class TransferSystem:
     constructors; the constructor itself checks that the relation refines
     the order and satisfies all four axioms, and raises InternalCheckError
     on violation; a relation of any shape but n-by-n raises UsageError
-    first.  The check is ``_check_blocks`` on a stack of one, run once
-    per distinct relation on each site object: the site keeps the keys of
-    the relations that passed it in ``_cache["checked"]``, a key
-    joins only after its check passes, so a relation that fails raises on
-    every construction.  The enumerators' BFS runs the same check on each
-    level's new systems in blocks and wraps their relations through
-    ``_from_stack`` instead of one constructor call per system; the T(e)
-    cache checks its stack the same way.  Both add their keys to the memo,
-    so constructing a system either of them found checks nothing again.
+    first.  The check is ``_check_stack`` on a stack of one, called
+    directly and run once per distinct relation on each site object: the
+    site keeps the keys of the relations that passed it in
+    ``_cache["checked"]``, a key joins only after its check passes, so a
+    relation that fails raises on every construction.  The enumerators'
+    BFS runs the same check on each level's new systems in blocks
+    (``_check_blocks``) and wraps their relations through ``_from_stack``
+    instead of one constructor call per system; the T(e) cache checks its
+    stack the same way.  Both add their keys to the memo, so constructing
+    a system either of them found checks nothing again.
     """
 
     __slots__ = ("site", "rel", "key", "_cache")
@@ -114,8 +115,10 @@ class TransferSystem:
             raise UsageError("relation matrix has the wrong shape")
         rel = rel.astype(bool)
         key = rel.tobytes()
-        if key not in site._cache.setdefault("checked", set()):
-            _check_blocks(site, rel[None], [key])
+        checked = site._cache.setdefault("checked", set())
+        if key not in checked:
+            _check_stack(site, rel[None])
+            checked.add(key)
         rel.flags.writeable = False
         self.site = site
         self.rel = rel
@@ -208,16 +211,19 @@ def _check_stack(site: Site, rels: np.ndarray) -> None:
     order and satisfy the four axioms; each test runs once on the whole
     stack: reflexivity against the diagonal, conjugation as "constant on
     every orbit" (``flat == take(flat, edge_rep)``), restriction through
-    ``meet_flat`` and composition through ``_bmm``.  The message names the
-    first failing relation's witness, as ``_first_violation`` finds it.
+    ``meet_flat`` and composition through ``_bmm``.  The order and all but
+    reflexivity share one mask, reduced over the whole stack with one ``any``
+    (and the diagonal with one ``all``); only after something failed is
+    it reduced per relation, so the message names the first failing
+    relation's witness, as ``_first_violation`` finds it.
     """
     b, n = len(rels), site.size
     flat = rels.reshape(b, n * n)
-    lost = ~np.take(flat, site.meet_flat, axis=1)  # as in _first_violation, per relation
+    lost = ~flat.take(site.meet_flat, axis=1)  # as in _first_violation, per relation
     bad = (rels > site.leq) | (rels & _bmm(lost, site.leq)) | (_bmm(rels, rels) > rels)
-    bad = bad.reshape(b, n * n) | (flat != np.take(flat, site.edge_rep.ravel(), axis=1))
-    failed = bad.any(axis=1) | ~flat[:, :: n + 1].all(axis=1)
-    if failed.any():
+    bad = bad.reshape(b, n * n) | (flat != flat.take(site.edge_rep.ravel(), axis=1))
+    if bad.any() or not flat[:, :: n + 1].all():
+        failed = bad.any(axis=1) | ~flat[:, :: n + 1].all(axis=1)
         rel = rels[int(failed.argmax())]
         reason = _violation_text(site, rel)
         raise InternalCheckError(f"relation is not a transfer system: {reason}")
@@ -229,6 +235,8 @@ def _check_blocks(site: Site, rels: np.ndarray, keys: list[bytes]) -> None:
     ``keys[i]`` must be ``rels[i].tobytes()``.  Once every block has
     passed, the stack becomes read-only, so no remembered relation can
     change, and the keys join the site's memo ``_cache["checked"]``.
+    The BFS and the T(e) cache check their stacks here; the constructor,
+    with a stack of one, calls ``_check_stack`` itself.
     """
     for block in _block_slices(site, len(rels)):
         _check_stack(site, rels[block])

@@ -24,6 +24,7 @@ CLOSURE = "edge list is not a transfer system (closure adds edges)"
 SHAPE = "system JSON 'edges' must be a list of [source, target] labels"
 NOT_REFINING = "edge C6 -> C2 does not refine the order"
 UNKNOWN = "unknown node 'C7'; run the `lattice` subcommand to list labels"
+UNKNOWN_C9 = UNKNOWN.replace("C7", "C9")
 
 
 def test_round_trip_identity_on_c6_catalog(c6_catalog):
@@ -105,6 +106,13 @@ REFUSED = [
     ("cyclic:6", [["1", "C7"], ["1", 2]], InputFileError, SHAPE),  # the shape is checked first
     ("cyclic:6", [["0", "1"]], UsageError, CLOSURE),  # "1" names node 0: a reflexive edge
     ("cyclic:6", "1>C2", InputFileError, SHAPE),
+    # a duplicate or a reflexive edge among others adds nothing, and is refused
+    ("cyclic:6", [["1", "C2"], ["C2", "C2"], ["1", "C2"]], UsageError, CLOSURE),
+    ("cyclic:6", [["1", "C2"], ["2", "C3"]], UsageError, CLOSURE),  # "2" names node C3
+    # an unknown label after, or before, labels the site knows
+    ("cyclic:6", [["1", "C2"], ["C2", "C9"]], DescriptorError, UNKNOWN_C9),
+    ("cyclic:6", [["C9", "C2"], ["C2", "C2"]], DescriptorError, UNKNOWN_C9),
+    ("cyclic:6", [["1", None]], InputFileError, SHAPE),
 ]
 
 
@@ -187,6 +195,7 @@ ACCEPTED = [
     ([], []),
     ([["0", "2"]], ["1>C3"]),  # bare node indices
     ([["1", "C3"], ["C2", "C6"], ["1", "C6"], ["1", "C2"]], ["1>C2", "1>C3", "1>C6", "C2>C6"]),
+    ([["0", "C2"]], ["1>C2"]),  # a bare index beside a label
 ]
 
 

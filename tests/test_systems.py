@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from conftest import labeled, system_from_labels
 from transfer_systems import systems as systems_module
 from transfer_systems.errors import InternalCheckError, MismatchedSitesError, UsageError
+from transfer_systems.serialize import load_system
 from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
     BinaryRelation,
@@ -37,6 +39,9 @@ from transfer_systems.systems import (
     _first_violation,
     validate,
 )
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def by_label(site, pairs):
@@ -329,6 +334,21 @@ def test_stacked_check_flags_the_corrupted_item(catalog_name, axiom, request):
     _check_stack(site, np.array(valid))
 
 
+@pytest.mark.parametrize("catalog_name", ["d4_catalog", "s4_catalog"])
+@pytest.mark.parametrize("axioms", [("composition", "reflexivity"), ("reflexivity", "composition")])
+def test_stacked_check_names_the_first_failing_relation(catalog_name, axioms, request):
+    # the lower index wins, whichever axiom it breaks and whichever is tested first
+    catalog = request.getfixturevalue(catalog_name)
+    site = catalog.site
+    stack = np.array([ts.rel for ts in catalog.systems[:: max(1, len(catalog) // 8)][:8]])
+    bad = [_corrupted(catalog, axiom) for axiom in axioms]
+    stack[2], stack[5] = bad
+    reason = oracles.first_violation_by_loop(site, bad[0]).describe(site)
+    with pytest.raises(InternalCheckError) as stacked:
+        _check_stack(site, stack)
+    assert str(stacked.value) == f"relation is not a transfer system: {reason}"
+
+
 def _record_checks(monkeypatch):
     """The relations every later ``_check_stack`` call receives, one list per call."""
     calls = []
@@ -358,6 +378,25 @@ def test_constructor_checks_each_relation_once_per_site(monkeypatch):
     assert complete_ts(again) == first
     assert calls[-1] == (again, [first.key])
     assert len(calls) == 3
+
+
+def test_loading_a_catalog_checks_each_line_once(monkeypatch):
+    lines = (BENCH_DATA / "dihedral4.jsonl").read_text().splitlines()
+    site = site_from_descriptor("dihedral:4")
+    shapes = []
+    real = systems_module._check_stack
+
+    def recording(site, rels):
+        shapes.append(rels.shape)
+        real(site, rels)
+
+    monkeypatch.setattr(systems_module, "_check_stack", recording)
+    for line in lines:
+        load_system(line, site)
+    assert shapes == [(1, site.size, site.size)] * len(lines)
+    for line in lines:  # every one is in the site's memo now
+        load_system(line, site)
+    assert len(shapes) == len(lines)
 
 
 def test_an_invalid_relation_raises_on_every_construction(c12_catalog, monkeypatch):

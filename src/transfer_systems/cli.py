@@ -32,7 +32,7 @@ from .enumeration import (
 )
 from .errors import InputFileError, TransferSystemsError, UsageError
 from .functors import fixed_points, inflate, quotient_context, universal_reduction
-from .groups import DEFAULT_ORDER_CAP
+from .groups import DEFAULT_ORDER_CAP, small_group_descriptors
 from .render import render_dot, render_tikz
 from .sites import Site, site_from_descriptor
 from .systems import (
@@ -357,21 +357,21 @@ def _cmd_conjecture(args) -> int:
     if args.order_le and args.order_le > args.max_order:
         # cyclic:N alone would exceed the cap, after every smaller site was built
         raise UsageError(f"--order-le {args.order_le} exceeds --max-order {args.max_order}")
-    sites: list[Site] = []
-    if args.order_le:
-        from .groups import small_group_descriptors
-
-        for desc in small_group_descriptors(args.order_le):
-            sites.append(site_from_descriptor(desc, args.max_order))
-    if args.groups:
-        for desc in args.groups.split(","):
-            sites.append(site_from_descriptor(desc.strip(), args.max_order))
-    if args.group or args.site:
-        sites.append(_load_site(args))
-    if not sites:
+    if not (args.order_le or args.groups or args.group or args.site):
         raise UsageError("provide --groups, --group, --order-le, or --site")
+    descs = small_group_descriptors(args.order_le) if args.order_le else []
+    if args.groups:
+        descs += [desc.strip() for desc in args.groups.split(",")]
+
+    def sites():
+        # one site at a time: each is built when the check reaches it
+        for desc in descs:
+            yield site_from_descriptor(desc, args.max_order)
+        if args.group or args.site:
+            yield _load_site(args)
+
     report = verify_conjecture(
-        sites, args.complexity_bound, args.require_bottom_to_top, args.cap
+        sites(), args.complexity_bound, args.require_bottom_to_top, args.cap
     )
     _emit(args, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.ok else EXIT_INCONSISTENT
@@ -424,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--threads must be >= 1")
         if getattr(args, "cap", 0) < 0:
             raise UsageError("--cap must be >= 0")
+        if args.max_order < 1:
+            raise UsageError("--max-order must be >= 1")
         if getattr(args, "order_le", None) is not None and args.order_le < 1:
             raise UsageError("--order-le must be >= 1")
         # an unwritable output fails before the computation, not after it

@@ -87,6 +87,7 @@ from .systems import (
     TransferSystem,
     _edge_systems,
     _first_witness,
+    _nonreflexive_pairs,
     _require_same_site,
     is_disklike,
 )
@@ -258,8 +259,7 @@ def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:
     transfer-system axioms, so no validation is attempted.
     """
     rels = o.rel[None]
-    kept = _formula(o.site, rels, _blocked(o.site, rels))[0] & ~np.eye(o.site.size, dtype=bool)
-    return frozenset(map(tuple, np.argwhere(kept).tolist()))
+    return frozenset(_nonreflexive_pairs(_formula(o.site, rels, _blocked(o.site, rels))[0]))
 
 
 def _formula(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:

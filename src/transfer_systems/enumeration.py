@@ -257,11 +257,20 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
 
     Any disagreement is recorded with a full witness dump; the step counter
     of the disklike algorithm is checked against the cover-relation count.
+    A system's findings are collected as (kind, detail) pairs, in the order
+    oracle-vs-recursive, algorithm-vs-oracle, steps; a disagreement of two
+    methods x and y is kind "x-vs-y" with detail "x=<edges> y=<edges>"
+    (``versus``).  The pairs become the system's ``AuditEntry`` records in
+    one place, so its edge list is built only when something is recorded.
     """
     site = catalog.site
     disagreements: list[AuditEntry] = []
     max_ratio = 0.0
     disklike_total = 0
+
+    def versus(x: str, rx: np.ndarray, y: str, ry: np.ndarray) -> tuple[str, str]:
+        return f"{x}-vs-{y}", f"{x}={_labeled_edges(site, rx)} {y}={_labeled_edges(site, ry)}"
+
     for lo, block, rels, blocked in _blocks(site, catalog.systems):
         oracle = _oracle(site, rels, blocked)
         recursive = _recursive(site, rels, blocked)
@@ -271,39 +280,22 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
         disklike = _block_disklike(site, block, rels)
         disklike_total += int(disklike.sum())
         for b in np.flatnonzero(differ | disklike).tolist():
-            i, ts = lo + b, block[b]
-            edges = _labeled_edges(site, ts.rel)
+            ts, found = block[b], []  # (kind, detail) per disagreement, in method order
             if differ[b]:
-                disagreements.append(
-                    AuditEntry(
-                        i,
-                        edges,
-                        "oracle-vs-recursive",
-                        f"oracle={_labeled_edges(site, oracle[b])} "
-                        f"recursive={_labeled_edges(site, recursive[b])}",
-                    )
-                )
-            if not disklike[b]:
-                continue
-            result = max_compat_disklike(ts)
-            if result.system.key != oracle[b].tobytes():
-                disagreements.append(
-                    AuditEntry(
-                        i,
-                        edges,
-                        "algorithm-vs-oracle",
-                        f"algorithm={_labeled_edges(site, result.system.rel)} "
-                        f"oracle={_labeled_edges(site, oracle[b])}",
-                    )
-                )
-            c_o = count_cover_relations(ts)
-            if c_o == 0:
-                if result.steps != 0:
-                    disagreements.append(
-                        AuditEntry(i, edges, "steps", f"steps={result.steps} with C_O=0")
-                    )
-            else:
-                max_ratio = max(max_ratio, result.steps / c_o)
+                found.append(versus("oracle", oracle[b], "recursive", recursive[b]))
+            if disklike[b]:
+                result = max_compat_disklike(ts)
+                if result.system.key != oracle[b].tobytes():
+                    found.append(versus("algorithm", result.system.rel, "oracle", oracle[b]))
+                c_o = count_cover_relations(ts)
+                if c_o:
+                    max_ratio = max(max_ratio, result.steps / c_o)
+                elif result.steps:
+                    found.append(("steps", f"steps={result.steps} with C_O=0"))
+            if found:
+                edges = _labeled_edges(site, ts.rel)
+                for kind, detail in found:
+                    disagreements.append(AuditEntry(lo + b, edges, kind, detail))
     desc = site.descriptor or f"<site size {site.size}>"
     return AuditReport(desc, len(catalog.systems), disklike_total, disagreements, max_ratio)
 

@@ -1,9 +1,11 @@
-"""DOT and TikZ renderers for transfer systems.
+"""DOT and TikZ renderers for transfer systems: one figure, two syntaxes.
 
 Conventions follow the printed figures: nodes are ranked by subgroup order,
 reflexive arrows are omitted, order relations that are not transfers are
 dotted, and a highlighted subsystem (typically M(O)) is drawn bold.  An
-optional node cluster marks an interval such as [N, G].
+optional node cluster marks an interval such as [N, G].  ``_figure``
+decides all of this once; ``render_dot`` and ``render_tikz`` only write it
+out in their syntax.
 """
 
 from __future__ import annotations
@@ -15,26 +17,43 @@ import numpy as np
 from .errors import UsageError
 from .systems import TransferSystem, _require_same_site
 
+# each arrow style of the figure in either syntax
+_DOT_STYLE = {"bold": " [style=bold, color=blue]", "plain": "",
+              "dotted": " [style=dotted, arrowhead=none]"}
+_TIKZ_STYLE = {"bold": "->,very thick,blue", "plain": "->", "dotted": "dotted"}
 
-def _check_highlight(ts: TransferSystem, highlight: Optional[TransferSystem]) -> None:
+
+def _figure(
+    ts: TransferSystem, highlight: Optional[TransferSystem], cluster: Optional[Iterable[int]]
+) -> tuple[list[list[int]], list[tuple[int, int, str]], list[int]]:
+    """The figure of ts as (ranks, arrows, cluster nodes).
+
+    ``ranks`` groups the nodes by subgroup order, or on an abstract site by
+    the size of their down-set, lowest first and each in node order.
+    ``arrows`` holds (source, target, style): every non-reflexive transfer
+    in node order, "bold" where ``highlight`` holds it and "plain"
+    elsewhere, then every cover of the site that is not a transfer,
+    "dotted".  The cluster nodes are sorted and distinct.  A highlight on
+    another site, or not contained in ts, raises a UsageError.
+    """
+    site = ts.site
     if highlight is not None:
         message = "highlight system must be contained in the rendered system"
-        _require_same_site(highlight.site, ts.site, message)
+        _require_same_site(highlight.site, site, message)
         if not highlight.le(ts):
             raise UsageError(message)
-
-
-def _rank_groups(ts: TransferSystem) -> list[list[int]]:
-    site = ts.site
+    held = highlight.rel if highlight is not None else np.zeros_like(ts.rel)
     if site.lattice is not None:
         order = [s.order for s in site.lattice.subgroups]
     else:
-        # rank abstract nodes by the size of their down-set |down(v)|
-        order = [int(site.leq[:, v].sum()) for v in range(site.size)]
+        order = site.leq.sum(axis=0).tolist()
     ranks: dict[int, list[int]] = {}
-    for v in range(site.size):
-        ranks.setdefault(order[v], []).append(v)
-    return [ranks[k] for k in sorted(ranks)]
+    for v, rank in enumerate(order):
+        ranks.setdefault(rank, []).append(v)
+    arrows = [(a, b, "bold" if held[a, b] else "plain") for a, b in ts.edges()]
+    arrows += [(a, b, "dotted") for a, b in np.argwhere(site.covers & ~ts.rel).tolist()]
+    nodes = sorted(set(cluster)) if cluster is not None else []
+    return [ranks[k] for k in sorted(ranks)], arrows, nodes
 
 
 def render_dot(
@@ -42,30 +61,23 @@ def render_dot(
     highlight: Optional[TransferSystem] = None,
     cluster: Optional[Iterable[int]] = None,
 ) -> str:
-    _check_highlight(ts, highlight)
-    site = ts.site
-    lab = site.labels
+    ranks, arrows, cluster = _figure(ts, highlight, cluster)
+    lab = ts.site.labels
     lines = ['digraph "transfers" {', "  rankdir=BT;", '  node [shape=plaintext];']
-    cluster_nodes = sorted(set(cluster)) if cluster is not None else []
-    if cluster_nodes:
+    if cluster:
         lines.append("  subgraph cluster_interval {")
         lines.append('    style=dashed; color=green; label="interval";')
-        for v in cluster_nodes:
+        for v in cluster:
             lines.append(f'    n{v} [label="{lab[v]}"];')
         lines.append("  }")
-    for v in range(site.size):
-        if v not in cluster_nodes:
+    for v in range(ts.site.size):
+        if v not in cluster:
             lines.append(f'  n{v} [label="{lab[v]}"];')
-    for group in _rank_groups(ts):
-        if len(group) > 1:
-            lines.append("  { rank=same; " + " ".join(f"n{v};" for v in group) + " }")
-    for a, b in ts.edges():
-        if highlight is not None and highlight.rel[a, b]:
-            lines.append(f"  n{a} -> n{b} [style=bold, color=blue];")
-        else:
-            lines.append(f"  n{a} -> n{b};")
-    for a, b in np.argwhere(site.covers & ~ts.rel).tolist():
-        lines.append(f"  n{a} -> n{b} [style=dotted, arrowhead=none];")
+    for rank in ranks:
+        if len(rank) > 1:
+            lines.append("  { rank=same; " + " ".join(f"n{v};" for v in rank) + " }")
+    for a, b, style in arrows:
+        lines.append(f"  n{a} -> n{b}{_DOT_STYLE[style]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -75,21 +87,15 @@ def render_tikz(
     highlight: Optional[TransferSystem] = None,
     cluster: Optional[Iterable[int]] = None,
 ) -> str:
-    _check_highlight(ts, highlight)
-    site = ts.site
-    lab = site.labels
+    ranks, arrows, cluster = _figure(ts, highlight, cluster)
+    lab = ts.site.labels
     lines = ["\\begin{tikzpicture}[every node/.style={inner sep=1pt}]"]
-    cluster_nodes = set(cluster) if cluster is not None else set()
-    for depth, group in enumerate(_rank_groups(ts)):
-        for col, v in enumerate(sorted(group)):
-            x = 2.0 * col - (len(group) - 1)
-            mark = ",draw=green,dashed" if v in cluster_nodes else ""
-            lines.append(f"  \\node[{mark.strip(',')}] (n{v}) at ({x:.1f},{depth:.1f}) {{{lab[v]}}};")
-    for a, b in ts.edges():
-        style = "very thick,blue" if highlight is not None and highlight.rel[a, b] else "->"
-        arrow = "->" if style == "->" else f"->,{style}"
-        lines.append(f"  \\draw[{arrow}] (n{a}) -- (n{b});")
-    for a, b in np.argwhere(site.covers & ~ts.rel).tolist():
-        lines.append(f"  \\draw[dotted] (n{a}) -- (n{b});")
+    for depth, rank in enumerate(ranks):
+        for col, v in enumerate(rank):
+            x = 2.0 * col - (len(rank) - 1)
+            mark = "draw=green,dashed" if v in cluster else ""
+            lines.append(f"  \\node[{mark}] (n{v}) at ({x:.1f},{depth:.1f}) {{{lab[v]}}};")
+    for a, b, style in arrows:
+        lines.append(f"  \\draw[{_TIKZ_STYLE[style]}] (n{a}) -- (n{b});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

@@ -49,14 +49,27 @@ def _scatter(site: Site, edges: Iterable[tuple[int, int]]) -> np.ndarray:
     return rel
 
 
+def _nonreflexive_pairs(rel: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (a, b) with a != b of an n-by-n relation, in node (row-major) order.
+
+    Read off the flat indices of the relation's entries, with no identity
+    matrix.  Every edge list the package returns or prints comes from here:
+    ``TransferSystem.edges``, ``_labeled_edges`` and
+    ``compat.conjecture_formula``.
+    """
+    a, b = np.divmod(np.flatnonzero(rel), len(rel))
+    keep = a != b
+    return list(zip(a[keep].tolist(), b[keep].tolist()))
+
+
 def _labeled_edges(site: Site, rel: np.ndarray) -> list[tuple[str, str]]:
-    """The non-reflexive pairs of an n-by-n relation as (source, target) labels, in node order.
+    """``_nonreflexive_pairs`` of an n-by-n relation as (source, target) labels.
 
     Every printed edge list reads this: the CLI's, a system file's, a
     system's ``repr`` and every report's.
     """
     lab = site.labels
-    return [(lab[a], lab[b]) for a, b in np.argwhere(rel & ~np.eye(site.size, dtype=bool)).tolist()]
+    return [(lab[a], lab[b]) for a, b in _nonreflexive_pairs(rel)]
 
 
 @dataclass(frozen=True)
@@ -158,8 +171,8 @@ class TransferSystem:
         return f"TransferSystem({names or 'trivial'})"
 
     def edges(self) -> list[tuple[int, int]]:
-        """Non-reflexive edges in canonical (src, dst) order."""
-        return list(map(tuple, np.argwhere(self.rel & ~np.eye(self.site.size, dtype=bool)).tolist()))
+        """Non-reflexive edges in canonical (src, dst) order: ``_nonreflexive_pairs`` of ``rel``."""
+        return _nonreflexive_pairs(self.rel)
 
     @property
     def edge_count(self) -> int:

@@ -33,7 +33,9 @@ edge list is split into tokens before each token is scanned for its
 check, the site's action check and the subgroup labels grow their spans
 by their own loops instead of one shared helper and the lattice, and the
 conjugation table of a lattice looks up every element's conjugates
-instead of composing the generators' rows.
+instead of composing the generators' rows, and the DOT and TikZ
+figures each decide their ranks, arrows, highlight and dotted covers in
+their own loops, as the renderers did before they shared one figure.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from transfer_systems.errors import (
     CapExceededError,
     InputFileError,
     InternalCheckError,
+    MismatchedSitesError,
     NotNormalError,
     UsageError,
 )
@@ -1063,3 +1066,76 @@ def verify_conjecture_by_loop(sites, complexity_bound=None, require_bottom_to_to
                     )
                 )
     return ConjectureReport(scopes, checked, cases)
+
+
+def _render_ranks(ts: TransferSystem) -> list[list[int]]:
+    site = ts.site
+    if site.lattice is not None:
+        order = [s.order for s in site.lattice.subgroups]
+    else:
+        order = [int(site.leq[:, v].sum()) for v in range(site.size)]
+    ranks: dict[int, list[int]] = {}
+    for v in range(site.size):
+        ranks.setdefault(order[v], []).append(v)
+    return [ranks[k] for k in sorted(ranks)]
+
+
+def _render_check(ts: TransferSystem, highlight) -> None:
+    if highlight is not None:
+        message = "highlight system must be contained in the rendered system"
+        if highlight.site.key != ts.site.key:
+            raise MismatchedSitesError(message)
+        if not highlight.le(ts):
+            raise UsageError(message)
+
+
+def render_dot_by_loops(ts: TransferSystem, highlight=None, cluster=None) -> str:
+    """``render.render_dot`` with its own node, rank, arrow and cover loops."""
+    _render_check(ts, highlight)
+    site = ts.site
+    lab = site.labels
+    lines = ['digraph "transfers" {', "  rankdir=BT;", '  node [shape=plaintext];']
+    cluster_nodes = sorted(set(cluster)) if cluster is not None else []
+    if cluster_nodes:
+        lines.append("  subgraph cluster_interval {")
+        lines.append('    style=dashed; color=green; label="interval";')
+        for v in cluster_nodes:
+            lines.append(f'    n{v} [label="{lab[v]}"];')
+        lines.append("  }")
+    for v in range(site.size):
+        if v not in cluster_nodes:
+            lines.append(f'  n{v} [label="{lab[v]}"];')
+    for group in _render_ranks(ts):
+        if len(group) > 1:
+            lines.append("  { rank=same; " + " ".join(f"n{v};" for v in group) + " }")
+    for a, b in nonreflexive_edges(ts.rel):
+        if highlight is not None and highlight.rel[a, b]:
+            lines.append(f"  n{a} -> n{b} [style=bold, color=blue];")
+        else:
+            lines.append(f"  n{a} -> n{b};")
+    for a, b in np.argwhere(site.covers & ~ts.rel).tolist():
+        lines.append(f"  n{a} -> n{b} [style=dotted, arrowhead=none];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def render_tikz_by_loops(ts: TransferSystem, highlight=None, cluster=None) -> str:
+    """``render.render_tikz`` with its own node, rank, arrow and cover loops."""
+    _render_check(ts, highlight)
+    site = ts.site
+    lab = site.labels
+    lines = ["\\begin{tikzpicture}[every node/.style={inner sep=1pt}]"]
+    cluster_nodes = set(cluster) if cluster is not None else set()
+    for depth, group in enumerate(_render_ranks(ts)):
+        for col, v in enumerate(sorted(group)):
+            x = 2.0 * col - (len(group) - 1)
+            mark = ",draw=green,dashed" if v in cluster_nodes else ""
+            lines.append(f"  \\node[{mark.strip(',')}] (n{v}) at ({x:.1f},{depth:.1f}) {{{lab[v]}}};")
+    for a, b in nonreflexive_edges(ts.rel):
+        style = "very thick,blue" if highlight is not None and highlight.rel[a, b] else "->"
+        arrow = "->" if style == "->" else f"->,{style}"
+        lines.append(f"  \\draw[{arrow}] (n{a}) -- (n{b});")
+    for a, b in np.argwhere(site.covers & ~ts.rel).tolist():
+        lines.append(f"  \\draw[dotted] (n{a}) -- (n{b});")
+    lines.append("\\end{tikzpicture}")
+    return "\n".join(lines) + "\n"

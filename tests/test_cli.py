@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import P5_TEXT, m_poset_text
+from conftest import P5_TEXT, labeled, m_poset_text
 from transfer_systems import cli, sites
 from transfer_systems.cli import main
-from transfer_systems.errors import UsageError
+from transfer_systems.compat import max_compat_recursive
+from transfer_systems.errors import InternalCheckError, UsageError
 from transfer_systems.groups import build_group, small_group_descriptors
+from transfer_systems.systems import generate_from_edges, trivial_ts
 
 
 def run(capsys, *argv):
@@ -375,6 +377,15 @@ INPUT_ERRORS = [
     ("order-le-0", ["conjecture", "--order-le", "0", "--groups", "cyclic:2"], None,
      "--order-le must be >= 1"),
     ("order-le-negative", ["conjecture", "--order-le", "-3"], None, "--order-le must be >= 1"),
+    # no group or generated automorphism group has fewer than 1 element
+    ("max-order-0-group", ["check", "--group", "cyclic:6", "--edges", "1>C2", "--max-order", "0"],
+     None, "--max-order must be >= 1"),
+    ("max-order-negative-group", ["lattice", "--group", "cyclic:6", "--max-order", "-3"], None,
+     "--max-order must be >= 1"),
+    ("max-order-0-poset", ["lattice", "--site", "{f}", "--max-order", "0"], P5_TEXT,
+     "--max-order must be >= 1"),
+    ("max-order-negative-poset", ["lattice", "--site", "{f}", "--max-order", "-3"], P5_TEXT,
+     "--max-order must be >= 1"),
     # int("²") raises and int("١") is 1: only ASCII digits index nodes
     ("edges-superscript-digit", ["generate", "--group", "cyclic:6", "--edges", "²>C2"], None,
      "unknown node '²'; run the `lattice` subcommand to list labels"),
@@ -527,6 +538,44 @@ def test_order_le_above_max_order_builds_no_site(capsys, monkeypatch):
     code, out, err = run(capsys, "conjecture", "--order-le", "60", "--max-order", "50",
                          "--groups", "cyclic:2")
     assert (code, out, err) == (2, "", "error: --order-le 60 exceeds --max-order 50\n")
+
+
+def test_methods_that_disagree_exit_1_with_one_line_per_other_method(capsys, monkeypatch):
+    site = sites.site_from_descriptor("cyclic:12")
+    o = generate_from_edges(site, [(site.node("1"), site.node("C12"))])
+    m = ", ".join(f"{a}>{b}" for a, b in labeled(max_compat_recursive(o)))
+    monkeypatch.setattr(cli, "max_compat_oracle", lambda o: trivial_ts(o.site))
+    code, out, err = run(capsys, "maximal", "--group", "cyclic:12", "--edges", "1>C12",
+                         "--method", "all")
+    assert (code, err) == (1, "")
+    assert out == f"M(O) edges: (none)\nMETHODS DISAGREE\n  recursive: {m}\n  algorithm: {m}\n"
+
+
+def test_an_internal_check_failure_exits_1_with_one_line(capsys, monkeypatch):
+    def generate(listed):
+        raise InternalCheckError("boom")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    code, out, err = run(capsys, "generate", "--group", "cyclic:6", "--edges", "1>C2")
+    assert (code, out, err) == (1, "", "inconsistency: boom\n")
+
+
+def test_conjecture_builds_each_site_when_its_check_reaches_it(capsys, monkeypatch):
+    events = []
+    build, verify = cli.site_from_descriptor, cli.verify_conjecture
+
+    def checked(sites):
+        for site in sites:
+            yield site
+            events.append("checked " + site.descriptor)
+
+    monkeypatch.setattr(cli, "site_from_descriptor",
+                        lambda desc, cap: events.append(desc) or build(desc, cap))
+    monkeypatch.setattr(cli, "verify_conjecture", lambda sites, *rest: verify(checked(sites), *rest))
+    code, _, _ = run(capsys, "conjecture", "--groups", "cyclic:2,cyclic:3", "--group", "cyclic:4")
+    assert code == 0
+    assert events == ["cyclic:2", "checked cyclic:2", "cyclic:3", "checked cyclic:3",
+                      "cyclic:4", "checked cyclic:4"]
 
 
 def test_unwritable_jsonl_fails_before_the_enumeration(tmp_path, capsys, monkeypatch):

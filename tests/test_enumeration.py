@@ -488,6 +488,66 @@ def test_audit_records_a_recursion_fault_at_its_index(c36_catalog, monkeypatch):
     ]
 
 
+def _named(ts):
+    lab = ts.site.labels
+    return [(lab[a], lab[b]) for a, b in ts.edges()]
+
+
+def test_audit_records_a_wrong_algorithm_against_the_oracle(c12_catalog, monkeypatch):
+    catalog = _fresh(c12_catalog)
+    real = enumeration.max_compat_disklike
+    monkeypatch.setattr(enumeration, "max_compat_disklike",
+                        lambda ts: real(ts)._replace(system=trivial_ts(ts.site)))
+    report = cross_method_audit(catalog)
+    expected = [
+        (i, _named(ts), "algorithm-vs-oracle", f"algorithm=[] oracle={_named(max_compat_oracle(ts))}")
+        for i, ts in enumerate(catalog.systems)
+        if is_disklike(ts) and max_compat_oracle(ts).edges()
+    ]
+    assert len(expected) == 22
+    assert [(e.index, e.edges, e.kind, e.detail) for e in report.disagreements] == expected
+
+
+def test_audit_records_steps_taken_where_no_cover_relation_exists(c12_catalog, monkeypatch):
+    catalog = _fresh(c12_catalog)
+    monkeypatch.setattr(enumeration, "count_cover_relations", lambda ts: 0)
+    report = cross_method_audit(catalog)
+    expected = []
+    for i, ts in enumerate(catalog.systems):
+        steps = compat.max_compat_disklike(ts).steps if is_disklike(ts) else 0
+        if steps:
+            expected.append((i, _named(ts), "steps", f"steps={steps} with C_O=0"))
+    assert len(expected) == 22
+    assert [(e.index, e.edges, e.kind, e.detail) for e in report.disagreements] == expected
+    assert report.max_step_ratio == 0.0
+
+
+def test_audit_entries_of_one_system_keep_the_method_order(c12_catalog, monkeypatch):
+    catalog = _fresh(c12_catalog)
+    target = next(i for i, ts in enumerate(catalog.systems)
+                  if is_disklike(ts) and max_compat_oracle(ts).edges())
+    ts = catalog.systems[target]
+    real_recursive, real_disklike = enumeration._recursive, enumeration.max_compat_disklike
+
+    def recursive(site, rels, blocked):
+        out = real_recursive(site, rels, blocked)
+        out[target] = np.eye(site.size, dtype=bool)
+        return out
+
+    monkeypatch.setattr(enumeration, "_recursive", recursive)
+    monkeypatch.setattr(enumeration, "max_compat_disklike",
+                        lambda o: real_disklike(o)._replace(system=trivial_ts(o.site)))
+    monkeypatch.setattr(enumeration, "count_cover_relations", lambda o: 0)
+    report = cross_method_audit(catalog)
+    oracle = _named(max_compat_oracle(ts))
+    steps = real_disklike(ts).steps
+    assert [(e.index, e.kind, e.detail) for e in report.disagreements if e.index == target] == [
+        (target, "oracle-vs-recursive", f"oracle={oracle} recursive=[]"),
+        (target, "algorithm-vs-oracle", f"algorithm=[] oracle={oracle}"),
+        (target, "steps", f"steps={steps} with C_O=0"),
+    ]
+
+
 def test_stacked_axiom_check_names_the_broken_relation(c36_catalog, monkeypatch):
     catalog = _fresh(c36_catalog)
     site = catalog.site

@@ -11,8 +11,10 @@ from transfer_systems.enumeration import enumerate_all
 from transfer_systems.errors import (
     DisklikeRequiredError,
     GroupSiteRequiredError,
+    InternalCheckError,
     MismatchedSitesError,
 )
+from transfer_systems import functors
 from transfer_systems import systems as systems_module
 from transfer_systems.functors import (
     QuotientContext,
@@ -197,6 +199,15 @@ def test_a_parent_site_is_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_universal_reduction_checks_itself_against_the_direct_computation(c12_site, monkeypatch):
+    o = generate_from_edges(c12_site, [(c12_site.node("1"), c12_site.node("C12"))])
+    assert is_disklike(o) and max_compat_recursive(o) != complete_ts(c12_site)
+    monkeypatch.setattr(functors, "inflate", lambda ctx, o_bar: complete_ts(ctx.parent))
+    with pytest.raises(InternalCheckError,
+                       match="^universal reduction disagrees with the direct computation$"):
+        universal_reduction(o)
 
 
 def test_universal_reduction_rejects_non_disklike(fig1):

@@ -311,6 +311,13 @@ def test_permutation_file_generates_s3(tmp_path):
     assert len(subgroup_lattice(g)) == 6
 
 
+@pytest.mark.parametrize("text, same", [
+    ("(1 2) (3 4)", "(1 2)(3 4)"), (" (1 2 3)\t(4 5) ", "(1 2 3)(4 5)"), ("(12) (34)", "(12)(34)"),
+])
+def test_whitespace_between_cycles_is_skipped(text, same):
+    assert _parse_cycles(text) == _parse_cycles(same)
+
+
 def test_order_cap():
     with pytest.raises(CapExceededError):
         build_group("cyclic:2000")

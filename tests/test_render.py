@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import chain_site
+from oracles import render_dot_by_loops, render_tikz_by_loops
+from transfer_systems import enumerate_all, site_from_descriptor
 from transfer_systems.compat import max_compat_recursive
-from transfer_systems.errors import UsageError
+from transfer_systems.errors import MismatchedSitesError, UsageError
 from transfer_systems.render import render_dot, render_tikz
 from transfer_systems.systems import complete_ts, trivial_ts
 
@@ -74,3 +76,26 @@ def test_cover_pairs_on_long_chains(n):
     # pairs with exactly 256 nodes between them are not covers
     covers = chain_site(n).covers
     assert np.argwhere(covers).tolist() == [[i, i + 1] for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("site", ["cyclic:6", "cyclic:12", "symmetric:3", "dihedral:4",
+                                  "product:2x2", "alternating:4", "p5_site", "grid_site"])
+def test_renders_match_the_reference_byte_for_byte(site, request):
+    # every 40th system, with and without M(O) bold, with no cluster, [N, top] for every N,
+    # or every other node listed twice from the top down
+    site = request.getfixturevalue(site) if site.endswith("_site") else site_from_descriptor(site)
+    clusters = [None] + [np.flatnonzero(site.leq[v]).tolist() for v in range(site.size)]
+    clusters.append(list(range(site.size))[::-2] * 2)
+    systems = enumerate_all(site).systems[::40]
+    for ts in systems:
+        for highlight in (None, max_compat_recursive(ts)):
+            for cluster in clusters:
+                assert render_dot(ts, highlight, cluster) == render_dot_by_loops(ts, highlight, cluster)
+                assert render_tikz(ts, highlight, cluster) == render_tikz_by_loops(ts, highlight, cluster)
+
+
+@pytest.mark.parametrize("draw", [render_dot, render_tikz, render_dot_by_loops, render_tikz_by_loops])
+def test_a_bad_highlight_is_refused_as_by_the_reference(draw, fig1, s3_site):
+    for highlight, error in [(fig1["g"], UsageError), (trivial_ts(s3_site), MismatchedSitesError)]:
+        with pytest.raises(error, match="^highlight system must be contained"):
+            draw(fig1["h"], highlight)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import P5_TEXT
+from conftest import P5_TEXT, chain_site
 from transfer_systems import serialize
 from transfer_systems.errors import (
     CapExceededError,
@@ -17,7 +17,7 @@ from transfer_systems.errors import (
     UsageError,
 )
 from transfer_systems.sites import site_from_descriptor
-from transfer_systems.systems import generate_from_edges
+from transfer_systems.systems import complete_ts, generate_from_edges
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 CLOSURE = "edge list is not a transfer system (closure adds edges)"
@@ -43,6 +43,13 @@ def test_reflexive_edges_implicit(fig1):
     data = serialize.system_to_dict(fig1["j"])
     assert data["edges"] == []
     assert serialize.system_from_dict(data) == fig1["j"]
+
+
+def test_a_system_on_a_descriptor_less_site_is_not_serialized():
+    site = chain_site(3)
+    assert site.descriptor is None
+    with pytest.raises(UsageError, match="^cannot serialize a system on a descriptor-less site$"):
+        serialize.system_to_dict(complete_ts(site))
 
 
 def test_unclosed_edge_list_rejected(c6_site):

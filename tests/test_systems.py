@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import labeled, system_from_labels
 from transfer_systems import systems as systems_module
+from transfer_systems.compat import conjecture_formula
 from transfer_systems.errors import InternalCheckError, MismatchedSitesError, UsageError
 from transfer_systems.serialize import load_system
 from transfer_systems.sites import site_from_descriptor
@@ -37,6 +38,8 @@ from transfer_systems.systems import (
     _conj,
     _edge_closures,
     _first_violation,
+    _labeled_edges,
+    _nonreflexive_pairs,
     validate,
 )
 
@@ -420,6 +423,31 @@ def test_a_flattened_checked_relation_is_refused(monkeypatch):
             TransferSystem(site, wrong)
     assert calls == []  # refused before the memo and the check
     assert site._cache["checked"] == {ts.key}
+
+
+@pytest.mark.parametrize("make", [BinaryRelation, TransferSystem])
+def test_a_relation_of_the_wrong_shape_is_refused(make, c6_site):
+    for shape in [(c6_site.size,), (c6_site.size, c6_site.size + 1), (1, c6_site.size, c6_site.size)]:
+        with pytest.raises(UsageError, match="^relation matrix has the wrong shape$"):
+            make(c6_site, np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 30, 156])
+def test_nonreflexive_pairs_match_the_row_major_scan(n):
+    rel = np.random.default_rng(n).random((n, n)) < 0.3
+    rel[::3, ::3] = True  # some of the diagonal too
+    assert _nonreflexive_pairs(rel) == oracles.nonreflexive_edges(rel)
+
+
+def test_edge_lists_build_no_identity_matrix(c12_catalog, monkeypatch):
+    ts = c12_catalog.systems[-1]
+    want = ts.edges(), _labeled_edges(ts.site, ts.rel), conjecture_formula(ts)
+
+    def eye(*args, **kwargs):
+        raise AssertionError("an identity matrix was built")
+
+    monkeypatch.setattr(np, "eye", eye)
+    assert (ts.edges(), _labeled_edges(ts.site, ts.rel), conjecture_formula(ts)) == want
 
 
 def test_generate_minimality_on_c6(c6_catalog, c6_site):

@@ -5,6 +5,9 @@ fixed-points, reduce, conjecture, render, audit.  All computations are
 deterministic; ``--seed`` is accepted for harness compatibility and ignored,
 and ``--threads`` never changes any output byte.
 
+Each subcommand body returns its text and a verdict; ``main`` writes the
+text once, to ``--out`` or stdout, and maps the verdict to the exit code.
+
 Exit codes: 0 success; 1 property/consistency failure (methods disagree,
 conjecture counterexample, audit failure); 2 usage or input error.
 """
@@ -32,7 +35,7 @@ from .enumeration import (
 )
 from .errors import InputFileError, TransferSystemsError, UsageError
 from .functors import fixed_points, inflate, quotient_context, universal_reduction
-from .groups import DEFAULT_ORDER_CAP, small_group_descriptors
+from .groups import DEFAULT_ORDER_CAP, parse_group_descriptor, small_group_descriptors
 from .render import render_dot, render_tikz
 from .sites import Site, site_from_descriptor
 from .systems import (
@@ -88,9 +91,9 @@ def _arrows(ts: TransferSystem) -> list[str]:
     return [f"{a}>{b}" for a, b in _labeled_edges(ts.site, ts.rel)]
 
 
-def _emit_edges(args, ts: TransferSystem) -> None:
+def _edge_lines(ts: TransferSystem) -> str:
     """One ``SRC>DST`` line per non-reflexive edge."""
-    _emit(args, "".join(e + "\n" for e in _arrows(ts)))
+    return "".join(e + "\n" for e in _arrows(ts))
 
 
 def _load_site(args) -> Site:
@@ -121,8 +124,14 @@ def _load_system(args, site: Site) -> tuple[TransferSystem, BinaryRelation | Non
     raise UsageError("provide --edges \"SRC>DST ...\" or --input FILE.json")
 
 
-def _write(path: str, text: str) -> None:
-    """Write an output file; an unwritable path raises InputFileError naming it."""
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout if there is none.
+
+    An unwritable path raises InputFileError naming it.
+    """
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text)
     except OSError as exc:
@@ -146,14 +155,9 @@ def _probe(path: str) -> None:
         target.unlink()
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_common(p: argparse.ArgumentParser, *, system_input: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, run, *, system_input: bool = False) -> None:
+    """The options every subcommand takes, and ``run``, its body, for ``main`` to call."""
+    p.set_defaults(run=run)
     p.add_argument("--group", help="group descriptor, e.g. cyclic:6, symmetric:3, q8")
     p.add_argument("--site", help="poset file for an abstract site")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
@@ -179,39 +183,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="list subgroups/nodes with their labels")
-    _add_common(p)
+    _add_common(p, _cmd_lattice)
 
     p = sub.add_parser("generate", help="close an edge list into a transfer system")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_generate, system_input=True)
 
     p = sub.add_parser("check", help="validate/saturated/disklike/complexity of a system")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_check, system_input=True)
     p.add_argument("--complexity-bound", type=int, default=4)
 
     p = sub.add_parser("maximal", help="maximal compatible transfer system M(O)")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_maximal, system_input=True)
     p.add_argument("--method", choices=["oracle", "recursive", "algorithm", "all"],
                    default="recursive")
 
     p = sub.add_parser("enumerate", help="enumerate all transfer systems on the site")
-    _add_common(p)
+    _add_common(p, _cmd_enumerate)
     p.add_argument("--census", action="store_true", help="print census counts")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--jsonl", help="write the catalog as JSON-lines to a file")
 
     p = sub.add_parser("inflate", help="inflate a system on [N, G] to the whole group")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_inflate, system_input=True)
     p.add_argument("--normal", required=True, help="label of the normal subgroup N")
 
     p = sub.add_parser("fixed-points", help="restrict a system to the interval [N, G]")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_fixed_points, system_input=True)
     p.add_argument("--normal", required=True, help="label of the normal subgroup N")
 
     p = sub.add_parser("reduce", help="M(O) for disklike O via the quotient by N_O")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_reduce, system_input=True)
 
     p = sub.add_parser("conjecture", help="compare the conjectured formula with M(O)")
-    _add_common(p)
+    _add_common(p, _cmd_conjecture)
     p.add_argument("--groups", help="comma-separated group descriptors")
     p.add_argument("--order-le", type=int,
                    help="use every built-in group of order at most this")
@@ -222,22 +226,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p = sub.add_parser("render", help="emit DOT or TikZ for a system")
-    _add_common(p, system_input=True)
+    _add_common(p, _cmd_render, system_input=True)
     p.add_argument("--format", choices=["dot", "tikz"], default="dot")
     p.add_argument("--highlight", choices=["none", "maximal"], default="none")
     p.add_argument("--interval-above", help="label of N; draw [N, G] as a cluster")
 
     p = sub.add_parser("audit", help="cross-method agreement over the full catalog")
-    _add_common(p)
+    _add_common(p, _cmd_audit)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     return ap
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each returns its output text, and False where a check fails
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> tuple[str, bool]:
     site = _load_site(args)
     lines = []
     if site.lattice is not None:
@@ -254,16 +258,14 @@ def _cmd_lattice(args) -> int:
         lines.append("index\tlabel")
         for i in range(site.size):
             lines.append(f"{i}\t{site.labels[i]}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", True
 
 
-def _cmd_generate(args) -> int:
-    _emit_edges(args, _load_system(args, _load_site(args))[0])
-    return EXIT_OK
+def _cmd_generate(args) -> tuple[str, bool]:
+    return _edge_lines(_load_system(args, _load_site(args))[0]), True
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[str, bool]:
     site = _load_site(args)
     ts, listed = _load_system(args, site)
     if listed is None:
@@ -289,11 +291,10 @@ def _cmd_check(args) -> int:
     lines.append(f"complexity: {c if c is not None else f'> {args.complexity_bound}'}")
     lines.append(f"edges: {ts.edge_count}")
     lines.append(f"cover relations: {count_cover_relations(ts)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", True
 
 
-def _cmd_maximal(args) -> int:
+def _cmd_maximal(args) -> tuple[str, bool]:
     site = _load_site(args)
     ts, _ = _load_system(args, site)
     results = {}
@@ -312,11 +313,10 @@ def _cmd_maximal(args) -> int:
         for name, v in results.items():
             if v != values[0]:
                 lines.append(f"  {name}: " + ", ".join(_arrows(v)))
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if agree else EXIT_INCONSISTENT
+    return "\n".join(lines) + "\n", agree
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[str, bool]:
     site = _load_site(args)
     catalog = enumerate_all(site, args.cap)
     out = []
@@ -327,8 +327,7 @@ def _cmd_enumerate(args) -> int:
     if args.jsonl:
         _write(args.jsonl, serialize.dump_catalog(catalog))
         out.append(f"wrote {len(catalog)} systems to {args.jsonl}")
-    _emit(args, "\n".join(out) + "\n")
-    return EXIT_OK
+    return "\n".join(out) + "\n", True
 
 
 def _quotient_from_args(args):
@@ -336,24 +335,21 @@ def _quotient_from_args(args):
     return quotient_context(site, site.node(args.normal))
 
 
-def _cmd_inflate(args) -> int:
+def _cmd_inflate(args) -> tuple[str, bool]:
     ctx = _quotient_from_args(args)
-    _emit_edges(args, inflate(ctx, _load_system(args, ctx.interval_site)[0]))
-    return EXIT_OK
+    return _edge_lines(inflate(ctx, _load_system(args, ctx.interval_site)[0])), True
 
 
-def _cmd_fixed_points(args) -> int:
+def _cmd_fixed_points(args) -> tuple[str, bool]:
     ctx = _quotient_from_args(args)
-    _emit_edges(args, fixed_points(ctx, _load_system(args, ctx.parent)[0]))
-    return EXIT_OK
+    return _edge_lines(fixed_points(ctx, _load_system(args, ctx.parent)[0])), True
 
 
-def _cmd_reduce(args) -> int:
-    _emit_edges(args, universal_reduction(_load_system(args, _load_site(args))[0]))
-    return EXIT_OK
+def _cmd_reduce(args) -> tuple[str, bool]:
+    return _edge_lines(universal_reduction(_load_system(args, _load_site(args))[0])), True
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> tuple[str, bool]:
     if args.order_le and args.order_le > args.max_order:
         # cyclic:N alone would exceed the cap, after every smaller site was built
         raise UsageError(f"--order-le {args.order_le} exceeds --max-order {args.max_order}")
@@ -362,6 +358,10 @@ def _cmd_conjecture(args) -> int:
     descs = small_group_descriptors(args.order_le) if args.order_le else []
     if args.groups:
         descs += [desc.strip() for desc in args.groups.split(",")]
+    # a bad group descriptor is refused before the first site is built
+    for desc in descs + ([args.group.strip()] if args.group and not args.site else []):
+        if not desc.startswith("poset:") and "|above:" not in desc:
+            parse_group_descriptor(desc, args.max_order)
 
     def sites():
         # one site at a time: each is built when the check reaches it
@@ -373,11 +373,10 @@ def _cmd_conjecture(args) -> int:
     report = verify_conjecture(
         sites(), args.complexity_bound, args.require_bottom_to_top, args.cap
     )
-    _emit(args, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if report.ok else EXIT_INCONSISTENT
+    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", report.ok
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[str, bool]:
     site = _load_site(args)
     ts, _ = _load_system(args, site)
     highlight = max_compat_recursive(ts) if args.highlight == "maximal" else None
@@ -386,31 +385,14 @@ def _cmd_render(args) -> int:
         n = site.node(args.interval_above)
         cluster = [int(i) for i in np.flatnonzero(site.leq[n])]
     render = render_dot if args.format == "dot" else render_tikz
-    _emit(args, render(ts, highlight, cluster))
-    return EXIT_OK
+    return render(ts, highlight, cluster), True
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[str, bool]:
     site = _load_site(args)
     catalog = enumerate_all(site, args.cap)
     report = cross_method_audit(catalog)
-    _emit(args, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if report.ok else EXIT_INCONSISTENT
-
-
-_COMMANDS = {
-    "lattice": _cmd_lattice,
-    "generate": _cmd_generate,
-    "check": _cmd_check,
-    "maximal": _cmd_maximal,
-    "enumerate": _cmd_enumerate,
-    "inflate": _cmd_inflate,
-    "fixed-points": _cmd_fixed_points,
-    "reduce": _cmd_reduce,
-    "conjecture": _cmd_conjecture,
-    "render": _cmd_render,
-    "audit": _cmd_audit,
-}
+    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", report.ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -420,25 +402,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        if getattr(args, "cap", 0) < 0:
-            raise UsageError("--cap must be >= 0")
-        if args.max_order < 1:
-            raise UsageError("--max-order must be >= 1")
-        if getattr(args, "order_le", None) is not None and args.order_le < 1:
-            raise UsageError("--order-le must be >= 1")
+        # each floor in turn; an option the subcommand lacks is skipped
+        for name, floor in (("threads", 1), ("cap", 0), ("max_order", 1), ("order_le", 1)):
+            value = getattr(args, name, None)
+            if value is not None and value < floor:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= {floor}")
         # an unwritable output fails before the computation, not after it
         for path in (args.out, getattr(args, "jsonl", None)):
             if path:
                 _probe(path)
-        return _COMMANDS[args.command](args)
+        text, ok = args.run(args)
+        _write(args.out, text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransferSystemsError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -593,12 +593,14 @@ _ORDER_FACTORS: dict[str, Callable[[list[int]], Iterable[int]]] = {
 }
 
 
-def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Build a group from a descriptor string.
+def parse_group_descriptor(
+    descriptor: str, order_cap: int = DEFAULT_ORDER_CAP
+) -> tuple[str, str | list[int]]:
+    """The family and parameters of a group descriptor, refused as `build_group` refuses them.
 
-    Supported: ``cyclic:n``, ``product:n1xn2[x...]``, ``symmetric:n``,
-    ``alternating:n``, ``dihedral:n`` (order 2n), ``dicyclic:n`` (order 4n),
-    ``q8`` (= ``dicyclic:2``), ``cayley:path``, ``perms:path``.
+    A file family (``cayley``, ``perms``) gives its path, unread.  A built-in
+    family gives its integer parameters, and its order is checked against
+    ``order_cap`` factor by factor, without building the group.
     """
     descriptor = descriptor.strip()
     fam, _, arg = descriptor.partition(":")
@@ -606,9 +608,7 @@ def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     if fam in ("cayley", "perms"):
         if not arg:
             raise DescriptorError(f"{fam}: requires a file path")
-        if fam == "cayley":
-            return group_from_cayley_file(arg, order_cap)
-        return group_from_permutation_file(arg, order_cap)
+        return fam, arg
     if fam == "q8" and not arg:
         fam, arg = "dicyclic", "2"
     if fam not in _ORDER_FACTORS:
@@ -624,6 +624,21 @@ def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
         order *= factor
         if order > order_cap:  # stop here: n! of symmetric:2000 has 5,736 digits
             raise CapExceededError(f"{descriptor}: order exceeds cap {order_cap}")
+    return fam, params
+
+
+def build_group(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+    """Build a group from a descriptor string.
+
+    Supported: ``cyclic:n``, ``product:n1xn2[x...]``, ``symmetric:n``,
+    ``alternating:n``, ``dihedral:n`` (order 2n), ``dicyclic:n`` (order 4n),
+    ``q8`` (= ``dicyclic:2``), ``cayley:path``, ``perms:path``.
+    """
+    fam, params = parse_group_descriptor(descriptor, order_cap)
+    if fam == "cayley":
+        return group_from_cayley_file(params, order_cap)
+    if fam == "perms":
+        return group_from_permutation_file(params, order_cap)
     n = params[0]
     if fam == "cyclic":
         return _cyclic(n)

@@ -578,6 +578,25 @@ def test_conjecture_builds_each_site_when_its_check_reaches_it(capsys, monkeypat
                       "cyclic:4", "checked cyclic:4"]
 
 
+@pytest.mark.parametrize("bad, err", [
+    ("bogus", "error: unsupported descriptor 'bogus'\n"),
+    ("cyclic:5000", "error: cyclic:5000: order exceeds cap 1000\n"),
+    ("cyclic:x", "error: cyclic:x: parameters must be integers >= 1\n"),
+    ("cayley:", "error: cayley: requires a file path\n"),
+])
+def test_a_bad_descriptor_in_the_scope_builds_no_site(capsys, monkeypatch, bad, err):
+    with pytest.raises(UsageError) as late:
+        sites.site_from_descriptor(bad)
+    assert err == f"error: {late.value}\n"
+
+    def build(*args):
+        raise AssertionError("a site was built")
+
+    monkeypatch.setattr(cli, "site_from_descriptor", build)
+    assert run(capsys, "conjecture", "--groups", f"cyclic:6,{bad}") == (2, "", err)
+    assert run(capsys, "conjecture", "--groups", "cyclic:6", "--group", bad) == (2, "", err)
+
+
 def test_unwritable_jsonl_fails_before_the_enumeration(tmp_path, capsys, monkeypatch):
     def enumerate_all(*args):
         raise AssertionError("the catalog was enumerated")
@@ -676,6 +695,53 @@ def test_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["lattice", "--group", "symmetric:3"], 0),
+    (["lattice", "--site", "{p5}"], 0),
+    (["generate", "--group", "symmetric:3", "--edges", "<(12)>>S3"], 0),
+    (["check", "--group", "cyclic:12", "--edges", "1>C4,C2>C6"], 0),
+    (["maximal", "--group", "cyclic:6", "--edges", "1>C6", "--method", "all"], 0),
+    (["maximal", "--group", "cyclic:12", "--edges", "1>C12", "--method", "all",
+      "--disagree"], 1),
+    (["enumerate", "--group", "cyclic:6", "--census"], 0),
+    (["enumerate", "--group", "cyclic:6", "--jsonl", "{tmp}/catalog.jsonl"], 0),
+    (["inflate", "--group", "cyclic:12", "--normal", "C2", "--edges", "C2>C4"], 0),
+    (["fixed-points", "--group", "cyclic:12", "--normal", "C2", "--edges", "C2>C4"], 0),
+    (["reduce", "--group", "cyclic:6", "--edges", "1>C6"], 0),
+    (["conjecture", "--groups", "cyclic:6,symmetric:3"], 0),
+    (["conjecture", "--site", "{p5}"], 1),
+    (["render", "--group", "cyclic:12", "--edges", "1>C12", "--highlight", "maximal",
+      "--interval-above", "C2"], 0),
+    (["render", "--group", "symmetric:3", "--edges", "1>S3", "--format", "tikz"], 0),
+    (["audit", "--group", "cyclic:6"], 0),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_out_file_holds_the_stdout_bytes_and_exit_code(tmp_path, capsys, monkeypatch,
+                                                       argv, expected_code):
+    (tmp_path / "p5.poset").write_text(P5_TEXT)
+    argv = [a.format(p5=tmp_path / "p5.poset", tmp=tmp_path) for a in argv]
+    if "--disagree" in argv:
+        argv.remove("--disagree")
+        monkeypatch.setattr(cli, "max_compat_oracle", lambda o: trivial_ts(o.site))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (expected_code, "") and out
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_an_output_write_failing_after_its_probe_exits_2_with_one_line(tmp_path, capsys,
+                                                                       monkeypatch):
+    def write_text(self, text):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    target = tmp_path / "lattice.txt"
+    monkeypatch.setattr(cli.Path, "write_text", write_text)
+    code, out, err = run(capsys, "lattice", "--group", "cyclic:6", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot write {target}: [Errno {errno.EACCES}] "
+                   f"{os.strerror(errno.EACCES)}: '{target}'\n")
 
 
 def test_enumerate_jsonl(tmp_path, capsys):

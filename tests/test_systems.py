@@ -696,3 +696,10 @@ def test_repr_lists_the_labeled_edges_in_node_order(c6_site):
     ts = system_from_labels(c6_site, [("C2", "C6"), ("1", "C3"), ("1", "C2"), ("1", "C6")])
     assert repr(ts) == "TransferSystem(1>C2, 1>C3, 1>C6, C2>C6)"
     assert repr(trivial_ts(c6_site)) == "TransferSystem(trivial)"
+
+
+def test_hull_checks_its_fixpoint_is_saturated(monkeypatch, c6_site):
+    unsaturated = systems_module.SaturationResult(False, (0, 0, 0))
+    monkeypatch.setattr(systems_module, "is_saturated", lambda ts: unsaturated)
+    with pytest.raises(InternalCheckError, match="^hull fixpoint is not saturated$"):
+        hull(trivial_ts(c6_site))

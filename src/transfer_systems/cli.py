@@ -35,7 +35,7 @@ from .enumeration import (
 )
 from .errors import InputFileError, TransferSystemsError, UsageError
 from .functors import fixed_points, inflate, quotient_context, universal_reduction
-from .groups import DEFAULT_ORDER_CAP, parse_group_descriptor, small_group_descriptors
+from .groups import DEFAULT_ORDER_CAP, _read_file, parse_group_descriptor, small_group_descriptors
 from .render import render_dot, render_tikz
 from .sites import Site, site_from_descriptor
 from .systems import (
@@ -96,16 +96,34 @@ def _edge_lines(ts: TransferSystem) -> str:
     return "".join(e + "\n" for e in _arrows(ts))
 
 
-def _load_site(args) -> Site:
+def _site_descriptor(args) -> str:
+    """The descriptor of the site that ``--group`` or ``--site`` names."""
     if args.group and args.site:
         raise UsageError("--group and --site exclude each other")
     if args.group:
-        desc = args.group
-    elif args.site:
-        desc = args.site if ":" in args.site or "|" in args.site else f"poset:{args.site}"
+        return args.group
+    if args.site:
+        return args.site if ":" in args.site or "|" in args.site else f"poset:{args.site}"
+    raise UsageError("provide --group DESCRIPTOR or --site POSET-FILE")
+
+
+def _load_site(args) -> Site:
+    return site_from_descriptor(_site_descriptor(args), args.max_order)
+
+
+def _refuse_bad_base(desc: str, order_cap: int) -> None:
+    """Refuse a site descriptor whose base cannot build, without building anything.
+
+    The base is the descriptor before its first ``|above:``: a group
+    descriptor, refused as ``parse_group_descriptor`` refuses it, or
+    ``poset:FILE``, whose file must be readable.  The message is the one
+    the site's build would give.
+    """
+    base = desc.partition("|above:")[0].strip()
+    if base.startswith("poset:"):
+        _read_file(Path(base[len("poset:") :]), "poset")
     else:
-        raise UsageError("provide --group DESCRIPTOR or --site POSET-FILE")
-    return site_from_descriptor(desc, args.max_order)
+        parse_group_descriptor(base, order_cap)
 
 
 def _load_system(args, site: Site) -> tuple[TransferSystem, BinaryRelation | None]:
@@ -358,17 +376,16 @@ def _cmd_conjecture(args) -> tuple[str, bool]:
     descs = small_group_descriptors(args.order_le) if args.order_le else []
     if args.groups:
         descs += [desc.strip() for desc in args.groups.split(",")]
-    # a bad group descriptor is refused before the first site is built
-    for desc in descs + ([args.group.strip()] if args.group and not args.site else []):
-        if not desc.startswith("poset:") and "|above:" not in desc:
-            parse_group_descriptor(desc, args.max_order)
+    if args.group or args.site:
+        descs.append(_site_descriptor(args))
+    # a bad group descriptor or a missing poset file is refused before the first site is built
+    for desc in descs:
+        _refuse_bad_base(desc, args.max_order)
 
     def sites():
         # one site at a time: each is built when the check reaches it
         for desc in descs:
             yield site_from_descriptor(desc, args.max_order)
-        if args.group or args.site:
-            yield _load_site(args)
 
     report = verify_conjecture(
         sites(), args.complexity_bound, args.require_bottom_to_top, args.cap

@@ -49,21 +49,23 @@ Three independent computations of M(O) are provided:
 * ``max_compat_disklike`` is the cover-relation algorithm for disklike
   systems: one pass over the poset nodes in order of the site's |down(H)|
   at each node's target (covers come first), deciding each conjugacy class
-  of edges at its least edge (the edges of O in ``Site.orbit_reps``) and
-  counting cover inspections.  It reads each node's covers from the
-  site's cover relation, and each edge of O takes its class's verdict
-  through ``edge_rep``.
+  of edges at its least edge (``Site.orbit_reps``) and counting cover
+  inspections.  It reads each node's covers from the site's cover
+  relation, and each edge of O takes its class's verdict through
+  ``edge_rep``.
 
-The first two are kernels over a (B, n, n) stack of systems, ``_oracle``
-and ``_recursive``; they share the stack's ``blocked`` and return the
-stack of M(O).  The public functions run them on a stack of one, with
-their own ``_blocked``, and the sweeps in ``enumeration`` on blocks of
-a list of systems, with the ``blocked`` that the sweeps' one walk,
-``enumeration._blocks``, computes once per block.  Every M(O)
+All three are kernels over a (B, n, n) stack of systems: ``_oracle`` and
+``_recursive`` share the stack's ``blocked`` and return the stack of
+M(O); ``_cover_pass`` returns the stack of M(O) and the vector of
+inspection counts, and reads ``success`` off the stack itself, not
+``blocked``, so it stays an independent check.  Its site-level tables
+(``_cover_tables``) are built once per site.  The public functions run
+the kernels on a stack of one, and the sweeps in ``enumeration`` on
+blocks of a list of systems, with the ``blocked`` that the sweeps' one
+walk, ``enumeration._blocks``, computes once per block.  Every M(O)
 passes the axiom check ``systems._check_stack`` before it is used: a
 public function's one result through the ``TransferSystem`` constructor,
-a sweep's stack directly.  The third method stays per system: it is the
-independent check, and its inspection count is the measured quantity.
+a sweep's stack directly.
 
 ``conjecture_formula`` evaluates the conjectured one-shot simplification
 (keep e iff all strict restrictions are successes, i.e. e is not blocked)
@@ -203,6 +205,78 @@ class DisklikeResult(NamedTuple):
     steps: int  # cover-relation inspections performed
 
 
+def _cover_tables(site: Site) -> tuple:
+    """The site's tables for ``_cover_pass``, built on first use and cached.
+
+    (least, cover_class, hyp, gap, levels).  ``least`` lists the least edge
+    of each strict class (``Site.orbit_reps``) by flat index, in node
+    order.  The pairs (class x = K -> H at its least edge, cover
+    K /\\ J -> J of x) are listed by the site's |down(H)|, then by class,
+    then by cover in node order: per pair, the cover's class and the flat
+    indices of K /\\ J -> K and J -> H, whose presence in O decides the
+    pair's annotation.  A class's covers end at nodes J < H, so every cover
+    lies at a smaller |down(H)|.  ``levels`` cuts the pairs by |down(H)|:
+    per level, its slice ``lo:hi`` of the pairs, the offsets of its
+    classes' first pairs within the slice, those classes, and per pair its
+    class's number of covers and its own place among them, from one.
+    """
+    tables = site._cache.get("cover_pass")
+    if tables is None:
+        n = site.size
+        least = np.flatnonzero(site.orbit_reps)
+        ks, hs = np.divmod(least, n)
+        down = site.leq.sum(axis=0)[hs]  # |down(H)| in the site
+        # covers[J, H] and J not <= K: the pairs (x, J)
+        x, j = np.nonzero((site.covers[:, hs] & ~site.leq[:, ks]).T)
+        cover = site.meet_flat[ks[x], j]
+        order = np.lexsort((cover, x, down[x]))
+        x, j, cover = x[order], j[order], cover[order]
+        first = np.flatnonzero(np.diff(x, prepend=-1))  # each class's first pair
+        size = np.diff(first, append=len(x))  # each class's number of covers
+        length = np.repeat(size, size)
+        rank = np.arange(len(x)) - np.repeat(first, size) + 1
+        cut = np.append(np.unique(down[x], return_index=True)[1], len(x)).tolist()
+        levels = []
+        for lo, hi in zip(cut, cut[1:]):
+            starts = first[(lo <= first) & (first < hi)]
+            levels.append((lo, hi, starts - lo, x[starts], length[lo:hi], rank[lo:hi]))
+        cover_class = np.searchsorted(least, site.edge_rep.ravel()[cover])  # least is sorted
+        tables = (least, cover_class, site.meet_flat[j, ks[x]], j * n + hs[x], levels)
+        site._cache["cover_pass"] = tables
+    return tables
+
+
+def _cover_pass(site: Site, rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cover-relation algorithm on a (B, n, n) stack of disklike O: (stack of M(O), steps).
+
+    One pass over the site's strict classes (``_cover_tables``), a level
+    of equal |down(H)| at a time, which decides every cover before the
+    classes above it.  Only two arrays depend on the stack: ``success``,
+    each pair's annotation in each O, and ``has``, the classes each O
+    holds.  A class is kept where O holds it and each of its covers is
+    kept and a success; a class with no cover keeps its presence.  Where
+    O holds a class, ``steps`` adds the covers inspected up to the first
+    that fails: the least rank of a failing cover, or all of them on a
+    pass.  Each edge takes its class's verdict through ``edge_rep``.
+    """
+    least, cover_class, hyp, gap, levels = _cover_tables(site)
+    b, n = len(rels), site.size
+    flat = rels.reshape(b, n * n)
+    success = ~(flat[:, hyp] & ~flat[:, gap])
+    has = flat[:, least]
+    kept = has.copy()  # by class; final for a class with no cover
+    steps = np.zeros(b, dtype=np.intp)
+    for lo, hi, starts, classes, length, rank in levels:
+        ok = kept[:, cover_class[lo:hi]] & success[:, lo:hi]
+        held = has[:, classes]
+        kept[:, classes] = np.logical_and.reduceat(ok, starts, axis=1) & held
+        inspected = np.minimum.reduceat(np.where(ok, length, rank), starts, axis=1)
+        steps += (inspected * held).sum(axis=1)
+    out = np.zeros((b, n * n), dtype=bool)
+    out[:, least] = kept
+    return out[:, site.edge_rep] | np.eye(n, dtype=bool), steps
+
+
 def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     """M(O) for disklike O by the cover-relation algorithm.
 
@@ -217,37 +291,14 @@ def max_compat_disklike(o: TransferSystem) -> DisklikeResult:
     above it.  Conjugation is a poset automorphism that keeps annotations,
     and conjugate edges have conjugate targets, so each conjugacy class of
     edges is decided once, at its least edge, as a worklist that always
-    takes the least ready node would decide it.  The covers of every
-    class's least edge are listed at once, from n-by-m masks, before the
-    pass.
+    takes the least ready node would decide it.  The pass is the stacked
+    kernel ``_cover_pass``, on a stack of one; its result passes the
+    constructor's axiom check.
     """
     if not is_disklike(o):
         raise DisklikeRequiredError("the cover-relation algorithm requires a disklike system")
-    site = o.site
-    n = site.size
-    rel = o.rel
-    least = np.flatnonzero(rel & site.orbit_reps)  # the least edge of each class, node order
-    ks, hs = np.divmod(least, n)
-    outside = ~site.leq[:, ks]  # outside[J, i]: J not <= K
-    down = site.leq.sum(axis=0)[hs]  # |down(H)| in the site
-    # every pair (least edge i = K -> H, cover K /\ J -> J), each i's covers in node order
-    i, j = np.nonzero((site.covers[:, hs] & outside).T)
-    cover = site.meet_flat[ks[i], j]
-    order = np.lexsort((cover, i))
-    i, j, cover = i[order], j[order], cover[order]
-    success = ~(rel.ravel()[site.meet_flat[j, ks[i]]] & ~rel[j, hs[i]])
-    cover_class = site.edge_rep.ravel()[cover]
-    bounds = np.searchsorted(i, np.arange(len(least) + 1)).tolist()
-    kept = np.zeros(n * n, dtype=bool)  # by class, at the flat index of its least edge
-    steps = 0
-    for x in np.argsort(down, kind="stable").tolist():
-        lo, hi = bounds[x], bounds[x + 1]
-        ok = kept[cover_class[lo:hi]] & success[lo:hi]
-        verdict = bool(ok.all())
-        steps += hi - lo if verdict else int(ok.argmin()) + 1
-        kept[least[x]] = verdict
-    rel = rel & kept[site.edge_rep] | np.eye(n, dtype=bool)
-    return DisklikeResult(TransferSystem(site, rel), steps)
+    maximal, steps = _cover_pass(o.site, o.rel[None])
+    return DisklikeResult(TransferSystem(o.site, maximal[0]), int(steps[0]))
 
 
 def conjecture_formula(o: TransferSystem) -> frozenset[tuple[int, int]]:

@@ -39,11 +39,11 @@ entries too, in catalog order.  Per block it yields the index of the
 block's first system, the block's systems, their (B, n, n) stack and the
 stack's ``blocked``, computed once and shared by every kernel of the
 sweep.  Saturation, self-compatibility, the disklike test, the
-conjectured formula and the oracle and recursive M(O) are each one
-stacked kernel per block.  Every M(O) stack passes the stacked axiom
-check.  Only the cover-relation algorithm, the independent third method,
-runs per disklike system, and every disagreement is still reported at
-its catalog index.  Every edge list in a report is
+conjectured formula and the three M(O) methods are each one stacked
+kernel per block; the cover-relation algorithm, the independent third
+method, runs on the block's disklike rows only.  Every M(O) stack passes
+the stacked axiom check, and every disagreement is reported at its
+catalog index.  Every edge list in a report is
 ``systems._labeled_edges`` of a relation: its non-reflexive pairs as
 labels, in node order (sorted by label in the conjecture report).
 """
@@ -57,13 +57,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .compat import (
-    _blocked,
-    _formula,
-    _oracle,
-    _recursive,
-    max_compat_disklike,
-)
+from .compat import _blocked, _cover_pass, _formula, _oracle, _recursive
 from .errors import CapExceededError, InternalCheckError, UsageError
 from .groups import _levels, _row_keys
 from .sites import Site
@@ -73,10 +67,10 @@ from .systems import (
     _block_slices,
     _check_stack,
     _comp,
+    _cover_counts,
     _edge_closures,
     _labeled_edges,
     _unsaturated,
-    count_cover_relations,
     generate_from_edges,
     trivial_ts,
 )
@@ -253,15 +247,19 @@ class AuditReport:
 
 
 def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
-    """Agreement of oracle, recursive, and (where disklike) worklist M(O).
+    """Agreement of oracle, recursive, and (where disklike) cover-relation M(O).
 
+    Each method is one stacked kernel per block of ``_blocks``; the
+    cover-relation algorithm, ``compat._cover_pass``, runs on the block's
+    disklike rows, and its stack passes the axiom check like the other two.
     Any disagreement is recorded with a full witness dump; the step counter
-    of the disklike algorithm is checked against the cover-relation count.
-    A system's findings are collected as (kind, detail) pairs, in the order
-    oracle-vs-recursive, algorithm-vs-oracle, steps; a disagreement of two
-    methods x and y is kind "x-vs-y" with detail "x=<edges> y=<edges>"
-    (``versus``).  The pairs become the system's ``AuditEntry`` records in
-    one place, so its edge list is built only when something is recorded.
+    of the disklike algorithm is checked against the cover-relation count
+    (``systems._cover_counts``).  A system's findings are collected as
+    (kind, detail) pairs, in the order oracle-vs-recursive,
+    algorithm-vs-oracle, steps; a disagreement of two methods x and y is
+    kind "x-vs-y" with detail "x=<edges> y=<edges>" (``versus``).  The
+    pairs become the system's ``AuditEntry`` records in one place, so its
+    edge list is built only when something is recorded.
     """
     site = catalog.site
     disagreements: list[AuditEntry] = []
@@ -277,25 +275,30 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
         _check_stack(site, oracle)
         _check_stack(site, recursive)
         differ = ~_none(oracle != recursive)
-        disklike = _block_disklike(site, block, rels)
-        disklike_total += int(disklike.sum())
-        for b in np.flatnonzero(differ | disklike).tolist():
-            ts, found = block[b], []  # (kind, detail) per disagreement, in method order
+        disk = np.flatnonzero(_block_disklike(site, block, rels))
+        disklike_total += len(disk)
+        algorithm = oracle.copy()  # the cover-relation algorithm's M(O) on the disklike rows
+        stray = np.zeros(len(block), dtype=np.intp)  # steps taken where C_O = 0
+        if len(disk):
+            maximal, steps = _cover_pass(site, rels[disk])
+            _check_stack(site, maximal)
+            algorithm[disk] = maximal
+            c_o = _cover_counts(site, rels[disk])
+            if c_o.any():
+                max_ratio = max(max_ratio, float((steps[c_o > 0] / c_o[c_o > 0]).max()))
+            stray[disk] = np.where(c_o == 0, steps, 0)
+        wrong = ~_none(algorithm != oracle)
+        for b in np.flatnonzero(differ | wrong | (stray > 0)).tolist():
+            found = []  # (kind, detail) per disagreement, in method order
             if differ[b]:
                 found.append(versus("oracle", oracle[b], "recursive", recursive[b]))
-            if disklike[b]:
-                result = max_compat_disklike(ts)
-                if result.system.key != oracle[b].tobytes():
-                    found.append(versus("algorithm", result.system.rel, "oracle", oracle[b]))
-                c_o = count_cover_relations(ts)
-                if c_o:
-                    max_ratio = max(max_ratio, result.steps / c_o)
-                elif result.steps:
-                    found.append(("steps", f"steps={result.steps} with C_O=0"))
-            if found:
-                edges = _labeled_edges(site, ts.rel)
-                for kind, detail in found:
-                    disagreements.append(AuditEntry(lo + b, edges, kind, detail))
+            if wrong[b]:
+                found.append(versus("algorithm", algorithm[b], "oracle", oracle[b]))
+            if stray[b]:
+                found.append(("steps", f"steps={int(stray[b])} with C_O=0"))
+            edges = _labeled_edges(site, rels[b])
+            for kind, detail in found:
+                disagreements.append(AuditEntry(lo + b, edges, kind, detail))
     desc = site.descriptor or f"<site size {site.size}>"
     return AuditReport(desc, len(catalog.systems), disklike_total, disagreements, max_ratio)
 

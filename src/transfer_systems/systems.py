@@ -582,10 +582,14 @@ def count_cover_relations(ts: TransferSystem) -> int:
     edges of ts of ``count[K, H] = #{J covered by H : J not <= K}`` (zero on
     the diagonal), a per-site table from one exact count, ``groups._count``.
     """
-    site = ts.site
+    return int(_cover_counts(ts.site, ts.rel[None])[0])
+
+
+def _cover_counts(site: Site, rels: np.ndarray) -> np.ndarray:
+    """C_O for each relation of a (B, n, n) stack: one product with the site's cached count table."""
     count = site._cache.get("cover_count")
     if count is None:
-        count = _count(~site.leq.T, site.covers).astype(np.intp)
+        count = _count(~site.leq.T, site.covers).astype(np.intp).ravel()
         count.flags.writeable = False
         site._cache["cover_count"] = count
-    return int(count[ts.rel].sum())
+    return rels.reshape(len(rels), -1).astype(np.intp) @ count

@@ -422,6 +422,10 @@ INPUT_ERRORS = [
     # the map of overlapping cycles is no permutation: refused at the line, naming the point
     ("perms-overlapping-cycles", ["lattice", "--group", "perms:{f}"], "(1 2)(2 3)\n",
      "perms:{f}: line 1: point 2 appears in two cycles"),
+    # the parent of an interval is refused before S5 is built
+    ("conjecture-bad-interval-parent", ["conjecture", "--groups", "symmetric:5,bogus|above:C2",
+                                        "--complexity-bound", "2"], None,
+     "unsupported descriptor 'bogus'"),
 ]
 
 
@@ -583,6 +587,8 @@ def test_conjecture_builds_each_site_when_its_check_reaches_it(capsys, monkeypat
     ("cyclic:5000", "error: cyclic:5000: order exceeds cap 1000\n"),
     ("cyclic:x", "error: cyclic:x: parameters must be integers >= 1\n"),
     ("cayley:", "error: cayley: requires a file path\n"),
+    ("bogus|above:C2", "error: unsupported descriptor 'bogus'\n"),
+    ("cyclic:5000|above:C2|above:C4", "error: cyclic:5000: order exceeds cap 1000\n"),
 ])
 def test_a_bad_descriptor_in_the_scope_builds_no_site(capsys, monkeypatch, bad, err):
     with pytest.raises(UsageError) as late:
@@ -595,6 +601,19 @@ def test_a_bad_descriptor_in_the_scope_builds_no_site(capsys, monkeypatch, bad, 
     monkeypatch.setattr(cli, "site_from_descriptor", build)
     assert run(capsys, "conjecture", "--groups", f"cyclic:6,{bad}") == (2, "", err)
     assert run(capsys, "conjecture", "--groups", "cyclic:6", "--group", bad) == (2, "", err)
+
+
+def test_a_missing_poset_file_in_the_scope_builds_no_site(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.poset"
+    err = f"error: cannot read poset file {missing}: {_ENOENT}: '{missing}'\n"
+
+    def build(*args):
+        raise AssertionError("a site was built")
+
+    monkeypatch.setattr(cli, "site_from_descriptor", build)
+    for bad in (f"poset:{missing}", f"poset:{missing}|above:a"):
+        assert run(capsys, "conjecture", "--groups", f"cyclic:6,{bad}") == (2, "", err)
+    assert run(capsys, "conjecture", "--groups", "cyclic:6", "--site", str(missing)) == (2, "", err)
 
 
 def test_unwritable_jsonl_fails_before_the_enumeration(tmp_path, capsys, monkeypatch):

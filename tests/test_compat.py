@@ -19,6 +19,7 @@ from oracles import (
 from test_restriction import ALG_EXAMPLE_BOLD, ALG_EXAMPLE_EDGES
 from transfer_systems import systems
 from transfer_systems.compat import (
+    _cover_pass,
     conjecture_formula,
     is_compatible,
     max_compat_disklike,
@@ -29,6 +30,7 @@ from transfer_systems.enumeration import disklike_systems
 from transfer_systems.errors import DisklikeRequiredError
 from transfer_systems.sites import parse_poset_text, site_from_descriptor
 from transfer_systems.systems import (
+    _cover_counts,
     _edge_systems,
     close_res,
     BinaryRelation,
@@ -268,12 +270,31 @@ def test_algorithm_matches_the_worklist(source, bound, stride):
         site = parse_poset_text(source)
     else:
         site = site_from_descriptor(source)
-    systems = disklike_systems(site, max_generators=bound)
+    systems = disklike_systems(site, max_generators=bound)[::stride]
     assert systems
-    for ts in systems[::stride]:
-        result = max_compat_disklike(ts)
+    results = [max_compat_disklike(ts) for ts in systems]  # each a stack of one
+    for ts, result in zip(systems, results):
         assert (result.system, result.steps) == disklike_by_worklist(ts)
         assert count_cover_relations(ts) == restriction_poset_by_loop(ts)[3].sum()
+    # the scope as one stack: each row as in its stack of one
+    maximal, steps = _cover_pass(site, np.stack([ts.rel for ts in systems]))
+    assert [m.tobytes() for m in maximal] == [r.system.key for r in results]
+    assert steps.tolist() == [r.steps for r in results]
+    assert _cover_counts(site, np.stack([ts.rel for ts in systems])).tolist() == [
+        count_cover_relations(ts) for ts in systems
+    ]
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:1", "cyclic:2"])
+def test_a_class_with_no_cover_keeps_its_presence(descriptor):
+    # on C1 no class exists; on C2 the one class, 1 -> C2, has no cover,
+    # since the only node C2 covers is 1 <= 1
+    site = site_from_descriptor(descriptor)
+    stack = np.stack([ts.rel for ts in disklike_systems(site)])  # trivial first
+    assert len(stack) == site.size
+    maximal, steps = _cover_pass(site, stack)
+    assert (maximal == stack).all()  # the trivial system keeps nothing it lacks
+    assert steps.tolist() == [0] * len(stack)
 
 
 # ---------------------------------------------------------------------------

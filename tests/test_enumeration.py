@@ -453,7 +453,8 @@ def test_sweeps_check_every_maximal_relation(d4_catalog, s4_site, monkeypatch):
     monkeypatch.setattr(enumeration, "_check_stack", counting)
     catalog = _fresh(d4_catalog)
     cross_method_audit(catalog)
-    assert sum(checked) == 2 * len(catalog)  # the oracle and the recursive stacks
+    # the oracle and the recursive stacks, and the algorithm's on the 60 disklike systems
+    assert sum(checked) == 2 * len(catalog) + 60
     checked.clear()
     assert len(catalog.m_pairing) == sum(checked) == len(catalog)
     checked.clear()
@@ -493,11 +494,26 @@ def _named(ts):
     return [(lab[a], lab[b]) for a, b in ts.edges()]
 
 
+def _trivial_algorithm(monkeypatch):
+    """Make the audit's cover-relation kernel return trivial systems, with its true steps."""
+    real = enumeration._cover_pass
+
+    def trivial(site, rels):
+        steps = real(site, rels)[1]
+        return np.broadcast_to(np.eye(site.size, dtype=bool), rels.shape).copy(), steps
+
+    monkeypatch.setattr(enumeration, "_cover_pass", trivial)
+
+
+def _no_cover_relations(monkeypatch):
+    """Make the audit read C_O = 0 for every system."""
+    monkeypatch.setattr(enumeration, "_cover_counts",
+                        lambda site, rels: np.zeros(len(rels), dtype=np.intp))
+
+
 def test_audit_records_a_wrong_algorithm_against_the_oracle(c12_catalog, monkeypatch):
     catalog = _fresh(c12_catalog)
-    real = enumeration.max_compat_disklike
-    monkeypatch.setattr(enumeration, "max_compat_disklike",
-                        lambda ts: real(ts)._replace(system=trivial_ts(ts.site)))
+    _trivial_algorithm(monkeypatch)
     report = cross_method_audit(catalog)
     expected = [
         (i, _named(ts), "algorithm-vs-oracle", f"algorithm=[] oracle={_named(max_compat_oracle(ts))}")
@@ -510,7 +526,7 @@ def test_audit_records_a_wrong_algorithm_against_the_oracle(c12_catalog, monkeyp
 
 def test_audit_records_steps_taken_where_no_cover_relation_exists(c12_catalog, monkeypatch):
     catalog = _fresh(c12_catalog)
-    monkeypatch.setattr(enumeration, "count_cover_relations", lambda ts: 0)
+    _no_cover_relations(monkeypatch)
     report = cross_method_audit(catalog)
     expected = []
     for i, ts in enumerate(catalog.systems):
@@ -527,7 +543,7 @@ def test_audit_entries_of_one_system_keep_the_method_order(c12_catalog, monkeypa
     target = next(i for i, ts in enumerate(catalog.systems)
                   if is_disklike(ts) and max_compat_oracle(ts).edges())
     ts = catalog.systems[target]
-    real_recursive, real_disklike = enumeration._recursive, enumeration.max_compat_disklike
+    real_recursive = enumeration._recursive
 
     def recursive(site, rels, blocked):
         out = real_recursive(site, rels, blocked)
@@ -535,16 +551,49 @@ def test_audit_entries_of_one_system_keep_the_method_order(c12_catalog, monkeypa
         return out
 
     monkeypatch.setattr(enumeration, "_recursive", recursive)
-    monkeypatch.setattr(enumeration, "max_compat_disklike",
-                        lambda o: real_disklike(o)._replace(system=trivial_ts(o.site)))
-    monkeypatch.setattr(enumeration, "count_cover_relations", lambda o: 0)
+    _trivial_algorithm(monkeypatch)
+    _no_cover_relations(monkeypatch)
     report = cross_method_audit(catalog)
     oracle = _named(max_compat_oracle(ts))
-    steps = real_disklike(ts).steps
+    steps = compat.max_compat_disklike(ts).steps
     assert [(e.index, e.kind, e.detail) for e in report.disagreements if e.index == target] == [
         (target, "oracle-vs-recursive", f"oracle={oracle} recursive=[]"),
         (target, "algorithm-vs-oracle", f"algorithm=[] oracle={oracle}"),
         (target, "steps", f"steps={steps} with C_O=0"),
+    ]
+
+
+def test_audit_runs_no_cover_pass_on_a_block_without_disklike_rows(c12_catalog, monkeypatch):
+    catalog = _fresh(c12_catalog)
+    catalog = TransferSystemCatalog(catalog.site, [ts for ts in catalog.systems if not is_disklike(ts)])
+
+    def cover_pass(site, rels):
+        raise AssertionError("the cover pass ran on a block without disklike rows")
+
+    monkeypatch.setattr(enumeration, "_cover_pass", cover_pass)
+    report = cross_method_audit(catalog)
+    assert (report.total, report.disklike_total) == (len(catalog), 0) and report.ok
+    assert _json_bytes(report) == _json_bytes(oracles.cross_method_audit_by_loop(catalog))
+
+
+def test_audit_reports_scattered_disklike_rows_at_their_indices(c12_catalog, monkeypatch):
+    catalog = _fresh(c12_catalog)
+    disk = [ts for ts in catalog.systems if is_disklike(ts) and max_compat_oracle(ts).edges()]
+    other = next(ts for ts in catalog.systems if not is_disklike(ts))
+    catalog = TransferSystemCatalog(catalog.site, [disk[0], other, disk[1], other, disk[2]])
+    real = enumeration._cover_pass
+
+    def faulty(site, rels):  # the second disklike row, catalog index 2, comes out trivial
+        maximal, steps = real(site, rels)
+        maximal[1] = np.eye(site.size, dtype=bool)
+        return maximal, steps
+
+    monkeypatch.setattr(enumeration, "_cover_pass", faulty)
+    report = cross_method_audit(catalog)
+    assert report.disklike_total == 3
+    assert [(e.index, e.edges, e.kind, e.detail) for e in report.disagreements] == [
+        (2, _named(disk[1]), "algorithm-vs-oracle",
+         f"algorithm=[] oracle={_named(max_compat_oracle(disk[1]))}")
     ]
 
 

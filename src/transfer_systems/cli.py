@@ -35,9 +35,9 @@ from .enumeration import (
 )
 from .errors import InputFileError, TransferSystemsError, UsageError
 from .functors import fixed_points, inflate, quotient_context, universal_reduction
-from .groups import DEFAULT_ORDER_CAP, _read_file, parse_group_descriptor, small_group_descriptors
+from .groups import DEFAULT_ORDER_CAP, small_group_descriptors
 from .render import render_dot, render_tikz
-from .sites import Site, site_from_descriptor
+from .sites import Site, check_descriptor, site_from_descriptor
 from .systems import (
     BinaryRelation,
     TransferSystem,
@@ -109,21 +109,6 @@ def _site_descriptor(args) -> str:
 
 def _load_site(args) -> Site:
     return site_from_descriptor(_site_descriptor(args), args.max_order)
-
-
-def _refuse_bad_base(desc: str, order_cap: int) -> None:
-    """Refuse a site descriptor whose base cannot build, without building anything.
-
-    The base is the descriptor before its first ``|above:``: a group
-    descriptor, refused as ``parse_group_descriptor`` refuses it, or
-    ``poset:FILE``, whose file must be readable.  The message is the one
-    the site's build would give.
-    """
-    base = desc.partition("|above:")[0].strip()
-    if base.startswith("poset:"):
-        _read_file(Path(base[len("poset:") :]), "poset")
-    else:
-        parse_group_descriptor(base, order_cap)
 
 
 def _load_system(args, site: Site) -> tuple[TransferSystem, BinaryRelation | None]:
@@ -380,7 +365,7 @@ def _cmd_conjecture(args) -> tuple[str, bool]:
         descs.append(_site_descriptor(args))
     # a bad group descriptor or a missing poset file is refused before the first site is built
     for desc in descs:
-        _refuse_bad_base(desc, args.max_order)
+        check_descriptor(desc, args.max_order)
 
     def sites():
         # one site at a time: each is built when the check reaches it

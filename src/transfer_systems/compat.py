@@ -226,8 +226,14 @@ def _cover_tables(site: Site) -> tuple:
         least = np.flatnonzero(site.orbit_reps)
         ks, hs = np.divmod(least, n)
         down = site.leq.sum(axis=0)[hs]  # |down(H)| in the site
-        # covers[J, H] and J not <= K: the pairs (x, J)
-        x, j = np.nonzero((site.covers[:, hs] & ~site.leq[:, ks]).T)
+        # the pairs (x, J): covers[J, H] and J not <= K, from the sparse cover list
+        h_of, j_of = np.nonzero(site.covers.T)  # the covers J of each node H, by H
+        start = np.searchsorted(h_of, np.arange(n + 1))
+        count = np.diff(start)[hs]  # per class, the covers of its H
+        x = np.repeat(np.arange(len(least)), count)
+        j = j_of[np.arange(len(x)) + np.repeat(start[hs] - np.cumsum(count) + count, count)]
+        keep = ~site.leq[j, ks[x]]
+        x, j = x[keep], j[keep]
         cover = site.meet_flat[ks[x], j]
         order = np.lexsort((cover, x, down[x]))
         x, j, cover = x[order], j[order], cover[order]

@@ -277,23 +277,23 @@ def cross_method_audit(catalog: TransferSystemCatalog) -> AuditReport:
         differ = ~_none(oracle != recursive)
         disk = np.flatnonzero(_block_disklike(site, block, rels))
         disklike_total += len(disk)
-        algorithm = oracle.copy()  # the cover-relation algorithm's M(O) on the disklike rows
+        wrong = np.zeros(len(block), dtype=bool)  # the algorithm's M(O) is not the oracle's
         stray = np.zeros(len(block), dtype=np.intp)  # steps taken where C_O = 0
         if len(disk):
-            maximal, steps = _cover_pass(site, rels[disk])
+            maximal, steps = _cover_pass(site, rels[disk])  # one row per disklike row
             _check_stack(site, maximal)
-            algorithm[disk] = maximal
+            wrong[disk] = ~_none(maximal != oracle[disk])
             c_o = _cover_counts(site, rels[disk])
             if c_o.any():
                 max_ratio = max(max_ratio, float((steps[c_o > 0] / c_o[c_o > 0]).max()))
             stray[disk] = np.where(c_o == 0, steps, 0)
-        wrong = ~_none(algorithm != oracle)
         for b in np.flatnonzero(differ | wrong | (stray > 0)).tolist():
             found = []  # (kind, detail) per disagreement, in method order
             if differ[b]:
                 found.append(versus("oracle", oracle[b], "recursive", recursive[b]))
             if wrong[b]:
-                found.append(versus("algorithm", algorithm[b], "oracle", oracle[b]))
+                algorithm = maximal[np.searchsorted(disk, b)]  # disk is sorted
+                found.append(versus("algorithm", algorithm, "oracle", oracle[b]))
             if stray[b]:
                 found.append(("steps", f"steps={int(stray[b])} with C_O=0"))
             edges = _labeled_edges(site, rels[b])

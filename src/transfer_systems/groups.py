@@ -429,13 +429,18 @@ def _cyclic_extension(
 # File-backed groups
 
 
-def _read_file(path: str | Path, what: str) -> str:
+def _read_file(path: str | Path, what: str, text: bool = True) -> str:
     """The text of a ``what`` file: Cayley, permutation, poset or system.
 
     An unreadable file, or one that is not valid text, raises
-    InputFileError naming ``path`` as given.
+    InputFileError naming ``path`` as given.  With ``text`` false the file
+    is only opened, so a file that cannot be opened is refused with the
+    same message without reading it, and the result is empty.
     """
     try:
+        if not text:
+            Path(path).open("rb").close()
+            return ""
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {what} file {path}: {exc}") from None

@@ -22,7 +22,7 @@ from .enumeration import TransferSystemCatalog
 from .errors import (CapExceededError, InputFileError, InternalCheckError,
                      MismatchedSitesError, UsageError)
 from .groups import DEFAULT_ORDER_CAP, _read_file, build_group, subgroup_lattice
-from .sites import Site, site_from_descriptor, site_from_lattice
+from .sites import Site, _descriptor_parts, site_from_descriptor, site_from_lattice
 from .systems import BinaryRelation, TransferSystem, _labeled_edges
 
 
@@ -114,10 +114,11 @@ def _rebuilds(desc: str, site: Site, order_cap: int = DEFAULT_ORDER_CAP) -> bool
     """
     group = site.lattice.group if site.lattice is not None else None
     cap = max(order_cap, DEFAULT_ORDER_CAP, group.order if group is not None else 0)
+    base, labels = _descriptor_parts(desc)
     try:
-        if group is None or "|above:" in desc or desc.strip().startswith("poset:"):
+        if group is None or labels or base.startswith("poset:"):
             return site_from_descriptor(desc, cap).key == site.key
-        other = build_group(desc, cap)
+        other = build_group(base, cap)
     except CapExceededError:
         return False
     orders = [sorted(g.cyclic.sum(axis=1).tolist()) for g in (other, group)]

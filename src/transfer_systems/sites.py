@@ -37,6 +37,7 @@ from .groups import (
     _row_finder,
     _sorted_rows,
     build_group,
+    parse_group_descriptor,
     subgroup_lattice,
 )
 
@@ -431,17 +432,43 @@ def site_from_poset_file(path: str | Path, order_cap: int = DEFAULT_ORDER_CAP) -
         raise type(exc)(f"{desc}: {exc}") from None
 
 
+def _descriptor_parts(descriptor: str) -> tuple[str, list[str]]:
+    """A site descriptor's base and its ``|above:`` labels, in order.
+
+    The base is the text before the first ``|above:``: a group descriptor
+    or ``poset:FILE``.  Each label keeps its leading spaces.
+    """
+    base, *labels = descriptor.strip().split("|above:")
+    return base.strip(), [label.rstrip() for label in labels]
+
+
+def check_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> None:
+    """Refuse a site descriptor whose base cannot build, building nothing.
+
+    A group base is refused as ``parse_group_descriptor`` refuses it; a
+    ``poset:FILE`` base whose file does not open, as its read would, with
+    the file left unread.  The message is the one the site's build gives.
+    The ``|above:`` labels are checked only when the site is built.
+    """
+    base, _ = _descriptor_parts(descriptor)
+    if base.startswith("poset:"):
+        _read_file(base[len("poset:") :], "poset", text=False)
+    else:
+        parse_group_descriptor(base, order_cap)
+
+
 def site_from_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Site:
     """Rebuild a site from its descriptor string.
 
     Understands group descriptors, ``poset:FILE``, and interval descriptors
-    of the form ``<parent>|above:<label>``.
+    of the form ``<parent>|above:<label>``: the base's site, then the
+    interval above each label in turn.
     """
-    descriptor = descriptor.strip()
-    if "|above:" in descriptor:
-        parent_desc, _, label = descriptor.rpartition("|above:")
-        parent = site_from_descriptor(parent_desc, order_cap)
-        return interval_above(parent, parent.node(label))
-    if descriptor.startswith("poset:"):
-        return site_from_poset_file(descriptor[len("poset:") :], order_cap)
-    return site_from_lattice(subgroup_lattice(build_group(descriptor, order_cap)))
+    base, labels = _descriptor_parts(descriptor)
+    if base.startswith("poset:"):
+        site = site_from_poset_file(base[len("poset:") :], order_cap)
+    else:
+        site = site_from_lattice(subgroup_lattice(build_group(base, order_cap)))
+    for label in labels:
+        site = interval_above(site, site.node(label))
+    return site

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import GRID_TEXT, P5_TEXT, m_poset_text
-from transfer_systems.errors import InputFileError, InternalCheckError, NotNormalError
+from transfer_systems.errors import (
+    InputFileError,
+    InternalCheckError,
+    NotNormalError,
+    TransferSystemsError,
+)
 from transfer_systems import groups as groups_module
 from transfer_systems import sites as sites_module
 from transfer_systems.functors import quotient_context
@@ -17,6 +22,7 @@ from transfer_systems.sites import (
     _BMM_BLAS_WORK,
     Site,
     _bmm,
+    check_descriptor,
     interval_above,
     parse_poset_text,
     site_from_descriptor,
@@ -631,3 +637,26 @@ def test_interval_descriptor_round_trip(c12_site):
     iv = interval_above(c12_site, c12_site.node("C2"))
     rebuilt = site_from_descriptor(iv.descriptor)
     assert rebuilt.key == iv.key
+
+
+def test_a_nested_interval_descriptor_builds_each_interval_in_turn():
+    parent = site_from_descriptor("cyclic:36")
+    step = interval_above(parent, parent.node("C2"))
+    step = interval_above(step, step.node("C6"))
+    site = site_from_descriptor(" cyclic:36|above:C2|above:C6 ")
+    assert (site.key, site.descriptor, site.labels) == (step.key, step.descriptor, step.labels)
+
+
+def test_check_descriptor_refuses_each_base_as_the_build_does(tmp_path):
+    for bad in ("bogus", " bogus|above:C2", "cyclic:0", "cyclic:5000|above:C2|above:C4",
+                f"poset:{tmp_path / 'missing'}", f"poset:{tmp_path}|above:a"):
+        with pytest.raises(TransferSystemsError) as early:
+            check_descriptor(bad)
+        with pytest.raises(TransferSystemsError) as late:
+            site_from_descriptor(bad)
+        assert (type(early.value), str(early.value)) == (type(late.value), str(late.value))
+    # a good base passes, whatever its labels: they are checked when the site is built
+    poset = tmp_path / "p.poset"
+    poset.write_text(P5_TEXT)
+    for good in ("symmetric:4", "cyclic:36|above:C2|above:nowhere", f"poset:{poset}|above:x"):
+        check_descriptor(good)

@@ -149,11 +149,14 @@ def _recursive(site: Site, rels: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     An edge has a failing strict restriction iff it is blocked (see the
     module docstring), and the restrictions of K -> H are the K /\\ J -> J
     for J <= H.  So with F[K, J] = blocked[K /\\ J, J], e is dropped iff
-    ``(F @ leq)[e]``: one gather and one stacked product.
+    ``(F @ leq)[e]``: one gather and one stacked product.  The diagonal
+    needs no identity: ``(F @ leq)[K, K]`` reads only blocked[J, J] for
+    J <= K, and ``blocked`` is never reflexive, so each O keeps its own
+    diagonal, all of it.
     """
     b, n = len(rels), site.size
     below = np.take(blocked.reshape(b, n * n), site.meet_flat, axis=1)  # blocked[K /\ J, J]
-    return np.eye(n, dtype=bool) | (rels & ~_bmm(below, site.leq))
+    return rels & ~_bmm(below, site.leq)
 
 
 def _maximal(o: TransferSystem, method) -> TransferSystem:

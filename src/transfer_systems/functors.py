@@ -8,16 +8,19 @@ transfer system on the interval back to G via the membership test
     K -> H  is inflated  iff  KN -> HN is an interval transfer and K = KN /\\ H,
 
 which matches the restriction closure of the preimage (the closure route is
-kept as a test oracle since it costs a full generation pass).
+kept as a test oracle since it costs a full generation pass).  Everything
+in the test but the interval transfer depends only on (G, N), so the parent
+caches it per N: inflation and the fixed points are one gather each through
+those tables, and each result still passes the constructor's axiom check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import is_compatible, max_compat_recursive
+from .compat import _blocked, _recursive, is_compatible, max_compat_recursive
 from .errors import (
     DisklikeRequiredError,
     GroupSiteRequiredError,
@@ -32,24 +35,58 @@ class QuotientContext:
     """The one record of G -> G/N: the parent, the interval site [N, G], and
     two read-only arrays: ``to_parent``, the parent index of each interval
     node in increasing order, and int32 ``kn``, where ``kn[k]`` is the parent
-    index of the product KN (the join, N being normal).  The parent caches
-    the last three and never the record itself, which would refer back to
-    the parent and keep it alive until a full garbage collection.
-    Equality and hashing are by identity, as a ``Site``'s.
+    index of the product KN (the join, N being normal).
+
+    Three private read-only tables, which depend only on (G, N), serve
+    ``fixed_points`` and ``inflate`` (see ``_quotient_tables``);
+    ``quotient_context`` passes the parent's cached ones, and a context
+    built from the four public fields alone derives its own.  The parent
+    caches everything but the record itself, which would refer back to the
+    parent and keep it alive until a full garbage collection.  Equality and
+    hashing are by identity, as a ``Site``'s.
     """
 
     parent: Site
     interval_site: Site
     to_parent: np.ndarray
     kn: np.ndarray
+    _fix: np.ndarray = field(default=None, repr=False)
+    _lift: np.ndarray = field(default=None, repr=False)
+    _mask: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._mask is None:
+            tables = _quotient_tables(self.parent, self.to_parent, self.kn)
+            for name, table in zip(("_fix", "_lift", "_mask"), tables):
+                object.__setattr__(self, name, table)
+
+
+def _quotient_tables(parent: Site, to_parent: np.ndarray, kn: np.ndarray) -> tuple:
+    """(fix, lift, mask) for G -> G/N, read-only; n parent and m interval nodes.
+
+    ``fix`` (m-by-m intp) is the parent flat index of each interval pair;
+    ``lift`` (n-by-n intp) is, for each parent pair K, H, the interval flat
+    index of KN -> HN; ``mask`` (n-by-n bool) is ``K <= H and K == KN /\\ H``.
+    """
+    n, m = parent.size, len(to_parent)
+    fix = to_parent[:, None] * n + to_parent
+    sub_of = np.searchsorted(to_parent, kn)  # interval index of KN
+    lift = sub_of[:, None] * m + sub_of
+    mask = parent.leq & (parent.meet[kn, :] == np.arange(n)[:, None])
+    for table in (fix, lift, mask):
+        table.flags.writeable = False
+    return fix, lift, mask
 
 
 def quotient_context(parent: Site, n: int) -> QuotientContext:
     """The context of G -> G/N for the normal subgroup at node n.
 
-    The interval site and both arrays are cached on the parent per normal
-    subgroup, with no reference back to it, so repeated reductions share
-    one interval site and a parent no one holds is freed at once.
+    The parent caches, per normal subgroup, the interval site, ``to_parent``,
+    ``kn`` and the three tables of ``_quotient_tables``, in that order, with
+    no reference back to it: so repeated reductions share one interval site
+    and one set of tables, and a parent no one holds is freed at once.  The
+    tables take, per N, one n-by-n intp index table and one n-by-n bool
+    mask, and one m-by-m intp table for the m interval nodes.
     """
     if parent.lattice is None:
         raise GroupSiteRequiredError("quotient contexts require a group subgroup lattice")
@@ -62,7 +99,8 @@ def quotient_context(parent: Site, n: int) -> QuotientContext:
         # upper bound of K and N contains the join, so the first one is it.
         kn = (parent.leq & parent.leq[n]).argmax(axis=1).astype(np.int32)
         kn.flags.writeable = False
-        parts = cache[n] = (interval_above(parent, n), to_parent, kn)
+        tables = _quotient_tables(parent, to_parent, kn)
+        parts = cache[n] = (interval_above(parent, n), to_parent, kn, *tables)
     return QuotientContext(parent, *parts)
 
 
@@ -72,59 +110,70 @@ def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str
 
 
 def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
-    """Pull a transfer system on [N, G] back to G."""
+    """Pull a transfer system on [N, G] back to G.
+
+    K -> H is kept iff the context's mask holds (K <= H and K == KN /\\ H)
+    and O-bar holds KN -> HN: one gather of O-bar through ``lift``.
+    """
     _require_interval_system(ctx, o_bar, "inflate input")
-    parent = ctx.parent
-    sub_of = np.searchsorted(ctx.to_parent, ctx.kn)  # interval index of KN
-    lifted = o_bar.rel[sub_of[:, None], sub_of]  # KN -> HN is an interval transfer
-    anchored = parent.meet[ctx.kn, :] == np.arange(parent.size)[:, None]  # K == KN /\ H
-    rel = parent.leq & lifted & anchored
-    return TransferSystem(parent, rel)  # constructor asserts validity
+    lifted = o_bar.rel.take(ctx._lift)  # KN -> HN is an interval transfer
+    return TransferSystem(ctx.parent, ctx._mask & lifted)  # constructor asserts validity
 
 
 def fixed_points(ctx: QuotientContext, o: TransferSystem) -> TransferSystem:
-    """Restrict a G-transfer system to the interval [N, G]."""
+    """Restrict a G-transfer system to the interval [N, G]: one gather through ``fix``."""
     _require_same_site(o.site, ctx.parent, "fixed_points input must live on the parent site")
-    idx = ctx.to_parent
-    return TransferSystem(ctx.interval_site, o.rel[idx[:, None], idx])
+    return TransferSystem(ctx.interval_site, o.rel.take(ctx._fix))
 
 
 def minimal_transferring_subgroup(o: TransferSystem) -> int:
     """N_O: the meet of all sources of transfers into the top node.
 
-    Equals top when the only such transfer is reflexive.  For disklike
-    systems the result is asserted to transfer to top and to be fixed by
-    the site action (normal, for group sites).
+    Equals top when the only such transfer is reflexive.  For every
+    transfer system the result transfers to top and is fixed by the site
+    action (normal, for group sites), and both are asserted:
+
+    * the sources into top are closed under meets: h1 -> top restricted
+      along h2 gives h1 /\\ h2 -> h2, and composing with h2 -> top gives
+      h1 /\\ h2 -> top; so their meet is itself a source;
+    * the sources form an action-stable set, since O is action-closed and
+      the action fixes top; so their meet is fixed too.
     """
     site = o.site
-    n = site.top
-    for h in np.flatnonzero(o.rel[:, site.top]):
-        n = int(site.meet[n, int(h)])
-    if is_disklike(o):
-        if not o.rel[n, site.top]:
-            raise InternalCheckError("minimal transferring subgroup lost its top transfer")
-        if not (site.action[:, n] == n).all():
-            raise InternalCheckError("minimal transferring subgroup is not action-fixed")
+    top = site.top
+    meet = site.meet
+    n = top
+    for h in o.rel[:, top].nonzero()[0].tolist():
+        n = int(meet[n, h])
+    if not o.rel[n, top]:
+        raise InternalCheckError("minimal transferring subgroup lost its top transfer")
+    if set(site.action[:, n].tolist()) != {n}:
+        raise InternalCheckError("minimal transferring subgroup is not action-fixed")
     return n
 
 
 def universal_reduction(o: TransferSystem) -> TransferSystem:
     """M(O) for disklike O, computed on the quotient by N_O and inflated back.
 
+    M(O) = Inf_N M(Fix_N O) with N = N_O: the fixed points and the inflation
+    each read the parent's per-N tables.  The result is checked against an
+    independent direct computation, the recursive kernel ``_recursive`` of
+    ``compat`` on a stack of one, byte for byte against the result's key.
+
     Refused on abstract sites: the reduction is specific to group
     quotients and is known to fail for categorical transfer systems.
     """
-    if o.site.lattice is None:
+    site = o.site
+    if site.lattice is None:
         raise GroupSiteRequiredError(
             "universal reduction is only valid over a group subgroup lattice"
         )
     if not is_disklike(o):
         raise DisklikeRequiredError("universal reduction requires a disklike system")
-    n = minimal_transferring_subgroup(o)
-    ctx = quotient_context(o.site, n)
-    m_bar = max_compat_recursive(fixed_points(ctx, o))
-    result = inflate(ctx, m_bar)
-    if result != max_compat_recursive(o):
+    ctx = quotient_context(site, minimal_transferring_subgroup(o))
+    result = inflate(ctx, max_compat_recursive(fixed_points(ctx, o)))
+    rels = o.rel[None]
+    if _recursive(site, rels, _blocked(site, rels))[0].tobytes() != result.key:
         raise InternalCheckError("universal reduction disagrees with the direct computation")
     return result
 

@@ -5,7 +5,9 @@ closure runs as a one-step-at-a-time fixpoint loop instead of the
 single-pass pipeline, enumeration brute-forces subset closures and runs
 the BFS one candidate at a time, bounded disklike scopes close every small
 set of top edges, complexity tries every subset of a system's edges,
-setwise products KN are multiplied out, the hull
+setwise products KN are multiplied out, inflation and the fixed points
+index the context's arrays on every call instead of reading the
+parent's per-N tables, the hull
 intersects saturated catalog members, quotient groups get an explicit
 coset Cayley table, subgroups and element orders come from a breadth-first
 search over products instead of the library's element masks, group
@@ -675,6 +677,21 @@ def quotient_group(latt: SubgroupLattice, n: int) -> tuple[Group, list[frozenset
             mul[i, j] = index[prod]
     g = _group_from_table(mul, f"quotient:{group.descriptor}/{n}", "Q", [f"c{i}" for i in range(m)])
     return g, cosets
+
+
+def inflate_by_fancy_index(ctx, o_bar) -> np.ndarray:
+    """The inflation's relation from fancy indexes of the context's arrays, with no cached table."""
+    parent = ctx.parent
+    sub_of = np.searchsorted(ctx.to_parent, ctx.kn)  # interval index of KN
+    lifted = o_bar.rel[sub_of[:, None], sub_of]  # KN -> HN is an interval transfer
+    anchored = parent.meet[ctx.kn, :] == np.arange(parent.size)[:, None]  # K == KN /\ H
+    return parent.leq & lifted & anchored
+
+
+def fixed_points_by_fancy_index(ctx, o) -> np.ndarray:
+    """The fixed points' relation: O's rows and columns at the interval nodes."""
+    idx = ctx.to_parent
+    return o.rel[idx[:, None], idx]
 
 
 def meet_table_by_pairs(leq: np.ndarray, labels) -> np.ndarray:

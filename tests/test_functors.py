@@ -136,6 +136,56 @@ def test_adjunction(ctx_c12, interval_catalog_c12, c12_catalog):
             assert p_x.le(o) == x.le(fixed_points(ctx_c12, o))
 
 
+@pytest.mark.parametrize("catalog_name", ["c12_catalog", "c36_catalog", "d4_catalog", "s4_catalog"])
+def test_tables_match_the_fancy_index_oracles(catalog_name, request):
+    # every normal N: the per-N tables against indexing the context's arrays
+    catalog = request.getfixturevalue(catalog_name)
+    site = catalog.site
+    normals = [n for n in range(site.size) if (site.action[:, n] == n).all()]
+    assert len(normals) >= 4
+    for n in normals:
+        ctx = quotient_context(site, n)
+        for o in catalog.systems:
+            assert np.array_equal(fixed_points(ctx, o).rel, oracles.fixed_points_by_fancy_index(ctx, o))
+        for x in enumerate_all(ctx.interval_site).systems:
+            assert np.array_equal(inflate(ctx, x).rel, oracles.inflate_by_fancy_index(ctx, x))
+
+
+def test_minimal_transferring_subgroup_checks_every_system(s4_catalog, monkeypatch):
+    # both self-checks hold for every transfer system, so no disklike test decides them
+    def refuse(ts):
+        raise AssertionError("minimal_transferring_subgroup asked whether a system is disklike")
+
+    monkeypatch.setattr(functors, "is_disklike", refuse)
+    site = s4_catalog.site
+    for o in s4_catalog.systems:
+        n = minimal_transferring_subgroup(o)
+        assert o.rel[n, site.top] and (site.action[:, n] == n).all()
+
+
+def test_minimal_transferring_subgroup_checks_its_top_transfer(monkeypatch):
+    site = site_from_descriptor("cyclic:12")  # fresh: the patch reaches no shared site
+    o = generate_from_edges(site, [(site.node("C2"), site.top)])
+    assert not o.rel[site.bottom, site.top]
+    monkeypatch.setattr(site, "meet", np.full_like(site.meet, site.bottom))  # every meet is 1
+    with pytest.raises(InternalCheckError,
+                       match="^minimal transferring subgroup lost its top transfer$"):
+        minimal_transferring_subgroup(o)
+
+
+def test_minimal_transferring_subgroup_checks_it_is_action_fixed(monkeypatch):
+    site = site_from_descriptor("cyclic:12")  # fresh: the patch reaches no shared site
+    n = site.node("C2")
+    o = generate_from_edges(site, [(n, site.top)])
+    assert minimal_transferring_subgroup(o) == n
+    action = site.action.copy()
+    action[0, n] = site.node("C3")  # C2 is no longer fixed
+    monkeypatch.setattr(site, "action", action)
+    with pytest.raises(InternalCheckError,
+                       match="^minimal transferring subgroup is not action-fixed$"):
+        minimal_transferring_subgroup(o)
+
+
 def test_minimal_transferring_subgroup_examples(fig1, c6_site, c12_site):
     assert minimal_transferring_subgroup(trivial_ts(c12_site)) == c12_site.top
     assert c6_site.labels[minimal_transferring_subgroup(fig1["d"])] == "1"
@@ -157,7 +207,7 @@ def test_universal_reduction_degenerate_cases(c12_site):
     assert universal_reduction(complete_ts(c12_site)) == complete_ts(c12_site)
 
 
-@pytest.mark.parametrize("catalog_name", ["c12_catalog", "c36_catalog", "s4_catalog"])
+@pytest.mark.parametrize("catalog_name", ["c12_catalog", "c36_catalog", "d4_catalog", "s4_catalog"])
 def test_universal_reduction_equals_direct(catalog_name, request):
     catalog = request.getfixturevalue(catalog_name)
     for o in catalog.systems:
@@ -205,6 +255,17 @@ def test_universal_reduction_checks_itself_against_the_direct_computation(c12_si
     o = generate_from_edges(c12_site, [(c12_site.node("1"), c12_site.node("C12"))])
     assert is_disklike(o) and max_compat_recursive(o) != complete_ts(c12_site)
     monkeypatch.setattr(functors, "inflate", lambda ctx, o_bar: complete_ts(ctx.parent))
+    with pytest.raises(InternalCheckError,
+                       match="^universal reduction disagrees with the direct computation$"):
+        universal_reduction(o)
+
+
+def test_universal_reduction_checks_its_fixed_points_against_the_direct_computation(
+    c12_site, monkeypatch
+):
+    o = generate_from_edges(c12_site, [(c12_site.node("1"), c12_site.node("C12"))])
+    assert is_disklike(o) and max_compat_recursive(o) != trivial_ts(c12_site)
+    monkeypatch.setattr(functors, "fixed_points", lambda ctx, o: trivial_ts(ctx.interval_site))
     with pytest.raises(InternalCheckError,
                        match="^universal reduction disagrees with the direct computation$"):
         universal_reduction(o)

@@ -66,13 +66,14 @@ def _quotient_tables(parent: Site, to_parent: np.ndarray, kn: np.ndarray) -> tup
 
     ``fix`` (m-by-m intp) is the parent flat index of each interval pair;
     ``lift`` (n-by-n intp) is, for each parent pair K, H, the interval flat
-    index of KN -> HN; ``mask`` (n-by-n bool) is ``K <= H and K == KN /\\ H``.
+    index of KN -> HN; ``mask`` (n-by-n bool) is ``K == KN /\\ H``, which
+    implies K <= H.
     """
     n, m = parent.size, len(to_parent)
     fix = to_parent[:, None] * n + to_parent
     sub_of = np.searchsorted(to_parent, kn)  # interval index of KN
     lift = sub_of[:, None] * m + sub_of
-    mask = parent.leq & (parent.meet[kn, :] == np.arange(n)[:, None])
+    mask = parent.meet[kn, :] == np.arange(n)[:, None]
     for table in (fix, lift, mask):
         table.flags.writeable = False
     return fix, lift, mask
@@ -112,7 +113,7 @@ def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str
 def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
     """Pull a transfer system on [N, G] back to G.
 
-    K -> H is kept iff the context's mask holds (K <= H and K == KN /\\ H)
+    K -> H is kept iff the context's mask holds (K == KN /\\ H, so K <= H)
     and O-bar holds KN -> HN: one gather of O-bar through ``lift``.
     """
     _require_interval_system(ctx, o_bar, "inflate input")

@@ -2,7 +2,8 @@
 
 For a normal subgroup N of G the subgroup lattice of G/N is identified with
 the interval [N, G] inside Sub(G), a plain site (``interval_above``) that a
-:class:`QuotientContext` records with the parent.  Inflation pulls a
+:class:`QuotientContext` records with the parent; ``quotient_context`` is
+the one way to build a context, and builds its tables.  Inflation pulls a
 transfer system on the interval back to G via the membership test
 
     K -> H  is inflated  iff  KN -> HN is an interval transfer and K = KN /\\ H,
@@ -32,15 +33,17 @@ from .systems import TransferSystem, _require_same_site, is_disklike, is_saturat
 
 @dataclass(frozen=True, eq=False)
 class QuotientContext:
-    """The one record of G -> G/N: the parent, the interval site [N, G], and
-    two read-only arrays: ``to_parent``, the parent index of each interval
-    node in increasing order, and int32 ``kn``, where ``kn[k]`` is the parent
-    index of the product KN (the join, N being normal).
+    """The one record of G -> G/N, built only by ``quotient_context``: the
+    parent, the interval site [N, G], and two read-only arrays:
+    ``to_parent``, the parent index of each interval node in increasing
+    order, and int32 ``kn``, where ``kn[k]`` is the parent index of the
+    product KN (the join, N being normal).
 
     Three private read-only tables, which depend only on (G, N), serve
-    ``fixed_points`` and ``inflate`` (see ``_quotient_tables``);
-    ``quotient_context`` passes the parent's cached ones, and a context
-    built from the four public fields alone derives its own.  The parent
+    ``fixed_points`` and ``inflate``: ``_fix`` (m-by-m intp) is the parent
+    flat index of each interval pair; ``_lift`` (n-by-n intp) is, for each
+    parent pair K, H, the interval flat index of KN -> HN; ``_mask``
+    (n-by-n bool) is ``K == KN /\\ H``, which implies K <= H.  The parent
     caches everything but the record itself, which would refer back to the
     parent and keep it alive until a full garbage collection.  Equality and
     hashing are by identity, as a ``Site``'s.
@@ -50,73 +53,53 @@ class QuotientContext:
     interval_site: Site
     to_parent: np.ndarray
     kn: np.ndarray
-    _fix: np.ndarray = field(default=None, repr=False)
-    _lift: np.ndarray = field(default=None, repr=False)
-    _mask: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._mask is None:
-            tables = _quotient_tables(self.parent, self.to_parent, self.kn)
-            for name, table in zip(("_fix", "_lift", "_mask"), tables):
-                object.__setattr__(self, name, table)
-
-
-def _quotient_tables(parent: Site, to_parent: np.ndarray, kn: np.ndarray) -> tuple:
-    """(fix, lift, mask) for G -> G/N, read-only; n parent and m interval nodes.
-
-    ``fix`` (m-by-m intp) is the parent flat index of each interval pair;
-    ``lift`` (n-by-n intp) is, for each parent pair K, H, the interval flat
-    index of KN -> HN; ``mask`` (n-by-n bool) is ``K == KN /\\ H``, which
-    implies K <= H.
-    """
-    n, m = parent.size, len(to_parent)
-    fix = to_parent[:, None] * n + to_parent
-    sub_of = np.searchsorted(to_parent, kn)  # interval index of KN
-    lift = sub_of[:, None] * m + sub_of
-    mask = parent.meet[kn, :] == np.arange(n)[:, None]
-    for table in (fix, lift, mask):
-        table.flags.writeable = False
-    return fix, lift, mask
+    _fix: np.ndarray = field(repr=False)
+    _lift: np.ndarray = field(repr=False)
+    _mask: np.ndarray = field(repr=False)
 
 
 def quotient_context(parent: Site, n: int) -> QuotientContext:
     """The context of G -> G/N for the normal subgroup at node n.
 
-    The parent caches, per normal subgroup, the interval site, ``to_parent``,
-    ``kn`` and the three tables of ``_quotient_tables``, in that order, with
-    no reference back to it: so repeated reductions share one interval site
-    and one set of tables, and a parent no one holds is freed at once.  The
-    tables take, per N, one n-by-n intp index table and one n-by-n bool
-    mask, and one m-by-m intp table for the m interval nodes.
+    Refuses a poset site, then (through ``interval_above``) a node the
+    action does not fix, before any table is built.  The parent caches,
+    per normal subgroup, the interval site, ``to_parent``, ``kn`` and the
+    ``fix``, ``lift`` and ``mask`` tables, in that order, with no
+    reference back to it: so repeated reductions share one interval site
+    and one set of tables, and a parent no one holds is freed at once.
+    The tables take, per N, one n-by-n intp index table and one n-by-n
+    bool mask, and one m-by-m intp table for the m interval nodes.
     """
     if parent.lattice is None:
         raise GroupSiteRequiredError("quotient contexts require a group subgroup lattice")
     cache = parent._cache.setdefault("quotient_context", {})
     parts = cache.get(n)
     if parts is None:
+        interval_site = interval_above(parent, n)
         to_parent = np.flatnonzero(parent.leq[n])
-        to_parent.flags.writeable = False
         # KN is the join.  Subgroups are sorted by order, and every common
         # upper bound of K and N contains the join, so the first one is it.
         kn = (parent.leq & parent.leq[n]).argmax(axis=1).astype(np.int32)
-        kn.flags.writeable = False
-        tables = _quotient_tables(parent, to_parent, kn)
-        parts = cache[n] = (interval_above(parent, n), to_parent, kn, *tables)
+        sub_of = np.searchsorted(to_parent, kn)  # interval index of KN
+        fix = to_parent[:, None] * parent.size + to_parent
+        lift = sub_of[:, None] * len(to_parent) + sub_of
+        mask = parent.meet[kn, :] == np.arange(parent.size)[:, None]
+        arrays = (to_parent, kn, fix, lift, mask)
+        for array in arrays:
+            array.flags.writeable = False
+        parts = cache[n] = (interval_site, *arrays)
     return QuotientContext(parent, *parts)
-
-
-def _require_interval_system(ctx: QuotientContext, ts: TransferSystem, what: str) -> None:
-    message = f"{what} must live on the interval site of the context"
-    _require_same_site(ts.site, ctx.interval_site, message)
 
 
 def inflate(ctx: QuotientContext, o_bar: TransferSystem) -> TransferSystem:
     """Pull a transfer system on [N, G] back to G.
 
-    K -> H is kept iff the context's mask holds (K == KN /\\ H, so K <= H)
-    and O-bar holds KN -> HN: one gather of O-bar through ``lift``.
+    Refuses a system from any site but the context's interval site.  K -> H
+    is kept iff the context's mask holds (K == KN /\\ H, so K <= H) and
+    O-bar holds KN -> HN: one gather of O-bar through ``lift``.
     """
-    _require_interval_system(ctx, o_bar, "inflate input")
+    message = "inflate input must live on the interval site of the context"
+    _require_same_site(o_bar.site, ctx.interval_site, message)
     lifted = o_bar.rel.take(ctx._lift)  # KN -> HN is an interval transfer
     return TransferSystem(ctx.parent, ctx._mask & lifted)  # constructor asserts validity
 
@@ -186,10 +169,9 @@ def check_preservation(
 
     Returns one boolean per statement, each True iff (hypothesis implies
     conclusion) holds for these inputs: disklike, saturated, compatibility,
-    and maximal compatibility are preserved by inflation.
+    and maximal compatibility are preserved by inflation.  A system from
+    another site is refused by ``inflate``, with its message.
     """
-    _require_interval_system(ctx, o_bar, "check_preservation o_bar")
-    _require_interval_system(ctx, om_bar, "check_preservation om_bar")
     p_o = inflate(ctx, o_bar)
     p_om = inflate(ctx, om_bar)
 

@@ -24,8 +24,9 @@ which a site lists its action too.
 Every table is built on arrays.  One product table, ``_product_table``,
 serves the permutation groups: one gather per block of left rows and a
 lookup of the result rows by ``_row_finder``.  A site checks that its
-action is closed under composition with the same table, one generator's
-column at a time, over a generating set only (``sites._generators``).
+action is closed under composition with the same lookup, one generator's
+column of products at a time, over a generating set only
+(``sites._generators``).
 Every generating set the package finds follows one greedy rule, each
 candidate outside the span of those before it.  ``_greedy_generators``
 grows the span for the table check, whose generators every group keeps
@@ -326,24 +327,20 @@ def _count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(fa, fa if b is a else b.astype(np.float32))
 
 
-def _product_table(rows: np.ndarray, right: np.ndarray | None = None,
-                   find: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """Products of the permutations that are the rows of (n, k) int arrays.
+def _product_table(rows: np.ndarray) -> np.ndarray:
+    """Products of the permutations that are the rows of an (n, k) int array.
 
-    ``t[i, j]`` is the index of p_i(r_j), p_i row i of ``rows`` and r_j
-    row j of ``right`` (``rows`` if None), among the rows that ``find``
-    (``_row_finder(rows)`` if None) searches, or -1 where the composition
-    is not one of them.  Each block of left rows is one gather plus one
-    ``find`` lookup.
+    ``t[i, j]`` is the index of p_i(p_j), p_i row i of ``rows``, among the
+    rows, or -1 where the composition is not one of them.  Each block of
+    left rows is one gather plus one ``_row_finder`` lookup.
     """
-    right = rows if right is None else right
-    find = find or _row_finder(rows)
+    find = _row_finder(rows)
     n, k = rows.shape
-    step = max(1, _BLOCK_ENTRIES // right.size)
-    table = np.empty((n, len(right)), dtype=np.int32)
+    step = max(1, _BLOCK_ENTRIES // rows.size)
+    table = np.empty((n, n), dtype=np.int32)
     for lo in range(0, n, step):
-        products = rows[lo : lo + step][:, right].reshape(-1, k)
-        table[lo : lo + step] = find(products).reshape(-1, len(right))
+        products = rows[lo : lo + step][:, rows].reshape(-1, k)
+        table[lo : lo + step] = find(products).reshape(-1, n)
     return table
 
 

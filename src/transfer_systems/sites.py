@@ -32,7 +32,6 @@ from .groups import (
     _count,
     _greedy_generators,
     _permutation_group,
-    _product_table,
     _read_file,
     _row_finder,
     _sorted_rows,
@@ -91,9 +90,10 @@ class Site:
             that the identity is present, that the rows are closed under
             composition (hence under inverse, being finite), checked over
             the greedy generating set of ``groups._greedy_generators``
-            (``_generators``, one ``groups._product_table`` column per
-            generator), and that every row preserves the order, read off
-            ``edge_rep``: ``leq`` must be a union of its orbits.
+            (``_generators``, one ``groups._row_finder`` lookup of the
+            rows times each generator), and that every row preserves the
+            order, read off ``edge_rep``: ``leq`` must be a union of its
+            orbits.
         covers: read-only cover relation of ``leq``: ``covers[J, H]`` iff
             J < H with nothing strictly between.
         edge_rep: n-by-n int table; ``edge_rep[K, H]`` is the flat index
@@ -250,18 +250,18 @@ def _generators(acts: np.ndarray) -> list[int]:
 
     The greedy span of ``groups._greedy_generators`` over the rows, with
     right multiplication as the move.  For a candidate g, every row times g
-    is looked up among the rows: g's column of ``groups._product_table``,
-    with one ``groups._row_finder`` shared by all candidates.  A product
-    that is not a row raises.  The column r -> rg is a permutation of the
-    rows, and its inverse (its argsort) is g's gather, since
-    (span g)[y] = span[y g^-1].  Then every row is a product of generators
-    and every row times a generator is a row, so the rows are closed under
-    composition: p(g1...gk) = (...(p g1)...) gk.
+    is looked up among the rows: ``find(acts[:, acts[g]])``, g's column of
+    the product table, with one ``groups._row_finder`` shared by all
+    candidates.  A product that is not a row raises.  The column r -> rg is
+    a permutation of the rows, and its inverse (its argsort) is g's gather,
+    since (span g)[y] = span[y g^-1].  Then every row is a product of
+    generators and every row times a generator is a row, so the rows are
+    closed under composition: p(g1...gk) = (...(p g1)...) gk.
     """
     find = _row_finder(acts)
 
     def move(g: int) -> np.ndarray:
-        column = _product_table(acts, acts[g][None], find)[:, 0]
+        column = find(acts[:, acts[g]])
         if (column < 0).any():
             raise InternalCheckError("action must be closed under composition")
         return np.argsort(column)
@@ -436,10 +436,14 @@ def _descriptor_parts(descriptor: str) -> tuple[str, list[str]]:
     """A site descriptor's base and its ``|above:`` labels, in order.
 
     The base is the text before the first ``|above:``: a group descriptor
-    or ``poset:FILE``.  Each label keeps its leading spaces.
+    or ``poset:FILE``.  A ``poset:`` with no FILE is refused, as ``cayley:``
+    and ``perms:`` with no path are.  Each label keeps its leading spaces.
     """
     base, *labels = descriptor.strip().split("|above:")
-    return base.strip(), [label.rstrip() for label in labels]
+    base = base.strip()
+    if base == "poset:":
+        raise DescriptorError("poset: requires a file path")
+    return base, [label.rstrip() for label in labels]
 
 
 def check_descriptor(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> None:

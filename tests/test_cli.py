@@ -3,7 +3,10 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +341,8 @@ INPUT_ERRORS = [
      "perms:{f}: line 1: bad cycle '(1 2 1)'"),
     ("cayley-no-path", ["lattice", "--group", "cayley:"], None,
      "cayley: requires a file path"),
+    ("poset-no-path", ["lattice", "--group", "poset:"], None,
+     "poset: requires a file path"),
     ("poset-second-nodes", ["lattice", "--site", "{f}"], "nodes: a b\nnodes: a b\n",
      "poset:{f}: line 2: duplicate nodes: line"),
     ("poset-directive", ["lattice", "--site", "{f}"], "nodes: a b\nfoo: a\n",
@@ -706,6 +711,16 @@ def test_byte_identical_across_runs_and_threads(argv, capsys):
             outputs.add(capsys.readouterr().out)
             assert code == 0
     assert len(outputs) == 1
+
+
+def test_the_module_runs_as_a_script(capsys):
+    # python -m transfer_systems.cli runs main through the module's __main__ line
+    argv = ["lattice", "--group", "cyclic:6"]
+    expected = run(capsys, *argv)[1]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "transfer_systems.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_out_file(tmp_path, capsys):

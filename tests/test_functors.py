@@ -13,11 +13,11 @@ from transfer_systems.errors import (
     GroupSiteRequiredError,
     InternalCheckError,
     MismatchedSitesError,
+    NotNormalError,
 )
 from transfer_systems import functors
 from transfer_systems import systems as systems_module
 from transfer_systems.functors import (
-    QuotientContext,
     check_preservation,
     fixed_points,
     inflate,
@@ -25,7 +25,7 @@ from transfer_systems.functors import (
     quotient_context,
     universal_reduction,
 )
-from transfer_systems.sites import interval_above, site_from_descriptor
+from transfer_systems.sites import site_from_descriptor
 from transfer_systems.systems import (
     complete_ts,
     generate_from_edges,
@@ -93,11 +93,11 @@ def test_fixed_points_inflate_is_identity(ctx_c12, interval_catalog_c12):
         assert fixed_points(ctx_c12, inflate(ctx_c12, x)) == x
 
 
-def test_fixed_points_checks_each_interval_relation_once(ctx_c36, c36_catalog, monkeypatch):
-    # a fresh interval site, so that no other test has checked its relations yet
-    parent = ctx_c36.parent
-    ctx = QuotientContext(parent, interval_above(parent, parent.node("C6")),
-                          ctx_c36.to_parent, ctx_c36.kn)
+def test_fixed_points_checks_each_interval_relation_once(c36_catalog, monkeypatch):
+    # a fresh interval site, so that no other test has checked its relations
+    # yet; fixed_points compares site keys, so the catalog's systems still fit
+    parent = site_from_descriptor("cyclic:36")
+    ctx = quotient_context(parent, parent.node("C6"))
     checked = []
     real = systems_module._check_stack
 
@@ -287,6 +287,10 @@ def test_mismatched_interval_input(ctx_c12, c12_site):
         inflate(ctx_c12, trivial_ts(c12_site))
     with pytest.raises(MismatchedSitesError):
         fixed_points(ctx_c12, trivial_ts(ctx_c12.interval_site))
+    interval, parent = trivial_ts(ctx_c12.interval_site), trivial_ts(c12_site)
+    for o_bar, om_bar in ((parent, interval), (interval, parent)):
+        with pytest.raises(MismatchedSitesError):
+            check_preservation(ctx_c12, o_bar, om_bar)
 
 
 def test_preservation_trivial_pair(ctx_c12):
@@ -318,6 +322,27 @@ def test_inflation_figure_analogue(ctx_c36, c36_site):
     )
     p_o = inflate(ctx_c36, o_bar)
     assert max_compat_recursive(p_o) == inflate(ctx_c36, max_compat_recursive(o_bar))
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:12", "dihedral:4"])
+def test_every_array_of_a_context_is_read_only(descriptor):
+    site = site_from_descriptor(descriptor)
+    for n in range(site.size):
+        if (site.action[:, n] == n).all():
+            ctx = quotient_context(site, n)
+            for array in (ctx.to_parent, ctx.kn, ctx._fix, ctx._lift, ctx._mask):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]
+
+
+def test_quotient_context_refuses_before_it_builds_a_table(p5_site, s3_site):
+    with pytest.raises(GroupSiteRequiredError):
+        quotient_context(p5_site, p5_site.node("A"))
+    n = s3_site.node("<(12)>")
+    with pytest.raises(NotNormalError, match=r"^node <\(12\)> is not fixed by the action$"):
+        quotient_context(s3_site, n)
+    assert n not in s3_site._cache.get("quotient_context", {})
 
 
 def test_quotient_context_matches_coset_table(c12_site):

@@ -649,7 +649,7 @@ def test_a_nested_interval_descriptor_builds_each_interval_in_turn():
 
 def test_check_descriptor_refuses_each_base_as_the_build_does(tmp_path):
     for bad in ("bogus", " bogus|above:C2", "cyclic:0", "cyclic:5000|above:C2|above:C4",
-                f"poset:{tmp_path / 'missing'}", f"poset:{tmp_path}|above:a"):
+                f"poset:{tmp_path / 'missing'}", f"poset:{tmp_path}|above:a", "poset:"):
         with pytest.raises(TransferSystemsError) as early:
             check_descriptor(bad)
         with pytest.raises(TransferSystemsError) as late:
